@@ -46,7 +46,11 @@ def _parse_params(text):
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError("parameters must be 'a,b', got %r" % text)
-    return (int(parts[0]) % 3, int(parts[1]) % 3)
+    try:
+        a, b = (int(p) for p in parts)
+    except ValueError:
+        raise UsageError("parameters must be integers, got %r" % text)
+    return (a % 3, b % 3)
 
 
 def _emit(text, out_path):
@@ -284,7 +288,11 @@ def main(argv=None):
     except (UsageError, SchemaError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    _emit(text, args.out)
+    try:
+        _emit(text, args.out)
+    except OSError as exc:
+        print("error: cannot write %s: %s" % (args.out, exc.strerror or exc), file=sys.stderr)
+        return 2
     return code
 
 

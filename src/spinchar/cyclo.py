@@ -251,11 +251,17 @@ def _icbrt(n):
     """Integer cube root of n >= 0 if exact, else None."""
     if n < 0:
         raise ValueError
-    r = round(n ** (1.0 / 3.0)) if n else 0
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c * c * c == n:
-            return c
-    return None
+    if n < 2:
+        return n
+    # integer Newton from above; 2^ceil(bits/3) >= cbrt(n), and the
+    # iterates fall monotonically to floor(cbrt(n))
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            break
+        x = y
+    return x if x * x * x == n else None
 
 
 def _frac_cbrt(f):

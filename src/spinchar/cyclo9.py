@@ -10,11 +10,20 @@ Elements are polynomials in zeta9 of degree < 6 over Q, reduced modulo the
 ninth cyclotomic polynomial x^6 + x^3 + 1.  Q(w) embeds via w = zeta9^3;
 values lying in the subfield serialize through the Q(w) grammar, so the
 plain "p/q+r/s*w" format is a sublanguage of the extended one.
+
+Bulk checks use the exact lattice kernel at the end of the module: an array
+of scalars becomes an int64 array of coefficient vectors over one common
+denominator (`to_lattice`), products go through `lattice_einsum` with the
+constant tables PRODUCT, CONJ and MUL_W, and single values come back through
+`from_lattice`.  The tables are derived from `_reduce` and `_CONJ_BASIS`, so
+the reduction rule is written down once.
 """
 
 from fractions import Fraction
 import math
 import re
+
+import numpy as np
 
 from .cyclo import Cyc, CycError, cyc_cbrt, cyc_str, parse_cyc, root_of_unity
 
@@ -322,10 +331,80 @@ def parse_scalar(text):
             coeffs[0] += sub.a
             coeffs[3] += sub.b
             continue
+        k = int(m.group("p1") or m.group("p2") or 1)
+        if not 1 <= k <= 5:
+            raise CycError("zeta9 exponent %d outside 1..5 in %r" % (k, text))
         if m.group("coef") is not None:
-            k = int(m.group("p1") or 1)
             coeffs[k] += Fraction(m.group("coef"))
         else:
-            k = int(m.group("p2") or 1)
             coeffs[k] += -1 if m.group("sign") == "-" else 1
     return Cyc9(coeffs)
+
+
+# -- exact lattice kernel -----------------------------------------------------
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _basis_row(k):
+    """z^k (0 <= k <= 10) reduced to the power basis, as six integers."""
+    return [int(x) for x in _reduce([0] * k + [1])]
+
+
+# Coefficient rows: PRODUCT[i, j] = z^i z^j, CONJ[i] = conj(z^i) and
+# MUL_W[i] = w z^i, so a coefficient vector x maps to x @ CONJ and x @ MUL_W.
+PRODUCT = np.array([[_basis_row(i + j) for j in range(6)] for i in range(6)],
+                   dtype=np.int64)
+CONJ = np.array(_CONJ_BASIS, dtype=np.int64)
+PRODUCT.flags.writeable = False
+CONJ.flags.writeable = False
+MUL_W = PRODUCT[3]
+
+
+def to_lattice(values):
+    """Exact integer coordinates of an array of scalars.
+
+    `values` is a nested sequence of Cyc, Cyc9, int or Fraction.  Returns
+    (L, den): den is the least positive integer with den * x in Z[zeta9]
+    for every x, and L is the int64 array of shape values.shape + (6,)
+    holding the power-basis coefficients of den * x.  Raises CycError when
+    a coefficient does not fit in int64.
+    """
+    arr = np.array(values, dtype=object)
+    coeffs = [c for x in arr.flat for c in Cyc9.from_scalar(x).c]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    if ints and max(map(abs, ints)) > _INT64_MAX:
+        raise CycError("lattice coefficient exceeds the int64 range")
+    return np.array(ints, dtype=np.int64).reshape(arr.shape + (6,)), den
+
+
+def from_lattice(coeffs, den=1):
+    """The scalar with coefficient vector coeffs / den; a Cyc when it lies
+    in Q(w), otherwise a Cyc9."""
+    x = Cyc9([Fraction(int(v), den) for v in coeffs])
+    sub = x.to_cyc()
+    return x if sub is None else sub
+
+
+def lattice_einsum(subscripts, *operands):
+    """np.einsum on int64 lattice arrays, refused with CycError when a sum
+    of products could leave the int64 range (numpy would wrap silently).
+
+    `subscripts` is explicit ("ab,bc->ac", no ellipsis).  The bound is the
+    product of the operands' largest magnitudes (at least 1 each) times the
+    number of terms summed into each output entry; it also bounds every
+    intermediate that an optimized contraction order forms on the way.
+    """
+    inputs, output = subscripts.split("->")
+    sizes = {}
+    bound = 1
+    for spec, op in zip(inputs.split(","), operands):
+        sizes.update(zip(spec, op.shape))
+        bound *= max(1, int(np.abs(op).max(initial=0)))
+    for axis, n in sizes.items():
+        if axis not in output:
+            bound *= n
+    if bound > _INT64_MAX:
+        raise CycError("lattice product could overflow int64 (bound %d)" % bound)
+    return np.einsum(subscripts, *operands, optimize=True)

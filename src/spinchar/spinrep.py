@@ -17,8 +17,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cyclo import Cyc, ZERO, ONE, OMEGA, OMEGA2, root_of_unity, root_exponent, cyc_cbrt
-from .cyclo9 import Cyc9, cyc9_cbrt, scalar_str
+from .cyclo import (Cyc, CycError, ZERO, ONE, OMEGA, OMEGA2, root_of_unity, root_exponent,
+                    cyc_cbrt)
+from .cyclo9 import (CONJ, MUL_W, PRODUCT, Cyc9, cyc9_cbrt, from_lattice, lattice_einsum,
+                     scalar_str, to_lattice)
 from .linalg import CycMatrix, intertwiner_space
 from .groups import Subgroup, collect, get_group, covering_data
 from .mackey import SubRep, MackeyError, dual_group, orbit_decomposition, induce
@@ -454,38 +456,32 @@ class CharTable:
     classes: list   # (representative code, class size)
     rows: list      # (name, SpinType, dim, list of Cyc values)
 
+    def _lattice(self):
+        """The row values as a (rows, classes, 6) lattice array, its complex
+        conjugate, and their common denominator."""
+        X, den = to_lattice([values for _, _, _, values in self.rows])
+        return X, lattice_einsum("icp,pq->icq", X, CONJ), den
+
     def gram_matrix(self):
         """Exact Gram matrix of the rows under the character inner product."""
-        n = len(self.rows)
-        sizes = [s for _, s in self.classes]
-        out = []
-        for i in range(n):
-            vi = self.rows[i][3]
-            row = []
-            for j in range(n):
-                vj = self.rows[j][3]
-                total = ZERO
-                for a, b, s in zip(vi, vj, sizes):
-                    total = total + a * b.conj() * s
-                row.append(total / self.group.order)
-            out.append(row)
-        return out
+        X, Xc, den = self._lattice()
+        sizes = np.array([s for _, s in self.classes], dtype=np.int64)
+        gram = lattice_einsum("icp,jcq,c,pqr->ijr", X, Xc, sizes, PRODUCT)
+        scale = den * den * self.group.order
+        return [[from_lattice(v, scale) for v in row] for row in gram]
 
     def column_orthogonality_violation(self):
         """First (g, h) class pair violating sum_chi chi(g) conj(chi(h)) =
         |centralizer(g)| [g ~ h], or None."""
-        n = len(self.classes)
-        for i in range(n):
-            for j in range(n):
-                total = ZERO
-                for _, _, _, values in self.rows:
-                    total = total + values[i] * values[j].conj()
-                if i == j:
-                    want = Cyc(self.group.order // self.classes[i][1])
-                else:
-                    want = ZERO
-                if total != want:
-                    return (i, j, total)
+        X, Xc, den = self._lattice()
+        sums = lattice_einsum("icp,idq,pqr->cdr", X, Xc, PRODUCT)
+        want = np.zeros_like(sums)
+        for c, (_, size) in enumerate(self.classes):
+            want[c, c, 0] = self.group.order // size * den * den
+        bad = np.argwhere((sums != want).any(axis=2))
+        if len(bad):
+            i, j = (int(x) for x in bad[0])
+            return (i, j, from_lattice(sums[i, j], den * den))
         return None
 
 
@@ -536,6 +532,31 @@ def canonical_section():
     return {g: r243.code_of((0, 0) + g27.exps_of(g)) for g in range(g27.order)}
 
 
+def table_cocycle():
+    """The factor set of the canonical section from the R243 Cayley table
+    alone, sharing no code with the matrix path of restrict_to_projective.
+
+    s(g) s(h) s(gh)^-1 = z12^a z23^b for every pair; returns the (27, 27)
+    exponent arrays (a, b).  An irreducible of spin type (eps, mu) then
+    restricts with cocycle exponents (eps a + mu b) mod 3.
+    """
+    g27 = get_group("G27")
+    r243 = get_group("R243")
+    section = canonical_section()
+    s = np.array([section[g] for g in range(g27.order)])
+    table = r243.table
+    c = table[table[s[:, None], s[None, :]], r243.inv[s[g27.table]]]
+    a = np.full(r243.order, -1)
+    b = np.full(r243.order, -1)
+    for x in range(3):
+        for y in range(3):
+            code = r243.code_of((x, y, 0, 0, 0))
+            a[code], b[code] = x, y
+    if (a[c] < 0).any():
+        raise RepError("section cocycle leaves the multiplier subgroup")
+    return a[c], b[c]
+
+
 def restrict_to_projective(rep, section=None):
     """Restrict a representation of the representation group along a section
     of the covering onto the base group.
@@ -543,6 +564,13 @@ def restrict_to_projective(rep, section=None):
     Returns (T, cocycle) with T the 27-entry matrix table T(g) = rep(s(g))
     and the exact factor set alpha(g, h) = T(g) T(h) T(gh)^-1, checked to be
     a scalar cube root of unity at every pair.
+
+    The check runs on the exact lattice of `cyclo9`: the 27 images become
+    one integer array over a common denominator, all 729 products T(g) T(h)
+    are formed in one einsum, and each product is compared coefficient by
+    coefficient with w^k T(gh) for k = 0, 1, 2.  The exponent is the unique
+    matching k; a pair with no match, or with three (T(gh) = 0), raises
+    RepError, as does data too large for the int64 lattice.
     """
     g27 = get_group("G27")
     r243 = rep.group
@@ -559,20 +587,24 @@ def restrict_to_projective(rep, section=None):
         raise RepError("section must send the identity to the identity")
 
     T = {g: rep.eval(section[g]) for g in range(g27.order)}
-    t27 = g27.table
-    exps = np.zeros((g27.order, g27.order), dtype=np.int8)
-    for g in range(g27.order):
-        Tg = T[g]
-        for h in range(g27.order):
-            M = Tg * T[h]
-            N = T[int(t27[g, h])]
-            alpha = _scalar_ratio(M, N)
-            e = None if alpha is None else _root_exponent_any(alpha)
-            if e is None:
-                raise RepError("restriction of %s is not projective at (%d, %d)"
-                               % (rep.name, g, h))
-            exps[g, h] = e
-    return T, CocycleTable(g27, exps)
+    try:
+        L, den = to_lattice([T[g].rows for g in range(g27.order)])
+        prods = lattice_einsum("gijp,hjkq,pqr->ghikr", L, L, PRODUCT)
+        wL = lattice_einsum("gijp,pq->gijq", L, MUL_W)
+        w2L = lattice_einsum("gijp,pq->gijq", wL, MUL_W)
+    except CycError as exc:
+        raise RepError("restriction of %s leaves the exact lattice: %s" % (rep.name, exc))
+    # T(g) T(h) carries denominator den^2; w^k T(gh) only den
+    divisible = (prods % den == 0).all(axis=(2, 3, 4))
+    prods //= den
+    targets = np.stack([L, wL, w2L])[:, g27.table]  # w^k T(gh), (3, 27, 27, d, d, 6)
+    matches = (prods[None] == targets).all(axis=(3, 4, 5)) & divisible
+    bad = np.argwhere(matches.sum(axis=0) != 1)
+    if len(bad):
+        g, h = bad[0]
+        raise RepError("restriction of %s is not projective at (%d, %d)"
+                       % (rep.name, g, h))
+    return T, CocycleTable(g27, matches.argmax(axis=0).astype(np.int8))
 
 
 def _root_exponent_any(x):
@@ -581,21 +613,6 @@ def _root_exponent_any(x):
         if x is None:
             return None
     return root_exponent(x)
-
-
-def _scalar_ratio(M, N):
-    """The scalar c with M = c N, or None."""
-    c = None
-    for i in range(N.n):
-        for j in range(N.n):
-            if not N[i, j].is_zero():
-                c = M[i, j] / N[i, j]
-                break
-        if c is not None:
-            break
-    if c is None or M != N.scale(c):
-        return None
-    return c
 
 
 # -- alternative constructions used as cross-checks ---------------------------

@@ -19,7 +19,8 @@ from .mackey import dual_group, act_on_dual, orbit_decomposition
 from .spinrep import (SpinType, full_catalog, catalog_census, spin_character_table,
                       verify_rep, restrict_to_projective, g81_partial_catalog,
                       gbar_partial_catalog, r243_pure_catalog, g27_nonspin_catalog,
-                      intertwiner_alpha, irreps_by_spin_type, mu_route_direct)
+                      intertwiner_alpha, irreps_by_spin_type, mu_route_direct,
+                      table_cocycle)
 
 
 @dataclass
@@ -273,11 +274,17 @@ def check_orthogonality():
 def check_cocycle():
     failures = []
     by_type = {}
+    a, b = table_cocycle()
     for rep in full_catalog():
         _, coc = restrict_to_projective(rep)
         bad = coc.identity_violation()
         if bad is not None:
             failures.append("%s cocycle identity fails at %s" % (rep.name, bad))
+        eps, mu = rep.spin_type
+        diff = np.argwhere(coc.exps != (eps * a + mu * b) % 3)
+        if len(diff):
+            failures.append("%s cocycle differs from the table-only derivation at %s"
+                            % (rep.name, tuple(int(x) for x in diff[0])))
         if rep.spin_type == SpinType(0, 0) and not coc.is_trivial():
             failures.append("%s is non-spin but has a nontrivial cocycle" % rep.name)
         if rep.spin_type != SpinType(0, 0) and coc.is_trivial():

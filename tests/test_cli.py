@@ -52,6 +52,9 @@ def test_unknown_group_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "group", "NOPE")
     assert code == 2
     assert "unknown schema" in err
+    code, out, err = run_cli(capsys, "group", "G81_param", "--params", "1,x")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_irreps_listing(capsys):
@@ -126,6 +129,10 @@ def test_output_file(tmp_path, capsys):
     assert code == 0 and out == ""
     data = json.loads(out_path.read_text(encoding="utf-8"))
     assert len(data["irreps"]) == 35
+    missing = tmp_path / "no_such_dir" / "x.csv"
+    code, out, err = run_cli(capsys, "chartable", "--out", str(missing))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_cocycle_command(capsys):

@@ -3,12 +3,14 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spinchar.cyclo import (Cyc, CycError, OMEGA, ZERO, ONE, cyc_cbrt, cyc_str,
+from spinchar.cyclo import (Cyc, CycError, OMEGA, ZERO, ONE, _icbrt, cyc_cbrt, cyc_str,
                             parse_cyc, root_of_unity)
-from spinchar.cyclo9 import Cyc9, cyc9_cbrt, parse_scalar, scalar_str, zeta9
+from spinchar.cyclo9 import (CONJ, MUL_W, PRODUCT, Cyc9, cyc9_cbrt, from_lattice,
+                             lattice_einsum, parse_scalar, scalar_str, to_lattice, zeta9)
 
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -95,6 +97,14 @@ def test_cube_roots_in_base_field():
     assert cyc_cbrt(OMEGA) is None  # needs a ninth root
 
 
+def test_integer_cube_root_beyond_float_precision():
+    n = 10 ** 20 + 7
+    assert _icbrt(n ** 3) == n
+    assert _icbrt(n ** 3 + 1) is None
+    assert _icbrt(n ** 3 - 1) is None
+    assert [_icbrt(k) for k in range(9)] == [0, 1, None, None, None, None, None, None, 2]
+
+
 class TestNinthField:
     def test_basic_relations(self):
         z = zeta9()
@@ -148,3 +158,39 @@ class TestNinthField:
         assert scalar_str(Cyc9.from_scalar(OMEGA)) == "w"
         assert isinstance(parse_scalar("w"), Cyc)
         assert isinstance(parse_scalar("-1/3*z^2-2/3*z^5"), Cyc9)
+        for bad in ("z^7", "z^0", "2*z^6", "1+z^9"):
+            with pytest.raises(CycError):
+                parse_scalar(bad)
+
+
+class TestLatticeKernel:
+    """The int64 lattice tables against scalar Cyc9 arithmetic as reference."""
+
+    def test_tables_match_scalar_arithmetic(self):
+        rng = random.Random(9)
+        for _ in range(100):
+            a = Cyc9([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(6)])
+            b = Cyc9.from_scalar(Cyc(Fraction(rng.randint(-5, 5), 3), rng.randint(-5, 5)))
+            L, den = to_lattice([a, b])
+            assert from_lattice(L[0], den) == a and from_lattice(L[1], den) == b
+            prod = lattice_einsum("p,q,pqr->r", L[0], L[1], PRODUCT)
+            assert from_lattice(prod, den * den) == a * b
+            assert from_lattice(L[0] @ CONJ, den) == a.conj()
+            assert from_lattice(L[0] @ MUL_W, den) == a * OMEGA
+
+    def test_denominator_comes_from_the_data(self):
+        L, den = to_lattice([[ONE, Cyc(Fraction(1, 6))], [zeta9(2), 4]])
+        assert den == 6 and L.shape == (2, 2, 6) and L.dtype == np.int64
+        assert to_lattice([1, OMEGA])[1] == 1
+        assert from_lattice(L[0, 1], den) == Cyc(Fraction(1, 6))
+        assert isinstance(from_lattice(L[0, 1], den), Cyc)
+        assert isinstance(from_lattice(L[1, 0], den), Cyc9)
+
+    def test_magnitudes_checked_before_int64_wraps(self):
+        with pytest.raises(CycError):
+            to_lattice([Cyc(2 ** 63)])
+        small, _ = to_lattice([Cyc(2 ** 28)])
+        assert from_lattice(lattice_einsum("ip,iq,pqr->r", small, small, PRODUCT)) == 2 ** 56
+        big, _ = to_lattice([Cyc(2 ** 32)])  # its square wraps to 0 in int64
+        with pytest.raises(CycError):
+            lattice_einsum("ip,iq,pqr->r", big, big, PRODUCT)

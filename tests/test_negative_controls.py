@@ -1,0 +1,92 @@
+"""Negative controls: plant one defect each and show the named check bites.
+
+A check that passes on correct data proves little unless it is also shown
+to fail on wrong data.  Each test below corrupts exactly one thing -- a
+generator image, a character value, a class size, a section element -- and
+asserts that the check responsible for it reports the defect.
+"""
+
+import dataclasses
+
+import pytest
+
+from spinchar import verify
+from spinchar.groups import get_group
+from spinchar.spinrep import (RepError, Representation, canonical_section,
+                              irreps_by_spin_type, restrict_to_projective,
+                              spin_character_table)
+
+
+def _scaled(rep, gen, factor):
+    images = dict(rep.images)
+    images[gen] = images[gen].scale(factor)
+    return Representation(rep.group, images, rep.name, rep.spin_type)
+
+
+def test_scaled_generator_is_not_projective():
+    rep = _scaled(irreps_by_spin_type((1, 1))[0], "n1", 2)
+    with pytest.raises(RepError, match="not projective"):
+        restrict_to_projective(rep)
+
+
+def test_huge_generator_is_refused_not_wrapped():
+    rep = _scaled(irreps_by_spin_type((1, 1))[0], "n1", 10 ** 12)
+    with pytest.raises(RepError, match="lattice"):
+        restrict_to_projective(rep)
+
+
+def _perturbed_table(row, cls):
+    table = spin_character_table()
+    rows = [(name, st, dim, list(values)) for name, st, dim, values in table.rows]
+    rows[row][3][cls] = rows[row][3][cls] + 1
+    return dataclasses.replace(table, rows=rows)
+
+
+def test_perturbed_character_fails_gram(monkeypatch):
+    row = 20
+    table = _perturbed_table(row, 0)  # class 0 is the identity
+    gram = table.gram_matrix()
+    n = len(gram)
+    bad = {(i, j) for i in range(n) for j in range(n)
+           if gram[i][j] != (1 if i == j else 0)}
+    # chi(1) = dim is nonzero for every row, so exactly row and column 20 move
+    assert bad == {(row, j) for j in range(n)} | {(i, row) for i in range(n)}
+
+    monkeypatch.setattr(verify, "spin_character_table", lambda: table)
+    result = verify.check_orthogonality()
+    assert not result.passed
+    assert "gram[%d][%d]" % (row, row) in result.detail
+
+
+def test_swapped_class_size_fails_columns():
+    table = spin_character_table()
+    classes = list(table.classes)
+    k = next(i for i, (_, size) in enumerate(classes) if size == 9)
+    (c0, s0), (ck, sk) = classes[0], classes[k]
+    classes[0], classes[k] = (c0, sk), (ck, s0)
+    bad = dataclasses.replace(table, classes=classes).column_orthogonality_violation()
+    assert bad is not None
+    i, j, total = bad
+    assert (i, j) == (0, 0)
+    assert total == 243  # |centralizer of 1|, where the swapped size claims 27
+
+
+def test_swapped_lift_fails_the_table_cross_check(monkeypatch):
+    r243 = get_group("R243")
+    section = canonical_section()
+    z12 = r243.generator("z12").code
+    g0 = 5
+    section[g0] = r243.mult(z12, section[g0])  # another lift of the same element
+
+    monkeypatch.setattr(verify, "restrict_to_projective",
+                        lambda rep: restrict_to_projective(rep, section))
+    result = verify.check_cocycle()
+    assert not result.passed
+    failures = result.detail.split("; ")
+    # the table stays projective and constant per type; only the
+    # comparison with the table-only derivation catches the moved lift
+    assert all("differs from the table-only derivation" in f for f in failures)
+    named = {f.split(" cocycle")[0] for f in failures}
+    # a lift moved by z12 changes the cocycle exactly when eps != 0
+    assert named == {rep.name for e in (1, 2) for m in range(3)
+                     for rep in irreps_by_spin_type((e, m))}
