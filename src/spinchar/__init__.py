@@ -9,8 +9,8 @@ extracts the projective factor sets on the base group.
 from .cyclo import Cyc, CycError, OMEGA, cyc_cbrt, cyc_str, parse_cyc, root_of_unity
 from .cyclo9 import Cyc9, cyc9_cbrt, parse_scalar, scalar_str, zeta9
 from .linalg import CycMatrix, MatrixError, J_SHIFT, K_SHIFT, intertwiner_space, nullspace
-from .groups import (CollectionError, Group, GroupElement, GroupSchema, SchemaError,
-                     Subgroup, check_schema, covering_data, exhaustive_associativity,
+from .groups import (CheckReport, CollectionError, Group, GroupElement, GroupSchema,
+                     SchemaError, Subgroup, check_schema, covering_data, exhaustive_associativity,
                      find_param_isomorphism, get_group, isomorphism_fingerprint,
                      quotient_fingerprint, random_triples_associative, schema,
                      verify_efficient_covering, verify_phi_automorphism)
@@ -21,6 +21,6 @@ from .spinrep import (ClassFunction, CocycleTable, RepError, Representation, Spi
                       inner_product, intertwiner_solutions, irreps_by_spin_type,
                       intertwiner_alpha, restrict_to_projective, solve_intertwiner,
                       spin_character_table, verify_rep)
-from .verify import CHECKS, CheckResult, run_checks
+from .verify import CHECKS, run_checks
 
 __version__ = "0.1.0"

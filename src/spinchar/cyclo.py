@@ -131,9 +131,6 @@ class Cyc:
     def is_zero(self):
         return not self.a and not self.b
 
-    def is_rational(self):
-        return not self.b
-
     # -- comparison / hashing -------------------------------------------
 
     def __eq__(self, other):
@@ -144,17 +141,14 @@ class Cyc:
         return self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        # equal values hash equally: a rational hashes as its int or Fraction
+        return hash(self.a) if not self.b else hash((self.a, self.b))
 
     def __bool__(self):
         return not self.is_zero()
 
     def __repr__(self):
         return "Cyc(%r)" % cyc_str(self)
-
-    def __complex__(self):
-        w = complex(-0.5, math.sqrt(3) / 2)
-        return float(self.a) + float(self.b) * w
 
 
 def as_cyc(x):
@@ -287,33 +281,42 @@ def _frac_sqrt(f):
 
 
 def _rational_roots(c0, c1):
-    """All rational roots of T^3 + c1*T + c0 with c0, c1 Fractions."""
-    # clear denominators: T = u/v with u | a0, v | a3 after scaling
-    den = math.lcm(c0.denominator, c1.denominator)
-    a3, a1, a0 = den, c1 * den, c0 * den
-    a1, a0 = int(a1), int(a0)
+    """All rational roots of T^3 + c1*T + c0 with c0, c1 Fractions.
+
+    With m the common denominator, S = m*T turns the cubic into the monic
+    integer cubic f(S) = S^3 + p*S + q, whose rational roots are integers
+    of absolute value at most the Cauchy bound 1 + max(|p|, |q|).  f is
+    monotone on each piece between its turning points +-sqrt(-p/3), so a
+    bisection per piece finds every root.
+    """
+    m = math.lcm(c0.denominator, c1.denominator)
+    p, q = int(c1 * m * m), int(c0 * m ** 3)
+    bound = 1 + max(abs(p), abs(q))
+    if p >= 0:
+        pieces = [(-bound, bound)]
+    else:
+        r = math.isqrt(-p // 3)  # -r..r lie between the turning points, r + 1 beyond
+        pieces = [(-bound, -r - 1), (-r, r), (r + 1, bound)]
     roots = set()
-    if a0 == 0:
-        roots.add(Fraction(0))
-    cands_num = _divisors(abs(a0)) if a0 else {0}
-    cands_den = _divisors(a3)
-    for u in cands_num:
-        for v in cands_den:
-            for t in (Fraction(u, v), Fraction(-u, v)):
-                if a3 * t**3 + a1 * t + a0 == 0:
-                    roots.add(t)
+    for lo, hi in pieces:
+        s = _monotone_root(lambda x: x ** 3 + p * x + q, lo, hi)
+        if s is not None:
+            roots.add(Fraction(s, m))
     return roots
 
 
-def _divisors(n):
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return out
+def _monotone_root(f, lo, hi):
+    """The integer root of f in [lo, hi], f strictly monotone there, or None."""
+    if lo > hi:
+        return None
+    sign = 1 if f(hi) >= f(lo) else -1
+    while lo < hi:  # least x with sign * f(x) >= 0
+        mid = (lo + hi) // 2
+        if sign * f(mid) < 0:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo if f(lo) == 0 else None
 
 
 def cyc_cbrt(v):

@@ -25,7 +25,7 @@ import re
 
 import numpy as np
 
-from .cyclo import Cyc, CycError, cyc_cbrt, cyc_str, parse_cyc, root_of_unity
+from .cyclo import Cyc, CycError, _frac_str, cyc_cbrt, cyc_str, parse_cyc, root_of_unity
 
 _ZERO6 = (Fraction(0),) * 6
 
@@ -155,9 +155,6 @@ class Cyc9:
     def is_zero(self):
         return not any(self.c)
 
-    def is_rational(self):
-        return not any(self.c[1:])
-
     def to_cyc(self):
         """The same number as a Cyc if it lies in Q(w), else None."""
         if any(self.c[k] for k in (1, 2, 4, 5)):
@@ -180,17 +177,15 @@ class Cyc9:
         return self.c == other.c
 
     def __hash__(self):
-        return hash(self.c)
+        # a value in Q(w) hashes as the equal Cyc (and so as an equal rational)
+        sub = self.to_cyc()
+        return hash(self.c) if sub is None else hash(sub)
 
     def __bool__(self):
         return not self.is_zero()
 
     def __repr__(self):
         return "Cyc9(%r)" % scalar_str(self)
-
-    def __complex__(self):
-        z = complex(math.cos(2 * math.pi / 9), math.sin(2 * math.pi / 9))
-        return sum(float(ck) * z ** k for k, ck in enumerate(self.c))
 
 
 def _poly_deg(p):
@@ -273,10 +268,6 @@ def cyc9_cbrt(v):
 
 
 # -- serialization over both fields ------------------------------------------
-
-def _frac_str(f):
-    return str(f.numerator) if f.denominator == 1 else "%d/%d" % (f.numerator, f.denominator)
-
 
 def scalar_str(x):
     """Canonical string for a Cyc or Cyc9; Q(w) values use the w grammar."""

@@ -1,7 +1,8 @@
 """Little-group machinery for finite semidirect products U x| W, U abelian.
 
-Duals of abelian subgroups, the conjugation action on the dual with the
-convention (w.chi)(u) = chi(w^-1 u w), orbit/stabilizer decomposition, and
+Duals of abelian subgroups, the conjugation action on them (and on any
+listed linear characters) with the convention (w.chi)(u) = chi(w^-1 u w),
+orbit/stabilizer decomposition, and
 explicit matrix induction over a coset section on the delta-function basis
 (contragredient convention, so inducing the trivial-orbit characters of the
 base group reproduces the cyclic shift J exactly).
@@ -10,7 +11,7 @@ base group reproduces the cyclic shift J exactly).
 from dataclasses import dataclass
 from itertools import product
 
-from .cyclo import root_of_unity, root_exponent
+from .cyclo import root_of_unity
 from .linalg import CycMatrix
 from .groups import Subgroup
 
@@ -20,10 +21,14 @@ class MackeyError(ValueError):
 
 
 class DualCharacter:
-    """A character of an abelian subgroup, valued in cube roots of unity.
+    """A linear character valued in cube roots of unity: an element of the
+    dual of an abelian subgroup, or a one-dimensional character of a
+    non-abelian one.
 
-    `label` is the exponent tuple over the chosen independent generators;
-    the full value table is kept as omega-exponents per element code.
+    `label` is the exponent tuple at `gen_codes` (for a dual, the chosen
+    independent generators); it must tell apart the characters that are
+    listed together.  The full value table is kept as omega-exponents per
+    element code.
     """
 
     def __init__(self, subgroup, gen_codes, label, exps):
@@ -34,9 +39,6 @@ class DualCharacter:
 
     def value(self, code):
         return root_of_unity(self.exps[int(code)])
-
-    def gen_values(self):
-        return tuple(root_of_unity(self.exps[g]) for g in self.gen_codes)
 
     def as_subrep(self, name=None):
         images = {code: CycMatrix([[root_of_unity(e)]]) for code, e in self.exps.items()}
@@ -173,9 +175,6 @@ class SubRep:
     def eval(self, code):
         return self.images[int(code)]
 
-    def group(self):
-        return self.subgroup.group
-
     def verify(self):
         """Exact homomorphism check over generator edges (hence all pairs)."""
         table = self.subgroup.group.table
@@ -188,11 +187,6 @@ class SubRep:
                 if self.eval(u) * self.eval(g) != self.eval(ug):
                     return (u, g)
         return None
-
-    def central_exponent(self, code):
-        """Exponent e with image(code) = w^e I, or None if not such a scalar."""
-        scal = self.eval(code).as_scalar()
-        return None if scal is None else root_exponent(scal)
 
     def character_values(self):
         return {code: m.trace() for code, m in self.images.items()}

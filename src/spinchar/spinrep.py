@@ -19,11 +19,12 @@ import numpy as np
 
 from .cyclo import (Cyc, CycError, ZERO, ONE, OMEGA, OMEGA2, root_of_unity, root_exponent,
                     cyc_cbrt)
-from .cyclo9 import (CONJ, MUL_W, PRODUCT, Cyc9, cyc9_cbrt, from_lattice, lattice_einsum,
+from .cyclo9 import (CONJ, MUL_W, PRODUCT, cyc9_cbrt, from_lattice, lattice_einsum,
                      scalar_str, to_lattice)
 from .linalg import CycMatrix, intertwiner_space
-from .groups import Subgroup, collect, get_group, covering_data
-from .mackey import SubRep, MackeyError, dual_group, orbit_decomposition, induce
+from .groups import CheckReport, Subgroup, collect, get_group, covering_data
+from .mackey import (DualCharacter, SubRep, MackeyError, dual_group, orbit_decomposition,
+                     induce)
 
 
 class RepError(ValueError):
@@ -85,7 +86,7 @@ class Representation:
         vals = {"z12": 0, "z23": 0}
         for gen in self.group.schema.multiplier:
             scal = self.images[gen].as_scalar()
-            e = None if scal is None else _root_exponent_any(scal)
+            e = None if scal is None else root_exponent(scal)
             if e is None:
                 raise RepError("%s: multiplier %s is not a root-of-unity scalar"
                                % (self.name, gen))
@@ -110,59 +111,44 @@ class Representation:
         return "Representation(%s, dim=%d, spin=%s)" % (self.name, self.dim, self.spin_type)
 
 
-@dataclass
-class RepReport:
-    name: str
-    failures: list  # (description, lhs CycMatrix, rhs CycMatrix)
-
-    @property
-    def passed(self):
-        return not self.failures
-
-    def first_failure_str(self):
-        if self.passed:
-            return ""
-        desc, lhs, rhs = self.failures[0]
-        return "%s: lhs=%s rhs=%s" % (desc, lhs.str_rows(), rhs.str_rows())
-
-
 def verify_rep(rep):
     """Check every power and conjugation rule of the schema as an exact
-    matrix identity, plus the multiplier scalars; also accepts a SubRep."""
+    matrix identity, plus the multiplier scalars; also accepts a SubRep.
+    The report holds at most one failure, with both sides as witnesses."""
+    report = CheckReport(rep.name or "subrep")
+
+    def fail(desc, lhs, rhs):
+        report.fail("%s: lhs=%s rhs=%s" % (desc, lhs.str_rows(), rhs.str_rows()))
+        return report
+
     if isinstance(rep, SubRep):
         bad = rep.verify()
-        failures = []
         if bad is not None:
             u, g = bad
-            failures.append(("table not multiplicative at (%d, %d)" % (u, g),
-                             rep.eval(u) * rep.eval(g),
-                             rep.eval(rep.subgroup.group.mult(u, g))))
-        return RepReport(rep.name or "subrep", failures)
+            return fail("table not multiplicative at (%d, %d)" % (u, g),
+                        rep.eval(u) * rep.eval(g), rep.eval(rep.subgroup.group.mult(u, g)))
+        return report
 
     group = rep.group
     sch = group.schema
-    failures = []
     for j, gen in enumerate(sch.gens):
         lhs = rep.images[gen] ** 3
         rhs = rep.eval(group.code_of(collect(sch, list(sch.power[j]))))
         if lhs != rhs:
-            failures.append(("cube rule for %s" % gen, lhs, rhs))
-            return RepReport(rep.name, failures)
+            return fail("cube rule for %s" % gen, lhs, rhs)
     for j in range(len(sch.gens)):
         for i in range(j):
             gj, gi = sch.gens[j], sch.gens[i]
             lhs = rep.images[gj] * rep.images[gi] * rep.images[gj].inverse()
             rhs = rep.eval(group.code_of(collect(sch, list(sch.conj_word(j, i)))))
             if lhs != rhs:
-                failures.append(("conjugation rule phi(%s)%s" % (gj, gi), lhs, rhs))
-                return RepReport(rep.name, failures)
+                return fail("conjugation rule phi(%s)%s" % (gj, gi), lhs, rhs)
     for gen in sch.multiplier:
         scal = rep.images[gen].as_scalar()
-        if scal is None or _root_exponent_any(scal) is None:
-            failures.append(("multiplier %s not a cube-root scalar" % gen,
-                             rep.images[gen], CycMatrix.identity(rep.dim)))
-            return RepReport(rep.name, failures)
-    return RepReport(rep.name, failures)
+        if scal is None or root_exponent(scal) is None:
+            return fail("multiplier %s not a cube-root scalar" % gen,
+                        rep.images[gen], CycMatrix.identity(rep.dim))
+    return report
 
 
 @dataclass
@@ -292,7 +278,7 @@ def extend_and_tensor(rho, jw, r, w_gen, name):
     rep = Representation(group, images, name)
     report = verify_rep(rep)
     if not report.passed:
-        raise RepError("extension is not a representation: %s" % report.first_failure_str())
+        raise RepError("extension is not a representation: %s" % report.detail)
     return rep
 
 
@@ -607,14 +593,6 @@ def restrict_to_projective(rep, section=None):
     return T, CocycleTable(g27, matches.argmax(axis=0).astype(np.int8))
 
 
-def _root_exponent_any(x):
-    if isinstance(x, Cyc9):
-        x = x.to_cyc()
-        if x is None:
-            return None
-    return root_exponent(x)
-
-
 # -- alternative constructions used as cross-checks ---------------------------
 
 def mu_route_direct(mu):
@@ -628,47 +606,27 @@ def mu_route_direct(mu):
     mu %= 3
     r243 = get_group("R243")
     U = Subgroup.generated(r243, ["z12", "z23", "n1", "n2"])
-    # 1-dimensional characters with z12 -> 1, z23 -> w^mu; they factor
-    # through U/<z12> which is elementary abelian
-    chis = {}
+    # linear characters with z12 -> 1, z23 -> w^mu; they factor through
+    # U/<z12>, which is elementary abelian, and are labeled by their
+    # exponents at (n1, n2)
+    gen_codes = [r243.generator(g).code for g in ("n1", "n2")]
+    chis = []
     for a in range(3):
         for b in range(3):
-            images = {}
+            exps = {}
             for code in U.codes:
-                e0, e1, e2, e3, e4 = r243.exps_of(code)
-                assert e4 == 0
-                images[code] = CycMatrix([[root_of_unity(mu * e1 + a * e2 + b * e3)]])
-            rep = SubRep(U, 1, images, name="chi(%d;%d,%d)" % (mu, a, b))
-            if rep.verify() is not None:
+                _, e1, e2, e3, _ = r243.exps_of(code)
+                exps[code] = (mu * e1 + a * e2 + b * e3) % 3
+            chi = DualCharacter(U, gen_codes, (a, b), exps)
+            if chi.as_subrep().verify() is not None:
                 raise RepError("direct-route character is not multiplicative")
-            chis[(a, b)] = rep
-    # orbit of (a, b) under conjugation by n3
-    n3 = r243.generator("n3").code
-    def act(label):
-        rep = chis[label]
-        moved = {}
-        for code in U.codes:
-            moved[code] = rep.eval(r243.conjugate(code, int(r243.inv[n3])))
-        for lab2, rep2 in chis.items():
-            if all(moved[c] == rep2.eval(c) for c in U.codes):
-                return lab2
-        raise RepError("direct-route action left the character list")
-    seen = set()
+            chis.append(chi)
+    n3 = r243.generator("n3")
     out = []
-    n3_el = r243.generator("n3")
-    for label in sorted(chis):
-        if label in seen:
-            continue
-        orbit = {label}
-        cur = label
-        while True:
-            cur = act(cur)
-            if cur in orbit:
-                break
-            orbit.add(cur)
-        seen |= orbit
-        ind = induce(chis[min(orbit)], [r243.identity(), n3_el, n3_el * n3_el],
-                     name="Ind%s" % (min(orbit),))
+    for orbit in orbit_decomposition(chis, ["n3"]).orbits:
+        label = orbit.representative.label
+        ind = induce(orbit.representative.as_subrep(), [r243.identity(), n3, n3 * n3],
+                     name="Ind%s" % (label,))
         images = {gen: ind.eval(r243.generator(gen).code) for gen in r243.schema.gens}
         out.append(Representation(r243, images, ind.name))
     return out

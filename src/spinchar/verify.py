@@ -1,17 +1,15 @@
 """Named verification checks covering the full structural story.
 
-Each check runs an exact computation and returns a CheckResult; the CLI
+Each check runs an exact computation and returns a CheckReport; the CLI
 `verify` command and the acceptance tests drive the same functions.  All
 comparisons are literal equality -- there are no tolerances anywhere.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .cyclo import ONE, root_of_unity
 from .linalg import CycMatrix, J_SHIFT, K_SHIFT
-from .groups import (Subgroup, get_group, covering_data, verify_efficient_covering,
+from .groups import (CheckReport, Subgroup, get_group, covering_data, verify_efficient_covering,
                      verify_phi_automorphism, check_schema, exhaustive_associativity,
                      random_triples_associative, isomorphism_fingerprint,
                      quotient_fingerprint)
@@ -21,19 +19,6 @@ from .spinrep import (SpinType, full_catalog, catalog_census, spin_character_tab
                       gbar_partial_catalog, r243_pure_catalog, g27_nonspin_catalog,
                       intertwiner_alpha, irreps_by_spin_type, mu_route_direct,
                       table_cocycle)
-
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-
-
-def _result(name, failures, detail_ok):
-    if failures:
-        return CheckResult(name, False, "; ".join(str(f) for f in failures))
-    return CheckResult(name, True, detail_ok)
 
 
 def check_orders():
@@ -47,9 +32,9 @@ def check_orders():
             failures.append("%s%s has order %d, expected %d"
                             % (name, params or "", got, want))
     gsharp = len(get_group("GSHARP").enumerate_elements())
-    return _result("orders", failures,
-                   "13 catalog groups enumerate to their advertised orders; "
-                   "GSHARP enumerates to %d" % gsharp)
+    return CheckReport("orders", failures,
+                       "13 catalog groups enumerate to their advertised orders; "
+                       "GSHARP enumerates to %d" % gsharp)
 
 
 def check_structure():
@@ -75,9 +60,9 @@ def check_structure():
         failures.append("R243/<z12> does not match the z23-first covering group")
     if quotient_fingerprint(r243, ["z23"]) != isomorphism_fingerprint(get_group("G81")):
         failures.append("R243/<z23> does not match the z12-first covering group")
-    return _result("structure", failures,
-                   "center 9, derived 27, five efficient coverings pass, "
-                   "both quotient fingerprints match")
+    return CheckReport("structure", failures,
+                       "center 9, derived 27, five efficient coverings pass, "
+                       "both quotient fingerprints match")
 
 
 def check_automorphism():
@@ -87,9 +72,9 @@ def check_automorphism():
             rep = verify_phi_automorphism(a, b)
             if not rep.passed:
                 failures.append("(a=%d,b=%d): %s" % (a, b, rep.failures))
-    return _result("automorphism", failures,
-                   "all 9 parameter pairs pass (bijection, (a,b) cube "
-                   "relations, regeneration, order-81 primed span)")
+    return CheckReport("automorphism", failures,
+                       "all 9 parameter pairs pass (bijection, (a,b) cube "
+                       "relations, regeneration, order-81 primed span)")
 
 
 def check_orbits():
@@ -124,8 +109,8 @@ def check_orbits():
             failures.append("fixed point %s has wrong orbit data" % (o.representative.label,))
         if e != 0 and ((e, m) != (e, 0) or len(o.members) != 3 or o.stabilizer.order != 1):
             failures.append("spin orbit %s has wrong orbit data" % (o.representative.label,))
-    return _result("orbits", failures,
-                   "dual actions and orbit/stabilizer data match on both levels")
+    return CheckReport("orbits", failures,
+                       "dual actions and orbit/stabilizer data match on both levels")
 
 
 def check_anchors():
@@ -164,8 +149,8 @@ def check_anchors():
                 failures.append("P(%d,%d) image of n1 is wrong" % (eps, mu))
             if P.eval(r243.generator("n2").code) != J_SHIFT:
                 failures.append("P(%d,%d) image of n2 is wrong" % (eps, mu))
-    return _result("anchors", failures,
-                   "induced matrices match the displayed forms entrywise")
+    return CheckReport("anchors", failures,
+                       "induced matrices match the displayed forms entrywise")
 
 
 def check_intertwiner():
@@ -185,9 +170,9 @@ def check_intertwiner():
             failures.append("eps=%d determinant is not w^eps" % eps)
         if not jw.is_unitary():
             failures.append("eps=%d intertwiner is not unitary" % eps)
-    return _result("intertwiner", failures,
-                   "solved intertwiners equal alpha(I + w^-eps J + K) with "
-                   "alpha = -eps(w - w^2)/3; cube I, det w^eps, unitary")
+    return CheckReport("intertwiner", failures,
+                       "solved intertwiners equal alpha(I + w^-eps J + K) with "
+                       "alpha = -eps(w - w^2)/3; cube I, det w^eps, unitary")
 
 
 def check_characters():
@@ -226,8 +211,8 @@ def check_characters():
                 elif not tr.is_zero():
                     failures.append("P(%d,%d) character not concentrated on the "
                                     "multiplier" % (eps, mu))
-    return _result("characters", failures,
-                   "character formula and all three support claims hold exactly")
+    return CheckReport("characters", failures,
+                       "character formula and all three support claims hold exactly")
 
 
 def check_census():
@@ -248,9 +233,9 @@ def check_census():
     nclasses = len(get_group("R243").conjugacy_classes())
     if nclasses != census.total:
         failures.append("%d conjugacy classes vs %d irreducibles" % (nclasses, census.total))
-    return _result("census", failures,
-                   "35 irreducibles: 9x1 + 2x3 non-spin, 3x3 per other type; "
-                   "dim^2 sums 243 total and 27 per type; 35 classes")
+    return CheckReport("census", failures,
+                       "35 irreducibles: 9x1 + 2x3 non-spin, 3x3 per other type; "
+                       "dim^2 sums 243 total and 27 per type; 35 classes")
 
 
 def check_orthogonality():
@@ -266,9 +251,9 @@ def check_orthogonality():
     bad = table.column_orthogonality_violation()
     if bad is not None:
         failures.append("column orthogonality fails at class pair %s" % (bad,))
-    return _result("orthogonality", failures,
-                   "35x35 Gram matrix is the identity; column relations hold "
-                   "with exact centralizer orders")
+    return CheckReport("orthogonality", failures,
+                       "35x35 Gram matrix is the identity; column relations hold "
+                       "with exact centralizer orders")
 
 
 def check_cocycle():
@@ -296,9 +281,9 @@ def check_cocycle():
         for name, exps in tables[1:]:
             if not np.array_equal(exps, first):
                 failures.append("cocycles differ inside spin type %s (%s)" % (st, name))
-    return _result("cocycle", failures,
-                   "2-cocycle identity holds on all 27^3 triples for each of "
-                   "the 35 restrictions; trivial iff non-spin; constant per type")
+    return CheckReport("cocycle", failures,
+                       "2-cocycle identity holds on all 27^3 triples for each of "
+                       "the 35 restrictions; trivial iff non-spin; constant per type")
 
 
 def check_associativity():
@@ -317,9 +302,9 @@ def check_associativity():
     bad = random_triples_associative(get_group("GSHARP").table, 10 ** 6, seed=2024)
     if bad is not None:
         failures.append("GSHARP random-triple associativity fails at %s" % (bad,))
-    return _result("associativity", failures,
-                   "exhaustive on all 14 schema tables plus 10^6 random "
-                   "GSHARP triples; all collection rules reproduce")
+    return CheckReport("associativity", failures,
+                       "exhaustive on all 14 schema tables plus 10^6 random "
+                       "GSHARP triples; all collection rules reproduce")
 
 
 def check_representations():
@@ -327,7 +312,7 @@ def check_representations():
     for rep in full_catalog():
         report = verify_rep(rep)
         if not report.passed:
-            failures.append("%s: %s" % (rep.name, report.first_failure_str()))
+            failures.append("%s: %s" % (rep.name, report.detail))
     for eps in (1, 2):
         P, _, _ = g81_partial_catalog(eps)
         if verify_rep(P).passed is False:
@@ -341,9 +326,9 @@ def check_representations():
             P, _, _ = r243_pure_catalog(eps, mu)
             if verify_rep(P).passed is False:
                 failures.append("P(%d,%d) table fails" % (eps, mu))
-    return _result("representations", failures,
-                   "all 35 catalog representations and the 8 induced base "
-                   "representations pass every relation exactly")
+    return CheckReport("representations", failures,
+                       "all 35 catalog representations and the 8 induced base "
+                       "representations pass every relation exactly")
 
 
 def check_stairways():
@@ -353,9 +338,9 @@ def check_stairways():
         stair = sorted(r.character().key() for r in irreps_by_spin_type((0, mu)))
         if direct != stair:
             failures.append("(0,%d) direct build differs from the stairway build" % mu)
-    return _result("stairways", failures,
-                   "(0,mu) built on the second stairway matches the direct "
-                   "build on the representation group, character for character")
+    return CheckReport("stairways", failures,
+                       "(0,mu) built on the second stairway matches the direct "
+                       "build on the representation group, character for character")
 
 
 CHECKS = {

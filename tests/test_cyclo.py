@@ -1,14 +1,15 @@
 """Field arithmetic in Q(w) and Q(zeta9), and the canonical text form."""
 
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spinchar.cyclo import (Cyc, CycError, OMEGA, ZERO, ONE, _icbrt, cyc_cbrt, cyc_str,
-                            parse_cyc, root_of_unity)
+from spinchar.cyclo import (Cyc, CycError, OMEGA, OMEGA2, ZERO, ONE, _icbrt, _rational_roots,
+                            cyc_cbrt, cyc_str, parse_cyc, root_exponent, root_of_unity)
 from spinchar.cyclo9 import (CONJ, MUL_W, PRODUCT, Cyc9, cyc9_cbrt, from_lattice,
                              lattice_einsum, parse_scalar, scalar_str, to_lattice, zeta9)
 
@@ -49,6 +50,33 @@ def test_roots_of_unity():
     assert root_of_unity(2) == Cyc(-1, -1)
     assert root_of_unity(5) == Cyc(-1, -1)
     assert root_of_unity(-1) == root_of_unity(2)
+    for k in range(3):
+        assert root_exponent(root_of_unity(k)) == k
+        # Q(w) values held in the larger field
+        assert root_exponent(Cyc9.from_scalar(root_of_unity(k))) == k
+        assert root_exponent(zeta9(3 * k)) == k
+    assert root_exponent(Cyc(2)) is None
+    assert root_exponent(zeta9()) is None
+    assert root_exponent(Cyc9.from_scalar(-OMEGA)) is None
+
+
+def test_hash_agrees_with_equality():
+    groups = [
+        [2, Fraction(2), Cyc(2), Cyc9.from_scalar(2)],
+        [Fraction(-5, 3), Cyc(Fraction(-5, 3)), Cyc9([Fraction(-5, 3)])],
+        [0, ZERO, Cyc9.zero()],
+        [OMEGA, Cyc9.from_scalar(OMEGA), zeta9(3)],
+        [OMEGA2, Cyc(-1, -1), Cyc9.from_scalar(OMEGA2), zeta9(6)],
+        [Cyc(Fraction(1, 3), 2), Cyc9([Fraction(1, 3), 0, 0, 2])],
+    ]
+    for values in groups:
+        assert all(v == values[0] for v in values)
+        assert len({hash(v) for v in values}) == 1
+        assert len(set(values)) == 1
+    assert len({Cyc(2), Cyc9.from_scalar(2), 2}) == 1
+    assert len({v for values in groups for v in values}) == len(groups)
+    # values outside Q(w) still hash by their coefficients
+    assert len({zeta9(), zeta9(), Cyc9([0, 1])}) == 1
 
 
 def test_field_laws_on_random_triples():
@@ -103,6 +131,44 @@ def test_integer_cube_root_beyond_float_precision():
     assert _icbrt(n ** 3 + 1) is None
     assert _icbrt(n ** 3 - 1) is None
     assert [_icbrt(k) for k in range(9)] == [0, 1, None, None, None, None, None, None, 2]
+
+
+def test_rational_roots_of_depressed_cubics():
+    # (T - r)(T - s)(T + r + s) = T^3 + c1 T + c0, every root pattern:
+    # three distinct, double, triple at 0, roots on either side of a turning point
+    for d in (1, 2, 3, 6):
+        for a in range(-7, 8):
+            for b in range(a, 8):
+                r, s = Fraction(a, d), Fraction(b, d)
+                t = -(r + s)
+                c1, c0 = r * s + r * t + s * t, -r * s * t
+                assert _rational_roots(c0, c1) == {r, s, t}
+    n = 10 ** 20
+    r, s, t = Fraction(n), Fraction(n + 1), Fraction(-(2 * n + 1))
+    assert _rational_roots(-r * s * t, r * s + r * t + s * t) == {r, s, t}
+    assert _rational_roots(Fraction(-2), Fraction(0)) == set()  # T^3 - 2
+    assert _rational_roots(Fraction(1), Fraction(1)) == set()   # T^3 + T + 1
+
+
+def test_cube_roots_of_large_radicands():
+    # candidate divisors of the norm used to be listed by trial division,
+    # which never finished on these
+    v = Cyc((10 ** 20 + 7) ** 3)
+    t = cyc_cbrt(v)
+    assert t is not None and t ** 3 == v
+    x = Cyc(Fraction(10 ** 15 + 3, 7 ** 5), Fraction(-(2 ** 40 + 1), 11))
+    t = cyc_cbrt(x ** 3)
+    assert t is not None and t ** 3 == x ** 3
+    assert t in {x, x * OMEGA, x * OMEGA2}
+
+
+def test_large_non_cubes_are_refused_quickly():
+    start = time.perf_counter()
+    n = 10 ** 20 + 7
+    assert cyc_cbrt(Cyc(n ** 3) * OMEGA) is None  # cube norm, no root in Q(w)
+    assert cyc_cbrt(Cyc(n ** 3 + 1)) is None
+    assert cyc_cbrt(Cyc(n ** 3, 1)) is None
+    assert time.perf_counter() - start < 1.0
 
 
 class TestNinthField:

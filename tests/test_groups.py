@@ -116,8 +116,12 @@ def test_conjugacy_classes():
 
 def test_element_orders_divide_nine():
     for name in ("G27", "G81", "GBAR", "R243", "GSHARP"):
-        for o in get_group(name).element_orders():
+        group = get_group(name)
+        for o in group.element_orders():
             assert o in (1, 3, 9)
+        # the table-wide pass agrees with the one-element loop
+        assert group.element_orders() == tuple(group.element_order(g)
+                                               for g in range(group.order))
 
 
 def test_schema_soundness_and_associativity():
@@ -200,6 +204,23 @@ def test_fingerprints():
         isomorphism_fingerprint(get_group("GBAR"))
     assert quotient_fingerprint(r243, ["z23"]) == \
         isomorphism_fingerprint(get_group("G81"))
+
+
+def test_quotient_is_a_table_group():
+    r243 = get_group("R243")
+    mult = r243.closure([r243.generator("z12").code, r243.generator("z23").code])
+    q = r243.quotient(mult)
+    assert q.schema is None and q.order == 27
+    assert exhaustive_associativity(q.table) is None
+    assert q.mult(0, 5) == 5 and q.mult(5, int(q.inv[5])) == 0
+    # R243 / multiplier is the base group, structure for structure
+    g27 = get_group("G27")
+    assert sorted(q.element_orders()) == sorted(g27.element_orders())
+    assert len(q.center_codes()) == 3 and len(q.derived_codes()) == 3
+    assert len(q.conjugacy_classes()) == 11
+    assert isomorphism_fingerprint(q) == isomorphism_fingerprint(g27)
+    with pytest.raises(SchemaError, match="not normal"):
+        r243.quotient(r243.closure([r243.generator("n1").code]))
 
 
 def test_subgroup_helper():

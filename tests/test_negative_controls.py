@@ -2,8 +2,9 @@
 
 A check that passes on correct data proves little unless it is also shown
 to fail on wrong data.  Each test below corrupts exactly one thing -- a
-generator image, a character value, a class size, a section element -- and
-asserts that the check responsible for it reports the defect.
+generator image, a character value, a class size, a section element, a
+covering kernel, a quotient generator -- and asserts that the check
+responsible for it reports the defect.
 """
 
 import dataclasses
@@ -11,8 +12,10 @@ import dataclasses
 import pytest
 
 from spinchar import verify
+from spinchar.cyclo import OMEGA
 from spinchar.groups import get_group
-from spinchar.spinrep import (RepError, Representation, canonical_section,
+from spinchar.linalg import CycMatrix
+from spinchar.spinrep import (RepError, Representation, canonical_section, full_catalog,
                               irreps_by_spin_type, restrict_to_projective,
                               spin_character_table)
 
@@ -90,3 +93,60 @@ def test_swapped_lift_fails_the_table_cross_check(monkeypatch):
     # a lift moved by z12 changes the cocycle exactly when eps != 0
     assert named == {rep.name for e in (1, 2) for m in range(3)
                      for rep in irreps_by_spin_type((e, m))}
+
+
+def test_wrong_covering_kernel_fails_structure(monkeypatch):
+    real = verify.covering_data
+
+    def planted(big, small):
+        gen_map, kernel = real(big, small)
+        return (gen_map, ("z12",)) if (big, small) == ("R243", "G81") else (gen_map, kernel)
+
+    monkeypatch.setattr(verify, "covering_data", planted)
+    result = verify.check_structure()
+    assert not result.passed
+    assert result.detail.startswith("R243 -> G81 covering failed")
+    assert len(result.failures) == 1  # the other four coverings still pass
+
+
+def test_wrong_quotient_generator_fails_structure(monkeypatch):
+    real = verify.quotient_fingerprint
+    # R243/<z12, z23> is the base group, not the z23-first covering group
+    monkeypatch.setattr(verify, "quotient_fingerprint",
+                        lambda group, gens: real(group, list(gens) + ["z23"]))
+    result = verify.check_structure()
+    assert not result.passed
+    assert result.detail == "R243/<z12> does not match the z23-first covering group"
+
+
+def test_scaled_direct_route_image_fails_stairways(monkeypatch):
+    real = verify.mu_route_direct
+
+    def planted(mu):
+        reps = real(mu)
+        if mu == 2:
+            reps[1] = _scaled(reps[1], "n1", OMEGA)
+        return reps
+
+    monkeypatch.setattr(verify, "mu_route_direct", planted)
+    result = verify.check_stairways()
+    assert not result.passed
+    assert result.detail == "(0,2) direct build differs from the stairway build"
+
+
+def test_perturbed_catalog_image_fails_representations(monkeypatch):
+    catalog = full_catalog()
+    k = next(i for i, rep in enumerate(catalog) if rep.name == "Pi(2,1;1)")
+    rep = catalog[k]
+    rows = [list(row) for row in rep.images["n2"].rows]
+    rows[0][1] = rows[0][1] + 1
+    images = dict(rep.images, n2=CycMatrix(rows))
+    planted = catalog[:k] + (Representation(rep.group, images, rep.name, rep.spin_type),) \
+        + catalog[k + 1:]
+
+    monkeypatch.setattr(verify, "full_catalog", lambda: planted)
+    result = verify.check_representations()
+    assert not result.passed
+    assert result.detail.startswith("Pi(2,1;1): ")
+    assert len(result.failures) == 1  # only the planted irreducible fails
+    assert "rule" in result.detail and "lhs=" in result.detail

@@ -133,7 +133,7 @@ def test_verify_rep_negative_control():
     bad = Representation(rep.group, images, "corrupted")
     report = verify_rep(bad)
     assert not report.passed
-    assert report.first_failure_str()
+    assert report.detail
 
 
 class TestCharacters:
