@@ -380,17 +380,7 @@ class Group:
 
     def element_orders(self):
         if "orders" not in self._cache:
-            t = self.table
-            codes = np.arange(self.order)
-            orders = np.ones(self.order, dtype=np.int64)
-            x = codes  # g^orders[g], advanced until it reaches the identity
-            while x.any():
-                live = x != 0
-                orders += live
-                if orders.max() > self.order:
-                    raise CollectionError("order computation ran away")
-                x = np.where(live, t[x, codes], 0)
-            self._cache["orders"] = tuple(int(o) for o in orders)
+            self._cache["orders"] = tuple(self.element_order(g) for g in range(self.order))
         return self._cache["orders"]
 
     def quotient(self, normal_codes):

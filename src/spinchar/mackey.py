@@ -28,7 +28,8 @@ class DualCharacter:
     `label` is the exponent tuple at `gen_codes` (for a dual, the chosen
     independent generators); it must tell apart the characters that are
     listed together.  The full value table is kept as omega-exponents per
-    element code.
+    element code, and orbit_decomposition matches moved characters on it,
+    not on the label alone.
     """
 
     def __init__(self, subgroup, gen_codes, label, exps):
@@ -144,8 +145,9 @@ def orbit_decomposition(duals, w_gens, group=None):
         while frontier:
             cur = frontier.pop()
             for w in gen_codes:
-                nxt = act_on_dual(w, by_label[cur]).label
-                if nxt not in by_label:
+                moved = act_on_dual(w, by_label[cur])
+                nxt = moved.label
+                if nxt not in by_label or moved.exps != by_label[nxt].exps:
                     raise MackeyError("action leaves the listed dual")
                 if nxt not in members:
                     members.add(nxt)

@@ -5,8 +5,8 @@ import pytest
 from spinchar.cyclo import ONE, root_of_unity
 from spinchar.linalg import CycMatrix, J_SHIFT
 from spinchar.groups import Subgroup, get_group
-from spinchar.mackey import (MackeyError, act_on_dual, dual_group, induce,
-                             orbit_decomposition)
+from spinchar.mackey import (DualCharacter, MackeyError, act_on_dual,
+                             dual_group, induce, orbit_decomposition)
 
 
 def g27_dual():
@@ -99,6 +99,20 @@ def test_orbit_decomposition_trivial_action():
     dec = orbit_decomposition(duals, [])
     assert len(dec.orbits) == 9
     assert all(len(o.members) == 1 and o.stabilizer.order == 1 for o in dec.orbits)
+
+
+def test_orbit_decomposition_checks_full_value_table():
+    # a listed character that agrees with the moved one on its label but not
+    # elsewhere in U is not the image of the action
+    g27, U, duals = g27_dual()
+    i = next(k for k, chi in enumerate(duals) if chi.label == (1, 1))
+    chi = duals[i]
+    other = next(c for c in sorted(U.codes) if c and c not in chi.gen_codes)
+    exps = dict(chi.exps)
+    exps[other] = (exps[other] + 1) % 3
+    duals[i] = DualCharacter(chi.subgroup, chi.gen_codes, chi.label, exps)
+    with pytest.raises(MackeyError, match="leaves the listed dual"):
+        orbit_decomposition(duals, ["x3"])
 
 
 def test_spin_orbits_on_covering():
