@@ -31,18 +31,6 @@ class Cyc:
     def __setattr__(self, name, value):
         raise AttributeError("Cyc is immutable")
 
-    @classmethod
-    def zero(cls):
-        return ZERO
-
-    @classmethod
-    def one(cls):
-        return ONE
-
-    @classmethod
-    def from_scalar(cls, x):
-        return as_cyc(x)
-
     def denominator_lcm(self):
         d = self.a.denominator
         return d * self.b.denominator // math.gcd(d, self.b.denominator)
@@ -231,12 +219,21 @@ def parse_cyc(text):
         if m is None:
             raise CycError("malformed term %r in Q(w) literal %r" % (term, text))
         if m.group("coef") is not None:
-            b += Fraction(m.group("coef"))
+            b += _rational(m.group("coef"), text)
         elif m.group("rat") is not None:
-            a += Fraction(m.group("rat"))
+            a += _rational(m.group("rat"), text)
         else:
             b += -1 if m.group("bare") == "-" else 1
     return Cyc(a, b)
+
+
+def _rational(numeral, text):
+    """Fraction of a numeral matched inside the literal `text`; a zero
+    denominator or a numeral too long for int() raises CycError."""
+    try:
+        return Fraction(numeral)
+    except (ValueError, ZeroDivisionError):
+        raise CycError("bad number %r in %r" % (numeral, text))
 
 
 # -- exact cube roots ----------------------------------------------------

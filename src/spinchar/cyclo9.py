@@ -25,9 +25,8 @@ import re
 
 import numpy as np
 
-from .cyclo import Cyc, CycError, _frac_str, cyc_cbrt, cyc_str, parse_cyc, root_of_unity
-
-_ZERO6 = (Fraction(0),) * 6
+from .cyclo import (Cyc, CycError, _frac_str, _rational, cyc_cbrt, cyc_str, parse_cyc,
+                    root_of_unity)
 
 
 def _reduce(coeffs):
@@ -56,14 +55,6 @@ class Cyc9:
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyc9 is immutable")
-
-    @classmethod
-    def zero(cls):
-        return _C9_ZERO
-
-    @classmethod
-    def one(cls):
-        return _C9_ONE
 
     @classmethod
     def from_scalar(cls, x):
@@ -226,10 +217,7 @@ def _poly_divmod(a, b):
     return q, a
 
 
-_C9_ZERO = Cyc9.__new__(Cyc9)
-object.__setattr__(_C9_ZERO, "c", _ZERO6)
-_C9_ONE = Cyc9.__new__(Cyc9)
-object.__setattr__(_C9_ONE, "c", (Fraction(1),) + _ZERO6[1:])
+_C9_ONE = Cyc9((1,))
 
 # zeta9^-k for k = 0..5, as basis-coefficient rows (zeta9^9 = 1)
 _CONJ_BASIS = [
@@ -254,7 +242,8 @@ def cyc9_cbrt(v):
     """A cube root in Q(zeta9) of a Q(w) value, or None.
 
     Every such root is s * zeta9^j with s in Q(w), since zeta9^3 = w; try
-    the three twists and reuse the Q(w) cube-root search.
+    the three twists and reuse the Q(w) cube-root search.  A root lying in
+    Q(w) (j = 0) is returned as the Cyc s itself.
     """
     if isinstance(v, Cyc9):
         v = v.to_cyc()
@@ -263,7 +252,7 @@ def cyc9_cbrt(v):
     for j in range(3):
         s = cyc_cbrt(v * root_of_unity(-j))
         if s is not None:
-            return Cyc9.from_scalar(s) * zeta9(j)
+            return s if j == 0 else Cyc9.from_scalar(s) * zeta9(j)
     return None
 
 
@@ -322,11 +311,11 @@ def parse_scalar(text):
             coeffs[0] += sub.a
             coeffs[3] += sub.b
             continue
-        k = int(m.group("p1") or m.group("p2") or 1)
+        k = int(_rational(m.group("p1") or m.group("p2") or "1", text))
         if not 1 <= k <= 5:
             raise CycError("zeta9 exponent %d outside 1..5 in %r" % (k, text))
         if m.group("coef") is not None:
-            coeffs[k] += Fraction(m.group("coef"))
+            coeffs[k] += _rational(m.group("coef"), text)
         else:
             coeffs[k] += -1 if m.group("sign") == "-" else 1
     return Cyc9(coeffs)

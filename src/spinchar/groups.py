@@ -402,12 +402,14 @@ class Group:
 
     def parse_element(self, text):
         text = text.strip()
+        if not text:
+            raise SchemaError("empty element for %s" % self.schema.name)
         exps = [0] * self.ngens
         if text != "1":
             for part in text.split():
                 try:
-                    gen, _, e = part.partition("^")
-                    exps[self.schema.gen_index(gen)] += int(e) if e else 1
+                    gen, caret, e = part.partition("^")
+                    exps[self.schema.gen_index(gen)] += int(e) if caret else 1
                 except (ValueError, SchemaError):
                     raise SchemaError("bad element %r for %s" % (text, self.schema.name))
         return self.code_of(exps)

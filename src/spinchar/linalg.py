@@ -1,7 +1,8 @@
-"""Small dense matrices over Q(w) or Q(zeta9), and exact linear solving.
+"""Small dense matrices over Q(zeta9), and exact linear solving.
 
-Everything is exact: entries are `cyclo.Cyc` or `cyclo9.Cyc9` (one field per
-matrix, mixed operands promote to Q(zeta9)), elimination uses first-nonzero
+Everything is exact: each entry is a `cyclo.Cyc` or a `cyclo9.Cyc9`, and a
+matrix may hold both (the scalar types mix through their own operators, and
+equal values compare and hash equal), elimination uses first-nonzero
 pivoting (there is no rounding, so no pivot-magnitude heuristics), and a
 singular inverse or dimension mismatch raises instead of degrading.
 """
@@ -9,7 +10,7 @@ singular inverse or dimension mismatch raises instead of degrading.
 from fractions import Fraction
 import math
 
-from .cyclo import Cyc
+from .cyclo import Cyc, ONE, ZERO, as_cyc
 from .cyclo9 import Cyc9, scalar_str
 
 
@@ -17,75 +18,48 @@ class MatrixError(ArithmeticError):
     """Dimension mismatch or inversion of a singular matrix."""
 
 
-def _lift(x, field):
-    if isinstance(x, field):
-        return x
-    return field.from_scalar(x)
-
-
-def _infer_field(values):
-    for x in values:
-        if isinstance(x, Cyc9):
-            return Cyc9
-    return Cyc
+def _entry(x):
+    return x if isinstance(x, (Cyc, Cyc9)) else as_cyc(x)
 
 
 class CycMatrix:
-    """An n x n matrix over Q(w) or Q(zeta9), immutable."""
+    """An n x n matrix over Q(zeta9), immutable."""
 
-    __slots__ = ("rows", "n", "field")
+    __slots__ = ("rows", "n")
 
-    def __init__(self, rows, field=None):
-        rows = [list(row) for row in rows]
+    def __init__(self, rows):
+        rows = tuple(tuple(_entry(x) for x in row) for row in rows)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise MatrixError("matrix must be square")
-        if field is None:
-            field = _infer_field(x for row in rows for x in row)
-        rows = tuple(tuple(_lift(x, field) for x in row) for row in rows)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "field", field)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycMatrix is immutable")
 
     @staticmethod
-    def identity(n, field=Cyc):
-        one, zero = field.one(), field.zero()
-        return CycMatrix([[one if i == j else zero for j in range(n)]
-                          for i in range(n)], field)
+    def identity(n):
+        return CycMatrix.scalar(n, ONE)
 
     @staticmethod
-    def zero(n, field=Cyc):
-        return CycMatrix([[field.zero()] * n for _ in range(n)], field)
+    def zero(n):
+        return CycMatrix([[ZERO] * n for _ in range(n)])
 
     @staticmethod
-    def diagonal(entries, field=None):
+    def diagonal(entries):
         entries = list(entries)
-        if field is None:
-            field = _infer_field(entries)
-        entries = [_lift(e, field) for e in entries]
-        zero = field.zero()
         n = len(entries)
-        return CycMatrix([[entries[i] if i == j else zero for j in range(n)]
-                          for i in range(n)], field)
+        return CycMatrix([[entries[i] if i == j else ZERO for j in range(n)]
+                          for i in range(n)])
 
     @staticmethod
     def scalar(n, value):
         return CycMatrix.diagonal([value] * n)
 
-    def to_field(self, field):
-        if field is self.field:
-            return self
-        return CycMatrix(self.rows, field)
-
-    def _common(self, other):
+    def _check_dim(self, other):
         if not isinstance(other, CycMatrix) or other.n != self.n:
             raise MatrixError("dimension mismatch")
-        if self.field is other.field:
-            return self, other
-        return self.to_field(Cyc9), other.to_field(Cyc9)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -94,47 +68,40 @@ class CycMatrix:
     def __eq__(self, other):
         if not isinstance(other, CycMatrix):
             return NotImplemented
-        if self.n != other.n:
-            return False
-        a, b = self._common(other)
-        return a.rows == b.rows
+        return self.rows == other.rows
 
     def __hash__(self):
         return hash(self.rows)
 
     def __add__(self, other):
-        a, b = self._common(other)
+        self._check_dim(other)
         return CycMatrix([[x + y for x, y in zip(r1, r2)]
-                          for r1, r2 in zip(a.rows, b.rows)], a.field)
+                          for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
-        a, b = self._common(other)
+        self._check_dim(other)
         return CycMatrix([[x - y for x, y in zip(r1, r2)]
-                          for r1, r2 in zip(a.rows, b.rows)], a.field)
+                          for r1, r2 in zip(self.rows, other.rows)])
 
     def __mul__(self, other):
         if isinstance(other, CycMatrix):
-            a, b = self._common(other)
-            cols = list(zip(*b.rows))
-            zero = a.field.zero()
-            return CycMatrix([[_dot(row, col, zero) for col in cols]
-                              for row in a.rows], a.field)
+            self._check_dim(other)
+            cols = list(zip(*other.rows))
+            return CycMatrix([[_dot(row, col) for col in cols]
+                              for row in self.rows])
         return self.scale(other)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c):
-        field = self.field
-        if isinstance(c, Cyc9) and field is Cyc:
-            return self.to_field(Cyc9).scale(c)
-        c = _lift(c, field)
-        return CycMatrix([[c * x for x in row] for row in self.rows], field)
+        c = _entry(c)
+        return CycMatrix([[c * x for x in row] for row in self.rows])
 
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        out = CycMatrix.identity(self.n, self.field)
+        out = CycMatrix.identity(self.n)
         base = self
         while k:
             if k & 1:
@@ -146,7 +113,7 @@ class CycMatrix:
     # -- structure -------------------------------------------------------
 
     def trace(self):
-        t = self.field.zero()
+        t = ZERO
         for i in range(self.n):
             t = t + self.rows[i][i]
         return t
@@ -155,11 +122,11 @@ class CycMatrix:
         """Exact determinant by elimination with row swaps."""
         n = self.n
         m = [list(row) for row in self.rows]
-        det = self.field.one()
+        det = ONE
         for col in range(n):
             pivot = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
             if pivot is None:
-                return self.field.zero()
+                return ZERO
             if pivot != col:
                 m[col], m[pivot] = m[pivot], m[col]
                 det = -det
@@ -174,8 +141,7 @@ class CycMatrix:
     def inverse(self):
         """Exact inverse via Gauss-Jordan; raises MatrixError when singular."""
         n = self.n
-        one, zero = self.field.one(), self.field.zero()
-        m = [list(row) + [one if i == j else zero for j in range(n)]
+        m = [list(row) + [ONE if i == j else ZERO for j in range(n)]
              for i, row in enumerate(self.rows)]
         for col in range(n):
             pivot = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
@@ -188,19 +154,19 @@ class CycMatrix:
                 if r != col and not m[r][col].is_zero():
                     f = m[r][col]
                     m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-        return CycMatrix([row[n:] for row in m], self.field)
+        return CycMatrix([row[n:] for row in m])
 
     def conj_transpose(self):
         return CycMatrix([[self.rows[j][i].conj() for j in range(self.n)]
-                          for i in range(self.n)], self.field)
+                          for i in range(self.n)])
 
     def is_unitary(self):
-        return self * self.conj_transpose() == CycMatrix.identity(self.n, self.field)
+        return self * self.conj_transpose() == CycMatrix.identity(self.n)
 
     def as_scalar(self):
         """The c with self = c*I, or None if not a scalar matrix."""
         c = self.rows[0][0]
-        if self != CycMatrix.diagonal([c] * self.n, self.field):
+        if self != CycMatrix.scalar(self.n, c):
             return None
         return c
 
@@ -211,12 +177,12 @@ class CycMatrix:
         return "CycMatrix(%r)" % (self.str_rows(),)
 
 
-def _dot(u, v, zero):
-    t = zero
+def _dot(u, v):
+    t = None
     for x, y in zip(u, v):
-        if not x.is_zero():
-            t = t + x * y
-    return t
+        if not (x.is_zero() or y.is_zero()):
+            t = x * y if t is None else t + x * y
+    return ZERO if t is None else t
 
 
 # The cyclic shift and its square; J sends basis vector e_i to e_{i-1}.
@@ -226,20 +192,16 @@ K_SHIFT = CycMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
 
 # -- exact homogeneous solving -------------------------------------------
 
-def nullspace(rows, ncols, field=None):
+def nullspace(rows, ncols):
     """Basis of the right nullspace of the given row list, exactly.
 
     Gaussian elimination with first-nonzero pivoting; each input row is
     cleared of denominators first, and the returned basis has one vector per
     free column (that column's entry set to 1).
     """
-    if field is None:
-        field = _infer_field(x for row in rows for x in row
-                             if isinstance(x, (Cyc, Cyc9)))
-    one, zero = field.one(), field.zero()
     work = []
     for row in rows:
-        row = [_lift(x, field) for x in row]
+        row = [_entry(x) for x in row]
         if len(row) != ncols:
             raise MatrixError("row length mismatch")
         den = 1
@@ -271,8 +233,8 @@ def nullspace(rows, ncols, field=None):
     free_cols = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free_cols:
-        vec = [zero] * ncols
-        vec[fc] = one
+        vec = [ZERO] * ncols
+        vec[fc] = ONE
         for col, r in pivots.items():
             vec[col] = -echelon[r][fc]
         basis.append(vec)
@@ -285,25 +247,18 @@ def intertwiner_space(pairs, n):
     Each matrix equation contributes n^2 homogeneous linear rows in the n^2
     entries of X (row-major unknown order).
     """
-    field = Cyc
+    rows = []
     for A, B in pairs:
         if A.n != n or B.n != n:
             raise MatrixError("dimension mismatch in constraint pair")
-        if A.field is Cyc9 or B.field is Cyc9:
-            field = Cyc9
-    zero = field.zero()
-    rows = []
-    for A, B in pairs:
-        A = A.to_field(field)
-        B = B.to_field(field)
         for p in range(n):
             for q in range(n):
-                row = [zero] * (n * n)
+                row = [ZERO] * (n * n)
                 # sum_j A[p,j] X[j,q] - sum_j X[p,j] B[j,q] = 0
                 for j in range(n):
                     row[j * n + q] = row[j * n + q] + A[p, j]
                     row[p * n + j] = row[p * n + j] - B[j, q]
                 rows.append(row)
-    basis = nullspace(rows, n * n, field)
-    return [CycMatrix([vec[i * n:(i + 1) * n] for i in range(n)], field)
+    basis = nullspace(rows, n * n)
+    return [CycMatrix([vec[i * n:(i + 1) * n] for i in range(n)])
             for vec in basis]

@@ -17,8 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cyclo import (Cyc, CycError, ZERO, ONE, OMEGA, OMEGA2, root_of_unity, root_exponent,
-                    cyc_cbrt)
+from .cyclo import CycError, ZERO, ONE, OMEGA, OMEGA2, root_of_unity, root_exponent
 from .cyclo9 import (CONJ, MUL_W, PRODUCT, cyc9_cbrt, from_lattice, lattice_einsum,
                      scalar_str, to_lattice)
 from .linalg import CycMatrix, intertwiner_space
@@ -208,17 +207,15 @@ def intertwiner_solutions(rho, w):
     c = (X ** 3).as_scalar()
     if c is None or c.is_zero():
         raise RepError("intertwiner cube is not a nonzero scalar")
-    # the normalizing scalar may need ninth roots of unity: Q(w) first,
-    # then Q(zeta9) (always sufficient here since the cube is in Q(w))
-    t = cyc_cbrt(ONE / c) if isinstance(c, Cyc) else None
-    if t is None:
-        t = cyc9_cbrt(ONE / c if isinstance(c, Cyc) else c.inverse())
+    # the normalizing scalar may need ninth roots of unity; cyc9_cbrt
+    # returns a Q(w) root whenever one exists
+    t = cyc9_cbrt(ONE / c)
     if t is None:
         raise RepError("no cube root in Q(zeta9) normalizes the intertwiner")
     out = []
     for k in range(3):
         M = X.scale(t * root_of_unity(k))
-        assert M ** 3 == CycMatrix.identity(rho.dim, M.field)
+        assert M ** 3 == CycMatrix.identity(rho.dim)
         out.append(M)
     return out
 
@@ -239,7 +236,7 @@ def solve_intertwiner(rho, w, preferred_trace=None):
         if len(hits) == 1:
             chosen = hits[0]
     if chosen is None:
-        eye = CycMatrix.identity(rho.dim, sols[0].field)
+        eye = CycMatrix.identity(rho.dim)
         if eye in sols:
             chosen = eye  # untwisted extension, e.g. under a trivial action
         else:

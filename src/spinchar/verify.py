@@ -55,7 +55,8 @@ def check_structure():
         gen_map, kernel = covering_data(big, small)
         rep = verify_efficient_covering(get_group(big), kernel, get_group(small), gen_map)
         if not rep.passed:
-            failures.append("%s -> %s covering failed: %s" % (big, small, rep.failures))
+            failures.append("%s -> %s covering failed: %s"
+                            % (big, small, " | ".join(rep.failures)))
     if quotient_fingerprint(r243, ["z12"]) != isomorphism_fingerprint(get_group("GBAR")):
         failures.append("R243/<z12> does not match the z23-first covering group")
     if quotient_fingerprint(r243, ["z23"]) != isomorphism_fingerprint(get_group("G81")):
@@ -71,7 +72,7 @@ def check_automorphism():
         for b in range(3):
             rep = verify_phi_automorphism(a, b)
             if not rep.passed:
-                failures.append("(a=%d,b=%d): %s" % (a, b, rep.failures))
+                failures.append("(a=%d,b=%d): %s" % (a, b, " | ".join(rep.failures)))
     return CheckReport("automorphism", failures,
                        "all 9 parameter pairs pass (bijection, (a,b) cube "
                        "relations, regeneration, order-81 primed span)")
@@ -295,7 +296,7 @@ def check_associativity():
         group = get_group(name, params)
         problems = check_schema(group)
         if problems:
-            failures.append("%s%s: %s" % (name, params or "", problems))
+            failures.append("%s%s: %s" % (name, params or "", " | ".join(problems)))
         bad = exhaustive_associativity(group.table)
         if bad is not None:
             failures.append("%s%s associativity fails at %s" % (name, params or "", bad))

@@ -1,5 +1,6 @@
 """Field arithmetic in Q(w) and Q(zeta9), and the canonical text form."""
 
+import operator
 import random
 import time
 from fractions import Fraction
@@ -64,7 +65,7 @@ def test_hash_agrees_with_equality():
     groups = [
         [2, Fraction(2), Cyc(2), Cyc9.from_scalar(2)],
         [Fraction(-5, 3), Cyc(Fraction(-5, 3)), Cyc9([Fraction(-5, 3)])],
-        [0, ZERO, Cyc9.zero()],
+        [0, ZERO, Cyc9()],
         [OMEGA, Cyc9.from_scalar(OMEGA), zeta9(3)],
         [OMEGA2, Cyc(-1, -1), Cyc9.from_scalar(OMEGA2), zeta9(6)],
         [Cyc(Fraction(1, 3), 2), Cyc9([Fraction(1, 3), 0, 0, 2])],
@@ -103,6 +104,39 @@ def test_parse_round_trip(z):
 @given(cycs, cycs)
 def test_conj_multiplicative(x, y):
     assert (x * y).conj() == x.conj() * y.conj()
+
+
+cyc9s = st.one_of(st.builds(Cyc9, st.lists(fractions, min_size=6, max_size=6)),
+                  cycs.map(Cyc9.from_scalar))  # Q(w) values held as Cyc9
+
+
+@given(cycs, cyc9s)
+def test_mixed_arithmetic_matches_cyc9_reference(x, y):
+    X = Cyc9.from_scalar(x)
+    for op in (operator.add, operator.sub, operator.mul):
+        assert op(x, y) == op(X, y)
+        assert op(y, x) == op(y, X)
+    if not y.is_zero():
+        assert x / y == X / y
+    if not x.is_zero():
+        assert y / x == y / X
+    assert (x == y) == (X == y) and (y == x) == (y == X)
+    assert x == X and hash(x) == hash(X)
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+@given(cyc9s)
+def test_scalar_round_trip(x):
+    assert parse_scalar(scalar_str(x)) == x
+
+
+@given(st.one_of(st.text(), st.text(alphabet="0123456789/+-*^wz ")))
+def test_arbitrary_text_raises_only_cyc_error(text):
+    try:
+        parse_scalar(text)
+    except CycError:
+        pass
 
 
 def test_canonical_strings():
@@ -213,6 +247,8 @@ class TestNinthField:
         roots = {expect, expect * Cyc9.from_scalar(OMEGA),
                  expect * Cyc9.from_scalar(OMEGA ** 2)}
         assert t in roots
+        # a root inside Q(w) comes back as a Cyc
+        assert cyc9_cbrt(Cyc(8)) == 2 and isinstance(cyc9_cbrt(Cyc(8)), Cyc)
 
     def test_scalar_strings(self):
         vals = [zeta9(), zeta9(2), -zeta9(),
@@ -224,7 +260,7 @@ class TestNinthField:
         assert scalar_str(Cyc9.from_scalar(OMEGA)) == "w"
         assert isinstance(parse_scalar("w"), Cyc)
         assert isinstance(parse_scalar("-1/3*z^2-2/3*z^5"), Cyc9)
-        for bad in ("z^7", "z^0", "2*z^6", "1+z^9"):
+        for bad in ("z^7", "z^0", "2*z^6", "1+z^9", "1/0", "1/0*w", "1/0*z"):
             with pytest.raises(CycError):
                 parse_scalar(bad)
 

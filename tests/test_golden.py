@@ -1,9 +1,8 @@
 """Byte-for-byte CLI output against the recorded digests.
 
 perfbench/golden.json holds the stdout sha256 and exit code of every CLI
-invocation the benchmark can run.  Each one except the full `verify` is
-replayed here in-process; the full run is guarded by the benchmark's
-verify-full workload.  The file is only read.
+invocation the benchmark can run.  Each one, the full `verify` included, is
+replayed here in-process.  The file is only read.
 """
 
 import hashlib
@@ -18,7 +17,7 @@ GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 INVOCATIONS = json.loads(GOLDEN.read_text(encoding="utf-8"))["invocations"]
 
 
-@pytest.mark.parametrize("key", sorted(k for k in INVOCATIONS if k != "verify"))
+@pytest.mark.parametrize("key", sorted(INVOCATIONS))
 def test_output_matches_golden_digest(key, capsys):
     code = main(key.split(" "))
     out = capsys.readouterr().out

@@ -55,8 +55,11 @@ def test_element_text_round_trip():
         text = r243.element_str(code)
         assert r243.parse_element(text) == code
     assert r243.element_str(0) == "1"
-    with pytest.raises(SchemaError):
-        r243.parse_element("bogus^1")
+    assert r243.parse_element("n1") == r243.parse_element("n1^1")
+    # element_str never emits a blank element or a dangling caret
+    for bad in ("bogus^1", "", "   ", "n1^", "n1^ n2"):
+        with pytest.raises(SchemaError):
+            r243.parse_element(bad)
 
 
 def test_cross_schema_operations_rejected():

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinchar.cyclo import Cyc, OMEGA
 from spinchar.cyclo9 import Cyc9, zeta9
@@ -68,13 +69,40 @@ def test_unitary_and_scalar_detection():
     assert J_SHIFT.as_scalar() is None
 
 
+def lift(M):
+    """The same matrix with every entry held as a Cyc9."""
+    return CycMatrix([[Cyc9.from_scalar(x) for x in row] for row in M.rows])
+
+
 def test_field_promotion():
+    # a matrix carries no field: Q(w) and Q(zeta9) operands mix entry by entry
     Z9 = CycMatrix.scalar(3, zeta9())
     mixed = J_SHIFT * Z9
-    assert mixed.field is Cyc9
+    assert mixed == lift(J_SHIFT) * Z9
     assert mixed == Z9 * J_SHIFT
-    assert (Z9 ** 9) == CycMatrix.identity(3, Cyc9)
-    assert Z9.conj_transpose() * Z9 == CycMatrix.identity(3, Cyc9)
+    assert (Z9 ** 9) == CycMatrix.identity(3)
+    assert Z9.conj_transpose() * Z9 == CycMatrix.identity(3)
+
+
+fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+entries = st.one_of(st.builds(Cyc, fractions, fractions),
+                    st.builds(Cyc9, st.lists(fractions, min_size=6, max_size=6)))
+matrices = st.lists(entries, min_size=4, max_size=4).map(
+    lambda xs: CycMatrix([xs[0:2], xs[2:4]]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices, matrices, entries)
+def test_mixed_matrices_match_cyc9_lifts(A, B, c):
+    LA, LB = lift(A), lift(B)
+    assert A == LA and hash(A) == hash(LA)
+    assert (A == B) == (LA == LB)
+    assert A * B == LA * LB and B * A == LB * LA
+    assert A + B == LA + LB and A - B == LA - LB
+    assert A.scale(c) == LA.scale(Cyc9.from_scalar(c))
+    assert A.trace() == LA.trace() and A.det() == LA.det()
+    if not A.det().is_zero():
+        assert A.inverse() == LA.inverse()
 
 
 def test_commutant_of_shift_is_three_dimensional():

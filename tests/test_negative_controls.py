@@ -3,17 +3,22 @@
 A check that passes on correct data proves little unless it is also shown
 to fail on wrong data.  Each test below corrupts exactly one thing -- a
 generator image, a character value, a class size, a section element, a
-covering kernel, a quotient generator -- and asserts that the check
-responsible for it reports the defect.
+covering kernel, a quotient generator, a cube rule, a table entry, an
+intertwiner -- and asserts that the check responsible for it reports the
+defect.  Planted groups are fresh copies; no cached Group is mutated.  One
+positive control holds an intertwiner as equal values of the other scalar
+type and shows that its check still passes.
 """
 
 import dataclasses
+import re
 
 import pytest
 
-from spinchar import verify
-from spinchar.cyclo import OMEGA
-from spinchar.groups import get_group
+from spinchar import groups, verify
+from spinchar.cyclo import OMEGA, Cyc
+from spinchar.cyclo9 import Cyc9
+from spinchar.groups import Group, GroupSchema, get_group
 from spinchar.linalg import CycMatrix
 from spinchar.spinrep import (RepError, Representation, canonical_section, full_catalog,
                               irreps_by_spin_type, restrict_to_projective,
@@ -105,7 +110,8 @@ def test_wrong_covering_kernel_fails_structure(monkeypatch):
     monkeypatch.setattr(verify, "covering_data", planted)
     result = verify.check_structure()
     assert not result.passed
-    assert result.detail.startswith("R243 -> G81 covering failed")
+    assert result.detail.startswith("R243 -> G81 covering failed: not a homomorphism at (")
+    assert "['" not in result.detail  # messages are joined, not a list repr
     assert len(result.failures) == 1  # the other four coverings still pass
 
 
@@ -150,3 +156,68 @@ def test_perturbed_catalog_image_fails_representations(monkeypatch):
     assert result.detail.startswith("Pi(2,1;1): ")
     assert len(result.failures) == 1  # only the planted irreducible fails
     assert "rule" in result.detail and "lhs=" in result.detail
+
+
+def test_off_by_one_cube_rule_fails_automorphism(monkeypatch):
+    real = groups.get_group
+    sch = groups.schema("G81_param", (1, 0))
+    # xi1^3 = z12^2 where the (1, 0) presentation says xi1^3 = z12
+    planted = Group(GroupSchema(sch.name, sch.gens, sch.central, sch.conj,
+                                {1: (0, 0)}, sch.multiplier, sch.params))
+    monkeypatch.setattr(groups, "get_group", lambda name, params=None:
+                        planted if (name, params) == ("G81_param", (1, 0))
+                        else real(name, params))
+    result = verify.check_automorphism()
+    assert not result.passed
+    # the witness pair multiplies to xi1^3, the planted rule
+    assert result.failures == ["(a=1,b=0): presented (a,b) group does not map onto the "
+                               "primed subgroup: failure at (xi1^1) * (xi1^2)"]
+
+
+def test_swapped_table_entry_fails_associativity(monkeypatch):
+    real = verify.get_group
+    g27 = real("G27")
+    table = g27.table.copy()
+    table[1, [2, 3]] = table[1, [3, 2]]  # row 1 stays a permutation
+    planted = Group(g27.schema, table)
+    monkeypatch.setattr(verify, "get_group", lambda name, params=None:
+                        planted if name == "G27" else real(name, params))
+    result = verify.check_associativity()
+    assert not result.passed
+    assert all(f.startswith("G27") for f in result.failures)
+    m = re.search(r"G27 associativity fails at \((\d+), (\d+), (\d+)\)", result.detail)
+    assert m is not None, result.detail
+    g, h, k = map(int, m.groups())
+    assert table[table[g, h], k] != table[g, table[h, k]]
+    assert "['" not in result.detail
+
+
+def _rewritten_jw(monkeypatch, convert):
+    real = verify.g81_partial_catalog
+
+    def planted(eps):
+        P, jw, rest = real(eps)
+        return P, CycMatrix([[convert(x) for x in row] for row in jw.rows]), rest
+
+    monkeypatch.setattr(verify, "g81_partial_catalog", planted)
+    return verify.check_intertwiner()
+
+
+def test_jw_scaled_by_w_fails_intertwiner(monkeypatch):
+    # w*jw still has cube I, det w^eps and is unitary; only alpha breaks
+    result = _rewritten_jw(monkeypatch, lambda x: x * OMEGA)
+    assert not result.passed
+    assert result.failures == ["eps=%d intertwiner differs from alpha(I + w^-eps J + K)"
+                               % eps for eps in (1, 2)]
+
+
+def test_jw_held_as_the_other_scalar_type_passes_intertwiner(monkeypatch):
+    # positive control: equal values of the other scalar type change nothing
+    def other_type(x):
+        if isinstance(x, Cyc):
+            return Cyc9.from_scalar(x)
+        return x if x.to_cyc() is None else x.to_cyc()
+
+    result = _rewritten_jw(monkeypatch, other_type)
+    assert result.passed
+    assert result.detail == verify.check_intertwiner().detail
