@@ -220,7 +220,7 @@ def cmd_verify(args):
     try:
         results = run_checks(only)
     except KeyError as exc:
-        raise UsageError(str(exc))
+        raise UsageError(exc.args[0])  # str() of a KeyError would quote it
     passed = all(r.passed for r in results)
     if args.format == "json":
         text = _json({"passed": passed,

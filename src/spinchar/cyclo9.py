@@ -11,15 +11,18 @@ ninth cyclotomic polynomial x^6 + x^3 + 1.  Q(w) embeds via w = zeta9^3;
 values lying in the subfield serialize through the Q(w) grammar, so the
 plain "p/q+r/s*w" format is a sublanguage of the extended one.
 
-Bulk checks use the exact lattice kernel at the end of the module: an array
-of scalars becomes an int64 array of coefficient vectors over one common
-denominator (`to_lattice`), products go through `lattice_einsum` with the
-constant tables PRODUCT, CONJ and MUL_W, and single values come back through
-`from_lattice`.  The tables are derived from `_reduce` and `_CONJ_BASIS`, so
-the reduction rule is written down once.
+Bulk arithmetic uses the exact lattice kernel at the end of the module: an
+array of scalars becomes an int64 array of coefficient vectors over one
+common denominator (`to_lattice`).  Batched matrix products go through
+`lattice_matmul`, linear maps such as conjugation through `lattice_einsum`
+with the constant tables PRODUCT, CONJ and MUL_W, values over different
+denominators are compared with `lattice_equal`, and single values come back
+through `from_lattice`.  The tables are derived from `_reduce` and
+`_CONJ_BASIS`, so the reduction rule is written down once.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 import math
 import re
 
@@ -362,9 +365,32 @@ def to_lattice(values):
 def from_lattice(coeffs, den=1):
     """The scalar with coefficient vector coeffs / den; a Cyc when it lies
     in Q(w), otherwise a Cyc9."""
-    x = Cyc9([Fraction(int(v), den) for v in coeffs])
+    return _lattice_scalar(tuple(int(v) for v in coeffs), int(den))
+
+
+@lru_cache(maxsize=4096)
+def _lattice_scalar(coeffs, den):
+    # tables repeat a few dozen values; the scalars are immutable, so one
+    # instance per value is shared
+    x = Cyc9([Fraction(v, den) for v in coeffs])
     sub = x.to_cyc()
     return x if sub is None else sub
+
+
+def lattice_identity(n):
+    """The n x n identity matrix as a lattice array of shape (n, n, 6)."""
+    out = np.zeros((n, n, 6), dtype=np.int64)
+    out[np.arange(n), np.arange(n), 0] = 1
+    return out
+
+
+def _magnitude(op):
+    return max(1, int(np.abs(op).max(initial=0)))
+
+
+def _check_bound(bound):
+    if bound > _INT64_MAX:
+        raise CycError("lattice product could overflow int64 (bound %d)" % bound)
 
 
 def lattice_einsum(subscripts, *operands):
@@ -381,10 +407,68 @@ def lattice_einsum(subscripts, *operands):
     bound = 1
     for spec, op in zip(inputs.split(","), operands):
         sizes.update(zip(spec, op.shape))
-        bound *= max(1, int(np.abs(op).max(initial=0)))
+        bound *= _magnitude(op)
     for axis, n in sizes.items():
         if axis not in output:
             bound *= n
-    if bound > _INT64_MAX:
-        raise CycError("lattice product could overflow int64 (bound %d)" % bound)
+    _check_bound(bound)
     return np.einsum(subscripts, *operands, optimize=True)
+
+
+_PRODUCT36 = PRODUCT.reshape(36, 6)
+
+
+def lattice_matmul(a, a_den, b, b_den):
+    """Exact batched matrix product of a / a_den and b / b_den.
+
+    `a` has shape (..., m, k, 6) and `b` shape (..., k, n, 6); the batch
+    axes broadcast as in np.matmul.  The coefficient pairs are contracted
+    over k, then reduced through PRODUCT.  Returns (c, den) with c of shape
+    (..., m, n, 6) and den = a_den * b_den divided by its gcd with every
+    coefficient, so denominators never grow past what the values need.
+    The int64 bound is lattice_einsum's for the same contraction: the
+    largest magnitudes times k * 36 terms; a product that could exceed it
+    raises CycError instead of wrapping.
+    """
+    m, k = a.shape[-3:-1]
+    n = b.shape[-2]
+    if b.shape[-3] != k:
+        raise CycError("lattice product of %d-column and %d-row matrices" % (k, b.shape[-3]))
+    _check_bound(_magnitude(a) * _magnitude(b) * k * 36)
+    lhs = np.swapaxes(a, -1, -2).reshape(a.shape[:-3] + (m * 6, k))
+    rhs = b.reshape(b.shape[:-3] + (k, n * 6))
+    pairs = np.matmul(lhs, rhs)  # (..., m*6, n*6): entry (i, p), (j, q)
+    batch = pairs.shape[:-2]
+    pairs = np.swapaxes(pairs.reshape(batch + (m, 6, n, 6)), -3, -2)
+    c = pairs.reshape(batch + (m, n, 36)) @ _PRODUCT36
+    den = a_den * b_den
+    g = math.gcd(den, int(np.gcd.reduce(c, axis=None)))
+    if g > 1:
+        c //= g
+        den //= g
+    return c, den
+
+
+def lattice_common(*pairs):
+    """(L, den) pairs rescaled onto their least common denominator.
+
+    Returns ([L1, L2, ...], den).  Raises CycError when a rescaled
+    coefficient could leave int64.
+    """
+    den = math.lcm(*(d for _, d in pairs))
+    out = []
+    for L, d in pairs:
+        k = den // d
+        _check_bound(_magnitude(L) * k)
+        out.append(L * k if k != 1 else L)
+    return out, den
+
+
+def lattice_equal(a, a_den, b, b_den):
+    """Coefficient-wise equality of a / a_den and b / b_den, broadcast.
+
+    Reduce the result over the value axes (the last three for matrices) to
+    compare whole values.
+    """
+    (a, b), _ = lattice_common((a, a_den), (b, b_den))
+    return a == b

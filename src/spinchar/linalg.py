@@ -11,7 +11,7 @@ from fractions import Fraction
 import math
 
 from .cyclo import Cyc, ONE, ZERO, as_cyc
-from .cyclo9 import Cyc9, scalar_str
+from .cyclo9 import Cyc9, from_lattice, scalar_str
 
 
 class MatrixError(ArithmeticError):
@@ -43,10 +43,6 @@ class CycMatrix:
         return CycMatrix.scalar(n, ONE)
 
     @staticmethod
-    def zero(n):
-        return CycMatrix([[ZERO] * n for _ in range(n)])
-
-    @staticmethod
     def diagonal(entries):
         entries = list(entries)
         n = len(entries)
@@ -56,6 +52,12 @@ class CycMatrix:
     @staticmethod
     def scalar(n, value):
         return CycMatrix.diagonal([value] * n)
+
+    @staticmethod
+    def from_lattice(L, den=1):
+        """The matrix with entries L[i, j] / den, L an (n, n, 6) lattice
+        array of `cyclo9`."""
+        return CycMatrix([[from_lattice(v, den) for v in row] for row in L])
 
     def _check_dim(self, other):
         if not isinstance(other, CycMatrix) or other.n != self.n:
@@ -132,9 +134,11 @@ class CycMatrix:
                 det = -det
             p = m[col][col]
             det = det * p
-            for r in range(col + 1, n):
-                if not m[r][col].is_zero():
-                    f = m[r][col] / p
+            below = [r for r in range(col + 1, n) if not m[r][col].is_zero()]
+            if below:
+                p_inv = ONE / p  # one inversion per pivot, then multiplies
+                for r in below:
+                    f = m[r][col] * p_inv
                     m[r] = [x - f * y for x, y in zip(m[r], m[col])]
         return det
 
@@ -148,8 +152,8 @@ class CycMatrix:
             if pivot is None:
                 raise MatrixError("singular matrix has no inverse")
             m[col], m[pivot] = m[pivot], m[col]
-            p = m[col][col]
-            m[col] = [x / p for x in m[col]]
+            p_inv = ONE / m[col][col]
+            m[col] = [x * p_inv for x in m[col]]
             for r in range(n):
                 if r != col and not m[r][col].is_zero():
                     f = m[r][col]
@@ -221,8 +225,8 @@ def nullspace(rows, ncols):
         lead = next((c for c in range(ncols) if not row[c].is_zero()), None)
         if lead is None:
             continue
-        p = row[lead]
-        row = [x / p for x in row]
+        p_inv = ONE / row[lead]
+        row = [x * p_inv for x in row]
         for r, other in enumerate(echelon):
             if not other[lead].is_zero():
                 f = other[lead]

@@ -5,13 +5,18 @@ listed linear characters) with the convention (w.chi)(u) = chi(w^-1 u w),
 orbit/stabilizer decomposition, and
 explicit matrix induction over a coset section on the delta-function basis
 (contragredient convention, so inducing the trivial-orbit characters of the
-base group reproduces the cyclic shift J exactly).
+base group reproduces the cyclic shift J exactly).  Subgroup representations
+hold their value tables on the exact int64 lattice of `cyclo9`.
 """
 
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from .cyclo import root_of_unity
+from .cyclo9 import (from_lattice, lattice_einsum, lattice_equal, lattice_identity,
+                     lattice_matmul, to_lattice)
 from .linalg import CycMatrix
 from .groups import Subgroup
 
@@ -42,8 +47,11 @@ class DualCharacter:
         return root_of_unity(self.exps[int(code)])
 
     def as_subrep(self, name=None):
-        images = {code: CycMatrix([[root_of_unity(e)]]) for code, e in self.exps.items()}
-        return SubRep(self.subgroup, 1, images, name or ("chi%s" % (self.label,)))
+        roots, _ = to_lattice([root_of_unity(e) for e in range(3)])
+        codes = list(self.exps)
+        table = np.zeros((self.subgroup.group.order, 1, 1, 6), dtype=np.int64)
+        table[codes, 0, 0] = roots[[self.exps[c] for c in codes]]
+        return SubRep(self.subgroup, table, 1, name or ("chi%s" % (self.label,)))
 
     def __eq__(self, other):
         return isinstance(other, DualCharacter) and self.exps == other.exps \
@@ -164,34 +172,62 @@ def orbit_decomposition(duals, w_gens, group=None):
 
 
 class SubRep:
-    """A matrix representation of a subgroup, stored as a full value table."""
+    """A matrix representation of a subgroup, held as one exact lattice.
 
-    def __init__(self, subgroup, dim, images, name=None):
-        self.subgroup = subgroup
-        self.dim = dim
-        self.images = images
-        self.name = name
-        if set(images) != set(subgroup.codes):
+    `table` is an int64 array of shape (|G|, d, d, 6) indexed by the element
+    codes of the whole group G: the image of a code u of the subgroup is
+    table[u] / den, entry by entry in the power-basis coefficients of
+    `cyclo9`.  Rows outside the subgroup are zero and never read.
+    `DualCharacter.as_subrep` and `induce` write the table directly; `eval`
+    converts one row to a CycMatrix for callers that solve with it or print
+    it.
+    """
+
+    def __init__(self, subgroup, table, den, name=None):
+        if table.shape[0] != subgroup.group.order or table.shape[1] != table.shape[2]:
             raise MackeyError("representation table does not match its domain")
+        self.subgroup = subgroup
+        self.table = table
+        self.den = den
+        self.dim = table.shape[1]
+        self.name = name
 
     def eval(self, code):
-        return self.images[int(code)]
+        code = int(code)
+        if code not in self.subgroup.codes:
+            raise MackeyError("element %d lies outside the domain of %s" % (code, self.name))
+        return CycMatrix.from_lattice(self.table[code], self.den)
 
     def verify(self):
-        """Exact homomorphism check over generator edges (hence all pairs)."""
-        table = self.subgroup.group.table
-        gens = self.subgroup.gen_codes
-        if self.eval(0) != CycMatrix.identity(self.dim):
+        """Exact homomorphism check over generator edges (hence all pairs).
+
+        Returns None, (0, 0) when the identity does not map to I, or the
+        first (u, g) with rho(u) rho(g) != rho(ug), u in the subgroup's
+        iteration order and g among its generators.  One lattice product
+        per generator covers every u at once.
+        """
+        T, den = self.table, self.den
+        if not lattice_equal(T[0], den, lattice_identity(self.dim), 1).all():
             return (0, 0)
-        for u in self.subgroup.codes:
-            for g in gens:
-                ug = int(table[u, g])
-                if self.eval(u) * self.eval(g) != self.eval(ug):
-                    return (u, g)
+        mult = self.subgroup.group.table
+        codes = np.fromiter(self.subgroup.codes, dtype=np.int64)
+        gens = self.subgroup.gen_codes
+        at_codes = T[codes]
+        bad = np.zeros((len(codes), len(gens)), dtype=bool)
+        for k, g in enumerate(gens):
+            prod, prod_den = lattice_matmul(at_codes, den, T[g], den)
+            same = lattice_equal(prod, prod_den, T[mult[codes, g]], den)
+            bad[:, k] = ~same.all(axis=(1, 2, 3))
+        hits = np.argwhere(bad)
+        if len(hits):
+            u, k = hits[0]
+            return (int(codes[u]), int(gens[k]))
         return None
 
     def character_values(self):
-        return {code: m.trace() for code, m in self.images.items()}
+        codes = list(self.subgroup.codes)
+        traces = lattice_einsum("cjjp->cp", self.table[codes])
+        return {code: from_lattice(t, self.den) for code, t in zip(codes, traces)}
 
     def __repr__(self):
         return "SubRep(%s, dim=%d, |domain|=%d)" % (self.name, self.dim,
@@ -203,57 +239,45 @@ def induce(rho, section, name=None):
 
     `section` lists coset representatives s_0, ..., s_{k-1} (s_0 = 1) with
     the induced group being H * {s_j}; the matrix of y has block (j, i)
-    equal to rho(u) where s_j y = u s_i.  Raises when the section is not an
-    exact transversal or when the result fails the homomorphism check.
+    equal to rho(u) where s_j y = u s_i.  The blocks are placed into the
+    induced lattice table with index arrays, one section element at a time.
+    Raises when the section is not an exact transversal or when the result
+    fails the homomorphism check.
     """
     H = rho.subgroup
     group = H.group
     table = group.table
     inv = group.inv
-    sect = [group.element(s).code for s in section]
+    sect = np.array([group.element(s).code for s in section])
     if sect[0] != 0:
         raise MackeyError("section must start at the identity")
 
-    coset_of = {}
+    coset_of = np.full(group.order, -1)
     for i, s in enumerate(sect):
         for h in H.codes:
             y = int(table[h, s])
-            if y in coset_of:
+            if coset_of[y] >= 0:
                 raise MackeyError("section is not a transversal: cosets overlap")
             coset_of[y] = i
-    target_codes = frozenset(coset_of)
+    target_codes = frozenset(int(y) for y in np.flatnonzero(coset_of >= 0))
 
     k = len(sect)
-    dim = k * rho.dim
-    zero = CycMatrix.zero(rho.dim)
-    images = {}
-    for y in target_codes:
-        blocks = [[zero] * k for _ in range(k)]
-        for j, sj in enumerate(sect):
-            t = int(table[sj, y])
-            if t not in coset_of:
-                raise MackeyError("section does not close under the target")
-            i = coset_of[t]
-            u = int(table[t, inv[sect[i]]])
-            blocks[j][i] = rho.eval(u)
-        images[y] = _from_blocks(blocks, rho.dim)
+    d = rho.dim
+    ys = np.fromiter(target_codes, dtype=np.int64)
+    blocks = np.zeros((group.order, k, d, k, d, 6), dtype=np.int64)
+    for j, sj in enumerate(sect):
+        t = table[sj, ys]
+        i = coset_of[t]
+        if (i < 0).any():
+            raise MackeyError("section does not close under the target")
+        u = table[t, inv[sect[i]]]
+        # block (j, i) of y sits at rows j*d.. and columns i*d.. after the reshape
+        blocks[ys, j, :, i] = rho.table[u]
 
     target = Subgroup(group, target_codes,
-                      tuple(H.gen_codes) + tuple(s for s in sect if s))
-    out = SubRep(target, dim, images, name)
+                      tuple(H.gen_codes) + tuple(int(s) for s in sect if s))
+    out = SubRep(target, blocks.reshape(group.order, k * d, k * d, 6), rho.den, name)
     bad = out.verify()
     if bad is not None:
         raise MackeyError("induced table is not a homomorphism at %r" % (bad,))
     return out
-
-
-def _from_blocks(blocks, d):
-    k = len(blocks)
-    rows = []
-    for j in range(k):
-        for r in range(d):
-            row = []
-            for i in range(k):
-                row.extend(blocks[j][i].rows[r])
-            rows.append(row)
-    return CycMatrix(rows)

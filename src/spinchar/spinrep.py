@@ -18,8 +18,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .cyclo import CycError, ZERO, ONE, OMEGA, OMEGA2, root_of_unity, root_exponent
-from .cyclo9 import (CONJ, MUL_W, PRODUCT, cyc9_cbrt, from_lattice, lattice_einsum,
-                     scalar_str, to_lattice)
+from .cyclo9 import (CONJ, MUL_W, cyc9_cbrt, from_lattice, lattice_common, lattice_einsum,
+                     lattice_equal, lattice_identity, lattice_matmul, scalar_str,
+                     to_lattice)
 from .linalg import CycMatrix, intertwiner_space
 from .groups import CheckReport, Subgroup, collect, get_group, covering_data
 from .mackey import (DualCharacter, SubRep, MackeyError, dual_group, orbit_decomposition,
@@ -66,7 +67,16 @@ def intertwiner_alpha(e):
 
 
 class Representation:
-    """Generator-image representation of a full schema group."""
+    """Generator-image representation of a full schema group.
+
+    `images` maps each generator name to its CycMatrix.  The image at any
+    other element comes from `images_at`, which multiplies cached generator
+    powers on the exact int64 lattice of `cyclo9`, many elements per call.
+    The lattice powers are built on first use, not at construction, so a
+    representation whose entries do not fit the lattice can still be built
+    (and printed); evaluating it raises CycError.  No full value table is
+    kept.
+    """
 
     def __init__(self, group, images, name, spin_type=None):
         self.group = group
@@ -74,9 +84,7 @@ class Representation:
         self.name = name
         first = next(iter(self.images.values()))
         self.dim = first.n
-        self._pows = {}
-        for gen, m in self.images.items():
-            self._pows[gen] = (CycMatrix.identity(self.dim), m, m * m)
+        self._powers = None
         if spin_type is None:
             spin_type = self._infer_spin_type()
         self.spin_type = spin_type
@@ -92,18 +100,38 @@ class Representation:
             vals[gen] = e
         return SpinType(vals["z12"], vals["z23"])
 
+    def powers(self):
+        """(P, den): P[k, e] / den is the lattice image of the k-th schema
+        generator to the power e, for e = 0, 1, 2; shape (ngens, 3, d, d, 6)."""
+        if self._powers is None:
+            L, den = to_lattice([self.images[gen].rows for gen in self.group.schema.gens])
+            sq, sq_den = lattice_matmul(L, den, L, den)
+            eye = np.broadcast_to(lattice_identity(self.dim), L.shape)
+            (eye, L, sq), den = lattice_common((eye, 1), (L, den), (sq, sq_den))
+            self._powers = (np.stack([eye, L, sq], axis=1), den)
+        return self._powers
+
+    def images_at(self, codes):
+        """The images at many element codes as one lattice (L, den), L of
+        shape (len(codes), d, d, 6): the product of the generator powers in
+        each code's normal form, one lattice product per generator."""
+        P, den = self.powers()
+        exps = np.array([self.group.exps_of(int(c)) for c in codes], dtype=np.int64)
+        exps = exps.reshape(len(exps), len(P))
+        out, out_den = P[0, exps[:, 0]], den
+        for k in range(1, len(P)):
+            out, out_den = lattice_matmul(out, out_den, P[k, exps[:, k]], den)
+        return out, out_den
+
     def eval(self, code):
-        exps = self.group.exps_of(int(code))
-        out = None
-        for gen, e in zip(self.group.schema.gens, exps):
-            if e:
-                m = self._pows[gen][e]
-                out = m if out is None else out * m
-        return out if out is not None else CycMatrix.identity(self.dim)
+        L, den = self.images_at([code])
+        return CycMatrix.from_lattice(L[0], den)
 
     def character(self):
-        values = {rep: self.eval(rep).trace()
-                  for rep, _ in self.group.conjugacy_classes()}
+        reps = [rep for rep, _ in self.group.conjugacy_classes()]
+        L, den = self.images_at(reps)
+        traces = lattice_einsum("cjjp->cp", L)
+        values = {rep: from_lattice(t, den) for rep, t in zip(reps, traces)}
         return ClassFunction(self.group, values, name=self.name)
 
     def __repr__(self):
@@ -113,7 +141,15 @@ class Representation:
 def verify_rep(rep):
     """Check every power and conjugation rule of the schema as an exact
     matrix identity, plus the multiplier scalars; also accepts a SubRep.
-    The report holds at most one failure, with both sides as witnesses."""
+    The report holds at most one failure, with both sides as witnesses.
+
+    The cube rules g^3 = w(g) and the conjugation rules gj gi gj^-1 =
+    w(j, i) are each evaluated as one batch on the lattice: the left sides
+    from the generator powers (and one CycMatrix inverse per generator),
+    the right sides from `Representation.images_at` at the collected
+    words.  Only a failing rule is converted back to matrices for its
+    witness; failures are reported in rule order.
+    """
     report = CheckReport(rep.name or "subrep")
 
     def fail(desc, lhs, rhs):
@@ -130,18 +166,36 @@ def verify_rep(rep):
 
     group = rep.group
     sch = group.schema
-    for j, gen in enumerate(sch.gens):
-        lhs = rep.images[gen] ** 3
-        rhs = rep.eval(group.code_of(collect(sch, list(sch.power[j]))))
-        if lhs != rhs:
-            return fail("cube rule for %s" % gen, lhs, rhs)
-    for j in range(len(sch.gens)):
-        for i in range(j):
-            gj, gi = sch.gens[j], sch.gens[i]
-            lhs = rep.images[gj] * rep.images[gi] * rep.images[gj].inverse()
-            rhs = rep.eval(group.code_of(collect(sch, list(sch.conj_word(j, i)))))
-            if lhs != rhs:
-                return fail("conjugation rule phi(%s)%s" % (gj, gi), lhs, rhs)
+
+    def first_mismatch(lhs, rhs):
+        (L, L_den), (R, R_den) = lhs, rhs
+        bad = np.flatnonzero(~lattice_equal(L, L_den, R, R_den).all(axis=(1, 2, 3)))
+        if not len(bad):
+            return None
+        k = bad[0]
+        return k, CycMatrix.from_lattice(L[k], L_den), CycMatrix.from_lattice(R[k], R_den)
+
+    P, den = rep.powers()
+    cubes = lattice_matmul(P[:, 2], den, P[:, 1], den)
+    words = rep.images_at([group.code_of(collect(sch, list(w))) for w in sch.power])
+    bad = first_mismatch(cubes, words)
+    if bad is not None:
+        j, lhs, rhs = bad
+        return fail("cube rule for %s" % sch.gens[j], lhs, rhs)
+    rules = [(j, i) for j in range(len(sch.gens)) for i in range(j)]
+    if rules:
+        inverses, inv_den = to_lattice([rep.images[gen].inverse().rows for gen in sch.gens[1:]])
+        js = np.array([j for j, _ in rules])
+        iss = np.array([i for _, i in rules])
+        conj, conj_den = lattice_matmul(P[js, 1], den, P[iss, 1], den)
+        conj = lattice_matmul(conj, conj_den, inverses[js - 1], inv_den)
+        words = rep.images_at([group.code_of(collect(sch, list(sch.conj_word(j, i))))
+                               for j, i in rules])
+        bad = first_mismatch(conj, words)
+        if bad is not None:
+            k, lhs, rhs = bad
+            j, i = rules[k]
+            return fail("conjugation rule phi(%s)%s" % (sch.gens[j], sch.gens[i]), lhs, rhs)
     for gen in sch.multiplier:
         scal = rep.images[gen].as_scalar()
         if scal is None or root_exponent(scal) is None:
@@ -227,7 +281,7 @@ def solve_intertwiner(rho, w, preferred_trace=None):
     is returned when that pins a unique solution (the partially-spin anchor
     trace 3*alpha); otherwise the lexicographically least serialization.
     The returned J is re-verified against the twisted equations for w, w^2
-    and w^3.
+    and w^3, each as one batch of lattice products over rho's generators.
     """
     sols = intertwiner_solutions(rho, w)
     chosen = None
@@ -245,14 +299,19 @@ def solve_intertwiner(rho, w, preferred_trace=None):
 
     group = rho.subgroup.group
     wc = group.element(w).code
+    gens = list(rho.subgroup.gen_codes)
+    J, J_den = to_lattice(chosen.rows)
+    Ji, Ji_den = J, J_den
+    wi = wc
     for i in (1, 2, 3):
-        wi = 0
-        for _ in range(i):
+        if i > 1:
+            Ji, Ji_den = lattice_matmul(Ji, Ji_den, J, J_den)
             wi = group.mult(wi, wc)
-        Ji = chosen ** i
-        for u in rho.subgroup.gen_codes:
-            if rho.eval(group.conjugate(u, wi)) * Ji != Ji * rho.eval(u):
-                raise RepError("intertwiner power %d fails its equation" % i)
+        twisted = rho.table[[group.conjugate(u, wi) for u in gens]]
+        lhs = lattice_matmul(twisted, rho.den, Ji, Ji_den)
+        rhs = lattice_matmul(Ji, Ji_den, rho.table[gens], rho.den)
+        if not lattice_equal(*lhs, *rhs).all():
+            raise RepError("intertwiner power %d fails its equation" % i)
     return chosen
 
 
@@ -449,22 +508,23 @@ class CharTable:
         """Exact Gram matrix of the rows under the character inner product."""
         X, Xc, den = self._lattice()
         sizes = np.array([s for _, s in self.classes], dtype=np.int64)
-        gram = lattice_einsum("icp,jcq,c,pqr->ijr", X, Xc, sizes, PRODUCT)
-        scale = den * den * self.group.order
+        weighted = lattice_einsum("icp,c->icp", X, sizes)
+        gram, gram_den = lattice_matmul(weighted, den, np.swapaxes(Xc, 0, 1), den)
+        scale = gram_den * self.group.order
         return [[from_lattice(v, scale) for v in row] for row in gram]
 
     def column_orthogonality_violation(self):
         """First (g, h) class pair violating sum_chi chi(g) conj(chi(h)) =
         |centralizer(g)| [g ~ h], or None."""
         X, Xc, den = self._lattice()
-        sums = lattice_einsum("icp,idq,pqr->cdr", X, Xc, PRODUCT)
+        sums, sums_den = lattice_matmul(np.swapaxes(X, 0, 1), den, Xc, den)
         want = np.zeros_like(sums)
         for c, (_, size) in enumerate(self.classes):
-            want[c, c, 0] = self.group.order // size * den * den
-        bad = np.argwhere((sums != want).any(axis=2))
+            want[c, c, 0] = self.group.order // size
+        bad = np.argwhere(~lattice_equal(sums, sums_den, want, 1).all(axis=2))
         if len(bad):
             i, j = (int(x) for x in bad[0])
-            return (i, j, from_lattice(sums[i, j], den * den))
+            return (i, j, from_lattice(sums[i, j], sums_den))
         return None
 
 
@@ -548,9 +608,10 @@ def restrict_to_projective(rep, section=None):
     and the exact factor set alpha(g, h) = T(g) T(h) T(gh)^-1, checked to be
     a scalar cube root of unity at every pair.
 
-    The check runs on the exact lattice of `cyclo9`: the 27 images become
-    one integer array over a common denominator, all 729 products T(g) T(h)
-    are formed in one einsum, and each product is compared coefficient by
+    The check runs on the exact lattice of `cyclo9`: the 27 section images
+    come from `Representation.images_at` as one integer array over a common
+    denominator, the products T(g) T(h) are formed one row g at a time with
+    `lattice_matmul`, and each product is compared coefficient by
     coefficient with w^k T(gh) for k = 0, 1, 2.  The exponent is the unique
     matching k; a pair with no match, or with three (T(gh) = 0), raises
     RepError, as does data too large for the int64 lattice.
@@ -569,24 +630,24 @@ def restrict_to_projective(rep, section=None):
     if r243.exps_of(section[0]) != (0, 0, 0, 0, 0):
         raise RepError("section must send the identity to the identity")
 
-    T = {g: rep.eval(section[g]) for g in range(g27.order)}
+    n = g27.order
+    matches = np.empty((3, n, n), dtype=bool)  # [k, g, h]: T(g) T(h) = w^k T(gh)
     try:
-        L, den = to_lattice([T[g].rows for g in range(g27.order)])
-        prods = lattice_einsum("gijp,hjkq,pqr->ghikr", L, L, PRODUCT)
+        L, den = rep.images_at([section[g] for g in range(n)])
         wL = lattice_einsum("gijp,pq->gijq", L, MUL_W)
-        w2L = lattice_einsum("gijp,pq->gijq", wL, MUL_W)
+        targets = np.stack([L, wL, lattice_einsum("gijp,pq->gijq", wL, MUL_W)])
+        for g in range(n):
+            prods, prods_den = lattice_matmul(L[g], den, L, den)
+            same = lattice_equal(prods, prods_den, targets[:, g27.table[g]], den)
+            matches[:, g] = same.all(axis=(2, 3, 4))
     except CycError as exc:
         raise RepError("restriction of %s leaves the exact lattice: %s" % (rep.name, exc))
-    # T(g) T(h) carries denominator den^2; w^k T(gh) only den
-    divisible = (prods % den == 0).all(axis=(2, 3, 4))
-    prods //= den
-    targets = np.stack([L, wL, w2L])[:, g27.table]  # w^k T(gh), (3, 27, 27, d, d, 6)
-    matches = (prods[None] == targets).all(axis=(3, 4, 5)) & divisible
     bad = np.argwhere(matches.sum(axis=0) != 1)
     if len(bad):
         g, h = bad[0]
         raise RepError("restriction of %s is not projective at (%d, %d)"
                        % (rep.name, g, h))
+    T = {g: CycMatrix.from_lattice(L[g], den) for g in range(n)}
     return T, CocycleTable(g27, matches.argmax(axis=0).astype(np.int8))
 
 

@@ -370,5 +370,5 @@ def run_checks(only=None):
         unknown = [n for n in names if n not in CHECKS]
         if unknown:
             raise KeyError("unknown checks: %s (know %s)"
-                           % (", ".join(unknown), ", ".join(CHECKS)))
+                           % (", ".join(map(repr, unknown)), ", ".join(CHECKS)))
     return [CHECKS[name]() for name in names]

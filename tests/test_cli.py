@@ -1,8 +1,11 @@
 """Command-line surface: outputs, formats, determinism, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
+
+from hypothesis import given, settings, strategies as st
 
 from spinchar.cli import main
 from spinchar.cyclo9 import parse_scalar, scalar_str
@@ -168,4 +171,63 @@ def test_verify_subset(capsys):
 def test_verify_unknown_check(capsys):
     code, _, err = run_cli(capsys, "verify", "--only", "nonsense")
     assert code == 2
-    assert "unknown checks" in err
+    assert err.startswith("error: unknown checks: 'nonsense' (know orders, ")
+    # blank names are shown, not listed invisibly
+    code, _, err = run_cli(capsys, "verify", "--only", ",")
+    assert code == 2
+    assert err.startswith("error: unknown checks: '', '' (know orders, ")
+    code, _, err = run_cli(capsys, "verify", "--only", "orders, ,bogus")
+    assert code == 2
+    assert err.startswith("error: unknown checks: '', 'bogus' (know ")
+
+
+# CLI fuzz: argv from the subcommands, their flags and malformed values.  A
+# verify always ends with an --only of cheap checks, so the full suite never
+# runs here; --out only names paths that cannot be written.
+_FLAG_VALUES = {
+    "--params": ["1,2", "1,x", "1", "", "9,-9", "a,b,c"],
+    "--format": ["json", "csv", "text", "xml", ""],
+    "--spin": ["1,1", "0,0", "2,0", "all", "1", "a,b", "", "-1,2", "3,4"],
+    "--group": ["R243", "G27", "G81", "GBAR", "GSHARP", "NOPE", ""],
+    "--irrep": ["Pi(1,1;0)", "Pi(0,0,0)", "nope", ""],
+    "--only": ["orders", "orbits,intertwiner", ",", "bogus", "characters, orders"],
+    "--out": ["/nonexistent-dir/x.txt", "."],
+}
+_COMMAND_FLAGS = {
+    "group": ["--params", "--format", "--out"],
+    "irreps": ["--spin", "--group", "--format", "--out"],
+    "chartable": ["--format", "--out"],
+    "cocycle": ["--spin", "--irrep", "--format", "--out"],
+    "verify": ["--only", "--format", "--out"],
+    "bogus": [],
+    "": [],
+}
+_JUNK = st.one_of(st.sampled_from(["--bogus", "-x", "--help", "--spin", "--params"]),
+                  st.text(max_size=4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_cli_fuzz_exits_cleanly(data):
+    command = data.draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    argv = [command]
+    if command == "group":
+        argv += data.draw(st.sampled_from([["R243"], ["G81_param"], ["G27"], ["NOPE"], [""], []]))
+    for flag in data.draw(st.lists(st.sampled_from(_COMMAND_FLAGS[command] or ["--format"]),
+                                   max_size=3)):
+        argv += [flag, data.draw(st.sampled_from(_FLAG_VALUES[flag]))]
+    if command in ("irreps", "cocycle"):
+        argv += ["--spin", data.draw(st.sampled_from(_FLAG_VALUES["--spin"]))]
+    if data.draw(st.integers(0, 4)) == 0:
+        argv.append(data.draw(_JUNK))
+    if command == "verify":
+        argv += ["--only", data.draw(st.sampled_from(["orders", "orbits", "intertwiner,characters",
+                                                      "nope"]))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors and --help
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

@@ -7,12 +7,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spinchar.cyclo import (Cyc, CycError, OMEGA, OMEGA2, ZERO, ONE, _icbrt, _rational_roots,
                             cyc_cbrt, cyc_str, parse_cyc, root_exponent, root_of_unity)
 from spinchar.cyclo9 import (CONJ, MUL_W, PRODUCT, Cyc9, cyc9_cbrt, from_lattice,
-                             lattice_einsum, parse_scalar, scalar_str, to_lattice, zeta9)
+                             lattice_einsum, lattice_equal, lattice_matmul, parse_scalar,
+                             scalar_str, to_lattice, zeta9)
+from spinchar.linalg import CycMatrix
 
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -296,3 +298,67 @@ class TestLatticeKernel:
         big, _ = to_lattice([Cyc(2 ** 32)])  # its square wraps to 0 in int64
         with pytest.raises(CycError):
             lattice_einsum("ip,iq,pqr->r", big, big, PRODUCT)
+
+
+# entries with denominators 1 and 3, held as either scalar type
+thirds = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 3]))
+lattice_entries = st.one_of(st.builds(Cyc, thirds, thirds),
+                            st.builds(Cyc9, st.lists(thirds, min_size=6, max_size=6)))
+
+
+def _matrices(n, count):
+    square = st.lists(st.lists(lattice_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    return st.lists(square.map(CycMatrix), min_size=count, max_size=count)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: _matrices(n, 4)))
+def test_lattice_matmul_matches_matrix_products(mats):
+    A, B, C, D = mats
+    L, den = to_lattice([A.rows, B.rows, C.rows, D.rows])
+    prod, prod_den = lattice_matmul(L[:2], den, L[2:], den)  # A*C and B*D in one call
+    for k, want in enumerate((A * C, B * D)):
+        assert CycMatrix.from_lattice(prod[k], prod_den) == want
+    # the denominator is reduced to the least one the values need
+    assert prod_den == to_lattice([(A * C).rows, (B * D).rows])[1]
+    # a single matrix broadcasts against the batch
+    prod, prod_den = lattice_matmul(L[0], den, L, den)
+    assert all(CycMatrix.from_lattice(prod[k], prod_den) == A * M
+               for k, M in enumerate(mats))
+    assert lattice_equal(prod[:1], prod_den, prod[:1] * 3, prod_den * 3).all()
+
+
+def test_lattice_matmul_reduces_growing_denominators():
+    # U = alpha (I + w^-1 J + K) has denominator 3 and U^3 = I: unreduced,
+    # the running product's coefficients would reach 3^60 and be refused
+    alpha = -(OMEGA - OMEGA ** 2) / 3
+    J = CycMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    U = (CycMatrix.identity(3) + J.scale(OMEGA ** -1) + J * J).scale(alpha)
+    L, den = to_lattice(U.rows)
+    assert den == 3
+    acc, acc_den = L, den
+    for k in range(2, 61):
+        acc, acc_den = lattice_matmul(acc, acc_den, L, den)
+        assert acc_den in (1, 3)
+    assert acc_den == 1 and CycMatrix.from_lattice(acc, acc_den) == CycMatrix.identity(3)
+    # a denominator that must grow does so past the int64 range, exactly
+    third, _ = to_lattice([[Cyc(Fraction(1, 3))]])
+    acc, acc_den = third, 3
+    for _ in range(44):
+        acc, acc_den = lattice_matmul(acc, acc_den, third, 3)
+    assert acc_den == 3 ** 45 and from_lattice(acc[0, 0], acc_den) == Fraction(1, 3 ** 45)
+
+
+def test_lattice_matmul_overflow_raises_instead_of_wrapping():
+    big, _ = to_lattice([[Cyc(2 ** 32)]])  # its square wraps to 0 in int64
+    with pytest.raises(CycError):
+        lattice_matmul(big, 1, big, 1)
+    small, _ = to_lattice([[Cyc(2 ** 26)]])
+    prod, den = lattice_matmul(small, 1, small, 1)
+    assert from_lattice(prod[0, 0], den) == 2 ** 52
+    # rescaling onto a common denominator is bounded the same way
+    with pytest.raises(CycError):
+        lattice_equal(small, 1, small, 3 ** 40)
+    with pytest.raises(CycError):
+        lattice_matmul(small, 1, np.zeros((2, 1, 6), dtype=np.int64), 1)  # inner sizes differ
+

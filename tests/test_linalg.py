@@ -146,3 +146,33 @@ def test_nullspace_solutions_satisfy_constraints():
                 for a, x in zip(row, vec):
                     acc = acc + a * x
                 assert acc.is_zero()
+
+
+def test_one_inversion_per_pivot(monkeypatch):
+    # a purely-spin intertwiner has entries in Q(zeta9) outside Q(w), whose
+    # inverses run extended Euclid; a pivot row is scaled by one inverse
+    from spinchar.spinrep import r243_pure_catalog
+    _, jw, _ = r243_pure_catalog(1, 1)
+    assert any(isinstance(x, Cyc9) and x.to_cyc() is None for row in jw.rows for x in row)
+    calls = []
+    real = Cyc9.inverse
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Cyc9, "inverse", counting)
+    inv = jw.inverse()
+    assert len(calls) <= 3  # one per pivot column
+    assert inv * jw == I3
+    calls.clear()
+    det = jw.det()
+    assert len(calls) <= 3
+    assert det ** 3 == 1  # jw^3 = I
+    calls.clear()
+    # the commutant of jw: 9 unknowns, 3 free (jw has three distinct eigenvalues)
+    basis = intertwiner_space([(jw, jw)], 3)
+    assert len(basis) == 3
+    assert len(calls) <= 9 - len(basis)  # one per pivot
+    for X in basis:
+        assert jw * X == X * jw

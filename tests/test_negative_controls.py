@@ -4,10 +4,11 @@ A check that passes on correct data proves little unless it is also shown
 to fail on wrong data.  Each test below corrupts exactly one thing -- a
 generator image, a character value, a class size, a section element, a
 covering kernel, a quotient generator, a cube rule, a table entry, an
-intertwiner -- and asserts that the check responsible for it reports the
-defect.  Planted groups are fresh copies; no cached Group is mutated.  One
-positive control holds an intertwiner as equal values of the other scalar
-type and shows that its check still passes.
+intertwiner, a presentation, an action convention, a lattice table entry, a
+catalog slot -- and asserts that the check responsible for it reports the
+defect.  Planted groups and tables are fresh copies; no cached object is
+mutated.  One positive control holds an intertwiner as equal values of the
+other scalar type and shows that its check still passes.
 """
 
 import dataclasses
@@ -18,11 +19,12 @@ import pytest
 from spinchar import groups, verify
 from spinchar.cyclo import OMEGA, Cyc
 from spinchar.cyclo9 import Cyc9
-from spinchar.groups import Group, GroupSchema, get_group
+from spinchar.groups import Group, GroupSchema, Subgroup, get_group
 from spinchar.linalg import CycMatrix
+from spinchar.mackey import MackeyError, SubRep, dual_group, induce
 from spinchar.spinrep import (RepError, Representation, canonical_section, full_catalog,
-                              irreps_by_spin_type, restrict_to_projective,
-                              spin_character_table)
+                              irreps_by_spin_type, r243_pure_catalog, restrict_to_projective,
+                              spin_character_table, verify_rep)
 
 
 def _scaled(rep, gen, factor):
@@ -221,3 +223,170 @@ def test_jw_held_as_the_other_scalar_type_passes_intertwiner(monkeypatch):
     result = _rewritten_jw(monkeypatch, other_type)
     assert result.passed
     assert result.detail == verify.check_intertwiner().detail
+
+
+def test_missing_generator_fails_orders(monkeypatch):
+    real = verify.get_group
+    sch = groups.schema("G27")
+    # x3 dropped from the presentation: collection closes on <x1, x2>
+    planted = Group(GroupSchema(sch.name, sch.gens[:2], sch.central, {}))
+    monkeypatch.setattr(verify, "get_group", lambda name, params=None:
+                        planted if name == "G27" else real(name, params))
+    result = verify.check_orders()
+    assert not result.passed
+    assert result.failures == ["G27 has order 9, expected 27"]
+
+
+def test_inverted_action_convention_fails_orbits(monkeypatch):
+    real = verify.act_on_dual
+
+    def planted(w, chi):
+        # (w.chi)(u) = chi(w u w^-1), the opposite of the documented convention
+        group = chi.subgroup.group
+        return real(group.inv[group.element(w).code], chi)
+
+    monkeypatch.setattr(verify, "act_on_dual", planted)
+    result = verify.check_orbits()
+    assert not result.passed
+    # x3 fixes exactly the characters with n = 0, xi2 those with e = 0
+    assert result.failures == (
+        ["base-group dual action sends %s wrongly" % ((m, n),)
+         for m in range(3) for n in (1, 2)]
+        + ["covering-group dual action sends %s wrongly" % ((e, m),)
+           for e in (1, 2) for m in range(3)])
+
+
+def _perturbed_subrep(rho, code, i, j, coeff=0):
+    """A copy of rho with entry (i, j) at `code` raised by z^coeff."""
+    table = rho.table.copy()
+    table[code, i, j, coeff] += rho.den
+    return SubRep(rho.subgroup, table, rho.den, rho.name)
+
+
+def test_perturbed_lattice_entry_fails_anchors(monkeypatch):
+    real = verify.r243_pure_catalog
+    n1 = get_group("R243").generator("n1").code
+
+    def planted(eps, mu):
+        P, jw, reps = real(eps, mu)
+        if (eps, mu) == (1, 2):
+            P = _perturbed_subrep(P, n1, 0, 1)  # an off-diagonal entry of diag(...)
+        return P, jw, reps
+
+    monkeypatch.setattr(verify, "r243_pure_catalog", planted)
+    result = verify.check_anchors()
+    assert not result.passed
+    assert result.failures == ["P(1,2) image of n1 is wrong"]
+
+
+def test_scaled_central_image_fails_characters(monkeypatch):
+    # through Representation.images_at: x2 is central, so Pi(0,1)(x2) = w I
+    real = verify.g27_nonspin_catalog
+
+    def planted():
+        reps = list(real())
+        k = next(i for i, rep in enumerate(reps) if rep.name == "Pi(0,1)")
+        reps[k] = _scaled(reps[k], "x2", OMEGA)
+        return reps
+
+    monkeypatch.setattr(verify, "g27_nonspin_catalog", planted)
+    result = verify.check_characters()
+    assert not result.passed
+    assert result.failures == ["Pi(0,1) at x2^%d is not 3w^%d" % (b, b) for b in (1, 2)]
+
+
+def test_perturbed_central_entry_fails_characters(monkeypatch):
+    # through SubRep.character_values on the lattice table
+    real = verify.g81_partial_catalog
+    z12 = get_group("G81").generator("z12").code
+
+    def planted(eps):
+        P, jw, reps = real(eps)
+        return (_perturbed_subrep(P, z12, 0, 0) if eps == 1 else P), jw, reps
+
+    monkeypatch.setattr(verify, "g81_partial_catalog", planted)
+    result = verify.check_characters()
+    assert not result.passed
+    assert result.failures == ["P(1,0) central value wrong"]
+
+
+def test_duplicated_irreducible_fails_census(monkeypatch):
+    catalog = full_catalog()
+    # the last (2,2) irreducible replaced by a copy of the first character
+    planted = catalog[:-1] + (catalog[0],)
+    monkeypatch.setattr(verify, "full_catalog", lambda: planted)
+    result = verify.check_census()
+    assert not result.passed
+    assert result.failures == [
+        "sum of dim^2 is 235, expected 243",
+        "spin type (0,0) has dims %s" % ([1] * 10 + [3, 3]),
+        "spin type (2,2) has dims [3, 3]",
+        "spin type (0,0) has dim^2 sum 28",
+        "spin type (2,2) has dim^2 sum 18",
+    ]
+
+
+def _first_failing_edge(rho):
+    """Reference for SubRep.verify: the loop over every (u, g) edge in
+    CycMatrix arithmetic."""
+    mult = rho.subgroup.group.table
+    for u in rho.subgroup.codes:
+        for g in rho.subgroup.gen_codes:
+            if rho.eval(u) * rho.eval(g) != rho.eval(int(mult[u, g])):
+                return (u, g)
+    return None
+
+
+def test_perturbed_induced_table_entry_fails_subrep_verify():
+    P, _, _ = r243_pure_catalog(1, 1)
+    mult = P.subgroup.group.table
+    gens = set(P.subgroup.gen_codes)
+    order = [c for c in P.subgroup.codes if c and c not in gens]
+    assert P.verify() is None
+    # codes early, in the middle and last in the table's iteration order
+    for code in (order[0], order[len(order) // 2], order[-1]):
+        planted = _perturbed_subrep(P, code, 2, 1, coeff=4)
+        bad = planted.verify()
+        assert bad is not None
+        assert bad == _first_failing_edge(planted)
+        u, g = bad
+        # the failing edge touches the planted code, and the witness is real
+        assert g in gens and code in (u, int(mult[u, g]))
+        report = verify_rep(planted)
+        assert report.name == "P(1,1)"
+        assert report.detail.startswith("table not multiplicative at (%d, %d): lhs=" % (u, g))
+
+
+def test_perturbed_character_fails_induction():
+    g27 = get_group("G27")
+    chi = dual_group(Subgroup.generated(g27, ["x1", "x2"]), ["x1", "x2"])[4].as_subrep()
+    x3 = g27.generator("x3")
+    section = [g27.identity(), x3, x3 * x3]
+    induce(chi, section)
+    x1 = g27.generator("x1").code
+    planted = _perturbed_subrep(chi, x1, 0, 0, coeff=3)  # chi(x1) + w
+    with pytest.raises(MackeyError, match="not a homomorphism"):
+        induce(planted, section)
+
+
+def test_negated_generator_fails_only_its_cube_rule():
+    # -n1 still satisfies every conjugation rule (n1 enters each side once),
+    # but (-n1)^3 = -I where the presentation says n1^3 = 1
+    rep = irreps_by_spin_type((1, 2))[0]
+    report = verify_rep(_scaled(rep, "n1", -1))
+    assert report.failures == [
+        "cube rule for n1: lhs=%s rhs=%s"
+        % ([["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]],
+           [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])]
+
+
+def test_reordered_diagonal_fails_only_a_conjugation_rule():
+    # diag(1, w^2, w) -> diag(w^2, 1, w) keeps n1^3 = I but breaks
+    # phi(n2)n1 = z12^-1 n1
+    rep = irreps_by_spin_type((1, 2))[0]
+    rows = [list(row) for row in rep.images["n1"].rows]
+    rows[0][0], rows[1][1] = rows[1][1], rows[0][0]
+    images = dict(rep.images, n1=CycMatrix(rows))
+    report = verify_rep(Representation(rep.group, images, rep.name, rep.spin_type))
+    assert len(report.failures) == 1
+    assert report.detail.startswith("conjugation rule phi(n2)n1: lhs=")

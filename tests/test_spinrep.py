@@ -136,6 +136,21 @@ def test_verify_rep_negative_control():
     assert report.detail
 
 
+def test_batched_images_match_generator_products():
+    # reference: the product of generator-image powers in normal-form
+    # order, in CycMatrix arithmetic
+    for rep in (irreps_by_spin_type((2, 1))[1], irreps_by_spin_type((0, 0))[10]):
+        group = rep.group
+        codes = list(range(0, group.order, 7)) + [group.order - 1]
+        L, den = rep.images_at(codes)
+        for k, code in enumerate(codes):
+            want = CycMatrix.identity(rep.dim)
+            for gen, e in zip(group.schema.gens, group.exps_of(code)):
+                want = want * rep.images[gen] ** e
+            assert CycMatrix.from_lattice(L[k], den) == want
+            assert rep.eval(code) == want
+
+
 class TestCharacters:
     def test_induced_character_formula(self):
         g27 = get_group("G27")
