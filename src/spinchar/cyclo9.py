@@ -368,10 +368,11 @@ def from_lattice(coeffs, den=1):
     return _lattice_scalar(tuple(int(v) for v in coeffs), int(den))
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=256)
 def _lattice_scalar(coeffs, den):
-    # tables repeat a few dozen values; the scalars are immutable, so one
-    # instance per value is shared
+    # one `spinchar verify` converts about 12,000 entries but only 46
+    # distinct values (export commands: at most 29), so 256 never evicts on
+    # the CLI; the scalars are immutable, so one instance per value is shared
     x = Cyc9([Fraction(v, den) for v in coeffs])
     sub = x.to_cyc()
     return x if sub is None else sub

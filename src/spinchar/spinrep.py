@@ -148,21 +148,31 @@ def verify_rep(rep):
     from the generator powers (and one CycMatrix inverse per generator),
     the right sides from `Representation.images_at` at the collected
     words.  Only a failing rule is converted back to matrices for its
-    witness; failures are reported in rule order.
+    witness; failures are reported in rule order.  Entries that leave the
+    int64 lattice are reported as the failure, not raised.
     """
     report = CheckReport(rep.name or "subrep")
-
-    def fail(desc, lhs, rhs):
-        report.fail("%s: lhs=%s rhs=%s" % (desc, lhs.str_rows(), rhs.str_rows()))
+    try:
+        bad = _first_broken_rule(rep)
+    except CycError as exc:
+        report.fail("entries leave the exact lattice: %s" % exc)
         return report
+    if bad is not None:
+        desc, lhs, rhs = bad
+        report.fail("%s: lhs=%s rhs=%s" % (desc, lhs.str_rows(), rhs.str_rows()))
+    return report
 
+
+def _first_broken_rule(rep):
+    """(description, lhs, rhs) of the first rule verify_rep finds broken,
+    or None; raises CycError when the entries leave the lattice."""
     if isinstance(rep, SubRep):
         bad = rep.verify()
-        if bad is not None:
-            u, g = bad
-            return fail("table not multiplicative at (%d, %d)" % (u, g),
-                        rep.eval(u) * rep.eval(g), rep.eval(rep.subgroup.group.mult(u, g)))
-        return report
+        if bad is None:
+            return None
+        u, g = bad
+        return ("table not multiplicative at (%d, %d)" % (u, g),
+                rep.eval(u) * rep.eval(g), rep.eval(rep.subgroup.group.mult(u, g)))
 
     group = rep.group
     sch = group.schema
@@ -181,7 +191,7 @@ def verify_rep(rep):
     bad = first_mismatch(cubes, words)
     if bad is not None:
         j, lhs, rhs = bad
-        return fail("cube rule for %s" % sch.gens[j], lhs, rhs)
+        return "cube rule for %s" % sch.gens[j], lhs, rhs
     rules = [(j, i) for j in range(len(sch.gens)) for i in range(j)]
     if rules:
         inverses, inv_den = to_lattice([rep.images[gen].inverse().rows for gen in sch.gens[1:]])
@@ -195,13 +205,13 @@ def verify_rep(rep):
         if bad is not None:
             k, lhs, rhs = bad
             j, i = rules[k]
-            return fail("conjugation rule phi(%s)%s" % (sch.gens[j], sch.gens[i]), lhs, rhs)
+            return "conjugation rule phi(%s)%s" % (sch.gens[j], sch.gens[i]), lhs, rhs
     for gen in sch.multiplier:
         scal = rep.images[gen].as_scalar()
         if scal is None or root_exponent(scal) is None:
-            return fail("multiplier %s not a cube-root scalar" % gen,
-                        rep.images[gen], CycMatrix.identity(rep.dim))
-    return report
+            return ("multiplier %s not a cube-root scalar" % gen,
+                    rep.images[gen], CycMatrix.identity(rep.dim))
+    return None
 
 
 @dataclass

@@ -45,6 +45,13 @@ def test_huge_generator_is_refused_not_wrapped():
         restrict_to_projective(rep)
 
 
+def test_huge_generator_fails_verify_rep_with_a_report():
+    rep = _scaled(irreps_by_spin_type((1, 1))[0], "n1", 10 ** 12)
+    report = verify_rep(rep)
+    assert not report.passed
+    assert "lattice" in report.detail
+
+
 def _perturbed_table(row, cls):
     table = spin_character_table()
     rows = [(name, st, dim, list(values)) for name, st, dim, values in table.rows]
