@@ -181,7 +181,7 @@ def cmd_cocycle(args):
     if spin is None:
         raise UsageError("cocycle needs one spin type, not 'all'")
     reps = irreps_by_spin_type(spin)
-    if args.irrep:
+    if args.irrep is not None:
         match = [r for r in reps if r.name == args.irrep]
         if not match:
             raise UsageError("no irreducible %r of spin type %s (have %s)"

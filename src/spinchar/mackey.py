@@ -5,8 +5,9 @@ listed linear characters) with the convention (w.chi)(u) = chi(w^-1 u w),
 orbit/stabilizer decomposition, and
 explicit matrix induction over a coset section on the delta-function basis
 (contragredient convention, so inducing the trivial-orbit characters of the
-base group reproduces the cyclic shift J exactly).  Subgroup representations
-hold their value tables on the exact int64 lattice of `cyclo9`.
+base group reproduces the cyclic shift J exactly).  A representation holds
+only its generator images; values and the homomorphism check run on the
+exact int64 lattice of `cyclo9`.
 """
 
 from dataclasses import dataclass
@@ -15,8 +16,8 @@ from itertools import product
 import numpy as np
 
 from .cyclo import root_of_unity
-from .cyclo9 import (from_lattice, lattice_einsum, lattice_equal, lattice_identity,
-                     lattice_matmul, to_lattice)
+from .cyclo9 import (from_lattice, lattice_common, lattice_einsum, lattice_equal,
+                     lattice_identity, lattice_matmul, to_lattice)
 from .linalg import CycMatrix
 from .groups import Subgroup
 
@@ -47,11 +48,8 @@ class DualCharacter:
         return root_of_unity(self.exps[int(code)])
 
     def as_subrep(self, name=None):
-        roots, _ = to_lattice([root_of_unity(e) for e in range(3)])
-        codes = list(self.exps)
-        table = np.zeros((self.subgroup.group.order, 1, 1, 6), dtype=np.int64)
-        table[codes, 0, 0] = roots[[self.exps[c] for c in codes]]
-        return SubRep(self.subgroup, table, 1, name or ("chi%s" % (self.label,)))
+        images = [CycMatrix([[self.value(g)]]) for g in self.subgroup.gen_codes]
+        return SubRep(self.subgroup, images, name or ("chi%s" % (self.label,)))
 
     def __eq__(self, other):
         return isinstance(other, DualCharacter) and self.exps == other.exps \
@@ -172,66 +170,130 @@ def orbit_decomposition(duals, w_gens, group=None):
 
 
 class SubRep:
-    """A matrix representation of a subgroup, held as one exact lattice.
+    """A matrix representation of a subgroup, held by its generator images.
 
-    `table` is an int64 array of shape (|G|, d, d, 6) indexed by the element
-    codes of the whole group G: the image of a code u of the subgroup is
-    table[u] / den, entry by entry in the power-basis coefficients of
-    `cyclo9`.  Rows outside the subgroup are zero and never read.
-    `DualCharacter.as_subrep` and `induce` write the table directly; `eval`
-    converts one row to a CycMatrix for callers that solve with it or print
-    it.
+    The domain's generators are schema generators in normal-form order, and
+    its elements are exactly the normal forms supported on them, so the
+    image of any element is the product of generator powers read off its
+    exponent vector.  The images are given in generator order, one
+    CycMatrix each, and kept by generator name in `images`.  `images_at`
+    multiplies cached generator powers on the exact int64 lattice of
+    `cyclo9`, many elements per call.  The powers are built on first use,
+    so a representation whose entries do not fit the lattice can still be
+    built and printed; evaluating it raises CycError.  No table is kept.
     """
 
-    def __init__(self, subgroup, table, den, name=None):
-        if table.shape[0] != subgroup.group.order or table.shape[1] != table.shape[2]:
-            raise MackeyError("representation table does not match its domain")
+    def __init__(self, subgroup, images, name=None):
+        group = subgroup.group
+        gens = subgroup.gen_codes
+        if list(gens) != [g for g in group.gen_codes if g in gens]:
+            raise MackeyError("domain generators must be schema generators in normal-form order")
+        if len(images) != len(gens) or not gens:
+            raise MackeyError("need one image per domain generator, and at least one")
+        weights = np.array(gens, dtype=np.int64)
+        normal_forms = np.array(list(product(range(3), repeat=len(gens)))) @ weights
+        if frozenset(normal_forms.tolist()) != subgroup.codes:
+            raise MackeyError("the domain is not the normal forms on its generators")
         self.subgroup = subgroup
-        self.table = table
-        self.den = den
-        self.dim = table.shape[1]
+        self.group = group
+        self.images = {group.schema.gens[group.gen_codes.index(g)]: M
+                       for g, M in zip(gens, images)}
+        self.dim = images[0].n
         self.name = name
+        self._weights = weights
+        self._powers = None
+
+    def powers(self):
+        """(P, den): P[k, e] / den is the lattice image of the k-th domain
+        generator to the power e, for e = 0, 1, 2; shape (ngens, 3, d, d, 6)."""
+        if self._powers is None:
+            L, den = to_lattice([M.rows for M in self.images.values()])
+            sq, sq_den = lattice_matmul(L, den, L, den)
+            eye = np.broadcast_to(lattice_identity(self.dim), L.shape)
+            (eye, L, sq), den = lattice_common((eye, 1), (L, den), (sq, sq_den))
+            self._powers = (np.stack([eye, L, sq], axis=1), den)
+        return self._powers
+
+    def images_at(self, codes):
+        """The images at many element codes as one lattice (L, den), L of
+        shape (len(codes), d, d, 6): the product of the generator powers in
+        each code's normal form, one lattice product per generator."""
+        codes = np.array(codes, dtype=np.int64).reshape(-1)
+        exps = codes[:, None] // self._weights % 3
+        outside = np.flatnonzero(exps @ self._weights != codes)
+        if len(outside):
+            raise MackeyError("element %d lies outside the domain of %s"
+                              % (codes[outside[0]], self.name))
+        P, den = self.powers()
+        out, out_den = P[0, exps[:, 0]], den
+        for k in range(1, len(P)):
+            out, out_den = lattice_matmul(out, out_den, P[k, exps[:, k]], den)
+        return out, out_den
 
     def eval(self, code):
-        code = int(code)
-        if code not in self.subgroup.codes:
-            raise MackeyError("element %d lies outside the domain of %s" % (code, self.name))
-        return CycMatrix.from_lattice(self.table[code], self.den)
+        L, den = self.images_at([code])
+        return CycMatrix.from_lattice(L[0], den)
+
+    def character_values(self, codes=None):
+        """The traces at `codes` (default: the whole domain), by code."""
+        codes = sorted(self.subgroup.codes) if codes is None else list(codes)
+        L, den = self.images_at(codes)
+        traces = lattice_einsum("cjjp->cp", L)
+        return {code: from_lattice(t, den) for code, t in zip(codes, traces)}
 
     def verify(self):
-        """Exact homomorphism check over generator edges (hence all pairs).
+        """The exact homomorphism check: the first broken rule of the
+        domain's presentation as (description, lhs, rhs), or None.
 
-        Returns None, (0, 0) when the identity does not map to I, or the
-        first (u, g) with rho(u) rho(g) != rho(ug), u in the subgroup's
-        iteration order and g among its generators.  One lattice product
-        per generator covers every u at once.
+        The rules are the cube rules g^3 and the literal conjugation rules
+        gj gi gj^-1 (i before j) among the domain's generators, with right
+        sides evaluated at the product codes from the Cayley table.  The
+        domain is exactly the normal forms on these generators, so the
+        rules hold iff evaluation is a homomorphism.  Each family runs as
+        one lattice batch (one CycMatrix inverse per generator after the
+        first); only a failing rule is converted back to matrices for its
+        witness.  Raises CycError when entries leave the lattice.
         """
-        T, den = self.table, self.den
-        if not lattice_equal(T[0], den, lattice_identity(self.dim), 1).all():
-            return (0, 0)
-        mult = self.subgroup.group.table
-        codes = np.fromiter(self.subgroup.codes, dtype=np.int64)
-        gens = self.subgroup.gen_codes
-        at_codes = T[codes]
-        bad = np.zeros((len(codes), len(gens)), dtype=bool)
-        for k, g in enumerate(gens):
-            prod, prod_den = lattice_matmul(at_codes, den, T[g], den)
-            same = lattice_equal(prod, prod_den, T[mult[codes, g]], den)
-            bad[:, k] = ~same.all(axis=(1, 2, 3))
-        hits = np.argwhere(bad)
-        if len(hits):
-            u, k = hits[0]
-            return (int(codes[u]), int(gens[k]))
+        group = self.group
+        table = group.table
+        names = list(self.images)
+        gens = np.array(self.subgroup.gen_codes)
+        P, den = self.powers()
+        cubes = lattice_matmul(P[:, 2], den, P[:, 1], den)
+        bad = _first_mismatch(cubes, self.images_at(table[table[gens, gens], gens]))
+        if bad is not None:
+            k, lhs, rhs = bad
+            return "cube rule for %s" % names[k], lhs, rhs
+        rules = [(j, i) for j in range(len(gens)) for i in range(j)]
+        if not rules:
+            return None
+        inverses, inv_den = to_lattice([M.inverse().rows
+                                        for M in list(self.images.values())[1:]])
+        js, iss = np.array(rules).T
+        conj, conj_den = lattice_matmul(P[js, 1], den, P[iss, 1], den)
+        conj = lattice_matmul(conj, conj_den, inverses[js - 1], inv_den)
+        words = self.images_at([group.conjugate(gens[i], gens[j]) for j, i in rules])
+        bad = _first_mismatch(conj, words)
+        if bad is not None:
+            k, lhs, rhs = bad
+            j, i = rules[k]
+            return "conjugation rule phi(%s)%s" % (names[j], names[i]), lhs, rhs
         return None
-
-    def character_values(self):
-        codes = list(self.subgroup.codes)
-        traces = lattice_einsum("cjjp->cp", self.table[codes])
-        return {code: from_lattice(t, self.den) for code, t in zip(codes, traces)}
 
     def __repr__(self):
         return "SubRep(%s, dim=%d, |domain|=%d)" % (self.name, self.dim,
                                                     self.subgroup.order)
+
+
+def _first_mismatch(lhs, rhs):
+    """(k, lhs[k], rhs[k]) as CycMatrix for the first unequal pair of two
+    lattice batches, or None."""
+    (L, L_den), (R, R_den) = lhs, rhs
+    bad = np.flatnonzero(~lattice_equal(L, L_den, R, R_den).all(axis=(1, 2, 3)))
+    if not len(bad):
+        return None
+    k = bad[0]
+    return k, CycMatrix.from_lattice(L[k], L_den), CycMatrix.from_lattice(R[k], R_den)
 
 
 def induce(rho, section, name=None):
@@ -239,45 +301,40 @@ def induce(rho, section, name=None):
 
     `section` lists coset representatives s_0, ..., s_{k-1} (s_0 = 1) with
     the induced group being H * {s_j}; the matrix of y has block (j, i)
-    equal to rho(u) where s_j y = u s_i.  The blocks are placed into the
-    induced lattice table with index arrays, one section element at a time.
-    Raises when the section is not an exact transversal or when the result
-    fails the homomorphism check.
+    equal to rho(u) where s_j y = u s_i.  The blocks are computed only at
+    the target's generators, the schema generators it contains (H's and the
+    section generator s of (1, s, s^2)), with one `images_at` call.  Raises
+    when the section is not an exact transversal, when the target is not
+    the normal forms on its generators, or when the result fails the
+    homomorphism check.
     """
     H = rho.subgroup
-    group = H.group
+    group = rho.group
     table = group.table
-    inv = group.inv
     sect = np.array([group.element(s).code for s in section])
     if sect[0] != 0:
         raise MackeyError("section must start at the identity")
 
+    cosets = table[sorted(H.codes)][:, sect].T      # row i: the coset H s_i
+    if len(np.unique(cosets)) != cosets.size:
+        raise MackeyError("section is not a transversal: cosets overlap")
     coset_of = np.full(group.order, -1)
-    for i, s in enumerate(sect):
-        for h in H.codes:
-            y = int(table[h, s])
-            if coset_of[y] >= 0:
-                raise MackeyError("section is not a transversal: cosets overlap")
-            coset_of[y] = i
-    target_codes = frozenset(int(y) for y in np.flatnonzero(coset_of >= 0))
+    coset_of[cosets] = np.arange(len(sect))[:, None]
+    target_codes = frozenset(cosets.ravel().tolist())
 
-    k = len(sect)
-    d = rho.dim
-    ys = np.fromiter(target_codes, dtype=np.int64)
-    blocks = np.zeros((group.order, k, d, k, d, 6), dtype=np.int64)
-    for j, sj in enumerate(sect):
-        t = table[sj, ys]
-        i = coset_of[t]
-        if (i < 0).any():
-            raise MackeyError("section does not close under the target")
-        u = table[t, inv[sect[i]]]
-        # block (j, i) of y sits at rows j*d.. and columns i*d.. after the reshape
-        blocks[ys, j, :, i] = rho.table[u]
-
-    target = Subgroup(group, target_codes,
-                      tuple(H.gen_codes) + tuple(int(s) for s in sect if s))
-    out = SubRep(target, blocks.reshape(group.order, k * d, k * d, 6), rho.den, name)
+    gens = [g for g in group.gen_codes if g in target_codes]
+    t = table[sect[:, None], gens]                  # s_j y, shape (k, m)
+    i = coset_of[t]
+    if (i < 0).any():
+        raise MackeyError("section does not close under the target")
+    k, m, d = len(sect), len(gens), rho.dim
+    L, den = rho.images_at(table[t, group.inv[sect[i]]])   # u = s_j y s_i^-1
+    blocks = np.zeros((m, k, d, k, d, 6), dtype=np.int64)
+    # block (j, i) of y sits at rows j*d.. and columns i*d.. after the reshape
+    blocks[np.arange(m), np.arange(k)[:, None], :, i] = L.reshape(k, m, d, d, 6)
+    images = [CycMatrix.from_lattice(B, den) for B in blocks.reshape(m, k * d, k * d, 6)]
+    out = SubRep(Subgroup(group, target_codes, tuple(gens)), images, name)
     bad = out.verify()
     if bad is not None:
-        raise MackeyError("induced table is not a homomorphism at %r" % (bad,))
+        raise MackeyError("induced representation is not a homomorphism: %s" % bad[0])
     return out

@@ -9,6 +9,7 @@ partially-spin families (built on the two intermediate coverings via the
 intertwiner-extension method for a semidirect product with non-abelian
 base), and four purely-spin families (built on the representation group
 itself), then inflated to the representation group along the covering maps.
+Each is a `Representation`: a `mackey.SubRep` of a whole group plus its spin type.
 """
 
 from dataclasses import dataclass
@@ -18,13 +19,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .cyclo import CycError, ZERO, ONE, OMEGA, OMEGA2, root_of_unity, root_exponent
-from .cyclo9 import (CONJ, MUL_W, cyc9_cbrt, from_lattice, lattice_common, lattice_einsum,
-                     lattice_equal, lattice_identity, lattice_matmul, scalar_str,
-                     to_lattice)
+from .cyclo9 import (CONJ, MUL_W, cyc9_cbrt, from_lattice, lattice_einsum, lattice_equal,
+                     lattice_matmul, scalar_str, to_lattice)
 from .linalg import CycMatrix, intertwiner_space
-from .groups import CheckReport, Subgroup, collect, get_group, covering_data
-from .mackey import (DualCharacter, SubRep, MackeyError, dual_group, orbit_decomposition,
-                     induce)
+from .groups import CheckReport, Subgroup, get_group, covering_data
+from .mackey import DualCharacter, SubRep, dual_group, orbit_decomposition, induce
 
 
 class RepError(ValueError):
@@ -66,25 +65,16 @@ def intertwiner_alpha(e):
     return trace_anchor(e) / 3
 
 
-class Representation:
-    """Generator-image representation of a full schema group.
+class Representation(SubRep):
+    """A SubRep of a whole schema group, with its spin type.
 
-    `images` maps each generator name to its CycMatrix.  The image at any
-    other element comes from `images_at`, which multiplies cached generator
-    powers on the exact int64 lattice of `cyclo9`, many elements per call.
-    The lattice powers are built on first use, not at construction, so a
-    representation whose entries do not fit the lattice can still be built
-    (and printed); evaluating it raises CycError.  No full value table is
-    kept.
+    `images` maps every schema generator's name to its CycMatrix; the spin
+    type is read off the multiplier images unless given.
     """
 
     def __init__(self, group, images, name, spin_type=None):
-        self.group = group
-        self.images = dict(images)
-        self.name = name
-        first = next(iter(self.images.values()))
-        self.dim = first.n
-        self._powers = None
+        whole = Subgroup(group, frozenset(range(group.order)), group.gen_codes)
+        super().__init__(whole, [images[gen] for gen in group.schema.gens], name)
         if spin_type is None:
             spin_type = self._infer_spin_type()
         self.spin_type = spin_type
@@ -100,118 +90,37 @@ class Representation:
             vals[gen] = e
         return SpinType(vals["z12"], vals["z23"])
 
-    def powers(self):
-        """(P, den): P[k, e] / den is the lattice image of the k-th schema
-        generator to the power e, for e = 0, 1, 2; shape (ngens, 3, d, d, 6)."""
-        if self._powers is None:
-            L, den = to_lattice([self.images[gen].rows for gen in self.group.schema.gens])
-            sq, sq_den = lattice_matmul(L, den, L, den)
-            eye = np.broadcast_to(lattice_identity(self.dim), L.shape)
-            (eye, L, sq), den = lattice_common((eye, 1), (L, den), (sq, sq_den))
-            self._powers = (np.stack([eye, L, sq], axis=1), den)
-        return self._powers
-
-    def images_at(self, codes):
-        """The images at many element codes as one lattice (L, den), L of
-        shape (len(codes), d, d, 6): the product of the generator powers in
-        each code's normal form, one lattice product per generator."""
-        P, den = self.powers()
-        exps = np.array([self.group.exps_of(int(c)) for c in codes], dtype=np.int64)
-        exps = exps.reshape(len(exps), len(P))
-        out, out_den = P[0, exps[:, 0]], den
-        for k in range(1, len(P)):
-            out, out_den = lattice_matmul(out, out_den, P[k, exps[:, k]], den)
-        return out, out_den
-
-    def eval(self, code):
-        L, den = self.images_at([code])
-        return CycMatrix.from_lattice(L[0], den)
-
     def character(self):
         reps = [rep for rep, _ in self.group.conjugacy_classes()]
-        L, den = self.images_at(reps)
-        traces = lattice_einsum("cjjp->cp", L)
-        values = {rep: from_lattice(t, den) for rep, t in zip(reps, traces)}
-        return ClassFunction(self.group, values, name=self.name)
+        return ClassFunction(self.group, self.character_values(reps), name=self.name)
 
     def __repr__(self):
         return "Representation(%s, dim=%d, spin=%s)" % (self.name, self.dim, self.spin_type)
 
 
 def verify_rep(rep):
-    """Check every power and conjugation rule of the schema as an exact
-    matrix identity, plus the multiplier scalars; also accepts a SubRep.
-    The report holds at most one failure, with both sides as witnesses.
-
-    The cube rules g^3 = w(g) and the conjugation rules gj gi gj^-1 =
-    w(j, i) are each evaluated as one batch on the lattice: the left sides
-    from the generator powers (and one CycMatrix inverse per generator),
-    the right sides from `Representation.images_at` at the collected
-    words.  Only a failing rule is converted back to matrices for its
-    witness; failures are reported in rule order.  Entries that leave the
-    int64 lattice are reported as the failure, not raised.
+    """Check a representation's presentation rules (`SubRep.verify`) and
+    that every multiplier generator in its domain maps to a cube-root
+    scalar.  The report holds at most one failure, with both sides as
+    witnesses; entries that leave the int64 lattice are reported as the
+    failure, not raised.
     """
     report = CheckReport(rep.name or "subrep")
     try:
-        bad = _first_broken_rule(rep)
+        bad = rep.verify()
     except CycError as exc:
         report.fail("entries leave the exact lattice: %s" % exc)
         return report
+    for gen in rep.group.schema.multiplier:
+        if bad is None and gen in rep.images:
+            scal = rep.images[gen].as_scalar()
+            if scal is None or root_exponent(scal) is None:
+                bad = ("multiplier %s not a cube-root scalar" % gen,
+                       rep.images[gen], CycMatrix.identity(rep.dim))
     if bad is not None:
         desc, lhs, rhs = bad
         report.fail("%s: lhs=%s rhs=%s" % (desc, lhs.str_rows(), rhs.str_rows()))
     return report
-
-
-def _first_broken_rule(rep):
-    """(description, lhs, rhs) of the first rule verify_rep finds broken,
-    or None; raises CycError when the entries leave the lattice."""
-    if isinstance(rep, SubRep):
-        bad = rep.verify()
-        if bad is None:
-            return None
-        u, g = bad
-        return ("table not multiplicative at (%d, %d)" % (u, g),
-                rep.eval(u) * rep.eval(g), rep.eval(rep.subgroup.group.mult(u, g)))
-
-    group = rep.group
-    sch = group.schema
-
-    def first_mismatch(lhs, rhs):
-        (L, L_den), (R, R_den) = lhs, rhs
-        bad = np.flatnonzero(~lattice_equal(L, L_den, R, R_den).all(axis=(1, 2, 3)))
-        if not len(bad):
-            return None
-        k = bad[0]
-        return k, CycMatrix.from_lattice(L[k], L_den), CycMatrix.from_lattice(R[k], R_den)
-
-    P, den = rep.powers()
-    cubes = lattice_matmul(P[:, 2], den, P[:, 1], den)
-    words = rep.images_at([group.code_of(collect(sch, list(w))) for w in sch.power])
-    bad = first_mismatch(cubes, words)
-    if bad is not None:
-        j, lhs, rhs = bad
-        return "cube rule for %s" % sch.gens[j], lhs, rhs
-    rules = [(j, i) for j in range(len(sch.gens)) for i in range(j)]
-    if rules:
-        inverses, inv_den = to_lattice([rep.images[gen].inverse().rows for gen in sch.gens[1:]])
-        js = np.array([j for j, _ in rules])
-        iss = np.array([i for _, i in rules])
-        conj, conj_den = lattice_matmul(P[js, 1], den, P[iss, 1], den)
-        conj = lattice_matmul(conj, conj_den, inverses[js - 1], inv_den)
-        words = rep.images_at([group.code_of(collect(sch, list(sch.conj_word(j, i))))
-                               for j, i in rules])
-        bad = first_mismatch(conj, words)
-        if bad is not None:
-            k, lhs, rhs = bad
-            j, i = rules[k]
-            return "conjugation rule phi(%s)%s" % (sch.gens[j], sch.gens[i]), lhs, rhs
-    for gen in sch.multiplier:
-        scal = rep.images[gen].as_scalar()
-        if scal is None or root_exponent(scal) is None:
-            return ("multiplier %s not a cube-root scalar" % gen,
-                    rep.images[gen], CycMatrix.identity(rep.dim))
-    return None
 
 
 @dataclass
@@ -253,14 +162,13 @@ def intertwiner_solutions(rho, w):
     """The three normalized intertwiners J with rho(w u w^-1) J = J rho(u)
     and J^3 = I, for an irreducible rho whose twist by w is equivalent to it.
 
-    Raises when the solution space is not 1-dimensional (a Schur violation)
-    or when no scaling in Q(zeta9) normalizes the cube.
+    Raises MackeyError when w does not normalize rho's domain (`eval`
+    refuses a twisted generator outside it), and RepError when the solution
+    space is not 1-dimensional (a Schur violation), when no scaling in
+    Q(zeta9) normalizes the cube, or when a normalized cube is not I.
     """
-    group = rho.subgroup.group
+    group = rho.group
     w = group.element(w).code
-    for u in rho.subgroup.codes:
-        if group.conjugate(u, w) not in rho.subgroup.codes:
-            raise MackeyError("acting element does not preserve the domain")
     pairs = []
     for u in rho.subgroup.gen_codes:
         pairs.append((rho.eval(group.conjugate(u, w)), rho.eval(u)))
@@ -279,7 +187,8 @@ def intertwiner_solutions(rho, w):
     out = []
     for k in range(3):
         M = X.scale(t * root_of_unity(k))
-        assert M ** 3 == CycMatrix.identity(rho.dim)
+        if M ** 3 != CycMatrix.identity(rho.dim):
+            raise RepError("normalized intertwiner cube is not the identity")
         out.append(M)
     return out
 
@@ -307,9 +216,10 @@ def solve_intertwiner(rho, w, preferred_trace=None):
             chosen = min(sols, key=lambda M: tuple(scalar_str(x)
                                                    for row in M.rows for x in row))
 
-    group = rho.subgroup.group
+    group = rho.group
     wc = group.element(w).code
     gens = list(rho.subgroup.gen_codes)
+    G, G_den = rho.images_at(gens)
     J, J_den = to_lattice(chosen.rows)
     Ji, Ji_den = J, J_den
     wi = wc
@@ -317,9 +227,9 @@ def solve_intertwiner(rho, w, preferred_trace=None):
         if i > 1:
             Ji, Ji_den = lattice_matmul(Ji, Ji_den, J, J_den)
             wi = group.mult(wi, wc)
-        twisted = rho.table[[group.conjugate(u, wi) for u in gens]]
-        lhs = lattice_matmul(twisted, rho.den, Ji, Ji_den)
-        rhs = lattice_matmul(Ji, Ji_den, rho.table[gens], rho.den)
+        twisted, t_den = rho.images_at([group.conjugate(u, wi) for u in gens])
+        lhs = lattice_matmul(twisted, t_den, Ji, Ji_den)
+        rhs = lattice_matmul(Ji, Ji_den, G, G_den)
         if not lattice_equal(*lhs, *rhs).all():
             raise RepError("intertwiner power %d fails its equation" % i)
     return chosen
@@ -331,17 +241,12 @@ def extend_and_tensor(rho, jw, r, w_gen, name):
     rho must cover every schema generator except `w_gen`, which maps to
     w^r * jw.  The result is verified against the full schema.
     """
-    group = rho.subgroup.group
-    images = {}
-    for gen in group.schema.gens:
-        if gen == w_gen:
-            images[gen] = jw.scale(root_of_unity(r))
-        else:
-            code = group.generator(gen).code
-            if code not in rho.subgroup.codes:
-                raise RepError("generator %s is covered by neither rho nor w" % gen)
-            images[gen] = rho.eval(code)
-    rep = Representation(group, images, name)
+    images = dict(rho.images)
+    images[w_gen] = jw.scale(root_of_unity(r))
+    missing = [gen for gen in rho.group.schema.gens if gen not in images]
+    if missing:
+        raise RepError("generator %s is covered by neither rho nor w" % missing[0])
+    rep = Representation(rho.group, images, name)
     report = verify_rep(rep)
     if not report.passed:
         raise RepError("extension is not a representation: %s" % report.detail)
@@ -369,8 +274,7 @@ def g27_nonspin_catalog():
     for n in (1, 2):
         chi = next(c for c in duals if c.label == (0, n))
         ind = induce(chi.as_subrep(), section, name="Pi(0,%d)" % n)
-        images = {gen: ind.eval(g27.generator(gen).code) for gen in g27.schema.gens}
-        reps.append(Representation(g27, images, "Pi(0,%d)" % n))
+        reps.append(Representation(g27, ind.images, ind.name))
     return reps
 
 
@@ -686,7 +590,9 @@ def mu_route_direct(mu):
                 _, e1, e2, e3, _ = r243.exps_of(code)
                 exps[code] = (mu * e1 + a * e2 + b * e3) % 3
             chi = DualCharacter(U, gen_codes, (a, b), exps)
-            if chi.as_subrep().verify() is not None:
+            sub = chi.as_subrep()  # a homomorphism that must reproduce every value
+            if sub.verify() is not None or sub.character_values() != {
+                    code: chi.value(code) for code in U.codes}:
                 raise RepError("direct-route character is not multiplicative")
             chis.append(chi)
     n3 = r243.generator("n3")
@@ -695,6 +601,5 @@ def mu_route_direct(mu):
         label = orbit.representative.label
         ind = induce(orbit.representative.as_subrep(), [r243.identity(), n3, n3 * n3],
                      name="Ind%s" % (label,))
-        images = {gen: ind.eval(r243.generator(gen).code) for gen in r243.schema.gens}
-        out.append(Representation(r243, images, ind.name))
+        out.append(Representation(r243, ind.images, ind.name))
     return out

@@ -116,7 +116,6 @@ def check_orbits():
 
 def check_anchors():
     failures = []
-    g27 = get_group("G27")
     for rep in g27_nonspin_catalog():
         if rep.name.startswith("Pi(0,") and rep.dim == 3:
             n = int(rep.name[5])
@@ -127,28 +126,26 @@ def check_anchors():
                 failures.append("%s image of x1 is wrong" % rep.name)
             if rep.images["x2"] != CycMatrix.scalar(3, root_of_unity(n)):
                 failures.append("%s image of x2 is wrong" % rep.name)
-    g81 = get_group("G81")
     for eps in (1, 2):
         P, _, _ = g81_partial_catalog(eps)
-        if P.eval(g81.generator("z12").code) != CycMatrix.scalar(3, root_of_unity(eps)):
+        if P.images["z12"] != CycMatrix.scalar(3, root_of_unity(eps)):
             failures.append("P(%d,0) image of z12 is wrong" % eps)
-        if P.eval(g81.generator("xi1").code) != CycMatrix.diagonal(
+        if P.images["xi1"] != CycMatrix.diagonal(
                 [ONE, root_of_unity(-eps), root_of_unity(eps)]):
             failures.append("P(%d,0) image of xi1 is wrong" % eps)
-        if P.eval(g81.generator("xi2").code) != J_SHIFT:
+        if P.images["xi2"] != J_SHIFT:
             failures.append("P(%d,0) image of xi2 is wrong" % eps)
-    r243 = get_group("R243")
     for eps in (1, 2):
         for mu in (1, 2):
             P, _, _ = r243_pure_catalog(eps, mu)
-            if P.eval(r243.generator("z23").code) != CycMatrix.scalar(3, root_of_unity(mu)):
+            if P.images["z23"] != CycMatrix.scalar(3, root_of_unity(mu)):
                 failures.append("P(%d,%d) image of z23 is wrong" % (eps, mu))
-            if P.eval(r243.generator("z12").code) != CycMatrix.scalar(3, root_of_unity(eps)):
+            if P.images["z12"] != CycMatrix.scalar(3, root_of_unity(eps)):
                 failures.append("P(%d,%d) image of z12 is wrong" % (eps, mu))
-            if P.eval(r243.generator("n1").code) != CycMatrix.diagonal(
+            if P.images["n1"] != CycMatrix.diagonal(
                     [ONE, root_of_unity(-eps), root_of_unity(eps)]):
                 failures.append("P(%d,%d) image of n1 is wrong" % (eps, mu))
-            if P.eval(r243.generator("n2").code) != J_SHIFT:
+            if P.images["n2"] != J_SHIFT:
                 failures.append("P(%d,%d) image of n2 is wrong" % (eps, mu))
     return CheckReport("anchors", failures,
                        "induced matrices match the displayed forms entrywise")
@@ -309,24 +306,14 @@ def check_associativity():
 
 
 def check_representations():
+    bases = ([g81_partial_catalog(eps)[0] for eps in (1, 2)]
+             + [gbar_partial_catalog(mu)[0] for mu in (1, 2)]
+             + [r243_pure_catalog(eps, mu)[0] for eps in (1, 2) for mu in (1, 2)])
     failures = []
-    for rep in full_catalog():
+    for rep in list(full_catalog()) + bases:
         report = verify_rep(rep)
         if not report.passed:
             failures.append("%s: %s" % (rep.name, report.detail))
-    for eps in (1, 2):
-        P, _, _ = g81_partial_catalog(eps)
-        if verify_rep(P).passed is False:
-            failures.append("P(%d,0) table fails" % eps)
-    for mu in (1, 2):
-        P, _, _ = gbar_partial_catalog(mu)
-        if verify_rep(P).passed is False:
-            failures.append("P(0,%d) table fails" % mu)
-    for eps in (1, 2):
-        for mu in (1, 2):
-            P, _, _ = r243_pure_catalog(eps, mu)
-            if verify_rep(P).passed is False:
-                failures.append("P(%d,%d) table fails" % (eps, mu))
     return CheckReport("representations", failures,
                        "all 35 catalog representations and the 8 induced base "
                        "representations pass every relation exactly")

@@ -158,6 +158,11 @@ def test_cocycle_command(capsys):
     code, _, err = run_cli(capsys, "cocycle", "--spin", "1,1", "--irrep", "nope")
     assert code == 2
 
+    # an empty name is a name that matches nothing, not "no --irrep given"
+    code, out, err = run_cli(capsys, "cocycle", "--spin", "1,1", "--irrep=")
+    assert (code, out) == (2, "")
+    assert "no irreducible ''" in err
+
 
 def test_verify_subset(capsys):
     code, out, _ = run_cli(capsys, "verify", "--only", "orders,orbits")

@@ -3,6 +3,7 @@
 import pytest
 
 from spinchar.cyclo import ONE, root_of_unity
+from spinchar.cyclo9 import Cyc9
 from spinchar.linalg import CycMatrix, J_SHIFT
 from spinchar.groups import Subgroup, get_group
 from spinchar.mackey import (DualCharacter, MackeyError, SubRep, act_on_dual,
@@ -155,22 +156,22 @@ def test_induction_dimension_and_identity_section():
     assert all(same.eval(c) == chi.as_subrep().eval(c) for c in U0.codes)
 
 
-def test_table_over_a_larger_denominator_is_the_same_representation():
-    # induced tables are integral (den 1); the same values held as 3L / 3
-    # must evaluate, verify, trace and induce identically
+def test_images_as_the_other_scalar_type_are_the_same_representation():
+    # induced images are Cyc matrices; the same values held as Cyc9 must
+    # evaluate, verify, trace and induce identically
     g27, U, duals = g27_dual()
     chi = duals[5].as_subrep()
-    assert chi.den == 1
-    thirds = SubRep(chi.subgroup, chi.table * 3, 3, chi.name)
-    assert all(thirds.eval(c) == chi.eval(c) for c in U.codes)
-    assert thirds.character_values() == chi.character_values()
-    assert thirds.verify() is None
+    as_cyc9 = SubRep(chi.subgroup, [CycMatrix([[Cyc9.from_scalar(M[0, 0])]])
+                                    for M in chi.images.values()], chi.name)
+    assert all(as_cyc9.eval(c) == chi.eval(c) for c in U.codes)
+    assert as_cyc9.character_values() == chi.character_values()
+    assert as_cyc9.verify() is None
     w = g27.generator("x3")
     section = [g27.identity(), w, w * w]
-    a, b = induce(chi, section), induce(thirds, section)
-    assert b.den == 3 and all(a.eval(y) == b.eval(y) for y in range(27))
+    a, b = induce(chi, section), induce(as_cyc9, section)
+    assert a.images == b.images and all(a.eval(y) == b.eval(y) for y in range(27))
     with pytest.raises(MackeyError):
-        thirds.eval(g27.generator("x3").code)  # outside the domain <x1, x2>
+        as_cyc9.eval(g27.generator("x3").code)  # outside the domain <x1, x2>
 
 
 def test_induction_rejects_bad_sections():

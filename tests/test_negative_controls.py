@@ -4,8 +4,8 @@ A check that passes on correct data proves little unless it is also shown
 to fail on wrong data.  Each test below corrupts exactly one thing -- a
 generator image, a character value, a class size, a section element, a
 covering kernel, a quotient generator, a cube rule, a table entry, an
-intertwiner, a presentation, an action convention, a lattice table entry, a
-catalog slot -- and asserts that the check responsible for it reports the
+intertwiner, a presentation, an action convention, a subgroup representation's generator
+image, a domain that is not a set of normal forms, a catalog slot -- and asserts that the check responsible for it reports the
 defect.  Planted groups and tables are fresh copies; no cached object is
 mutated.  One positive control holds an intertwiner as equal values of the
 other scalar type and shows that its check still passes.
@@ -16,9 +16,9 @@ import re
 
 import pytest
 
-from spinchar import groups, verify
+from spinchar import groups, spinrep, verify
 from spinchar.cyclo import OMEGA, Cyc
-from spinchar.cyclo9 import Cyc9
+from spinchar.cyclo9 import Cyc9, zeta9
 from spinchar.groups import Group, GroupSchema, Subgroup, get_group
 from spinchar.linalg import CycMatrix
 from spinchar.mackey import MackeyError, SubRep, dual_group, induce
@@ -149,6 +149,22 @@ def test_scaled_direct_route_image_fails_stairways(monkeypatch):
     assert result.detail == "(0,2) direct build differs from the stairway build"
 
 
+def test_non_multiplicative_direct_character_is_refused(monkeypatch):
+    # one value off the generators is changed, so the generator images still
+    # pass every relation and only the full value table shows the defect
+    real = spinrep.DualCharacter
+
+    def planted(subgroup, gen_codes, label, exps):
+        exps = dict(exps)
+        top = max(exps)  # z12^2 z23^2 n1^2 n2^2, not a generator
+        exps[top] = (exps[top] + 1) % 3
+        return real(subgroup, gen_codes, label, exps)
+
+    monkeypatch.setattr(spinrep, "DualCharacter", planted)
+    with pytest.raises(RepError, match="not multiplicative"):
+        spinrep.mu_route_direct(1)
+
+
 def test_perturbed_catalog_image_fails_representations(monkeypatch):
     catalog = full_catalog()
     k = next(i for i, rep in enumerate(catalog) if rep.name == "Pi(2,1;1)")
@@ -263,21 +279,22 @@ def test_inverted_action_convention_fails_orbits(monkeypatch):
            for e in (1, 2) for m in range(3)])
 
 
-def _perturbed_subrep(rho, code, i, j, coeff=0):
-    """A copy of rho with entry (i, j) at `code` raised by z^coeff."""
-    table = rho.table.copy()
-    table[code, i, j, coeff] += rho.den
-    return SubRep(rho.subgroup, table, rho.den, rho.name)
+def _perturbed_image(rho, gen, i, j, coeff=0):
+    """A copy of rho with entry (i, j) of the image of `gen` raised by z^coeff."""
+    images = dict(rho.images)
+    rows = [list(row) for row in images[gen].rows]
+    rows[i][j] = rows[i][j] + zeta9(coeff)
+    images[gen] = CycMatrix(rows)
+    return SubRep(rho.subgroup, list(images.values()), rho.name)
 
 
 def test_perturbed_lattice_entry_fails_anchors(monkeypatch):
     real = verify.r243_pure_catalog
-    n1 = get_group("R243").generator("n1").code
 
     def planted(eps, mu):
         P, jw, reps = real(eps, mu)
         if (eps, mu) == (1, 2):
-            P = _perturbed_subrep(P, n1, 0, 1)  # an off-diagonal entry of diag(...)
+            P = _perturbed_image(P, "n1", 0, 1)  # an off-diagonal entry of diag(...)
         return P, jw, reps
 
     monkeypatch.setattr(verify, "r243_pure_catalog", planted)
@@ -303,18 +320,21 @@ def test_scaled_central_image_fails_characters(monkeypatch):
 
 
 def test_perturbed_central_entry_fails_characters(monkeypatch):
-    # through SubRep.character_values on the lattice table
+    # through SubRep.character_values: P(1,0)(z12) = w I gains 1 at (0, 0),
+    # so z12 and z12^2 lose their central values, and z12^a xi1^b (a, b
+    # nonzero) gain a trace; the cyclic xi2 factor keeps a zero diagonal
     real = verify.g81_partial_catalog
-    z12 = get_group("G81").generator("z12").code
 
     def planted(eps):
         P, jw, reps = real(eps)
-        return (_perturbed_subrep(P, z12, 0, 0) if eps == 1 else P), jw, reps
+        return (_perturbed_image(P, "z12", 0, 0) if eps == 1 else P), jw, reps
 
     monkeypatch.setattr(verify, "g81_partial_catalog", planted)
     result = verify.check_characters()
     assert not result.passed
-    assert result.failures == ["P(1,0) central value wrong"]
+    central, spread = "P(1,0) central value wrong", \
+        "P(1,0) character not concentrated on the multiplier"
+    assert result.failures == [central, spread, spread] * 2
 
 
 def test_duplicated_irreducible_fails_census(monkeypatch):
@@ -333,35 +353,76 @@ def test_duplicated_irreducible_fails_census(monkeypatch):
     ]
 
 
-def _first_failing_edge(rho):
-    """Reference for SubRep.verify: the loop over every (u, g) edge in
-    CycMatrix arithmetic."""
-    mult = rho.subgroup.group.table
-    for u in rho.subgroup.codes:
-        for g in rho.subgroup.gen_codes:
-            if rho.eval(u) * rho.eval(g) != rho.eval(int(mult[u, g])):
-                return (u, g)
+def _first_broken_rule(rho):
+    """Reference for SubRep.verify: the same rules in plain CycMatrix
+    arithmetic, each element evaluated as its product of generator powers."""
+    group = rho.group
+    names, gens = list(rho.images), rho.subgroup.gen_codes
+
+    def image(code):
+        out = CycMatrix.identity(rho.dim)
+        for name, g in zip(names, gens):
+            out = out * rho.images[name] ** (code // g % 3)
+        return out
+
+    for name, g in zip(names, gens):
+        lhs, rhs = rho.images[name] ** 3, image(group.power(g, 3))
+        if lhs != rhs:
+            return "cube rule for %s" % name, lhs, rhs
+    for j in range(len(gens)):
+        Mj = rho.images[names[j]]
+        for i in range(j):
+            lhs = Mj * rho.images[names[i]] * Mj.inverse()
+            rhs = image(group.conjugate(gens[i], gens[j]))
+            if lhs != rhs:
+                return "conjugation rule phi(%s)%s" % (names[j], names[i]), lhs, rhs
     return None
 
 
-def test_perturbed_induced_table_entry_fails_subrep_verify():
+def test_perturbed_generator_image_fails_subrep_verify():
     P, _, _ = r243_pure_catalog(1, 1)
-    mult = P.subgroup.group.table
-    gens = set(P.subgroup.gen_codes)
-    order = [c for c in P.subgroup.codes if c and c not in gens]
-    assert P.verify() is None
-    # codes early, in the middle and last in the table's iteration order
-    for code in (order[0], order[len(order) // 2], order[-1]):
-        planted = _perturbed_subrep(P, code, 2, 1, coeff=4)
+    assert P.verify() is None and _first_broken_rule(P) is None
+    rules = {}
+    for gen in P.images:
+        planted = _perturbed_image(P, gen, 2, 1, coeff=4)
         bad = planted.verify()
-        assert bad is not None
-        assert bad == _first_failing_edge(planted)
-        u, g = bad
-        # the failing edge touches the planted code, and the witness is real
-        assert g in gens and code in (u, int(mult[u, g]))
+        assert bad is not None and bad == _first_broken_rule(planted)
+        desc, lhs, rhs = bad
+        assert gen in desc and lhs != rhs
+        rules[gen] = desc
         report = verify_rep(planted)
         assert report.name == "P(1,1)"
-        assert report.detail.startswith("table not multiplicative at (%d, %d): lhs=" % (u, g))
+        assert report.failures == ["%s: lhs=%s rhs=%s" % (desc, lhs.str_rows(), rhs.str_rows())]
+    # z^4 at (2, 1) leaves diag(1, w^2, w)^3 = I, so n1 breaks a conjugation rule
+    assert rules == {"z12": "cube rule for z12", "z23": "cube rule for z23",
+                     "n1": "conjugation rule phi(n2)n1", "n2": "cube rule for n2"}
+
+
+def test_subrep_needs_a_normal_form_domain():
+    g27 = get_group("G27")
+    one = [CycMatrix([[1]])]
+    for gens in (["x1 x3"], ["x2", "x1"], ["x1", "x3"], []):
+        # not a generator; out of normal-form order; <x1, x3> is all of G27;
+        # no generator, so no dimension
+        domain = Subgroup.generated(g27, gens)
+        with pytest.raises(MackeyError):
+            SubRep(domain, one * len(gens), "bad")
+    chi = SubRep(Subgroup.generated(g27, ["x1", "x2"]), one * 2, "trivial")
+    with pytest.raises(MackeyError, match="outside the domain"):
+        chi.eval(g27.generator("x3").code)
+
+
+def test_perturbed_base_image_fails_representations(monkeypatch):
+    real = verify.r243_pure_catalog
+
+    def planted(eps, mu):
+        P, jw, reps = real(eps, mu)
+        return (_perturbed_image(P, "n2", 2, 1, coeff=4) if (eps, mu) == (1, 1) else P), jw, reps
+
+    monkeypatch.setattr(verify, "r243_pure_catalog", planted)
+    result = verify.check_representations()
+    assert len(result.failures) == 1
+    assert result.failures[0].startswith("P(1,1): cube rule for n2: lhs=")
 
 
 def test_perturbed_character_fails_induction():
@@ -370,8 +431,7 @@ def test_perturbed_character_fails_induction():
     x3 = g27.generator("x3")
     section = [g27.identity(), x3, x3 * x3]
     induce(chi, section)
-    x1 = g27.generator("x1").code
-    planted = _perturbed_subrep(chi, x1, 0, 0, coeff=3)  # chi(x1) + w
+    planted = _perturbed_image(chi, "x1", 0, 0, coeff=3)  # chi(x1) + w
     with pytest.raises(MackeyError, match="not a homomorphism"):
         induce(planted, section)
 

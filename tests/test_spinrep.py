@@ -1,8 +1,14 @@
 """Representation building: intertwiners, catalogs, characters, cocycles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from spinchar import spinrep
 from spinchar.cyclo import root_of_unity
 from spinchar.cyclo9 import Cyc9
 from spinchar.linalg import CycMatrix, J_SHIFT, K_SHIFT
@@ -15,6 +21,8 @@ from spinchar.spinrep import (RepError, Representation, SpinType,
                               intertwiner_alpha, mu_route_direct, r243_pure_catalog,
                               restrict_to_projective, solve_intertwiner,
                               spin_character_table, verify_rep)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_spin_type_classification():
@@ -56,6 +64,41 @@ class TestIntertwiner:
         for M in sols:
             assert M ** 3 == CycMatrix.identity(3)
         assert {sols[0].scale(root_of_unity(k)) for k in range(3)} == set(sols)
+
+    def test_bad_cube_root_is_refused(self, monkeypatch):
+        # a planted cyc9_cbrt returning twice the root leaves M^3 = 8 I
+        P, _, _ = g81_partial_catalog(1)
+        real = spinrep.cyc9_cbrt
+        monkeypatch.setattr(spinrep, "cyc9_cbrt", lambda v: 2 * real(v))
+        with pytest.raises(RepError, match="cube is not the identity"):
+            intertwiner_solutions(P, "xi3")
+
+    def test_bad_cube_root_is_refused_under_optimization(self):
+        # the same plant under python -O, which strips assert statements
+        script = "\n".join([
+            "from spinchar import spinrep",
+            "P, _, _ = spinrep.g81_partial_catalog(1)",
+            "real = spinrep.cyc9_cbrt",
+            "spinrep.cyc9_cbrt = lambda v: 2 * real(v)",
+            "try:",
+            "    spinrep.intertwiner_solutions(P, 'xi3')",
+            "except spinrep.RepError as exc:",
+            "    print('refused:', exc)",
+        ])
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "refused: normalized intertwiner cube is not the identity\n"
+
+    def test_acting_element_must_normalize_the_domain(self):
+        # xi3 xi1 xi3^-1 = z12 xi1 xi2^2 leaves <z12, xi1>
+        from spinchar.groups import Subgroup
+        from spinchar.mackey import MackeyError, dual_group
+        U0 = Subgroup.generated(get_group("G81"), ["z12", "xi1"])
+        chi = dual_group(U0, ["z12", "xi1"])[4].as_subrep()
+        with pytest.raises(MackeyError, match="outside the domain"):
+            intertwiner_solutions(chi, "xi3")
 
     def test_trivial_action_gives_scalar(self):
         # a central acting element fixes everything; the intertwiner of a

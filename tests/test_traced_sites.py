@@ -1,16 +1,28 @@
-"""The benchmark's traced sites still exist in spinchar.
+"""The benchmark's traced sites still exist in spinchar and still record calls.
 
 perfbench/layers.py names the functions a traced benchmark run wraps.  A
-renamed or removed site only shows in that run, which takes minutes; this
-test resolves every site the same way the tracer does.  The file is only
-read, never imported, so nothing is written next to it.
+renamed or removed site, or one that no command reaches any more, only shows
+in that run, which takes minutes.  The first test resolves every site the
+same way the tracer does; layers.py is only read, never imported.  The
+second runs perfbench/tracer.py on two short commands and checks that the
+sites of the representation layer record calls.  Its child writes no
+bytecode, so nothing is written under perfbench/.
 """
 
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+LAYERS = ROOT / "perfbench" / "layers.py"
+LIVE_SITES = ("mackey.SubRep.verify", "mackey.induce", "spinrep.Representation.eval",
+              "linalg.CycMatrix.inverse")
 
 
 def _sites():
@@ -31,3 +43,31 @@ def test_every_traced_site_resolves_to_a_function():
         assert target is not None, "%s is missing" % site
         assert inspect.isfunction(target) or hasattr(target, "cache_info"), \
             "%s is a %s, not a function" % (site, type(target).__name__)
+
+
+def _traced_calls(argv):
+    """Per-site call counts of one traced CLI run, read from the pipe that
+    PERFBENCH_TRACE_FD names."""
+    read_fd, write_fd = os.pipe()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1",
+               PERFBENCH_TRACE_FD=str(write_fd))
+    proc = subprocess.Popen([sys.executable, str(ROOT / "perfbench" / "tracer.py")] + argv,
+                            cwd=ROOT, env=env, stdin=subprocess.DEVNULL,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                            pass_fds=(write_fd,))
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as fh:
+        summary = fh.read()
+    _, err = proc.communicate(timeout=300)
+    assert proc.returncode == 0, err.decode()
+    return {site: stat[0] for site, stat in json.loads(summary)["sites"].items()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--only", "characters,representations"],
+    ["irreps", "--spin", "1,1", "--format", "json"],
+])
+def test_representation_sites_record_calls(argv):
+    calls = _traced_calls(argv)
+    assert {site: calls.get(site, 0) > 0 for site in LIVE_SITES} == \
+        {site: True for site in LIVE_SITES}
