@@ -1,10 +1,12 @@
 """Exact arithmetic in the cyclotomic field Q(w), w a primitive cube root of unity.
 
-Elements are stored on the basis {1, w} as a pair of rationals, with the
-relation w^2 + w + 1 = 0 folded into multiplication.  Rationals are
-`fractions.Fraction`, so everything is arbitrary precision and canonically
-reduced (positive denominator, gcd 1).  Equality is field-by-field, which the
-{1, w} basis keeps syntactic.
+An element (p + q*w)/d is stored as three Python ints on the basis {1, w},
+reduced so that d > 0 and gcd(p, q, d) = 1 (zero is 0/1), with the relation
+w^2 + w + 1 = 0 folded into multiplication.  Everything is arbitrary
+precision, each operation costs integer products and one gcd, and the
+state is canonical, so equality compares the three ints.  The coordinates
+a = p/d and b = q/d are read-only `fractions.Fraction` views, used by
+parsing and the cube-root search.
 
 The canonical text form is "p/q+r/s*w" with zero terms omitted; see
 `cyc_str` / `parse_cyc`.
@@ -20,79 +22,73 @@ class CycError(ArithmeticError):
 
 
 class Cyc:
-    """A number a + b*w in Q(w), immutable."""
+    """A number (p + q*w)/d in Q(w), immutable."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("p", "q", "d")
 
-    def __init__(self, a=0, b=0):
-        object.__setattr__(self, "a", a if type(a) is Fraction else Fraction(a))
-        object.__setattr__(self, "b", b if type(b) is Fraction else Fraction(b))
+    def __new__(cls, a=0, b=0):
+        (p, e), (q, f) = _ratio(a), _ratio(b)
+        d = e * f // math.gcd(e, f)
+        return _cyc(p * (d // e), q * (d // f), d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyc is immutable")
 
-    def denominator_lcm(self):
-        d = self.a.denominator
-        return d * self.b.denominator // math.gcd(d, self.b.denominator)
+    @property
+    def a(self):
+        return Fraction(self.p, self.d)
+
+    @property
+    def b(self):
+        return Fraction(self.q, self.d)
 
     # -- ring structure -------------------------------------------------
     # binary ops return NotImplemented for foreign types so that a larger
     # field's reflected operation can take over
 
     def __add__(self, other):
-        if not isinstance(other, (Cyc, int, Fraction)):
+        o = _state(other)
+        if o is None:
             return NotImplemented
-        other = as_cyc(other)
-        return Cyc(self.a + other.a, self.b + other.b)
+        return _sum(self.p, self.q, self.d, *o)
 
-    def __radd__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return as_cyc(other) + self
+    __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, (Cyc, int, Fraction)):
+        o = _state(other)
+        if o is None:
             return NotImplemented
-        other = as_cyc(other)
-        return Cyc(self.a - other.a, self.b - other.b)
+        p, q, d = o
+        return _sum(self.p, self.q, self.d, -p, -q, d)
 
     def __rsub__(self, other):
-        if not isinstance(other, (int, Fraction)):
+        o = _state(other)
+        if o is None:
             return NotImplemented
-        return as_cyc(other) - self
+        return _sum(*o, -self.p, -self.q, self.d)
 
     def __neg__(self):
-        return Cyc(-self.a, -self.b)
+        return _cyc(-self.p, -self.q, self.d)
 
     def __mul__(self, other):
-        if not isinstance(other, (Cyc, int, Fraction)):
+        o = _state(other)
+        if o is None:
             return NotImplemented
-        other = as_cyc(other)
-        a, b, c, d = self.a, self.b, other.a, other.b
-        # (a+bw)(c+dw) = ac + (ad+bc)w + bd(w^2) and w^2 = -1-w
-        bd = b * d
-        return Cyc(a * c - bd, a * d + b * c - bd)
+        return _product(self.p, self.q, self.d, *o)
 
-    def __rmul__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return as_cyc(other) * self
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if not isinstance(other, (Cyc, int, Fraction)):
+        o = _state(other)
+        if o is None:
             return NotImplemented
-        other = as_cyc(other)
-        n = other.norm()
-        if n == 0:
-            raise CycError("division by zero in Q(w)")
-        # 1/z = conj(z)/norm(z)
-        c = other.conj()
-        return Cyc(self.a, self.b) * Cyc(c.a / n, c.b / n)
+        return _product(self.p, self.q, self.d, *_inverse(*o))
 
     def __rtruediv__(self, other):
-        if not isinstance(other, (int, Fraction)):
+        o = _state(other)
+        if o is None:
             return NotImplemented
-        return as_cyc(other) / self
+        return _product(*o, *_inverse(self.p, self.q, self.d))
 
     def __pow__(self, k):
         if k < 0:
@@ -110,33 +106,89 @@ class Cyc:
 
     def conj(self):
         """Complex conjugate; sends w to w^2 = -1-w."""
-        return Cyc(self.a - self.b, -self.b)
+        return _cyc(self.p - self.q, -self.q, self.d)
 
     def norm(self):
         """z * conj(z) as a Fraction; nonnegative, zero iff z = 0."""
-        return self.a * self.a - self.a * self.b + self.b * self.b
+        p, q = self.p, self.q
+        return Fraction(p * p - p * q + q * q, self.d * self.d)
 
     def is_zero(self):
-        return not self.a and not self.b
+        return not self.p and not self.q
 
     # -- comparison / hashing -------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
-        if not isinstance(other, Cyc):
+        o = _state(other)
+        if o is None:
             return NotImplemented
-        return self.a == other.a and self.b == other.b
+        return (self.p, self.q, self.d) == o
 
     def __hash__(self):
         # equal values hash equally: a rational hashes as its int or Fraction
-        return hash(self.a) if not self.b else hash((self.a, self.b))
+        return hash(self.a) if not self.q else hash((self.a, self.b))
 
     def __bool__(self):
         return not self.is_zero()
 
     def __repr__(self):
         return "Cyc(%r)" % cyc_str(self)
+
+
+_new = object.__new__
+_set_p, _set_q, _set_d = Cyc.p.__set__, Cyc.q.__set__, Cyc.d.__set__
+
+
+def _cyc(p, q, d):
+    """The Cyc (p + q*w)/d for ints with d > 0, reduced by one gcd."""
+    g = math.gcd(p, q, d)
+    if g != 1:
+        p, q, d = p // g, q // g, d // g
+    z = _new(Cyc)
+    _set_p(z, p)
+    _set_q(z, q)
+    _set_d(z, d)
+    return z
+
+
+def _state(x):
+    """(p, q, d) of a Cyc, int or Fraction; None for any other type."""
+    if type(x) is Cyc:
+        return x.p, x.q, x.d
+    if isinstance(x, int):
+        return int(x), 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    return None
+
+
+def _ratio(x):
+    """(numerator, denominator) in lowest terms of an int or a rational."""
+    if isinstance(x, int):
+        return int(x), 1
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _sum(p, q, d, r, s, e):
+    if d == e:
+        return _cyc(p + r, q + s, d)
+    return _cyc(p * e + r * d, q * e + s * d, d * e)
+
+
+def _product(p, q, d, r, s, e):
+    # (p+qw)(r+sw) = pr + (ps+qr)w + qs(w^2) and w^2 = -1-w
+    qs = q * s
+    return _cyc(p * r - qs, p * s + q * r - qs, d * e)
+
+
+def _inverse(p, q, d):
+    """State of 1/z for z = (p + q*w)/d: conj(z)/norm(z), as ints."""
+    n = p * p - p * q + q * q
+    if not n:
+        raise CycError("division by zero in Q(w)")
+    return d * (p - q), -d * q, n
 
 
 def as_cyc(x):
@@ -170,8 +222,10 @@ def root_exponent(z):
 
 # -- canonical text form -------------------------------------------------
 
-def _frac_str(f):
-    return str(f.numerator) if f.denominator == 1 else "%d/%d" % (f.numerator, f.denominator)
+def _ratio_str(p, d):
+    """The rational p/d, d > 0, in lowest terms: "3", "-5/3"."""
+    g = math.gcd(p, d)
+    return str(p // g) if d == g else "%d/%d" % (p // g, d // g)
 
 
 def cyc_str(z):
@@ -180,14 +234,14 @@ def cyc_str(z):
     if z.is_zero():
         return "0"
     parts = []
-    if z.a:
-        parts.append(_frac_str(z.a))
-    if z.b:
-        if z.b == 1:
+    if z.p:
+        parts.append(_ratio_str(z.p, z.d))
+    if z.q:
+        if z.q == z.d:
             term = "w"
         else:
-            term = _frac_str(z.b) + "*w"
-        if parts and z.b > 0:
+            term = _ratio_str(z.q, z.d) + "*w"
+        if parts and z.q > 0:
             parts.append("+")
         parts.append(term)
     return "".join(parts)

@@ -7,9 +7,13 @@ ninth-root territory).  Q(zeta9) is the minimal faithful field here since
 the representation group has exponent 9.
 
 Elements are polynomials in zeta9 of degree < 6 over Q, reduced modulo the
-ninth cyclotomic polynomial x^6 + x^3 + 1.  Q(w) embeds via w = zeta9^3;
-values lying in the subfield serialize through the Q(w) grammar, so the
-plain "p/q+r/s*w" format is a sublanguage of the extended one.
+ninth cyclotomic polynomial x^6 + x^3 + 1.  One is stored as six Python int
+numerators over one denominator, n / d with d > 0 and the gcd of all seven
+ints 1 (zero is 0/1), so arithmetic runs on ints with one gcd per result
+and equal values have equal state; the coefficients n_k / d are read-only
+`fractions.Fraction` views (`c`).  Q(w) embeds via w = zeta9^3; values
+lying in the subfield serialize through the Q(w) grammar, so the plain
+"p/q+r/s*w" format is a sublanguage of the extended one.
 
 Bulk arithmetic uses the exact lattice kernel at the end of the module: an
 array of scalars becomes an int64 array of coefficient vectors over one
@@ -17,86 +21,85 @@ common denominator (`to_lattice`).  Batched matrix products go through
 `lattice_matmul`, linear maps such as conjugation through `lattice_einsum`
 with the constant tables PRODUCT, CONJ and MUL_W, values over different
 denominators are compared with `lattice_equal`, and single values come back
-through `from_lattice`.  The tables are derived from `_reduce` and
-`_CONJ_BASIS`, so the reduction rule is written down once.
+through `from_lattice`.  Both conversions read and write the int state
+directly.  The tables are derived from `_reduce`, so the reduction rule is
+written down once.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 import math
+import operator
 import re
 
 import numpy as np
 
-from .cyclo import (Cyc, CycError, _frac_str, _rational, cyc_cbrt, cyc_str, parse_cyc,
-                    root_of_unity)
+from .cyclo import (Cyc, CycError, _cyc, _ratio, _ratio_str, _rational, cyc_cbrt, cyc_str,
+                    parse_cyc, root_of_unity)
 
 
 def _reduce(coeffs):
     """Reduce a coefficient list modulo x^6 + x^3 + 1 to degree < 6."""
-    c = list(coeffs) + [Fraction(0)] * (11 - len(coeffs))
+    c = list(coeffs) + [0] * (11 - len(coeffs))
     for k in range(10, 5, -1):
         v = c[k]
         if v:
-            c[k] = Fraction(0)
+            c[k] = 0
             c[k - 3] -= v
             c[k - 6] -= v
     return tuple(c[:6])
 
 
+def _poly_mul(a, b):
+    """Product of two int coefficient 6-tuples, reduced to degree < 6."""
+    prod = [0] * 11
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    prod[i + j] += ai * bj
+    return _reduce(prod)
+
+
 class Cyc9:
-    """A number in Q(zeta9) on the power basis 1, z, ..., z^5; immutable."""
+    """A number n / d in Q(zeta9) on the power basis 1, z, ..., z^5; immutable."""
 
-    __slots__ = ("c",)
+    __slots__ = ("n", "d")
 
-    def __init__(self, coeffs=()):
-        c = [Fraction(x) for x in coeffs]
-        if len(c) > 6:
-            c = list(_reduce(c))
-        c += [Fraction(0)] * (6 - len(c))
-        object.__setattr__(self, "c", tuple(c))
+    def __new__(cls, coeffs=()):
+        ratios = [_ratio(x) for x in coeffs]
+        d = math.lcm(*(e for _, e in ratios))
+        return _cyc9(_reduce([p * (d // e) for p, e in ratios]), d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyc9 is immutable")
 
+    @property
+    def c(self):
+        return tuple(Fraction(x, self.d) for x in self.n)
+
     @classmethod
     def from_scalar(cls, x):
-        if isinstance(x, Cyc9):
-            return x
-        if isinstance(x, Cyc):
-            return cls((x.a, 0, 0, x.b))
-        if isinstance(x, (int, Fraction)):
-            return cls((x,))
-        raise TypeError("cannot coerce %r into Q(zeta9)" % (x,))
+        return x if type(x) is Cyc9 else _cyc9(*_state9(x))
 
     # -- ring structure ---------------------------------------------------
 
     def __add__(self, other):
-        other = Cyc9.from_scalar(other)
-        return Cyc9(tuple(a + b for a, b in zip(self.c, other.c)))
+        return _combine(operator.add, self.n, self.d, *_state9(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = Cyc9.from_scalar(other)
-        return Cyc9(tuple(a - b for a, b in zip(self.c, other.c)))
+        return _combine(operator.sub, self.n, self.d, *_state9(other))
 
     def __rsub__(self, other):
-        return Cyc9.from_scalar(other) - self
+        return _combine(operator.sub, *_state9(other), self.n, self.d)
 
     def __neg__(self):
-        return Cyc9(tuple(-a for a in self.c))
+        return _cyc9(tuple(-a for a in self.n), self.d)
 
     def __mul__(self, other):
-        other = Cyc9.from_scalar(other)
-        a, b = self.c, other.c
-        prod = [Fraction(0)] * 11
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        return Cyc9(_reduce(prod))
+        n, d = _state9(other)
+        return _cyc9(_poly_mul(self.n, n), self.d * d)
 
     __rmul__ = __mul__
 
@@ -119,56 +122,38 @@ class Cyc9:
         return out
 
     def inverse(self):
-        """Multiplicative inverse by extended Euclid against x^6 + x^3 + 1."""
+        """Multiplicative inverse: the product y of the five other Galois
+        conjugates over the norm, which is the rational integer n * y."""
         if self.is_zero():
             raise CycError("division by zero in Q(zeta9)")
-        # work with plain coefficient lists, lowest degree first
-        r0 = [Fraction(1), Fraction(0), Fraction(0), Fraction(1), Fraction(0),
-              Fraction(0), Fraction(1)]  # x^6 + x^3 + 1
-        r1 = list(self.c)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        lead = r0[_poly_deg(r0)]
-        inv = [x / lead for x in s0]
-        return Cyc9(_reduce(inv))
+        y = (1, 0, 0, 0, 0, 0)
+        for table in _GALOIS:
+            y = _poly_mul(y, _apply(self.n, table))
+        norm = _poly_mul(self.n, y)[0]  # positive: the conjugates pair off as |s|^2
+        return _cyc9(tuple(self.d * v for v in y), norm)
 
     # -- field-specific pieces ---------------------------------------------
 
     def conj(self):
         """Complex conjugate, zeta9 -> zeta9^-1."""
-        out = [Fraction(0)] * 6
-        for k, ck in enumerate(self.c):
-            if ck:
-                for j, m in enumerate(_CONJ_BASIS[k]):
-                    out[j] += ck * m
-        return Cyc9(out)
+        return _cyc9(_apply(self.n, _CONJ_BASIS), self.d)
 
     def is_zero(self):
-        return not any(self.c)
+        return not any(self.n)
 
     def to_cyc(self):
         """The same number as a Cyc if it lies in Q(w), else None."""
-        if any(self.c[k] for k in (1, 2, 4, 5)):
+        n = self.n
+        if n[1] or n[2] or n[4] or n[5]:
             return None
-        return Cyc(self.c[0], self.c[3])
-
-    def denominator_lcm(self):
-        out = 1
-        for x in self.c:
-            out = out * x.denominator // math.gcd(out, x.denominator)
-        return out
+        return _cyc(n[0], n[3], self.d)
 
     # -- comparison / hashing -----------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (Cyc, int, Fraction)):
-            other = Cyc9.from_scalar(other)
-        if not isinstance(other, Cyc9):
+        if not isinstance(other, (Cyc9, Cyc, int, Fraction)):
             return NotImplemented
-        return self.c == other.c
+        return (self.n, self.d) == _state9(other)
 
     def __hash__(self):
         # a value in Q(w) hashes as the equal Cyc (and so as an equal rational)
@@ -182,63 +167,60 @@ class Cyc9:
         return "Cyc9(%r)" % scalar_str(self)
 
 
-def _poly_deg(p):
-    d = -1
-    for i, x in enumerate(p):
-        if x:
-            d = i
-    return d
+_new = object.__new__
+_set_n, _set_d = Cyc9.n.__set__, Cyc9.d.__set__
 
 
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
+def _cyc9(n, d):
+    """The Cyc9 n / d for a 6-tuple of ints n and d > 0, reduced by one gcd."""
+    g = math.gcd(*n, d)
+    if g != 1:
+        n, d = tuple(a // g for a in n), d // g
+    x = _new(Cyc9)
+    _set_n(x, n)
+    _set_d(x, d)
+    return x
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
+def _combine(op, n, d, m, e):
+    """op (add or sub) of n / d and m / e, coefficient-wise."""
+    if d != e:
+        n, m, d = [a * e for a in n], [b * d for b in m], d * e
+    return _cyc9(tuple(map(op, n, m)), d)
 
 
-def _poly_divmod(a, b):
-    a = list(a)
-    db = _poly_deg(b)
-    q = [Fraction(0)] * (max(_poly_deg(a) - db, 0) + 1)
-    while _poly_deg(a) >= db:
-        da = _poly_deg(a)
-        f = a[da] / b[db]
-        q[da - db] = f
-        for i in range(db + 1):
-            a[da - db + i] -= f * b[i]
-    return q, a
+def _state9(x):
+    """(n, d) of a Cyc9, Cyc, int or Fraction; TypeError for other types."""
+    if type(x) is Cyc9:
+        return x.n, x.d
+    if isinstance(x, Cyc):
+        return (x.p, 0, 0, x.q, 0, 0), x.d
+    if isinstance(x, (int, Fraction)):
+        p, d = _ratio(x)
+        return (p, 0, 0, 0, 0, 0), d
+    raise TypeError("cannot coerce %r into Q(zeta9)" % (x,))
 
 
+def _basis_row(k):
+    """z^k (0 <= k <= 10) reduced to the power basis, as six integers."""
+    return _reduce([0] * k + [1])
+
+
+def _apply(n, table):
+    """The coefficient vector n mapped through the rows of `table`."""
+    return tuple(sum(a * row[j] for a, row in zip(n, table)) for j in range(6))
+
+
+# The automorphisms z -> z^s other than the identity, s = 2, 4, 5, 7, 8, as
+# tables whose row k is the image of z^k; s = 8 is complex conjugation.
+_GALOIS = [tuple(_basis_row(s * k % 9) for k in range(6)) for s in (2, 4, 5, 7, 8)]
+_CONJ_BASIS = _GALOIS[-1]
 _C9_ONE = Cyc9((1,))
-
-# zeta9^-k for k = 0..5, as basis-coefficient rows (zeta9^9 = 1)
-_CONJ_BASIS = [
-    (1, 0, 0, 0, 0, 0),            # 1
-    (0, 0, -1, 0, 0, -1),          # z^-1 = z^8 = -z^2 - z^5
-    (0, -1, 0, 0, -1, 0),          # z^-2 = z^7 = -z - z^4
-    (-1, 0, 0, -1, 0, 0),          # z^-3 = z^6 = -1 - z^3
-    (0, 0, 0, 0, 0, 1),            # z^-4 = z^5
-    (0, 0, 0, 0, 1, 0),            # z^-5 = z^4
-]
 
 
 def zeta9(k=1):
     """zeta9^k as an exact Cyc9."""
-    k %= 9
-    coeffs = [Fraction(0)] * (k + 1)
-    coeffs[k] = Fraction(1)
-    return Cyc9(coeffs)
+    return _cyc9(_basis_row(k % 9), 1)
 
 
 def cyc9_cbrt(v):
@@ -269,17 +251,17 @@ def scalar_str(x):
     if sub is not None:
         return cyc_str(sub)
     parts = []
-    for k, ck in enumerate(x.c):
-        if not ck:
+    for k, nk in enumerate(x.n):
+        if not nk:
             continue
         sym = "" if k == 0 else ("z" if k == 1 else "z^%d" % k)
         if k == 0:
-            term = _frac_str(ck)
-        elif ck == 1:
+            term = _ratio_str(nk, x.d)
+        elif nk == x.d:
             term = sym
         else:
-            term = "%s*%s" % (_frac_str(ck), sym)
-        if parts and ck > 0:
+            term = "%s*%s" % (_ratio_str(nk, x.d), sym)
+        if parts and nk > 0:
             parts.append("+")
         parts.append(term)
     return "".join(parts)
@@ -329,11 +311,6 @@ def parse_scalar(text):
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _basis_row(k):
-    """z^k (0 <= k <= 10) reduced to the power basis, as six integers."""
-    return [int(x) for x in _reduce([0] * k + [1])]
-
-
 # Coefficient rows: PRODUCT[i, j] = z^i z^j, CONJ[i] = conj(z^i) and
 # MUL_W[i] = w z^i, so a coefficient vector x maps to x @ CONJ and x @ MUL_W.
 PRODUCT = np.array([[_basis_row(i + j) for j in range(6)] for i in range(6)],
@@ -354,28 +331,23 @@ def to_lattice(values):
     a coefficient does not fit in int64.
     """
     arr = np.array(values, dtype=object)
-    coeffs = [c for x in arr.flat for c in Cyc9.from_scalar(x).c]
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    states = [_state9(x) for x in arr.flat]
+    den = math.lcm(*(d for _, d in states))
+    ints = []
+    for n, d in states:
+        ints.extend(n if d == den else [a * (den // d) for a in n])
     if ints and max(map(abs, ints)) > _INT64_MAX:
         raise CycError("lattice coefficient exceeds the int64 range")
     return np.array(ints, dtype=np.int64).reshape(arr.shape + (6,)), den
 
 
 def from_lattice(coeffs, den=1):
-    """The scalar with coefficient vector coeffs / den; a Cyc when it lies
-    in Q(w), otherwise a Cyc9."""
-    return _lattice_scalar(tuple(int(v) for v in coeffs), int(den))
-
-
-@lru_cache(maxsize=256)
-def _lattice_scalar(coeffs, den):
-    # one `spinchar verify` converts about 12,000 entries but only 46
-    # distinct values (export commands: at most 29), so 256 never evicts on
-    # the CLI; the scalars are immutable, so one instance per value is shared
-    x = Cyc9([Fraction(v, den) for v in coeffs])
-    sub = x.to_cyc()
-    return x if sub is None else sub
+    """The scalar with coefficient vector coeffs / den (den > 0); a Cyc
+    when it lies in Q(w), otherwise a Cyc9."""
+    n = tuple(map(int, coeffs))
+    if n[1] or n[2] or n[4] or n[5]:
+        return _cyc9(n, int(den))
+    return _cyc(n[0], n[3], int(den))
 
 
 def lattice_identity(n):

@@ -301,20 +301,23 @@ class Group:
         """Closure of the generators under honest collection multiplication.
 
         Returns all element codes in code order; the length is the group
-        order as actually realized by collection.
+        order as actually realized by collection.  The closure is computed
+        once per group.
         """
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for i in range(self.ngens):
-                    h = self.mult_collect(g, self.gen_codes[i])
-                    if h not in seen:
-                        seen.add(h)
-                        nxt.append(h)
-            frontier = nxt
-        return sorted(seen)
+        if "elements" not in self._cache:
+            seen = {0}
+            frontier = [0]
+            while frontier:
+                nxt = []
+                for g in frontier:
+                    for i in range(self.ngens):
+                        h = self.mult_collect(g, self.gen_codes[i])
+                        if h not in seen:
+                            seen.add(h)
+                            nxt.append(h)
+                frontier = nxt
+            self._cache["elements"] = tuple(sorted(seen))
+        return list(self._cache["elements"])
 
     # structure ------------------------------------------------------------
 

@@ -7,7 +7,6 @@ pivoting (there is no rounding, so no pivot-magnitude heuristics), and a
 singular inverse or dimension mismatch raises instead of degrading.
 """
 
-from fractions import Fraction
 import math
 
 from .cyclo import Cyc, ONE, ZERO, as_cyc
@@ -57,7 +56,7 @@ class CycMatrix:
     def from_lattice(L, den=1):
         """The matrix with entries L[i, j] / den, L an (n, n, 6) lattice
         array of `cyclo9`."""
-        return CycMatrix([[from_lattice(v, den) for v in row] for row in L])
+        return CycMatrix([[from_lattice(v, den) for v in row] for row in L.tolist()])
 
     def _check_dim(self, other):
         if not isinstance(other, CycMatrix) or other.n != self.n:
@@ -208,11 +207,8 @@ def nullspace(rows, ncols):
         row = [_entry(x) for x in row]
         if len(row) != ncols:
             raise MatrixError("row length mismatch")
-        den = 1
-        for x in row:
-            d = x.denominator_lcm()
-            den = den * d // math.gcd(den, d)
-        work.append([x * Fraction(den) for x in row])
+        den = math.lcm(*(x.d for x in row))
+        work.append([x * den for x in row])
 
     pivots = {}  # column -> row index in echelon list
     echelon = []

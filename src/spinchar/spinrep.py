@@ -73,6 +73,9 @@ class Representation(SubRep):
     """
 
     def __init__(self, group, images, name, spin_type=None):
+        missing = [gen for gen in group.schema.gens if gen not in images]
+        if missing:
+            raise RepError("%s: generator %s has no image" % (name, missing[0]))
         whole = Subgroup(group, frozenset(range(group.order)), group.gen_codes)
         super().__init__(whole, [images[gen] for gen in group.schema.gens], name)
         if spin_type is None:
@@ -243,9 +246,6 @@ def extend_and_tensor(rho, jw, r, w_gen, name):
     """
     images = dict(rho.images)
     images[w_gen] = jw.scale(root_of_unity(r))
-    missing = [gen for gen in rho.group.schema.gens if gen not in images]
-    if missing:
-        raise RepError("generator %s is covered by neither rho nor w" % missing[0])
     rep = Representation(rho.group, images, name)
     report = verify_rep(rep)
     if not report.passed:

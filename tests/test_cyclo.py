@@ -1,5 +1,6 @@
 """Field arithmetic in Q(w) and Q(zeta9), and the canonical text form."""
 
+import math
 import operator
 import random
 import time
@@ -128,9 +129,89 @@ def test_mixed_arithmetic_matches_cyc9_reference(x, y):
         assert hash(x) == hash(y)
 
 
-@given(cyc9s)
+@given(st.one_of(cycs, cyc9s))
 def test_scalar_round_trip(x):
     assert parse_scalar(scalar_str(x)) == x
+
+
+def _assert_canonical(x):
+    """The stored ints are reduced: d > 0 and gcd(numerators, d) = 1."""
+    nums = (x.p, x.q) if isinstance(x, Cyc) else x.n
+    assert all(type(v) is int for v in nums + (x.d,))
+    assert x.d > 0 and math.gcd(*nums, x.d) == 1
+    if not any(nums):
+        assert x.d == 1
+
+
+scalars = st.one_of(st.integers(-20, 20), fractions, cycs, cyc9s)
+
+
+@given(scalars, scalars)
+def test_results_keep_the_canonical_state(x, y):
+    results = [x + y, x - y, x * y, -x if isinstance(x, (Cyc, Cyc9)) else Cyc(-x)]
+    if y != 0:
+        results.append(x / y)
+    for v in results:
+        if isinstance(v, (Cyc, Cyc9)):
+            _assert_canonical(v)
+            assert v.conj().conj() == v
+            _assert_canonical(v.conj())
+    for v in (x, y):
+        if isinstance(v, (Cyc, Cyc9)):
+            _assert_canonical(v)
+            zero = v - v
+            _assert_canonical(zero)
+            assert zero == 0 and hash(zero) == hash(0)
+
+
+@given(fractions, fractions)
+def test_equal_values_in_every_type_compare_and_hash_equal(a, b):
+    z = Cyc(a, b)
+    forms = [z, Cyc9.from_scalar(z), Cyc9([a, 0, 0, b]), Cyc9([a - b, 0, 0, 0, 0, 0, -b])]  # b z^6 = -b - b z^3
+    if b == 0:
+        forms += [a, Cyc(a), Cyc9([a])] + ([int(a)] if a.denominator == 1 else [])
+    for u in forms:
+        assert all(u == v and v == u for v in forms)
+        assert len({hash(v) for v in forms}) == 1
+    # the Fraction views read back the stored state
+    assert (z.a, z.b) == (a, b) and Cyc9.from_scalar(z).c == (a, 0, 0, b, 0, 0)
+
+
+def test_values_reducing_to_zero_are_zero():
+    half = Fraction(1, 2)
+    zero = Cyc9([half, 0, 0, half, 0, 0, half])  # (1 + z^3 + z^6) / 2
+    assert zero == 0 and zero == ZERO and hash(zero) == hash(0) == hash(ZERO)
+    assert (zero.n, zero.d) == ((0,) * 6, 1) and zero.is_zero()
+    third = Cyc(Fraction(1, 3), Fraction(2, 3))
+    assert (third - third).d == 1 and (zeta9() - zeta9()).d == 1
+    assert (Cyc(Fraction(2, 6), Fraction(4, 6)).p, third.q, third.d) == (1, 2, 3)
+
+
+def test_scalar_arithmetic_builds_no_fraction(monkeypatch):
+    """+, -, *, /, conj and the lattice conversions run on the int state."""
+    x, y = Cyc(Fraction(1, 3), -2), Cyc(Fraction(-5, 6), Fraction(7, 4))
+    u, v = Cyc9([Fraction(1, 3), 0, Fraction(-2, 3), 1, 0, 5]), zeta9(2) + Fraction(1, 5)
+    r = Fraction(2, 7)
+    operands = [x, y, u, v, 3, r]
+    made = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    for s in operands:
+        for t in operands:
+            if isinstance(s, (Cyc, Cyc9)) or isinstance(t, (Cyc, Cyc9)):
+                s + t, s - t, s * t, s == t
+                if t != 0:
+                    s / t
+    x.conj(), u.conj(), -x, -u, u.inverse(), x ** -2, u ** 3
+    L, den = to_lattice([[x, u], [3, r]])
+    [from_lattice(L[i, j], den) for i in range(2) for j in range(2)]
+    CycMatrix.from_lattice(L, den)
+    assert made == []
 
 
 @given(st.one_of(st.text(), st.text(alphabet="0123456789/+-*^wz ")))

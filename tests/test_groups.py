@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spinchar import groups
 from spinchar.groups import (CollectionError, GroupSchema, Group, SchemaError, Subgroup,
                              check_schema, covering_data, exhaustive_associativity,
                              find_param_isomorphism, get_group,
@@ -77,6 +78,25 @@ def test_enumerated_orders():
     for a in range(3):
         for b in range(3):
             assert len(get_group("G81_param", (a, b)).enumerate_elements()) == 81
+
+
+def test_enumeration_is_computed_once_per_group(monkeypatch):
+    calls = []
+    real_collect = groups.collect
+
+    def counting_collect(*args, **kwargs):
+        calls.append(args)
+        return real_collect(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "collect", counting_collect)
+    g27 = Group(schema("G27"))  # a fresh instance, not the shared one
+    first = g27.enumerate_elements()
+    assert first == list(range(27)) and calls
+    calls.clear()
+    second = g27.enumerate_elements()
+    assert second == first and not calls
+    second.append(99)  # callers get their own list
+    assert g27.enumerate_elements() == first
 
 
 def test_gsharp_order_settled_by_enumeration():

@@ -150,8 +150,15 @@ class TestCatalog:
 
     def test_extension_requires_coverage(self):
         P, jw, _ = g81_partial_catalog(1)
-        with pytest.raises(RepError):
+        with pytest.raises(RepError, match="bad: generator xi3 has no image"):
             extend_and_tensor(P, jw, 0, "xi1", "bad")  # xi3 left uncovered
+
+    def test_missing_generator_image_is_refused(self):
+        g27 = get_group("G27")
+        with pytest.raises(RepError, match="r: generator x2 has no image"):
+            Representation(g27, {"x1": CycMatrix([[1]])}, "r")
+        with pytest.raises(RepError, match="generator x3 has no image"):
+            Representation(g27, {"x1": CycMatrix([[1]]), "x2": CycMatrix([[1]])}, "r")
 
     def test_inflation_keeps_characters(self):
         r243 = get_group("R243")
