@@ -54,7 +54,7 @@ def _parse_params(text):
 
 
 def _emit(text, out_path):
-    if out_path:
+    if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -216,7 +216,7 @@ def _cocycle_text(payload):
 
 
 def cmd_verify(args):
-    only = args.only.split(",") if args.only else None
+    only = args.only.split(",") if args.only is not None else None
     try:
         results = run_checks(only)
     except KeyError as exc:

@@ -19,7 +19,8 @@ Bulk arithmetic uses the exact lattice kernel at the end of the module: an
 array of scalars becomes an int64 array of coefficient vectors over one
 common denominator (`to_lattice`).  Batched matrix products go through
 `lattice_matmul`, linear maps such as conjugation through `lattice_einsum`
-with the constant tables PRODUCT, CONJ and MUL_W, values over different
+with the constant tables PRODUCT, CONJ and MUL_W (module attributes built
+on first use, like the numpy import itself), values over different
 denominators are compared with `lattice_equal`, and single values come back
 through `from_lattice`.  Both conversions read and write the int state
 directly.  The tables are derived from `_reduce`, so the reduction rule is
@@ -27,12 +28,12 @@ written down once.
 """
 
 from fractions import Fraction
+import functools
 import math
 import operator
 import re
 
-import numpy as np
-
+from . import _np as np
 from .cyclo import (Cyc, CycError, _cyc, _ratio, _ratio_str, _rational, cyc_cbrt, cyc_str,
                     parse_cyc, root_of_unity)
 
@@ -308,17 +309,28 @@ def parse_scalar(text):
 
 # -- exact lattice kernel -----------------------------------------------------
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
+_INT64_MAX = 2 ** 63 - 1
 
 
-# Coefficient rows: PRODUCT[i, j] = z^i z^j, CONJ[i] = conj(z^i) and
-# MUL_W[i] = w z^i, so a coefficient vector x maps to x @ CONJ and x @ MUL_W.
-PRODUCT = np.array([[_basis_row(i + j) for j in range(6)] for i in range(6)],
-                   dtype=np.int64)
-CONJ = np.array(_CONJ_BASIS, dtype=np.int64)
-PRODUCT.flags.writeable = False
-CONJ.flags.writeable = False
-MUL_W = PRODUCT[3]
+@functools.cache
+def _tables():
+    # Coefficient rows: PRODUCT[i, j] = z^i z^j, CONJ[i] = conj(z^i) and
+    # MUL_W[i] = w z^i, so a coefficient vector x maps to x @ CONJ and x @ MUL_W.
+    product = np.array([[_basis_row(i + j) for j in range(6)] for i in range(6)],
+                       dtype=np.int64)
+    conj = np.array(_CONJ_BASIS, dtype=np.int64)
+    product.flags.writeable = False
+    conj.flags.writeable = False
+    return {"PRODUCT": product, "CONJ": conj, "MUL_W": product[3],
+            "PRODUCT36": product.reshape(36, 6)}
+
+
+def __getattr__(name):
+    """PRODUCT, CONJ and MUL_W are built on first use, so importing this
+    module imports no numpy."""
+    if name in ("PRODUCT", "CONJ", "MUL_W"):
+        return _tables()[name]
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def to_lattice(values):
@@ -388,9 +400,6 @@ def lattice_einsum(subscripts, *operands):
     return np.einsum(subscripts, *operands, optimize=True)
 
 
-_PRODUCT36 = PRODUCT.reshape(36, 6)
-
-
 def lattice_matmul(a, a_den, b, b_den):
     """Exact batched matrix product of a / a_den and b / b_den.
 
@@ -413,7 +422,7 @@ def lattice_matmul(a, a_den, b, b_den):
     pairs = np.matmul(lhs, rhs)  # (..., m*6, n*6): entry (i, p), (j, q)
     batch = pairs.shape[:-2]
     pairs = np.swapaxes(pairs.reshape(batch + (m, 6, n, 6)), -3, -2)
-    c = pairs.reshape(batch + (m, n, 36)) @ _PRODUCT36
+    c = pairs.reshape(batch + (m, n, 36)) @ _tables()["PRODUCT36"]
     den = a_den * b_den
     g = math.gcd(den, int(np.gcd.reduce(c, axis=None)))
     if g > 1:

@@ -22,18 +22,21 @@ this reproduces x2 = [x1, x3], z12 = [xi1, xi2], xi2 = [xi1, xi3] and
 z23 = [n2, n3] exactly, and makes the covering maps between the schemas
 honest homomorphisms.
 
-Cayley tables are numpy arrays over element codes (the base-3 value of the
+Cayley tables are Python rows over element codes (the base-3 value of the
 exponent vector, most significant generator first, so code order is exactly
-lexicographic order on exponent vectors).  Bulk checks -- exhaustive
-associativity, homomorphism tests, conjugacy orbits -- are vectorized over
-those tables.
+lexicographic order on exponent vectors); `rows[g][h]` is g*h.  Every
+structural algorithm -- inverses, center, derived subgroup, closures,
+classes, quotients, homomorphism tests -- reads those rows, so building and
+reporting a group needs no numpy.  `Group.table` is the same table as an
+int16 array, built on first use for the batched checks (exhaustive
+associativity, and the representation code's lattice products).
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+import numbers
 
-import numpy as np
+from . import _np as np
 
 
 class SchemaError(ValueError):
@@ -184,18 +187,19 @@ class Group:
 
     Element codes are ints in range(order); code 0 is the identity.  All
     cached structure is built eagerly enough to be shared read-only.  With
-    no schema the group is given by its Cayley table alone (a quotient);
-    the table-driven structure below works the same, while element words
-    and collection need a schema.
+    no schema the group is given by its Cayley table alone (a quotient),
+    as an array or as rows; the table-driven structure below works the
+    same, while element words and collection need a schema.
     """
 
     def __init__(self, sch, table=None):
         self.schema = sch
-        self._table = table
+        self._rows = None if table is None else [[int(x) for x in row] for row in table]
+        self._table = None
         self._inv = None
         self._cache = {}
         if sch is None:
-            self.order = table.shape[0]
+            self.order = len(self._rows)
             return
         k = sch.ngens
         self.ngens = k
@@ -220,6 +224,14 @@ class Group:
             word.extend([i] * (code // wgt % 3))
         return word
 
+    def _split_last(self, code):
+        """(prefix, letter) with code = prefix * g_letter in normal form;
+        the letter is the last one of code's word (code != 0)."""
+        i = self.ngens - 1
+        while code // self._weights[i] % 3 == 0:
+            i -= 1
+        return code - self._weights[i], i
+
     # multiplication -------------------------------------------------------
 
     def mult_collect(self, g, h):
@@ -227,69 +239,77 @@ class Group:
         return self.code_of(collect(self.schema, self.letters_of(g) + self.letters_of(h)))
 
     @property
+    def rows(self):
+        """Cayley table as Python rows; rows[g][h] = g*h."""
+        if self._rows is None:
+            self._rows = self._build_rows()
+        return self._rows
+
+    @property
     def table(self):
-        """Cayley table over codes; table[g, h] = g*h."""
+        """The Cayley table as an int16 array, table[g, h] = g*h, built from
+        the rows on first use for batched checks."""
         if self._table is None:
-            self._table = self._build_table()
+            self._table = np.array(self.rows, dtype=np.int16)
         return self._table
 
-    def _build_table(self):
+    def _right(self):
+        """right[i][g] = g * g_i by collection, for every code g; computed
+        once and shared by the enumeration and the table."""
+        if "right" not in self._cache:
+            self._cache["right"] = [[self.mult_collect(g, c) for g in range(self.order)]
+                                    for c in self.gen_codes]
+        return self._cache["right"]
+
+    def _build_rows(self):
+        # column h is column prefix(h) moved by right multiplication with
+        # h's last letter
         n = self.order
-        right = []
-        for i in range(self.ngens):
-            col = np.empty(n, dtype=np.int16)
-            for g in range(n):
-                col[g] = self.code_of(collect(self.schema, self.letters_of(g) + [i]))
-            right.append(col)
-        table = np.empty((n, n), dtype=np.int16)
-        base = np.arange(n, dtype=np.int16)
-        for h in range(n):
-            vec = base
-            for letter in self.letters_of(h):
-                vec = right[letter][vec]
-            table[:, h] = vec
-        return table
+        right = self._right()
+        cols = [list(range(n))]
+        for h in range(1, n):
+            prefix, letter = self._split_last(h)
+            cols.append(list(map(right[letter].__getitem__, cols[prefix])))
+        return [list(row) for row in zip(*cols)]
 
     @property
     def inv(self):
         """inv[g] is the code of g^-1."""
         if self._inv is None:
-            table = self.table
-            hits = np.count_nonzero(table == 0, axis=1)
-            if not np.all(hits == 1):
+            if any(row.count(0) != 1 for row in self.rows):
                 raise CollectionError("%s table is not a group table"
                                       % (self.schema.name if self.schema else "quotient"))
-            self._inv = np.nonzero(table == 0)[1].astype(np.int16)
+            self._inv = [row.index(0) for row in self.rows]
         return self._inv
 
     def mult(self, g, h):
-        return int(self.table[g, h])
+        return self.rows[g][h]
 
     def conjugate(self, g, h):
         """h g h^-1, i.e. phi(h) applied to g."""
-        t = self.table
-        return int(t[t[h, g], self.inv[h]])
+        r = self.rows
+        return r[r[h][g]][self.inv[h]]
 
     def commutator(self, g, h):
         """[g, h] = g h g^-1 h^-1."""
-        t = self.table
-        return int(t[t[t[g, h], self.inv[g]], self.inv[h]])
+        r = self.rows
+        return r[r[r[g][h]][self.inv[g]]][self.inv[h]]
 
     def power(self, g, e):
         if e < 0:
-            return self.power(int(self.inv[g]), -e)
-        t = self.table
+            return self.power(self.inv[g], -e)
+        r = self.rows
         out = 0
         for _ in range(e % self.element_order(g)):
-            out = int(t[out, g])
+            out = r[out][g]
         return out
 
     def element_order(self, g):
-        t = self.table
+        r = self.rows
         x = g
         o = 1
         while x != 0:
-            x = int(t[x, g])
+            x = r[x][g]
             o += 1
             if o > self.order:
                 raise CollectionError("order computation ran away")
@@ -305,13 +325,14 @@ class Group:
         once per group.
         """
         if "elements" not in self._cache:
+            right = self._right()
             seen = {0}
             frontier = [0]
             while frontier:
                 nxt = []
                 for g in frontier:
-                    for i in range(self.ngens):
-                        h = self.mult_collect(g, self.gen_codes[i])
+                    for col in right:
+                        h = col[g]
                         if h not in seen:
                             seen.add(h)
                             nxt.append(h)
@@ -323,58 +344,57 @@ class Group:
 
     def center_codes(self):
         if "center" not in self._cache:
-            t = self.table
+            cols = list(zip(*self.rows))
             self._cache["center"] = frozenset(
-                int(g) for g in np.nonzero((t == t.T).all(axis=1))[0])
+                g for g, row in enumerate(self.rows) if tuple(row) == cols[g])
         return self._cache["center"]
 
     def derived_codes(self):
         if "derived" not in self._cache:
-            t = self.table
-            n = self.order
-            gg, hh = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-            gg = gg.ravel()
-            hh = hh.ravel()
-            comms = t[t[t[gg, hh], self.inv[gg]], self.inv[hh]]
-            self._cache["derived"] = self.closure(np.unique(comms))
+            r, inv = self.rows, self.inv
+            comms = set()
+            for g, row in enumerate(r):
+                gi = inv[g]
+                comms.update([r[r[gh][gi]][hi] for gh, hi in zip(row, inv)])
+            self._cache["derived"] = self.closure(comms)
         return self._cache["derived"]
 
     def closure(self, codes):
         """Subgroup generated by the given codes (as a frozenset)."""
-        t = self.table
-        cur = set(int(c) for c in codes)
-        cur.add(0)
-        while True:
-            arr = np.fromiter(cur, dtype=np.int64)
-            prods = np.unique(t[np.ix_(arr, arr)])
-            new = set(int(p) for p in prods)
-            if new <= cur:
-                return frozenset(cur)
-            cur |= new
+        r = self.rows
+        gens = {int(c) for c in codes}
+        cur = {0}
+        todo = [0]
+        while todo:
+            row = r[todo.pop()]
+            for c in gens:
+                x = row[c]
+                if x not in cur:
+                    cur.add(x)
+                    todo.append(x)
+        return frozenset(cur)
 
     def conjugacy_classes(self):
         """List of (least-code representative, sorted tuple of member codes)."""
         if "classes" not in self._cache:
-            t = self.table
-            n = self.order
-            inv = self.inv
-            all_h = np.arange(n)
-            seen = np.zeros(n, dtype=bool)
+            r, inv = self.rows, self.inv
+            seen = set()
             classes = []
-            for g in range(n):
-                if seen[g]:
+            for g in range(self.order):
+                if g in seen:
                     continue
-                orbit = np.unique(t[t[all_h, g], inv[all_h]])
-                seen[orbit] = True
-                classes.append((int(orbit.min()), tuple(int(x) for x in orbit)))
-            classes.sort()
+                # g is the least code of its class: a smaller member would
+                # have put g in `seen`
+                orbit = tuple(sorted({r[row[g]][ih] for row, ih in zip(r, inv)}))
+                seen.update(orbit)
+                classes.append((g, orbit))
             self._cache["classes"] = classes
         return self._cache["classes"]
 
     def class_index_of(self):
-        """Array mapping each code to its conjugacy-class index."""
+        """List mapping each code to its conjugacy-class index."""
         if "class_index" not in self._cache:
-            idx = np.empty(self.order, dtype=np.int16)
+            idx = [0] * self.order
             for ci, (_, members) in enumerate(self.conjugacy_classes()):
                 for m in members:
                     idx[m] = ci
@@ -389,12 +409,14 @@ class Group:
     def quotient(self, normal_codes):
         """The quotient by a normal subgroup (given as a code set), as a
         table-only Group; coset i is the i-th least coset minimum."""
-        t = self.table
-        nc = np.array(sorted(normal_codes))
-        if not np.isin(t[t[:, nc], self.inv[:, None]], nc).all():
+        r, inv = self.rows, self.inv
+        normal = frozenset(normal_codes)
+        if any(r[row[m]][inv[g]] not in normal for g, row in enumerate(r) for m in normal):
             raise SchemaError("subgroup is not normal")
-        reps, index = np.unique(t[:, nc].min(axis=1), return_inverse=True)
-        return Group(None, index[t[np.ix_(reps, reps)]].astype(np.int16))
+        coset_min = [min(row[m] for m in normal) for row in r]
+        reps = sorted(set(coset_min))
+        index = {c: i for i, c in enumerate(reps)}
+        return Group(None, [[index[coset_min[r[a][b]]] for b in reps] for a in reps])
 
     # formatting -------------------------------------------------------------
 
@@ -421,7 +443,7 @@ class Group:
         """GroupElement from a code, exponent iterable, or text form."""
         if isinstance(spec, GroupElement):
             return spec
-        if isinstance(spec, (int, np.integer)):
+        if isinstance(spec, numbers.Integral):
             return GroupElement(self, self.exps_of(int(spec)))
         if isinstance(spec, str):
             return GroupElement(self, self.exps_of(self.parse_element(spec)))
@@ -434,10 +456,20 @@ class Group:
         return self.element(0)
 
 
-@lru_cache(maxsize=None)
+_GROUPS = {}
+
+
 def get_group(name, params=None):
-    """Shared Group instance per schema (tables built once per process)."""
-    return Group(schema(name, params))
+    """Shared Group instance per schema (tables built once per process).
+
+    Keyed on the schema's normalized (name, params), so every spelling of
+    a call (params omitted, None, or congruent mod 3) shares one Group.
+    """
+    sch = schema(name, params)
+    group = _GROUPS.get(sch.key)
+    if group is None:
+        group = _GROUPS[sch.key] = Group(sch)
+    return group
 
 
 class GroupElement:
@@ -459,7 +491,7 @@ class GroupElement:
         return self.group.element(self.group.mult_collect(self.code, other.code))
 
     def inverse(self):
-        return self.group.element(int(self.group.inv[self.code]))
+        return self.group.element(self.group.inv[self.code])
 
     def __pow__(self, k):
         return self.group.element(self.group.power(self.code, k))
@@ -509,9 +541,8 @@ class Subgroup:
         return len(self.codes)
 
     def is_abelian(self):
-        t = self.group.table
-        codes = sorted(self.codes)
-        return all(t[a, b] == t[b, a] for a in codes for b in codes)
+        r = self.group.rows
+        return all(r[a][b] == r[b][a] for a in self.codes for b in self.codes)
 
     def __contains__(self, code):
         return int(code) in self.codes
@@ -556,12 +587,12 @@ def check_schema(group):
     elements = group.enumerate_elements()
     if len(elements) != n or elements != list(range(n)):
         problems.append("enumeration closure has %d elements, expected %d" % (len(elements), n))
-    t = group.table
-    if not (np.array_equal(t[0, :], np.arange(n)) and np.array_equal(t[:, 0], np.arange(n))):
+    r = group.rows
+    if r[0] != list(range(n)) or any(row[0] != g for g, row in enumerate(r)):
         problems.append("identity is not neutral")
     for j in range(group.ngens):
         gj = group.gen_codes[j]
-        cube = t[t[gj, gj], gj]
+        cube = r[r[gj][gj]][gj]
         want = group.code_of(collect(sch, list(sch.power[j])))
         if cube != want:
             problems.append("cube of %s violates its power rule" % sch.gens[j])
@@ -639,29 +670,26 @@ class CheckReport:
 def hom_from_gen_images(big, small, image_codes):
     """Total map big -> small sending each generator to the given code.
 
-    Defined on normal forms by multiplying images; whether it is a
-    homomorphism is for the caller to check.
+    Defined on normal forms by multiplying images left to right, as the
+    list phi[g]; whether it is a homomorphism is for the caller to check.
     """
-    phi = np.zeros(big.order, dtype=np.int64)
-    st = small.table
-    for g in range(big.order):
-        acc = 0
-        for letter in big.letters_of(g):
-            acc = int(st[acc, image_codes[letter]])
-        phi[g] = acc
+    sr = small.rows
+    phi = [0]
+    for g in range(1, big.order):
+        prefix, letter = big._split_last(g)
+        phi.append(sr[phi[prefix]][image_codes[letter]])
     return phi
 
 
 def homomorphism_violation(big, small, phi):
-    """First pair with phi(g h) != phi(g) phi(h), or None."""
-    bt = big.table
-    st = small.table
-    lhs = phi[bt]
-    rhs = st[phi[:, None], phi[None, :]]
-    bad = np.argwhere(lhs != rhs)
-    if len(bad):
-        g, h = int(bad[0][0]), int(bad[0][1])
-        return g, h
+    """First pair (g, h), in row order, with phi(g h) != phi(g) phi(h), or None."""
+    sr = small.rows
+    at = phi.__getitem__
+    for g, row in enumerate(big.rows):
+        lhs = list(map(at, row))
+        rhs = list(map(sr[phi[g]].__getitem__, phi))
+        if lhs != rhs:
+            return g, next(h for h, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
     return None
 
 
@@ -699,11 +727,11 @@ def verify_efficient_covering(big, kernel_gens, small, gen_map):
                     % (big.element_str(g), big.element_str(h)))
         return report
 
-    actual_kernel = frozenset(int(g) for g in np.nonzero(phi == 0)[0])
+    actual_kernel = frozenset(g for g, x in enumerate(phi) if x == 0)
     if actual_kernel != kernel:
         report.fail("kernel is %d elements, declared subgroup has %d"
                     % (len(actual_kernel), len(kernel)))
-    if len(set(int(x) for x in phi)) != small.order:
+    if len(set(phi)) != small.order:
         report.fail("map is not surjective")
     if big.order != len(kernel) * small.order:
         report.fail("|big| != |kernel| * |small|")
@@ -736,19 +764,19 @@ def verify_phi_automorphism(a, b):
     b %= 3
     gs = get_group("GSHARP")
     report = CheckReport("phi automorphism (a=%d, b=%d)" % (a, b))
-    t = gs.table
+    r = gs.rows
     zeta = gs.generator("zeta").code
     z12 = gs.generator("z12").code
     image_codes = []
     for name in gs.schema.gens:
         g = gs.generator(name).code
         if name == "xi1":
-            g = int(t[g, gs.power(zeta, a)])
+            g = r[g][gs.power(zeta, a)]
         elif name == "xi3":
-            g = int(t[g, gs.power(zeta, b)])
+            g = r[g][gs.power(zeta, b)]
         image_codes.append(g)
     phi = hom_from_gen_images(gs, gs, image_codes)
-    if len(set(int(x) for x in phi)) != gs.order:
+    if len(set(phi)) != gs.order:
         report.fail("substitution map is not a bijection of GSHARP")
 
     xi1p, xi2p, xi3p = image_codes[2], image_codes[3], image_codes[4]
@@ -783,7 +811,7 @@ def verify_phi_automorphism(a, b):
         report.fail("presented (a,b) group does not map onto the primed "
                     "subgroup: failure at (%s) * (%s)"
                     % (param.element_str(g), param.element_str(h)))
-    elif set(int(x) for x in onto) != set(primed):
+    elif set(onto) != set(primed):
         report.fail("presented (a,b) group image differs from primed subgroup")
     return report
 
@@ -816,7 +844,7 @@ def find_param_isomorphism(a, b):
                 continue
             images = [z, u, x2, v]
             psi = hom_from_gen_images(param, g81, images)
-            if len(set(int(x) for x in psi)) != n:
+            if len(set(psi)) != n:
                 continue
             if homomorphism_violation(param, g81, psi) is None:
                 return {"z12": z, "xi1": u, "xi2": x2, "xi3": v}

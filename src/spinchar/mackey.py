@@ -13,8 +13,7 @@ exact int64 lattice of `cyclo9`.
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
+from . import _np as np
 from .cyclo import root_of_unity
 from .cyclo9 import (from_lattice, lattice_common, lattice_einsum, lattice_equal,
                      lattice_identity, lattice_matmul, to_lattice)
@@ -75,13 +74,13 @@ def dual_group(subgroup, independent_gens):
         raise MackeyError("%d generators cannot span a subgroup of order %d"
                           % (k, subgroup.order))
     # enumerate power products once; they must hit every element exactly once
-    table = group.table
+    rows = group.rows
     codes_by_vec = {}
     for vec in product(range(3), repeat=k):
         acc = 0
         for g, e in zip(gen_codes, vec):
             for _ in range(e):
-                acc = int(table[acc, g])
+                acc = rows[acc][g]
         codes_by_vec[vec] = acc
     if set(codes_by_vec.values()) != set(subgroup.codes):
         raise MackeyError("generators are not independent in the subgroup")
@@ -99,7 +98,7 @@ def act_on_dual(w, chi):
     """(w.chi)(u) = chi(w^-1 u w); the domain must be w-invariant."""
     group = chi.subgroup.group
     w = group.element(w).code
-    winv = int(group.inv[w])
+    winv = group.inv[w]
     moved = {}
     for code in chi.exps:
         conj = group.conjugate(code, winv)  # w^-1 * code * w
@@ -328,7 +327,7 @@ def induce(rho, section, name=None):
     if (i < 0).any():
         raise MackeyError("section does not close under the target")
     k, m, d = len(sect), len(gens), rho.dim
-    L, den = rho.images_at(table[t, group.inv[sect[i]]])   # u = s_j y s_i^-1
+    L, den = rho.images_at(table[t, np.array(group.inv)[sect[i]]])   # u = s_j y s_i^-1
     blocks = np.zeros((m, k, d, k, d, 6), dtype=np.int64)
     # block (j, i) of y sits at rows j*d.. and columns i*d.. after the reshape
     blocks[np.arange(m), np.arange(k)[:, None], :, i] = L.reshape(k, m, d, d, 6)

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-import numpy as np
-
+from . import _np as np
+from . import cyclo9
 from .cyclo import CycError, ZERO, ONE, OMEGA, OMEGA2, root_of_unity, root_exponent
-from .cyclo9 import (CONJ, MUL_W, cyc9_cbrt, from_lattice, lattice_einsum, lattice_equal,
+from .cyclo9 import (cyc9_cbrt, from_lattice, lattice_einsum, lattice_equal,
                      lattice_matmul, scalar_str, to_lattice)
 from .linalg import CycMatrix, intertwiner_space
 from .groups import CheckReport, Subgroup, get_group, covering_data
@@ -416,7 +416,7 @@ class CharTable:
         """The row values as a (rows, classes, 6) lattice array, its complex
         conjugate, and their common denominator."""
         X, den = to_lattice([values for _, _, _, values in self.rows])
-        return X, lattice_einsum("icp,pq->icq", X, CONJ), den
+        return X, lattice_einsum("icp,pq->icq", X, cyclo9.CONJ), den
 
     def gram_matrix(self):
         """Exact Gram matrix of the rows under the character inner product."""
@@ -461,7 +461,7 @@ class CocycleTable:
     """Factor set on the base group, stored as omega-exponents mod 3."""
 
     base: object
-    exps: np.ndarray  # (27, 27) int8
+    exps: "np.ndarray"  # (27, 27) int8
 
     def value(self, g, h):
         return root_of_unity(int(self.exps[g, h]))
@@ -502,7 +502,7 @@ def table_cocycle():
     section = canonical_section()
     s = np.array([section[g] for g in range(g27.order)])
     table = r243.table
-    c = table[table[s[:, None], s[None, :]], r243.inv[s[g27.table]]]
+    c = table[table[s[:, None], s[None, :]], np.array(r243.inv)[s[g27.table]]]
     a = np.full(r243.order, -1)
     b = np.full(r243.order, -1)
     for x in range(3):
@@ -548,8 +548,8 @@ def restrict_to_projective(rep, section=None):
     matches = np.empty((3, n, n), dtype=bool)  # [k, g, h]: T(g) T(h) = w^k T(gh)
     try:
         L, den = rep.images_at([section[g] for g in range(n)])
-        wL = lattice_einsum("gijp,pq->gijq", L, MUL_W)
-        targets = np.stack([L, wL, lattice_einsum("gijp,pq->gijq", wL, MUL_W)])
+        wL = lattice_einsum("gijp,pq->gijq", L, cyclo9.MUL_W)
+        targets = np.stack([L, wL, lattice_einsum("gijp,pq->gijq", wL, cyclo9.MUL_W)])
         for g in range(n):
             prods, prods_den = lattice_matmul(L[g], den, L, den)
             same = lattice_equal(prods, prods_den, targets[:, g27.table[g]], den)

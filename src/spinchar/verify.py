@@ -5,8 +5,7 @@ Each check runs an exact computation and returns a CheckReport; the CLI
 comparisons are literal equality -- there are no tolerances anywhere.
 """
 
-import numpy as np
-
+from . import _np as np
 from .cyclo import ONE, root_of_unity
 from .linalg import CycMatrix, J_SHIFT, K_SHIFT
 from .groups import (CheckReport, Subgroup, get_group, covering_data, verify_efficient_covering,

@@ -136,6 +136,10 @@ def test_output_file(tmp_path, capsys):
     code, out, err = run_cli(capsys, "chartable", "--out", str(missing))
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+    # an empty path is a path that cannot be written, not "no --out given"
+    code, out, err = run_cli(capsys, "group", "G27", "--out", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write : ")
 
 
 def test_cocycle_command(capsys):
@@ -184,6 +188,10 @@ def test_verify_unknown_check(capsys):
     code, _, err = run_cli(capsys, "verify", "--only", "orders, ,bogus")
     assert code == 2
     assert err.startswith("error: unknown checks: '', 'bogus' (know ")
+    # an empty list names one blank check; it does not mean "run them all"
+    code, out, err = run_cli(capsys, "verify", "--only", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown checks: '' (know orders, ")
 
 
 # CLI fuzz: argv from the subcommands, their flags and malformed values.  A
@@ -195,8 +203,8 @@ _FLAG_VALUES = {
     "--spin": ["1,1", "0,0", "2,0", "all", "1", "a,b", "", "-1,2", "3,4"],
     "--group": ["R243", "G27", "G81", "GBAR", "GSHARP", "NOPE", ""],
     "--irrep": ["Pi(1,1;0)", "Pi(0,0,0)", "nope", ""],
-    "--only": ["orders", "orbits,intertwiner", ",", "bogus", "characters, orders"],
-    "--out": ["/nonexistent-dir/x.txt", "."],
+    "--only": ["orders", "orbits,intertwiner", ",", "bogus", "characters, orders", ""],
+    "--out": ["/nonexistent-dir/x.txt", ".", ""],
 }
 _COMMAND_FLAGS = {
     "group": ["--params", "--format", "--out"],

@@ -1,0 +1,57 @@
+"""What a fresh process imports and builds.
+
+The structural commands (`group` reports) run on the Cayley table's Python
+rows and import numpy only on first array use, and one `verify` builds
+each catalog table once.  Both are properties of a whole process, so each
+test runs its code in a child interpreter.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# the 14 `group` reports of the benchmark's structure workload
+GROUP_ARGS = ([[name] for name in ("G27", "G81", "GBAR", "R243", "GSHARP")]
+              + [["G81_param", "--params", "%d,%d" % (a, b)]
+                 for a in range(3) for b in range(3)])
+
+
+def _run(code):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_group_reports_import_no_numpy():
+    out = _run("""
+import contextlib, io, sys
+from spinchar.cli import main
+assert "numpy" not in sys.modules, "importing spinchar.cli imported numpy"
+for args in %r:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["group"] + args + ["--format", "json"]) == 0, args
+print("numpy" in sys.modules)
+""" % (GROUP_ARGS,))
+    assert out == "False\n"
+
+
+def test_verify_builds_each_table_once():
+    out = _run("""
+from collections import Counter
+from spinchar import groups, verify
+built = Counter()
+build = groups.Group._build_rows
+def counting(self):
+    built[self.schema.key] += 1
+    return build(self)
+groups.Group._build_rows = counting
+assert all(r.passed for r in verify.run_checks())
+print(len(built), max(built.values()))
+""")
+    assert out == "14 1\n"

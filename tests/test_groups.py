@@ -249,3 +249,53 @@ def test_subgroup_helper():
     assert not U.is_abelian()
     U0 = Subgroup.generated(g81, ["z12", "xi1"])
     assert U0.order == 9 and U0.is_abelian()
+
+
+CATALOG = ([(name, None) for name in ("G27", "G81", "GBAR", "R243", "GSHARP")]
+           + [("G81_param", (a, b)) for a in range(3) for b in range(3)])
+
+
+def test_get_group_keys_on_the_normalized_schema():
+    for name, params in CATALOG:
+        group = get_group(name, params)
+        if params is None:
+            assert get_group(name) is group and get_group(name, params=None) is group
+        else:
+            assert get_group(name, list(params)) is group
+            assert get_group(name, tuple(p + 3 for p in params)) is group
+
+
+def test_rows_and_table_agree():
+    for name, params in CATALOG:
+        group = get_group(name, params)
+        assert group.table.dtype == np.int16
+        assert group.table.tolist() == group.rows
+    g27 = get_group("G27")
+    from_array = Group(None, g27.table.astype(np.int64))
+    assert from_array.rows == g27.rows and from_array.inv == g27.inv
+    assert all(type(x) is int for row in from_array.rows for x in row)
+    assert from_array.table.tolist() == g27.rows
+    r243 = get_group("R243")
+    q = r243.quotient(r243.center_codes())
+    assert q.order == 27 and all(type(x) is int for row in q.rows for x in row)
+    assert q.table.tolist() == q.rows
+
+
+@pytest.mark.parametrize("name", ["R243", "GSHARP"])
+def test_row_structure_matches_array_reference(name):
+    # the array formulations the row algorithms replaced
+    group = get_group(name)
+    t = group.table
+    n = group.order
+    inv = np.nonzero(t == 0)[1]
+    assert group.inv == inv.tolist()
+    assert group.center_codes() == frozenset(np.nonzero((t == t.T).all(axis=1))[0].tolist())
+    gg, hh = np.divmod(np.arange(n * n), n)
+    comms = np.unique(t[t[t[gg, hh], inv[gg]], inv[hh]])
+    assert group.derived_codes() == group.closure(comms.tolist())
+    arr = np.array(sorted(group.derived_codes()))
+    assert set(np.unique(t[np.ix_(arr, arr)]).tolist()) == set(arr.tolist())
+    classes = sorted({tuple(np.unique(t[t[:, g], inv]).tolist()) for g in range(n)})
+    assert group.conjugacy_classes() == [(c[0], c) for c in classes]
+    reps, index = np.unique(t[:, arr].min(axis=1), return_inverse=True)
+    assert group.quotient(arr.tolist()).rows == index[t[np.ix_(reps, reps)]].tolist()
