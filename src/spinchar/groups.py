@@ -257,8 +257,9 @@ class Group:
         """right[i][g] = g * g_i by collection, for every code g; computed
         once and shared by the enumeration and the table."""
         if "right" not in self._cache:
-            self._cache["right"] = [[self.mult_collect(g, c) for g in range(self.order)]
-                                    for c in self.gen_codes]
+            self._cache["right"] = [
+                [self.code_of(collect(self.schema, self.letters_of(g) + [i]))
+                 for g in range(self.order)] for i in range(self.ngens)]
         return self._cache["right"]
 
     def _build_rows(self):
