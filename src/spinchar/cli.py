@@ -9,8 +9,10 @@ bytes.  Exit codes: 0 success, 1 verification failure, 2 usage error.
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import sys
 
 from .groups import (SCHEMA_NAMES, COVERING_MAPS, SchemaError, get_group,
@@ -53,6 +55,16 @@ def _parse_params(text):
     return (a % 3, b % 3)
 
 
+def _unwritable(path):
+    """The errno that opening `path` for writing would meet, or 0; nothing is created."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        return errno.EISDIR
+    if not path or not os.path.isdir(parent):
+        return errno.ENOENT
+    return 0 if os.access(path if os.path.exists(path) else parent, os.W_OK) else errno.EACCES
+
+
 def _emit(text, out_path):
     if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -93,7 +105,7 @@ def cmd_group(args):
         report["fingerprint_matches_G81"] = same
 
     if args.format == "json":
-        return _json(report)
+        return _json(report), 0
     lines = ["%s%s" % (args.name, " (a=%d, b=%d)" % params if params else "")]
     lines.append("  order            %d" % report["order"])
     lines.append("  center           %d elements: %s"
@@ -105,7 +117,7 @@ def cmd_group(args):
         lines.append("  covering -> %-5s %s" % (cov["to"], "pass" if cov["passed"] else "FAIL"))
     if "fingerprint_matches_G81" in report:
         lines.append("  fingerprint matches G81: %s" % report["fingerprint_matches_G81"])
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", 0
 
 
 _NATIVE_CATALOGS = {"G27", "G81", "GBAR", "R243"}
@@ -144,7 +156,7 @@ def cmd_irreps(args):
                        for gen in rep.group.schema.gens},
         })
     if args.format == "json":
-        return _json({"group": args.group, "count": len(entries), "irreps": entries})
+        return _json({"group": args.group, "count": len(entries), "irreps": entries}), 0
     lines = []
     for e in entries:
         lines.append("%s  spin (%d,%d)  dim %d"
@@ -152,7 +164,7 @@ def cmd_irreps(args):
         for gen, rows in e["images"].items():
             lines.append("  %-4s %s" % (gen, rows))
     lines.append("%d irreducibles" % len(entries))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", 0
 
 
 def cmd_chartable(args):
@@ -163,7 +175,7 @@ def cmd_chartable(args):
                "values": [scalar_str(v) for v in values]}
               for name, st, dim, values in table.rows]
     if args.format == "json":
-        return _json({"group": "R243", "classes": classes, "irreps": irreps})
+        return _json({"group": "R243", "classes": classes, "irreps": irreps}), 0
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -172,7 +184,7 @@ def cmd_chartable(args):
         for row in irreps:
             writer.writerow([row["name"], "(%d,%d)" % tuple(row["spin_type"]),
                              row["dim"]] + row["values"])
-        return buf.getvalue()
+        return buf.getvalue(), 0
     raise UsageError("chartable supports json or csv")
 
 
@@ -234,6 +246,10 @@ def cmd_verify(args):
     return text, 0 if passed else 1
 
 
+COMMANDS = {"group": cmd_group, "irreps": cmd_irreps, "chartable": cmd_chartable,
+            "cocycle": cmd_cocycle, "verify": cmd_verify}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="spinchar",
@@ -272,19 +288,13 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    bad = args.out is not None and _unwritable(args.out)
+    if bad:  # refused before any work; a race at the write is caught below
+        print("error: cannot write %s: %s" % (args.out, os.strerror(bad)), file=sys.stderr)
+        return 2
     try:
-        if args.command == "group":
-            text, code = cmd_group(args), 0
-        elif args.command == "irreps":
-            text, code = cmd_irreps(args), 0
-        elif args.command == "chartable":
-            text, code = cmd_chartable(args), 0
-        elif args.command == "cocycle":
-            text, code = cmd_cocycle(args)
-        else:
-            text, code = cmd_verify(args)
+        text, code = COMMANDS[args.command](args)
     except (UsageError, SchemaError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -28,8 +28,8 @@ lexicographic order on exponent vectors); `rows[g][h]` is g*h.  Every
 structural algorithm -- inverses, center, derived subgroup, closures,
 classes, quotients, homomorphism tests -- reads those rows, so building and
 reporting a group needs no numpy.  `Group.table` is the same table as an
-int16 array, built on first use for the batched checks (exhaustive
-associativity, and the representation code's lattice products).
+int16 array, built on first use for the batched checks (associativity of
+every triple by Light's test, and the representation code's lattice products).
 """
 
 from collections import Counter
@@ -48,6 +48,7 @@ class CollectionError(RuntimeError):
 
 
 _COLLECT_BOUND = 200_000
+_TRIPLE_BLOCK = 1 << 16  # random associativity triples drawn and compared at once
 
 
 class GroupSchema:
@@ -551,32 +552,36 @@ class Subgroup:
 
 # -- whole-table checks ----------------------------------------------------
 
-def exhaustive_associativity(table, block=32):
-    """(g h) k == g (h k) over all triples; returns a violating triple or None."""
-    n = table.shape[0]
-    for start in range(0, n, block):
-        gs = np.arange(start, min(start + block, n))
-        lhs = table[table[gs, :], :]
-        rhs = table[gs][:, table.reshape(-1)].reshape(len(gs), n, n)
+def exhaustive_associativity(table):
+    """(x s) y == x (s y) over all triples, by Light's test; a violating (x, s, y)
+    or None.  The middles s that pass are closed under the product, so n^2
+    products for each s of a generating set decide all n^3 triples.  The set is
+    greedy and read from the table alone, so quotients need no schema."""
+    gens, seen = [], np.zeros(table.shape[0], dtype=bool)
+    while not seen.all():
+        gens.append(int(np.argmin(seen)))  # the least code outside the closure
+        seen[gens[-1]], size = True, 0
+        while size < seen.sum():  # close under right multiplication by gens
+            size = seen.sum()
+            seen[table[seen][:, gens]] = True
+    for s in gens:
+        lhs, rhs = table[table[:, s]], table[:, table[s]]
         if not np.array_equal(lhs, rhs):
-            bad = np.argwhere(lhs != rhs)[0]
-            return (int(gs[bad[0]]), int(bad[1]), int(bad[2]))
+            x, y = np.argwhere(lhs != rhs)[0]
+            return (int(x), s, int(y))
     return None
 
 
 def random_triples_associative(table, count, seed=0):
-    """Spot-check associativity on `count` uniform triples; None if all pass."""
+    """Spot-check associativity on `count` uniform triples, drawn and compared
+    in blocks of _TRIPLE_BLOCK; None if all pass."""
     n = table.shape[0]
     rng = np.random.default_rng(seed)
-    g = rng.integers(0, n, size=count)
-    h = rng.integers(0, n, size=count)
-    k = rng.integers(0, n, size=count)
-    lhs = table[table[g, h], k]
-    rhs = table[g, table[h, k]]
-    bad = np.nonzero(lhs != rhs)[0]
-    if bad.size:
-        i = int(bad[0])
-        return (int(g[i]), int(h[i]), int(k[i]))
+    for start in range(0, count, _TRIPLE_BLOCK):
+        g, h, k = rng.integers(0, n, size=(3, min(_TRIPLE_BLOCK, count - start)))
+        bad = np.flatnonzero(table[table[g, h], k] != table[g, table[h, k]])
+        if bad.size:
+            return (int(g[bad[0]]), int(h[bad[0]]), int(k[bad[0]]))
     return None
 
 

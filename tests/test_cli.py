@@ -4,9 +4,11 @@ import contextlib
 import csv
 import io
 import json
+import os
 
 from hypothesis import given, settings, strategies as st
 
+from spinchar import cli
 from spinchar.cli import main
 from spinchar.cyclo9 import parse_scalar, scalar_str
 
@@ -140,6 +142,28 @@ def test_output_file(tmp_path, capsys):
     code, out, err = run_cli(capsys, "group", "G27", "--out", "")
     assert (code, out) == (2, "")
     assert err.startswith("error: cannot write : ")
+
+
+def test_unwritable_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    calls, real = [], cli.run_checks
+    monkeypatch.setattr(cli, "run_checks", lambda only: calls.append(only) or real(only))
+    for path, reason in [(tmp_path / "no_such_dir" / "x.txt", "No such file or directory"),
+                         (tmp_path, "Is a directory")]:
+        code, out, err = run_cli(capsys, "verify", "--out", str(path))
+        assert (code, out, err) == (2, "", "error: cannot write %s: %s\n" % (path, reason))
+    kept = tmp_path / "kept.txt"
+    kept.write_text("old", encoding="utf-8")
+    with monkeypatch.context() as m:  # a parent or file without write permission
+        m.setattr(os, "access", lambda path, mode: False)
+        code, _, err = run_cli(capsys, "verify", "--out", str(kept))
+    assert code == 2 and err.endswith(": Permission denied\n")
+    assert calls == []  # not one check ran
+    # a writable path is not created or truncated before the command succeeds
+    code, _, err = run_cli(capsys, "verify", "--only", "bogus", "--out", str(kept))
+    assert code == 2 and err.startswith("error: unknown checks: ")
+    assert kept.read_text(encoding="utf-8") == "old"
+    code, _, _ = run_cli(capsys, "group", "G27", "--out", str(tmp_path / "new.txt"))
+    assert code == 0 and sorted(p.name for p in tmp_path.iterdir()) == ["kept.txt", "new.txt"]
 
 
 def test_cocycle_command(capsys):

@@ -1,5 +1,8 @@
 """The group engine: collection, structure, coverings, fingerprints."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -299,3 +302,74 @@ def test_row_structure_matches_array_reference(name):
     assert group.conjugacy_classes() == [(c[0], c) for c in classes]
     reps, index = np.unique(t[:, arr].min(axis=1), return_inverse=True)
     assert group.quotient(arr.tolist()).rows == index[t[np.ix_(reps, reps)]].tolist()
+
+
+def _light_verdict(table):
+    """Light's test, held to the n^3 reference: for each x, (x y) z against
+    x (y z) over all y, z at once."""
+    bad = exhaustive_associativity(table)
+    n = len(table)
+    assert (bad is None) == all(np.array_equal(table[table[x]], table[x][table])
+                                for x in range(n))
+    if bad is not None:
+        x, s, y = bad
+        assert table[table[x, s], y] != table[x, table[s, y]]
+    return bad
+
+
+def test_light_test_agrees_with_the_cubic_reference():
+    r243 = get_group("R243")
+    tables = [get_group(name, params).table for name, params in CATALOG]
+    tables.append(r243.quotient(r243.closure([r243.generator(z).code
+                                              for z in ("z12", "z23")])).table)
+    # relabelled codes: the greedy generating set is a different one
+    perm = np.random.default_rng(3).permutation(r243.order)
+    relabelled = np.empty_like(r243.table)
+    relabelled[np.ix_(perm, perm)] = perm[r243.table]
+    for table in tables + [relabelled]:
+        assert _light_verdict(table) is None
+
+
+def test_light_test_agrees_with_the_cubic_reference_on_planted_swaps():
+    rng = np.random.default_rng(11)
+    caught = 0
+    for name in ("G27", "G81", "R243"):
+        for _ in range(20):
+            table = get_group(name).table.copy()
+            row = rng.integers(len(table))
+            a, b = rng.choice(len(table), 2, replace=False)
+            table[row, [a, b]] = table[row, [b, a]]
+            caught += _light_verdict(table) is not None
+    assert caught == 60
+
+
+def test_light_test_agrees_with_the_cubic_reference_on_order_3_magmas():
+    # off group tables the greedy set and its closure matter: all 113
+    # semigroups of order 3 and a seeded sample of the other 19,570 magmas
+    tables = np.array(list(itertools.product(range(3), repeat=9)),
+                      dtype=np.int16).reshape(-1, 3, 3)
+    i = np.arange(len(tables))[:, None, None, None]
+    x, y, z = np.ix_(range(3), range(3), range(3))
+    same = tables[i, tables[i, x, y], z] == tables[i, x, tables[i, y, z]]
+    assoc = np.flatnonzero(same.reshape(len(tables), -1).all(axis=1))
+    assert len(assoc) == 113
+    others = np.setdiff1d(np.arange(len(tables)), assoc)
+    picked = np.concatenate([assoc, np.random.default_rng(5).choice(others, 1000, replace=False)])
+    verdicts = [_light_verdict(tables[j]) is None for j in picked]
+    assert sum(verdicts) == 113
+
+
+def test_associativity_passes_stay_small_in_memory():
+    gsharp, r243 = get_group("GSHARP").table, get_group("R243").table
+    random_triples_associative(gsharp, 10, seed=1)  # warm numpy outside the trace
+    tracemalloc.start()
+    try:
+        random_triples_associative(gsharp, 10 ** 6, seed=2024)
+        random_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        exhaustive_associativity(r243)
+        light_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert random_peak < 8 * 2 ** 20  # drawn all at once, the 10^6 triples took 29.4 MB
+    assert light_peak < 4 * 2 ** 20  # the n^3 comparison in blocks of 32 took 11.6 MB

@@ -217,6 +217,25 @@ def test_swapped_table_entry_fails_associativity(monkeypatch):
     assert "['" not in result.detail
 
 
+def test_swapped_gsharp_entry_fails_both_associativity_passes(monkeypatch):
+    # the 10^6 random GSHARP triples hit the swap too, not only Light's test
+    real = verify.get_group
+    gsharp = real("GSHARP")
+    table = gsharp.table.copy()
+    table[5, [7, 11]] = table[5, [11, 7]]  # row 5 stays a permutation
+    planted = Group(gsharp.schema, table)
+    monkeypatch.setattr(verify, "get_group", lambda name, params=None:
+                        planted if name == "GSHARP" else real(name, params))
+    result = verify.check_associativity()
+    assert not result.passed
+    assert all(f.startswith("GSHARP") for f in result.failures)
+    for label in ("GSHARP associativity", "GSHARP random-triple associativity"):
+        m = re.search(label + r" fails at \((\d+), (\d+), (\d+)\)", result.detail)
+        assert m is not None, (label, result.detail)
+        g, h, k = map(int, m.groups())
+        assert table[table[g, h], k] != table[g, table[h, k]]
+
+
 def _rewritten_jw(monkeypatch, convert):
     real = verify.g81_partial_catalog
 
