@@ -201,6 +201,7 @@ class SubRep:
         self.name = name
         self._weights = weights
         self._powers = None
+        self._verdict = None  # (first broken rule,) once verify has run
 
     def powers(self):
         """(P, den): P[k, e] / den is the lattice image of the k-th domain
@@ -253,6 +254,11 @@ class SubRep:
         first); only a failing rule is converted back to matrices for its
         witness.  Raises CycError when entries leave the lattice.
         """
+        if self._verdict is None:
+            self._verdict = (self._first_broken_rule(),)
+        return self._verdict[0]
+
+    def _first_broken_rule(self):
         group = self.group
         table = group.table
         names = list(self.images)

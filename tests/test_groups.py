@@ -9,8 +9,8 @@ import pytest
 from spinchar import groups
 from spinchar.groups import (CollectionError, GroupSchema, Group, SchemaError, Subgroup,
                              check_schema, covering_data, exhaustive_associativity,
-                             find_param_isomorphism, get_group,
-                             isomorphism_fingerprint, quotient_fingerprint,
+                             find_param_isomorphism, get_group, hom_from_gen_images,
+                             homomorphism_violation, isomorphism_fingerprint, quotient_fingerprint,
                              random_triples_associative, schema,
                              verify_efficient_covering, verify_phi_automorphism)
 
@@ -191,6 +191,89 @@ def test_covering_rejects_wrong_kernel():
     report = verify_efficient_covering(get_group("R243"), ("z12",),
                                        get_group("G27"), gen_map)
     assert not report.passed
+
+
+def _scan_violation(big, small, phi):
+    """Reference: the first pair (g, h), in row order, with
+    phi(g h) != phi(g) phi(h) over all n^2 products, or None."""
+    sr = small.rows
+    for g, row in enumerate(big.rows):
+        for h, gh in enumerate(row):
+            if phi[gh] != sr[phi[g]][phi[h]]:
+                return g, h
+    return None
+
+
+def _agrees_with_the_scan(big, small, images):
+    """homomorphism_violation on the map with these generator images is
+    None exactly when the n^2 scan is, and any pair it returns violates
+    the product; returns whether the map is a homomorphism."""
+    phi = hom_from_gen_images(big, small, images)
+    bad = homomorphism_violation(big, small, phi)
+    assert (bad is None) == (_scan_violation(big, small, phi) is None), images
+    if bad is not None:
+        g, h = bad
+        assert phi[big.rows[g][h]] != small.rows[phi[g]][phi[h]]
+    return bad is None
+
+
+def _covering_images(big, small, gen_map, kernel):
+    return [0 if name in kernel or name not in gen_map
+            else small.generator(gen_map[name]).code for name in big.schema.gens]
+
+
+def test_relation_pairs_decide_the_coverings_and_their_central_moves():
+    for big_name, small_name in groups.COVERING_MAPS:
+        big, small = get_group(big_name), get_group(small_name)
+        gen_map, kernel = covering_data(big_name, small_name)
+        images = _covering_images(big, small, gen_map, kernel)
+        assert _agrees_with_the_scan(big, small, images)
+        moved = 0
+        for k in range(big.ngens):
+            for c in sorted(small.center_codes() - {0}):
+                planted = list(images)
+                planted[k] = small.rows[images[k]][c]
+                moved += not _agrees_with_the_scan(big, small, planted)
+        assert moved > 0, (big_name, small_name)
+
+
+def test_relation_pairs_decide_every_param_shear():
+    gs = get_group("GSHARP")
+    r = gs.rows
+    z12, zeta, xi1, xi2, xi3 = gs.gen_codes
+    homs = set()
+    for a, b in itertools.product(range(3), repeat=2):
+        param = get_group("G81_param", (a, b))
+        for a2, b2 in itertools.product(range(3), repeat=2):
+            images = [z12, r[xi1][gs.power(zeta, a2)], xi2, r[xi3][gs.power(zeta, b2)]]
+            if _agrees_with_the_scan(param, gs, images):
+                homs.add((a, b, a2, b2))
+    # the shear (a', b') carries the (a, b) relations exactly when it is (a, b)
+    assert homs == {(a, b, a, b) for a, b in itertools.product(range(3), repeat=2)}
+
+
+def test_relation_pairs_decide_every_g27_endomorphism_candidate():
+    g27 = get_group("G27")
+    homs = sum(_agrees_with_the_scan(g27, g27, list(images))
+               for images in itertools.product(range(27), repeat=3))
+    assert homs == 729
+
+
+def test_homomorphism_check_reads_only_the_relation_pairs():
+    class CountingList(list):
+        reads = 0
+
+        def __getitem__(self, index):
+            CountingList.reads += 1
+            return super().__getitem__(index)
+
+    r243, g27 = get_group("R243"), get_group("G27")
+    gen_map, kernel = covering_data("R243", "G27")
+    phi = CountingList(hom_from_gen_images(r243, g27,
+                                           _covering_images(r243, g27, gen_map, kernel)))
+    assert homomorphism_violation(r243, g27, phi) is None
+    # three reads for each of the 5 + 10 relation pairs, not n^2 = 59,049 products
+    assert 0 < CountingList.reads <= 3 * 15
 
 
 def test_phi_automorphism_all_pairs():

@@ -184,3 +184,33 @@ def test_induction_rejects_bad_sections():
     w = g27.generator("x3")
     with pytest.raises(MackeyError):
         induce(chi, [w, w * w, g27.identity()])  # must start at the identity
+
+
+def test_one_verify_run_checks_each_object_once(monkeypatch):
+    """The catalogs check their induced and purely-spin irreducibles while
+    they build them, and `check_representations` checks them again; the
+    second call reads the verdict kept on the object."""
+    from spinchar import spinrep, verify
+
+    for build in (spinrep.g27_nonspin_catalog, spinrep.g81_partial_catalog,
+                  spinrep.gbar_partial_catalog, spinrep.r243_pure_catalog,
+                  spinrep.full_catalog, spinrep.spin_character_table):
+        build.cache_clear()  # cold catalogs, as in a fresh `spinchar verify`
+    calls, computed = [], []
+    real_verify, real_rule = SubRep.verify, SubRep._first_broken_rule
+
+    def counting_verify(self):
+        calls.append(self)
+        return real_verify(self)
+
+    def counting_rule(self):
+        computed.append(self)
+        return real_rule(self)
+
+    monkeypatch.setattr(SubRep, "verify", counting_verify)
+    monkeypatch.setattr(SubRep, "_first_broken_rule", counting_rule)
+    assert all(result.passed for result in verify.run_checks())
+    objects = {id(rep) for rep in calls}
+    # some objects are asked twice, and each is computed once
+    assert len(calls) > len(objects)
+    assert len(computed) == len({id(rep) for rep in computed}) == len(objects)

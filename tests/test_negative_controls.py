@@ -199,6 +199,22 @@ def test_off_by_one_cube_rule_fails_automorphism(monkeypatch):
                                "primed subgroup: failure at (xi1^1) * (xi1^2)"]
 
 
+def test_swapped_relation_entry_fails_the_schema_rules(monkeypatch):
+    real = verify.get_group
+    r243 = real("R243")
+    z12, z23, n1, n2, n3 = r243.gen_codes
+    x = r243.mult(n1, n2)  # outside the relation pairs of row n3
+    rows = [list(row) for row in r243.rows]
+    rows[n3][n1], rows[n3][x] = rows[n3][x], rows[n3][n1]  # row n3 stays a permutation
+    planted = Group(r243.schema, rows)
+    monkeypatch.setattr(verify, "get_group", lambda name, params=None:
+                        planted if name == "R243" else real(name, params))
+    result = verify.check_associativity()
+    assert not result.passed
+    assert all(f.startswith("R243") for f in result.failures)
+    assert "R243: phi(n3)n1 violates its rule" in result.failures
+
+
 def test_swapped_table_entry_fails_associativity(monkeypatch):
     real = verify.get_group
     g27 = real("G27")
