@@ -201,7 +201,7 @@ def cmd_cocycle(args):
         rep = match[0]
     else:
         rep = reps[0]
-    _, coc = restrict_to_projective(rep)
+    coc = restrict_to_projective(rep)
     violation = coc.identity_violation()
     g27 = coc.base
     payload = {

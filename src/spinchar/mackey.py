@@ -321,11 +321,11 @@ def induce(rho, section, name=None):
         raise MackeyError("section must start at the identity")
 
     cosets = table[sorted(H.codes)][:, sect].T      # row i: the coset H s_i
-    if len(np.unique(cosets)) != cosets.size:
+    target_codes = frozenset(cosets.ravel().tolist())
+    if len(target_codes) != cosets.size:
         raise MackeyError("section is not a transversal: cosets overlap")
     coset_of = np.full(group.order, -1)
     coset_of[cosets] = np.arange(len(sect))[:, None]
-    target_codes = frozenset(cosets.ravel().tolist())
 
     gens = [g for g in group.gen_codes if g in target_codes]
     t = table[sect[:, None], gens]                  # s_j y, shape (k, m)

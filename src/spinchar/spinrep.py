@@ -20,7 +20,7 @@ from . import _np as np
 from . import cyclo9
 from .cyclo import CycError, ZERO, ONE, OMEGA, OMEGA2, root_of_unity, root_exponent
 from .cyclo9 import (cyc9_cbrt, from_lattice, lattice_einsum, lattice_equal,
-                     lattice_matmul, scalar_str, to_lattice)
+                     lattice_identity, lattice_matmul, scalar_str, to_lattice)
 from .linalg import CycMatrix, intertwiner_space
 from .groups import CheckReport, Subgroup, get_group, covering_data
 from .mackey import DualCharacter, SubRep, dual_group, orbit_decomposition, induce
@@ -516,19 +516,25 @@ def table_cocycle():
 
 def restrict_to_projective(rep, section=None):
     """Restrict a representation of the representation group along a section
-    of the covering onto the base group.
-
-    Returns (T, cocycle) with T the 27-entry matrix table T(g) = rep(s(g))
-    and the exact factor set alpha(g, h) = T(g) T(h) T(gh)^-1, checked to be
-    a scalar cube root of unity at every pair.
+    of the covering onto the base group, and return its factor set: the
+    CocycleTable of alpha(g, h) with T(g) T(h) = alpha(g, h) T(gh), where
+    T(g) = rep(s(g)), checked to be a cube root of unity at every pair.
 
     The check runs on the exact lattice of `cyclo9`: the 27 section images
     come from `Representation.images_at` as one integer array over a common
-    denominator, the products T(g) T(h) are formed one row g at a time with
-    `lattice_matmul`, and each product is compared coefficient by
-    coefficient with w^k T(gh) for k = 0, 1, 2.  The exponent is the unique
-    matching k; a pair with no match, or with three (T(gh) = 0), raises
-    RepError, as does data too large for the int64 lattice.
+    denominator.  T(1) must be the identity, and the products T(g) T(x_i)
+    with the base group's generators x_i are formed in one broadcast
+    `lattice_matmul` and compared coefficient by coefficient with
+    w^k T(g x_i) for k = 0, 1, 2; each needs a unique matching k.  A
+    failure raises RepError, as does data too large for the int64 lattice.
+
+    That decides every pair.  Each y is some g x_i, and a unique k needs
+    T(y) != 0, so a scalar relating T(g) T(h) to T(gh) is unique when it
+    exists.  It exists by induction on the length of h's normal form: for
+    h = h' x (x the last letter), T(h) = w^-a(h',x) T(h') T(x), so
+    T(g) T(h) = w^(a(g,h') + a(gh',x) - a(h',x)) T(gh), starting from
+    a(g, 1) = 0 because T(1) = I.  The exponent table is filled by that
+    recursion, one column h at a time for every g.
     """
     g27 = get_group("G27")
     r243 = rep.group
@@ -544,25 +550,27 @@ def restrict_to_projective(rep, section=None):
     if r243.exps_of(section[0]) != (0, 0, 0, 0, 0):
         raise RepError("section must send the identity to the identity")
 
-    n = g27.order
-    matches = np.empty((3, n, n), dtype=bool)  # [k, g, h]: T(g) T(h) = w^k T(gh)
+    n, t, gens = g27.order, g27.table, list(g27.gen_codes)
     try:
         L, den = rep.images_at([section[g] for g in range(n)])
         wL = lattice_einsum("gijp,pq->gijq", L, cyclo9.MUL_W)
         targets = np.stack([L, wL, lattice_einsum("gijp,pq->gijq", wL, cyclo9.MUL_W)])
-        for g in range(n):
-            prods, prods_den = lattice_matmul(L[g], den, L, den)
-            same = lattice_equal(prods, prods_den, targets[:, g27.table[g]], den)
-            matches[:, g] = same.all(axis=(2, 3, 4))
+        prods, prods_den = lattice_matmul(L[:, None], den, L[None, gens], den)
+        same = lattice_equal(prods, prods_den, targets[:, t[:, gens]], den)
+        matches = same.all(axis=(3, 4, 5))  # [k, g, i]: T(g) T(x_i) = w^k T(g x_i)
+        unit = lattice_equal(L[0], den, lattice_identity(rep.dim), 1).all()
     except CycError as exc:
         raise RepError("restriction of %s leaves the exact lattice: %s" % (rep.name, exc))
-    bad = np.argwhere(matches.sum(axis=0) != 1)
-    if len(bad):
-        g, h = bad[0]
+    bad = [(g, gens[i]) for g, i in np.argwhere(matches.sum(axis=0) != 1)]
+    if not unit or bad:
         raise RepError("restriction of %s is not projective at (%d, %d)"
-                       % (rep.name, g, h))
-    T = {g: CycMatrix.from_lattice(L[g], den) for g in range(n)}
-    return T, CocycleTable(g27, matches.argmax(axis=0).astype(np.int8))
+                       % ((rep.name,) + (bad[0] if unit else (0, 0))))
+    a = np.zeros((n, n), dtype=np.int8)
+    a[:, gens] = matches.argmax(axis=0)
+    for h in range(1, n):
+        prefix, i = g27._split_last(h)  # h = prefix x_i
+        a[:, h] = (a[:, prefix] + a[t[:, prefix], gens[i]] - a[prefix, gens[i]]) % 3
+    return CocycleTable(g27, a)
 
 
 # -- alternative constructions used as cross-checks ---------------------------

@@ -258,7 +258,7 @@ def check_cocycle():
     by_type = {}
     a, b = table_cocycle()
     for rep in full_catalog():
-        _, coc = restrict_to_projective(rep)
+        coc = restrict_to_projective(rep)
         bad = coc.identity_violation()
         if bad is not None:
             failures.append("%s cocycle identity fails at %s" % (rep.name, bad))

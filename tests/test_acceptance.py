@@ -92,7 +92,7 @@ def test_criterion_09_orthogonality():
 def test_criterion_10_projective_layer():
     _criterion(10, "2-cocycles of all restrictions", verify.check_cocycle())
     rep = next(r for r in full_catalog() if r.spin_type == SpinType(1, 0))
-    _, coc = restrict_to_projective(rep)
+    coc = restrict_to_projective(rep)
     assert coc.identity_violation() is None
     assert set(int(x) for x in np.unique(coc.exps)) <= {0, 1, 2}
 

@@ -1,9 +1,10 @@
 """What a fresh process imports and builds.
 
 The structural commands (`group` reports) run on the Cayley table's Python
-rows and import numpy only on first array use, and one `verify` builds
-each catalog table once.  Both are properties of a whole process, so each
-test runs its code in a child interpreter.
+rows and import numpy only on first array use, the catalog commands never
+pull in `numpy.ma`, and one `verify` builds each catalog table once.  These
+are properties of a whole process, so each test runs its code in a child
+interpreter.
 """
 
 import os
@@ -17,6 +18,11 @@ ROOT = Path(__file__).resolve().parents[1]
 GROUP_ARGS = ([[name] for name in ("G27", "G81", "GBAR", "R243", "GSHARP")]
               + [["G81_param", "--params", "%d,%d" % (a, b)]
                  for a in range(3) for b in range(3)])
+
+# the catalog-building commands of the benchmark's export workload
+CATALOG_ARGS = [["chartable", "--format", "json"],
+                ["irreps", "--spin", "all", "--format", "json"],
+                ["cocycle", "--spin", "1,1", "--irrep", "Pi(1,1;0)", "--format", "json"]]
 
 
 def _run(code):
@@ -38,6 +44,18 @@ for args in %r:
         assert main(["group"] + args + ["--format", "json"]) == 0, args
 print("numpy" in sys.modules)
 """ % (GROUP_ARGS,))
+    assert out == "False\n"
+
+
+def test_catalog_commands_import_no_numpy_ma():
+    out = _run("""
+import contextlib, io, sys
+from spinchar.cli import main
+for args in %r:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(args) == 0, args
+print("numpy.ma" in sys.modules)
+""" % (CATALOG_ARGS,))
     assert out == "False\n"
 
 

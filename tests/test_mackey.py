@@ -178,7 +178,7 @@ def test_induction_rejects_bad_sections():
     g27, U, duals = g27_dual()
     chi = duals[3].as_subrep()
     x1 = g27.generator("x1")
-    with pytest.raises(MackeyError):
+    with pytest.raises(MackeyError, match="not a transversal: cosets overlap"):
         # section overlapping the base subgroup's cosets
         induce(chi, [g27.identity(), x1, x1 * x1])
     w = g27.generator("x3")

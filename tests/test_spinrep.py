@@ -8,13 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinchar import spinrep
+from spinchar import cyclo9, spinrep
 from spinchar.cyclo import root_of_unity
-from spinchar.cyclo9 import Cyc9
+from spinchar.cyclo9 import Cyc9, lattice_einsum, lattice_equal, lattice_matmul
 from spinchar.linalg import CycMatrix, J_SHIFT, K_SHIFT
 from spinchar.groups import get_group, covering_data
 from spinchar.spinrep import (RepError, Representation, SpinType,
-                              catalog_census, extend_and_tensor, full_catalog,
+                              canonical_section, catalog_census, extend_and_tensor, full_catalog,
                               g27_nonspin_catalog, g81_partial_catalog,
                               inflate, inner_product,
                               intertwiner_solutions, irreps_by_spin_type,
@@ -282,33 +282,108 @@ class TestTwistInvariance:
             assert stair == direct
 
 
+def _all_pairs_exps(rep, section=None):
+    """Reference for the generator rule: T(g) T(h) against w^k T(gh) at all
+    729 pairs, one row of 27 products per g.  Returns the exponent table, or
+    raises RepError naming the first pair without a unique k."""
+    g27 = get_group("G27")
+    section = canonical_section() if section is None else section
+    n = g27.order
+    L, den = rep.images_at([section[g] for g in range(n)])
+    wL = lattice_einsum("gijp,pq->gijq", L, cyclo9.MUL_W)
+    targets = np.stack([L, wL, lattice_einsum("gijp,pq->gijq", wL, cyclo9.MUL_W)])
+    matches = np.empty((3, n, n), dtype=bool)
+    for g in range(n):
+        prods, prods_den = lattice_matmul(L[g], den, L, den)
+        same = lattice_equal(prods, prods_den, targets[:, g27.table[g]], den)
+        matches[:, g] = same.all(axis=(2, 3, 4))
+    bad = np.argwhere(matches.sum(axis=0) != 1)
+    if len(bad):
+        raise RepError("%s is not projective at (%d, %d)" % ((rep.name,) + tuple(bad[0])))
+    return matches.argmax(axis=0)
+
+
+def _moved_lift_section():
+    """The canonical section with the lift of element 5 moved by z12."""
+    r243 = get_group("R243")
+    section = canonical_section()
+    section[5] = r243.mult(r243.generator("z12").code, section[5])
+    return section
+
+
+def _edited_images(rep, edit):
+    """A fresh copy of rep whose batched images pass through edit(codes, L)."""
+    copy = Representation(rep.group, dict(rep.images), rep.name, rep.spin_type)
+
+    def images_at(codes):
+        L, den = rep.images_at(codes)
+        return edit(list(codes), L.copy()), den
+    copy.images_at = images_at
+    return copy
+
+
 class TestProjectiveRestriction:
     def test_non_spin_restriction_is_linear(self):
         rep = irreps_by_spin_type((0, 0))[0]
-        _, coc = restrict_to_projective(rep)
+        coc = restrict_to_projective(rep)
         assert coc.is_trivial()
         assert coc.identity_violation() is None
 
     def test_partially_spin_cocycle(self):
         rep = irreps_by_spin_type((1, 0))[0]
-        T, coc = restrict_to_projective(rep)
+        coc = restrict_to_projective(rep)
         assert not coc.is_trivial()
         assert coc.identity_violation() is None
         assert set(np.unique(coc.exps)) <= {0, 1, 2}
         # normalized section: alpha(1, g) = alpha(g, 1) = 1
         assert not coc.exps[0, :].any() and not coc.exps[:, 0].any()
-        # the restriction is a genuine projective representation
+        # the restriction is a genuine projective representation at every pair
         g27 = get_group("G27")
-        for g in range(0, 27, 5):
-            for h in range(0, 27, 7):
-                lhs = T[g] * T[h]
+        section = canonical_section()
+        T = [rep.eval(section[g]) for g in range(g27.order)]
+        for g in range(g27.order):
+            for h in range(g27.order):
                 rhs = T[int(g27.table[g, h])].scale(coc.value(g, h))
-                assert lhs == rhs
+                assert T[g] * T[h] == rhs
+
+    def test_generator_rule_matches_all_pairs_reference(self):
+        moved = _moved_lift_section()
+        for rep in full_catalog():
+            for section in (None, moved):
+                want = _all_pairs_exps(rep, section)
+                got = restrict_to_projective(rep, section).exps
+                assert np.array_equal(got, want), (rep.name, section is moved)
+
+    def test_scaled_non_generator_row_is_not_projective(self):
+        # T(x1 x3) doubled: no generator image moves, yet both rules reject it
+        g27 = get_group("G27")
+        section = canonical_section()
+        x1x3 = section[g27.mult(g27.gen_codes[0], g27.gen_codes[2])]
+
+        def double(codes, L):
+            L[codes.index(x1x3)] *= 2
+            return L
+        rep = _edited_images(irreps_by_spin_type((1, 1))[0], double)
+        with pytest.raises(RepError, match="not projective"):
+            _all_pairs_exps(rep)
+        with pytest.raises(RepError, match="not projective"):
+            restrict_to_projective(rep)
+
+    def test_identity_image_w_is_not_projective(self):
+        # T(1) = w I is a projective table with alpha(g, 1) = w, which the
+        # all-pairs comparison accepts; the generator rule needs T(1) = I
+        def scale_identity(codes, L):
+            L[0] = lattice_einsum("ijp,pq->ijq", L[0], cyclo9.MUL_W)
+            return L
+        rep = _edited_images(irreps_by_spin_type((1, 1))[0], scale_identity)
+        assert _all_pairs_exps(rep)[1, 0] == 1
+        with pytest.raises(RepError, match=r"not projective at \(0, 0\)"):
+            restrict_to_projective(rep)
 
     def test_same_cocycle_across_twists(self):
         tables = []
         for rep in irreps_by_spin_type((2, 1)):
-            _, coc = restrict_to_projective(rep)
+            coc = restrict_to_projective(rep)
             tables.append(coc.exps)
         assert all(np.array_equal(t, tables[0]) for t in tables)
 
