@@ -251,6 +251,7 @@ COMMANDS = {"group": cmd_group, "irreps": cmd_irreps, "chartable": cmd_chartable
 
 
 def build_parser():
+    spin_help = "'e,m' (e.g. 1,0; -1 means 2, written --spin=-1,0)"
     parser = argparse.ArgumentParser(
         prog="spinchar",
         description="Exact spin representations and characters of the "
@@ -265,7 +266,7 @@ def build_parser():
     p.add_argument("--out")
 
     p = sub.add_parser("irreps", help="list irreducibles of a spin type")
-    p.add_argument("--spin", required=True, help="'e,m' (e.g. 1,0; -1 means 2) or 'all'")
+    p.add_argument("--spin", required=True, help=spin_help + " or 'all'")
     p.add_argument("--group", default="R243")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out")
@@ -275,7 +276,7 @@ def build_parser():
     p.add_argument("--out")
 
     p = sub.add_parser("cocycle", help="restricted factor set of one irreducible")
-    p.add_argument("--spin", required=True)
+    p.add_argument("--spin", required=True, help=spin_help)
     p.add_argument("--irrep")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out")

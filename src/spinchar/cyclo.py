@@ -6,14 +6,14 @@ w^2 + w + 1 = 0 folded into multiplication.  Everything is arbitrary
 precision, each operation costs integer products and one gcd, and the
 state is canonical, so equality compares the three ints.  The coordinates
 a = p/d and b = q/d are read-only `fractions.Fraction` views, used by
-parsing and the cube-root search.
+parsing and the cube-root search; `fractions` is imported on first use.
 
 The canonical text form is "p/q+r/s*w" with zero terms omitted; see
 `cyc_str` / `parse_cyc`.
 """
 
-from fractions import Fraction
 import math
+import numbers
 import re
 
 
@@ -36,10 +36,12 @@ class Cyc:
 
     @property
     def a(self):
+        from fractions import Fraction
         return Fraction(self.p, self.d)
 
     @property
     def b(self):
+        from fractions import Fraction
         return Fraction(self.q, self.d)
 
     # -- ring structure -------------------------------------------------
@@ -110,6 +112,7 @@ class Cyc:
 
     def norm(self):
         """z * conj(z) as a Fraction; nonnegative, zero iff z = 0."""
+        from fractions import Fraction
         p, q = self.p, self.q
         return Fraction(p * p - p * q + q * q, self.d * self.d)
 
@@ -152,13 +155,13 @@ def _cyc(p, q, d):
 
 
 def _state(x):
-    """(p, q, d) of a Cyc, int or Fraction; None for any other type."""
+    """(p, q, d) of a Cyc or a rational (int, Fraction); None for any other type."""
     if type(x) is Cyc:
         return x.p, x.q, x.d
     if isinstance(x, int):
         return int(x), 0, 1
-    if isinstance(x, Fraction):
-        return x.numerator, 0, x.denominator
+    if isinstance(x, numbers.Rational):
+        return int(x.numerator), 0, int(x.denominator)
     return None
 
 
@@ -166,9 +169,10 @@ def _ratio(x):
     """(numerator, denominator) in lowest terms of an int or a rational."""
     if isinstance(x, int):
         return int(x), 1
-    if not isinstance(x, Fraction):
+    if not isinstance(x, numbers.Rational):
+        from fractions import Fraction
         x = Fraction(x)
-    return x.numerator, x.denominator
+    return int(x.numerator), int(x.denominator)
 
 
 def _sum(p, q, d, r, s, e):
@@ -194,7 +198,7 @@ def _inverse(p, q, d):
 def as_cyc(x):
     if isinstance(x, Cyc):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, numbers.Rational)):
         return Cyc(x)
     raise TypeError("cannot coerce %r into Q(w)" % (x,))
 
@@ -266,8 +270,7 @@ def parse_cyc(text):
     terms = re.findall(r"[+-]?[^+-]+", s)
     if "".join(terms) != s:
         raise CycError("malformed Q(w) literal: %r" % text)
-    a = Fraction(0)
-    b = Fraction(0)
+    a = b = 0
     for term in terms:
         m = _TERM_RE.match(term)
         if m is None:
@@ -284,6 +287,7 @@ def parse_cyc(text):
 def _rational(numeral, text):
     """Fraction of a numeral matched inside the literal `text`; a zero
     denominator or a numeral too long for int() raises CycError."""
+    from fractions import Fraction
     try:
         return Fraction(numeral)
     except (ValueError, ZeroDivisionError):
@@ -311,17 +315,15 @@ def _icbrt(n):
 
 def _frac_cbrt(f):
     """Exact rational cube root of a Fraction, or None."""
-    if f < 0:
-        num = _icbrt(-f.numerator)
-        den = _icbrt(f.denominator)
-        return None if num is None or den is None else Fraction(-num, den)
-    num = _icbrt(f.numerator)
+    from fractions import Fraction
+    num = _icbrt(abs(f.numerator))
     den = _icbrt(f.denominator)
-    return None if num is None or den is None else Fraction(num, den)
+    return None if num is None or den is None else Fraction(num if f > 0 else -num, den)
 
 
 def _frac_sqrt(f):
     """Exact rational square root of a nonnegative Fraction, or None."""
+    from fractions import Fraction
     if f < 0:
         return None
     num = math.isqrt(f.numerator)
@@ -340,6 +342,7 @@ def _rational_roots(c0, c1):
     monotone on each piece between its turning points +-sqrt(-p/3), so a
     bisection per piece finds every root.
     """
+    from fractions import Fraction
     m = math.lcm(c0.denominator, c1.denominator)
     p, q = int(c1 * m * m), int(c0 * m ** 3)
     bound = 1 + max(abs(p), abs(q))

@@ -11,9 +11,10 @@ ninth cyclotomic polynomial x^6 + x^3 + 1.  One is stored as six Python int
 numerators over one denominator, n / d with d > 0 and the gcd of all seven
 ints 1 (zero is 0/1), so arithmetic runs on ints with one gcd per result
 and equal values have equal state; the coefficients n_k / d are read-only
-`fractions.Fraction` views (`c`).  Q(w) embeds via w = zeta9^3; values
-lying in the subfield serialize through the Q(w) grammar, so the plain
-"p/q+r/s*w" format is a sublanguage of the extended one.
+`fractions.Fraction` views (`c`, importing `fractions` on first use).
+Q(w) embeds via w = zeta9^3; values lying in the subfield serialize through
+the Q(w) grammar, so the plain "p/q+r/s*w" format is a sublanguage of the
+extended one.
 
 Bulk arithmetic uses the exact lattice kernel at the end of the module: an
 array of scalars becomes an int64 array of coefficient vectors over one
@@ -27,9 +28,9 @@ directly.  The tables are derived from `_reduce`, so the reduction rule is
 written down once.
 """
 
-from fractions import Fraction
 import functools
 import math
+import numbers
 import operator
 import re
 
@@ -76,6 +77,7 @@ class Cyc9:
 
     @property
     def c(self):
+        from fractions import Fraction
         return tuple(Fraction(x, self.d) for x in self.n)
 
     @classmethod
@@ -152,7 +154,7 @@ class Cyc9:
     # -- comparison / hashing -----------------------------------------------
 
     def __eq__(self, other):
-        if not isinstance(other, (Cyc9, Cyc, int, Fraction)):
+        if not isinstance(other, (Cyc9, Cyc, int, numbers.Rational)):
             return NotImplemented
         return (self.n, self.d) == _state9(other)
 
@@ -191,12 +193,12 @@ def _combine(op, n, d, m, e):
 
 
 def _state9(x):
-    """(n, d) of a Cyc9, Cyc, int or Fraction; TypeError for other types."""
+    """(n, d) of a Cyc9, Cyc or rational (int, Fraction); TypeError for other types."""
     if type(x) is Cyc9:
         return x.n, x.d
     if isinstance(x, Cyc):
         return (x.p, 0, 0, x.q, 0, 0), x.d
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, numbers.Rational)):
         p, d = _ratio(x)
         return (p, 0, 0, 0, 0, 0), d
     raise TypeError("cannot coerce %r into Q(zeta9)" % (x,))
@@ -286,7 +288,7 @@ def parse_scalar(text):
     terms = re.findall(r"[+-]?[^+-]+", s)
     if "".join(terms) != s:
         raise CycError("malformed Q(zeta9) literal: %r" % text)
-    coeffs = [Fraction(0)] * 6
+    coeffs = [0] * 6
     for term in terms:
         m = _Z_TERM_RE.match(term)
         if m is None:

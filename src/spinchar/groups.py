@@ -33,8 +33,8 @@ every triple by Light's test, and the representation code's lattice products).
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
 import numbers
+from typing import NamedTuple
 
 from . import _np as np
 
@@ -525,8 +525,7 @@ class GroupElement:
         return "<%s: %s>" % (self.group.schema.name, self.group.element_str(self.code))
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(NamedTuple):
     """A subgroup as an explicit code set, with a chosen generating list."""
 
     group: Group
@@ -616,8 +615,7 @@ def check_schema(group):
 
 # -- fingerprints and quotients ---------------------------------------------
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(NamedTuple):
     """Isomorphism-invariant data; equality is necessary for isomorphism."""
 
     order: int
@@ -656,14 +654,19 @@ def quotient_fingerprint(group, normal_gens):
 
 # -- covering maps -----------------------------------------------------------
 
-@dataclass
 class CheckReport:
     """Outcome of a multi-part verification: failure messages carrying their
     witnesses, and the text that stands for a pass."""
 
-    name: str
-    failures: list = field(default_factory=list)
-    ok_text: str = ""
+    def __init__(self, name, failures=None, ok_text=""):
+        self.name = name
+        self.failures = [] if failures is None else failures
+        self.ok_text = ok_text
+
+    def __eq__(self, other):
+        if type(other) is not CheckReport:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def passed(self):

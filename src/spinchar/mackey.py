@@ -10,8 +10,8 @@ only its generator images; values and the homomorphism check run on the
 exact int64 lattice of `cyclo9`.
 """
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from . import _np as np
 from .cyclo import root_of_unity
@@ -109,15 +109,13 @@ def act_on_dual(w, chi):
     return DualCharacter(chi.subgroup, chi.gen_codes, label, moved)
 
 
-@dataclass
-class Orbit:
+class Orbit(NamedTuple):
     representative: DualCharacter
     members: tuple          # labels, sorted
     stabilizer: Subgroup
 
 
-@dataclass
-class OrbitDecomposition:
+class OrbitDecomposition(NamedTuple):
     orbits: list
 
     def by_representative(self):

@@ -12,7 +12,6 @@ itself), then inflated to the representation group along the covering maps.
 Each is a `Representation`: a `mackey.SubRep` of a whole group plus its spin type.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -126,8 +125,7 @@ def verify_rep(rep):
     return report
 
 
-@dataclass
-class ClassFunction:
+class ClassFunction(NamedTuple):
     """Exact class function, stored by class representative code."""
 
     group: object
@@ -143,6 +141,9 @@ class ClassFunction:
         return (isinstance(other, ClassFunction)
                 and self.group.schema.key == other.group.schema.key
                 and self.values == other.values)
+
+    def __ne__(self, other):  # tuple's own != would compare the name too
+        return not self == other
 
     def key(self):
         return tuple(scalar_str(self.values[rep])
@@ -385,8 +386,7 @@ def full_catalog():
     return tuple(out)
 
 
-@dataclass
-class Census:
+class Census(NamedTuple):
     by_type: dict      # SpinType -> sorted dimension list
     total: int
     dim_square_sum: int
@@ -406,8 +406,7 @@ def catalog_census(catalog):
 
 # -- the spin character table -------------------------------------------------
 
-@dataclass
-class CharTable:
+class CharTable(NamedTuple):
     group: object
     classes: list   # (representative code, class size)
     rows: list      # (name, SpinType, dim, list of Cyc values)
@@ -456,8 +455,7 @@ def spin_character_table():
 
 # -- projective restriction ---------------------------------------------------
 
-@dataclass
-class CocycleTable:
+class CocycleTable(NamedTuple):
     """Factor set on the base group, stored as omega-exponents mod 3."""
 
     base: object

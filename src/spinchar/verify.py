@@ -357,4 +357,7 @@ def run_checks(only=None):
         if unknown:
             raise KeyError("unknown checks: %s (know %s)"
                            % (", ".join(map(repr, unknown)), ", ".join(CHECKS)))
+        repeated = dict.fromkeys(n for i, n in enumerate(names) if n in names[:i])
+        if repeated:
+            raise KeyError("repeated checks: %s" % ", ".join(map(repr, repeated)))
     return [CHECKS[name]() for name in names]

@@ -8,7 +8,7 @@ import os
 
 from hypothesis import given, settings, strategies as st
 
-from spinchar import cli
+from spinchar import cli, verify
 from spinchar.cli import main
 from spinchar.cyclo9 import parse_scalar, scalar_str
 
@@ -87,6 +87,32 @@ def test_irreps_spin_alias_and_errors(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "irreps", "--spin", "1,1", "--group", "G27")
     assert code == 2
+
+
+def _exit_code(argv):
+    """main(argv)'s exit code (argparse usage errors and --help included),
+    stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_negative_spin_needs_the_equals_form(capsys):
+    code, want, _ = run_cli(capsys, "irreps", "--spin", "2,0", "--group", "G81")
+    assert code == 0 and want
+    assert run_cli(capsys, "irreps", "--spin=-1,0", "--group", "G81") == (0, want, "")
+    for command in ("irreps", "cocycle"):
+        # the help shows the form that works ...
+        code, out, _ = _exit_code([command, "--help"])
+        assert code == 0 and "--spin=-1,0" in out
+        # ... because "--spin -1,0" reads as --spin with no value
+        code, out, err = _exit_code([command, "--spin", "-1,0"])
+        assert (code, out) == (2, "")
+        assert "expected one argument" in err and "Traceback" not in err
 
 
 def test_chartable_json_round_trip(capsys):
@@ -218,6 +244,17 @@ def test_verify_unknown_check(capsys):
     assert err.startswith("error: unknown checks: '' (know orders, ")
 
 
+def test_verify_repeated_check_is_refused(capsys, monkeypatch):
+    ran = []
+    for name in verify.CHECKS:
+        monkeypatch.setitem(verify.CHECKS, name, lambda name=name: ran.append(name))
+    code, out, err = run_cli(capsys, "verify", "--only", "orders,orders")
+    assert (code, out, err) == (2, "", "error: repeated checks: 'orders'\n")
+    code, out, err = run_cli(capsys, "verify", "--only", "orbits,orders,orbits,orders,orbits")
+    assert (code, out, err) == (2, "", "error: repeated checks: 'orbits', 'orders'\n")
+    assert ran == []
+
+
 # CLI fuzz: argv from the subcommands, their flags and malformed values.  A
 # verify always ends with an --only of cheap checks, so the full suite never
 # runs here; --out only names paths that cannot be written.
@@ -260,11 +297,6 @@ def test_cli_fuzz_exits_cleanly(data):
     if command == "verify":
         argv += ["--only", data.draw(st.sampled_from(["orders", "orbits", "intertwiner,characters",
                                                       "nope"]))]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse usage errors and --help
-            code = exc.code
+    code, _, err = _exit_code(argv)
     assert code in (0, 1, 2), (argv, code)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err

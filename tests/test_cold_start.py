@@ -1,10 +1,12 @@
 """What a fresh process imports and builds.
 
-The structural commands (`group` reports) run on the Cayley table's Python
-rows and import numpy only on first array use, the catalog commands never
-pull in `numpy.ma`, and one `verify` builds each catalog table once.  These
-are properties of a whole process, so each test runs its code in a child
-interpreter.
+Importing the CLI loads every module the benchmark's tracer wraps, and none
+of numpy, `dataclasses` (which imports `inspect`) or `fractions` (which
+imports `decimal`).  The structural commands (`group` reports) run on the
+Cayley table's Python rows and never load those modules either, the catalog
+commands never pull in `numpy.ma`, and one `verify` builds each catalog
+table once.  These are properties of a whole process, so each test runs its
+code in a child interpreter.
 """
 
 import os
@@ -25,6 +27,13 @@ CATALOG_ARGS = [["chartable", "--format", "json"],
                 ["cocycle", "--spin", "1,1", "--irrep", "Pi(1,1;0)", "--format", "json"]]
 
 
+# modules a cold launch should not pay for unless a command needs them
+HEAVY = ("numpy", "dataclasses", "inspect", "fractions", "decimal")
+
+# the spinchar modules that perfbench/tracer.py looks up right after the import
+TRACED = ("cli", "groups", "cyclo", "cyclo9", "linalg", "mackey", "spinrep", "verify")
+
+
 def _run(code):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
@@ -34,17 +43,28 @@ def _run(code):
     return proc.stdout
 
 
+def test_cli_import_loads_traced_modules_and_nothing_heavy():
+    out = _run("""
+import sys
+before = set(sys.modules)
+import spinchar.cli
+print(sorted(m for m in %r if m in sys.modules and m not in before))
+print(sorted(m for m in %r if "spinchar." + m not in sys.modules))
+""" % (HEAVY, TRACED))
+    assert out == "[]\n[]\n"
+
+
 def test_group_reports_import_no_numpy():
     out = _run("""
 import contextlib, io, sys
+before = set(sys.modules)
 from spinchar.cli import main
-assert "numpy" not in sys.modules, "importing spinchar.cli imported numpy"
 for args in %r:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["group"] + args + ["--format", "json"]) == 0, args
-print("numpy" in sys.modules)
-""" % (GROUP_ARGS,))
-    assert out == "False\n"
+print(sorted(m for m in %r if m in sys.modules and m not in before))
+""" % (GROUP_ARGS, HEAVY))
+    assert out == "[]\n"
 
 
 def test_catalog_commands_import_no_numpy_ma():

@@ -11,7 +11,6 @@ mutated.  One positive control holds an intertwiner as equal values of the
 other scalar type and shows that its check still passes.
 """
 
-import dataclasses
 import re
 
 import pytest
@@ -56,7 +55,7 @@ def _perturbed_table(row, cls):
     table = spin_character_table()
     rows = [(name, st, dim, list(values)) for name, st, dim, values in table.rows]
     rows[row][3][cls] = rows[row][3][cls] + 1
-    return dataclasses.replace(table, rows=rows)
+    return table._replace(rows=rows)
 
 
 def test_perturbed_character_fails_gram(monkeypatch):
@@ -81,7 +80,7 @@ def test_swapped_class_size_fails_columns():
     k = next(i for i, (_, size) in enumerate(classes) if size == 9)
     (c0, s0), (ck, sk) = classes[0], classes[k]
     classes[0], classes[k] = (c0, sk), (ck, s0)
-    bad = dataclasses.replace(table, classes=classes).column_orthogonality_violation()
+    bad = table._replace(classes=classes).column_orthogonality_violation()
     assert bad is not None
     i, j, total = bad
     assert (i, j) == (0, 0)
