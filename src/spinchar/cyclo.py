@@ -6,7 +6,8 @@ w^2 + w + 1 = 0 folded into multiplication.  Everything is arbitrary
 precision, each operation costs integer products and one gcd, and the
 state is canonical, so equality compares the three ints.  The coordinates
 a = p/d and b = q/d are read-only `fractions.Fraction` views, used by
-parsing and the cube-root search; `fractions` is imported on first use.
+parsing and hashing; `fractions` is imported on first use.  The cube-root
+search runs on the integer state alone.
 
 The canonical text form is "p/q+r/s*w" with zero terms omitted; see
 `cyc_str` / `parse_cyc`.
@@ -313,28 +314,19 @@ def _icbrt(n):
     return x if x * x * x == n else None
 
 
-def _frac_cbrt(f):
-    """Exact rational cube root of a Fraction, or None."""
-    from fractions import Fraction
-    num = _icbrt(abs(f.numerator))
-    den = _icbrt(f.denominator)
-    return None if num is None or den is None else Fraction(num if f > 0 else -num, den)
-
-
-def _frac_sqrt(f):
-    """Exact rational square root of a nonnegative Fraction, or None."""
-    from fractions import Fraction
-    if f < 0:
-        return None
-    num = math.isqrt(f.numerator)
-    den = math.isqrt(f.denominator)
-    if num * num != f.numerator or den * den != f.denominator:
-        return None
-    return Fraction(num, den)
+def _sqrt_pair(n, d):
+    """(numerator, denominator) of the rational square root of n/d, d > 0,
+    in lowest terms, or None."""
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    rn, rd = math.isqrt(max(n, 0)), math.isqrt(d)
+    return (rn, rd) if rn * rn == n and rd * rd == d else None
 
 
 def _rational_roots(c0, c1):
-    """All rational roots of T^3 + c1*T + c0 with c0, c1 Fractions.
+    """All rational roots of T^3 + c1*T + c0, in decreasing order, as
+    (numerator, denominator) pairs in lowest terms; c0 and c1 are such
+    pairs with positive denominators.
 
     With m the common denominator, S = m*T turns the cubic into the monic
     integer cubic f(S) = S^3 + p*S + q, whose rational roots are integers
@@ -342,20 +334,21 @@ def _rational_roots(c0, c1):
     monotone on each piece between its turning points +-sqrt(-p/3), so a
     bisection per piece finds every root.
     """
-    from fractions import Fraction
-    m = math.lcm(c0.denominator, c1.denominator)
-    p, q = int(c1 * m * m), int(c0 * m ** 3)
+    (n0, d0), (n1, d1) = c0, c1
+    m = math.lcm(d0 // math.gcd(n0, d0), d1 // math.gcd(n1, d1))
+    p, q = n1 * m * m // d1, n0 * m ** 3 // d0
     bound = 1 + max(abs(p), abs(q))
     if p >= 0:
         pieces = [(-bound, bound)]
     else:
         r = math.isqrt(-p // 3)  # -r..r lie between the turning points, r + 1 beyond
-        pieces = [(-bound, -r - 1), (-r, r), (r + 1, bound)]
-    roots = set()
+        pieces = [(r + 1, bound), (-r, r), (-bound, -r - 1)]
+    roots = []
     for lo, hi in pieces:
         s = _monotone_root(lambda x: x ** 3 + p * x + q, lo, hi)
         if s is not None:
-            roots.add(Fraction(s, m))
+            g = math.gcd(s, m)
+            roots.append((s // g, m // g))
     return roots
 
 
@@ -377,26 +370,29 @@ def cyc_cbrt(v):
     """One exact cube root of v in Q(w), or None if none exists there.
 
     The other roots are w and w^2 times the returned one.  Works by reducing
-    to rational data: norm(t) and trace(t) of a root t satisfy rational
-    equations determined by v.
+    to rational data, held as integer pairs: norm(t) and trace(t) of a root
+    t satisfy rational equations determined by v.  The largest trace is
+    tried first, so a positive rational gets its rational root.
     """
     v = as_cyc(v)
     if v.is_zero():
         return ZERO
-    s = _frac_cbrt(v.norm())
-    if s is None:
+    p, q, d = v.p, v.q, v.d
+    n = p * p - p * q + q * q  # norm(v) = n / d^2
+    g = math.gcd(n, d * d)
+    sn, sd = _icbrt(n // g), _icbrt(d * d // g)  # norm(t) = sn/sd
+    if sn is None or sd is None:
         return None
-    trace_v = 2 * v.a - v.b  # v + conj(v)
     # (t + conj t)^3 - 3 norm(t) (t + conj t) - (v + conj v) = 0
-    for tau in _rational_roots(-trace_v, -3 * s):
-        disc = 3 * (4 * s - tau * tau)
-        r = _frac_sqrt(disc)
+    for tn, td in _rational_roots((q - 2 * p, d), (-3 * sn, sd)):  # tau = tn/td
+        # r = sqrt(3 (4 norm(t) - tau^2))
+        r = _sqrt_pair(3 * (4 * sn * td * td - tn * tn * sd), sd * td * td)
         if r is None:
             continue
+        rn, rd = r
         for sign in (1, -1):
-            x = (3 * tau + sign * r) / 6
-            y = 2 * x - tau
-            t = Cyc(x, y)
+            # x = (3 tau + sign r) / 6 and y = 2x - tau = sign r / 3
+            t = _cyc(3 * tn * rd + sign * rn * td, 2 * sign * rn * td, 6 * td * rd)
             if t * t * t == v:
                 return t
     return None

@@ -3,9 +3,9 @@
 Each group is a `GroupSchema`: an ordered list of generators, every normal
 form being g_0^{e_0} ... g_{k-1}^{e_{k-1}} with exponents mod 3, together
 with conjugation rules phi(g_j)g_i = g_j g_i g_j^{-1} (given as a normal-form
-word, only for j > i) and power rules for the cubes.  Multiplication rewrites
-the concatenated words by left-to-right collection; higher-ordered generators
-move rightward past lower-ordered ones.
+word, only for j > i) and power rules for the cubes.  A single product is
+defined by left-to-right collection of the concatenated words; higher-ordered
+generators move rightward past lower-ordered ones.
 
 The catalog:
 
@@ -24,7 +24,10 @@ honest homomorphisms.
 
 Cayley tables are Python rows over element codes (the base-3 value of the
 exponent vector, most significant generator first, so code order is exactly
-lexicographic order on exponent vectors); `rows[g][h]` is g*h.  Every
+lexicographic order on exponent vectors); `rows[g][h]` is g*h.  A table is
+built up the polycyclic series, one generator at a time, from k(k+1)/2
+collections of rule words (`Group._right`); collection of whole words stays
+the independent oracle that `check_schema` and the tests hold it to.  Every
 structural algorithm -- inverses, center, derived subgroup, closures,
 classes, quotients, homomorphism tests -- reads those rows, so building and
 reporting a group needs no numpy.  `Group.table` is the same table as an
@@ -131,6 +134,37 @@ def collect(schema, letters, bound=_COLLECT_BOUND):
     return tuple(exps)
 
 
+def _split_last(code, ngens):
+    """(prefix, letter) with code = prefix * g_letter in normal form on ngens
+    letters; the letter is the last one of code's word (code != 0)."""
+    i, w = ngens - 1, 1
+    while code // w % 3 == 0:
+        i, w = i - 1, 3 * w
+    return code - w, i
+
+
+def _extend_to_codes(ngens, rows, image_codes):
+    """phi[g] for every code g on ngens letters: the images of g's letters
+    multiplied left to right in the table `rows`."""
+    phi = [0]
+    for g in range(1, 3 ** ngens):
+        prefix, letter = _split_last(g, ngens)
+        phi.append(rows[phi[prefix]][image_codes[letter]])
+    return phi
+
+
+def _rows_from_right(right):
+    """Cayley rows from the right-multiplication columns right[i][g] = g * g_i:
+    column h is column prefix(h) moved by right multiplication with h's last
+    letter."""
+    n = len(right[0])
+    cols = [list(range(n))]
+    for h in range(1, n):
+        prefix, letter = _split_last(h, len(right))
+        cols.append(list(map(right[letter].__getitem__, cols[prefix])))
+    return [list(row) for row in zip(*cols)]
+
+
 # -- the schema catalog ---------------------------------------------------
 
 SCHEMA_NAMES = ("G27", "G81", "G81_param", "GSHARP", "R243", "GBAR")
@@ -150,6 +184,9 @@ def schema(name, params=None):
     if name == "G81_param":
         if params is None:
             raise SchemaError("G81_param requires an (a, b) parameter pair")
+        if (not isinstance(params, (tuple, list)) or len(params) != 2
+                or not all(isinstance(x, numbers.Integral) for x in params)):
+            raise SchemaError("G81_param takes a pair of integers, not %r" % (params,))
         a, b = (int(params[0]) % 3, int(params[1]) % 3)
         return GroupSchema("G81_param", ("z12", "xi1", "xi2", "xi3"), central={0},
                            conj_rules=_G81_CONJ,
@@ -226,12 +263,7 @@ class Group:
         return word
 
     def _split_last(self, code):
-        """(prefix, letter) with code = prefix * g_letter in normal form;
-        the letter is the last one of code's word (code != 0)."""
-        i = self.ngens - 1
-        while code // self._weights[i] % 3 == 0:
-            i -= 1
-        return code - self._weights[i], i
+        return _split_last(code, self.ngens)
 
     # multiplication -------------------------------------------------------
 
@@ -255,24 +287,36 @@ class Group:
         return self._table
 
     def _right(self):
-        """right[i][g] = g * g_i by collection, for every code g; computed
-        once and shared by the enumeration and the table."""
+        """right[i][g] = g * g_i for every code g; computed once and shared by
+        the enumeration and the table.
+
+        Built up the series G_1 < ... < G_k, G_l on the first l generators:
+        g_l's rule words lie in G_l, so each element of G_{l+1} is q t^e with
+        q in G_l, t = g_l, and has code 3 code_l(q) + e.  With phi(x) = t x t^-1
+        on G_l (its generator images collected, then extended in code order)
+        and u = t^3 collected, q t^e g_i = (q phi^e(g_i)) t^e for i < l, and
+        q t^e t is q t^(e+1), or q u when e = 2: l + 1 collections per step.
+        """
         if "right" not in self._cache:
-            self._cache["right"] = [
-                [self.code_of(collect(self.schema, self.letters_of(g) + [i]))
-                 for g in range(self.order)] for i in range(self.ngens)]
+            sch, k = self.schema, self.ngens
+            right, rows = [], [[0]]
+            for l in range(k):
+                if l:
+                    rows = _rows_from_right(right)
+                # phi(g_i) for i < l, then u, as codes in G_l
+                words = [sch.conj_word(l, i) for i in range(l)] + [sch.power[l]]
+                *images, u = [self.code_of(collect(sch, w)) // 3 ** (k - l) for w in words]
+                phi = _extend_to_codes(l, rows, images)
+                orbits = [(3 ** (l - 1 - i), a, phi[a]) for i, a in enumerate(images)]
+                right = [[3 * row[x] + e for row in rows for e, x in enumerate(orbit)]
+                         for orbit in orbits]  # g_i, phi(g_i), phi^2(g_i)
+                right.append([3 * q + e + 1 if e < 2 else 3 * rows[q][u]
+                              for q in range(len(rows)) for e in range(3)])
+            self._cache["right"] = right
         return self._cache["right"]
 
     def _build_rows(self):
-        # column h is column prefix(h) moved by right multiplication with
-        # h's last letter
-        n = self.order
-        right = self._right()
-        cols = [list(range(n))]
-        for h in range(1, n):
-            prefix, letter = self._split_last(h)
-            cols.append(list(map(right[letter].__getitem__, cols[prefix])))
-        return [list(row) for row in zip(*cols)]
+        return _rows_from_right(self._right())
 
     @property
     def inv(self):
@@ -320,11 +364,11 @@ class Group:
     # enumeration ----------------------------------------------------------
 
     def enumerate_elements(self):
-        """Closure of the generators under honest collection multiplication.
+        """Closure of the identity under right multiplication by the generators.
 
         Returns all element codes in code order; the length is the group
-        order as actually realized by collection.  The closure is computed
-        once per group.
+        order as actually realized by the table's generator columns.  The
+        closure is computed once per group.
         """
         if "elements" not in self._cache:
             right = self._right()
@@ -686,12 +730,7 @@ def hom_from_gen_images(big, small, image_codes):
     Defined on normal forms by multiplying images left to right, as the
     list phi[g]; whether it is a homomorphism is for the caller to check.
     """
-    sr = small.rows
-    phi = [0]
-    for g in range(1, big.order):
-        prefix, letter = big._split_last(g)
-        phi.append(sr[phi[prefix]][image_codes[letter]])
-    return phi
+    return _extend_to_codes(big.ngens, small.rows, image_codes)
 
 
 def homomorphism_violation(big, small, phi):

@@ -4,9 +4,9 @@ Importing the CLI loads every module the benchmark's tracer wraps, and none
 of numpy, `dataclasses` (which imports `inspect`) or `fractions` (which
 imports `decimal`).  The structural commands (`group` reports) run on the
 Cayley table's Python rows and never load those modules either, the catalog
-commands never pull in `numpy.ma`, and one `verify` builds each catalog
-table once.  These are properties of a whole process, so each test runs its
-code in a child interpreter.
+commands never pull in `numpy.ma`, `fractions` or `decimal`, and one
+`verify` builds each catalog table once.  These are properties of a whole
+process, so each test runs its code in a child interpreter.
 """
 
 import os
@@ -68,15 +68,18 @@ print(sorted(m for m in %r if m in sys.modules and m not in before))
 
 
 def test_catalog_commands_import_no_numpy_ma():
+    # nor `fractions` or `decimal`: the cube-root search runs on integer pairs
     out = _run("""
 import contextlib, io, sys
 from spinchar.cli import main
+before = set(sys.modules)
 for args in %r:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(args) == 0, args
 print("numpy.ma" in sys.modules)
+print(sorted(m for m in ("fractions", "decimal") if m in sys.modules and m not in before))
 """ % (CATALOG_ARGS,))
-    assert out == "False\n"
+    assert out == "False\n[]\n"
 
 
 def test_verify_builds_each_table_once():

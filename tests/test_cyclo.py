@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinchar.cyclo import (Cyc, CycError, OMEGA, OMEGA2, ZERO, ONE, _icbrt, _rational_roots,
-                            cyc_cbrt, cyc_str, parse_cyc, root_exponent, root_of_unity)
+from spinchar.cyclo import (Cyc, CycError, OMEGA, OMEGA2, ZERO, ONE, _icbrt, _monotone_root,
+                            _rational_roots, as_cyc, cyc_cbrt, cyc_str, parse_cyc, root_exponent,
+                            root_of_unity)
 from spinchar.cyclo9 import (CONJ, MUL_W, PRODUCT, Cyc9, cyc9_cbrt, from_lattice,
                              lattice_einsum, lattice_equal, lattice_matmul, parse_scalar,
                              scalar_str, to_lattice, zeta9)
@@ -250,21 +251,114 @@ def test_integer_cube_root_beyond_float_precision():
     assert [_icbrt(k) for k in range(9)] == [0, 1, None, None, None, None, None, None, 2]
 
 
+def _pair(f):
+    return f.numerator, f.denominator
+
+
+def _roots_of(c0, c1):
+    """_rational_roots on Fraction coefficients, roots back as Fractions."""
+    return [Fraction(*r) for r in _rational_roots(_pair(c0), _pair(c1))]
+
+
 def test_rational_roots_of_depressed_cubics():
     # (T - r)(T - s)(T + r + s) = T^3 + c1 T + c0, every root pattern:
-    # three distinct, double, triple at 0, roots on either side of a turning point
+    # three distinct, double, triple at 0, roots on either side of a turning point;
+    # each root once, largest first
     for d in (1, 2, 3, 6):
         for a in range(-7, 8):
             for b in range(a, 8):
                 r, s = Fraction(a, d), Fraction(b, d)
                 t = -(r + s)
                 c1, c0 = r * s + r * t + s * t, -r * s * t
-                assert _rational_roots(c0, c1) == {r, s, t}
+                assert _roots_of(c0, c1) == sorted({r, s, t}, reverse=True)
     n = 10 ** 20
     r, s, t = Fraction(n), Fraction(n + 1), Fraction(-(2 * n + 1))
-    assert _rational_roots(-r * s * t, r * s + r * t + s * t) == {r, s, t}
-    assert _rational_roots(Fraction(-2), Fraction(0)) == set()  # T^3 - 2
-    assert _rational_roots(Fraction(1), Fraction(1)) == set()   # T^3 + T + 1
+    assert _roots_of(-r * s * t, r * s + r * t + s * t) == [s, r, t]
+    assert _roots_of(Fraction(-2), Fraction(0)) == []  # T^3 - 2
+    assert _roots_of(Fraction(1), Fraction(1)) == []   # T^3 + T + 1
+    # pairs in lowest terms, whatever the coefficients' common factors
+    assert _rational_roots((-16, 2), (0, 5)) == [(2, 1)]  # T^3 - 8
+    assert _rational_roots((1, 8), (0, 1)) == [(-1, 2)]   # T^3 + 1/8
+
+
+# The cube-root search as it was on Fraction values, kept as a reference for
+# the search on integer pairs.  Its candidate traces came out of a set, in the
+# order of their hashes (which made 6w the cube root of 216); the reference
+# tries them largest first, the order cyc_cbrt now fixes.
+
+def _ref_frac_cbrt(f):
+    num = _icbrt(abs(f.numerator))
+    den = _icbrt(f.denominator)
+    return None if num is None or den is None else Fraction(num if f > 0 else -num, den)
+
+
+def _ref_frac_sqrt(f):
+    if f < 0:
+        return None
+    num = math.isqrt(f.numerator)
+    den = math.isqrt(f.denominator)
+    if num * num != f.numerator or den * den != f.denominator:
+        return None
+    return Fraction(num, den)
+
+
+def _ref_rational_roots(c0, c1):
+    m = math.lcm(c0.denominator, c1.denominator)
+    p, q = int(c1 * m * m), int(c0 * m ** 3)
+    bound = 1 + max(abs(p), abs(q))
+    if p >= 0:
+        pieces = [(-bound, bound)]
+    else:
+        r = math.isqrt(-p // 3)
+        pieces = [(-bound, -r - 1), (-r, r), (r + 1, bound)]
+    roots = set()
+    for lo, hi in pieces:
+        s = _monotone_root(lambda x: x ** 3 + p * x + q, lo, hi)
+        if s is not None:
+            roots.add(Fraction(s, m))
+    return roots
+
+
+def _ref_cyc_cbrt(v, order=lambda roots: sorted(roots, reverse=True)):
+    v = as_cyc(v)
+    if v.is_zero():
+        return ZERO
+    s = _ref_frac_cbrt(v.norm())
+    if s is None:
+        return None
+    trace_v = 2 * v.a - v.b
+    for tau in order(_ref_rational_roots(-trace_v, -3 * s)):
+        r = _ref_frac_sqrt(3 * (4 * s - tau * tau))
+        if r is None:
+            continue
+        for sign in (1, -1):
+            x = (3 * tau + sign * r) / 6
+            t = Cyc(x, 2 * x - tau)
+            if t * t * t == v:
+                return t
+    return None
+
+
+def test_cube_roots_match_the_fraction_reference():
+    # cubes of small (p + q w)/d, their w-twists, and non-cubes
+    checked = 0
+    for d in (1, 2, 3, 6, 7):
+        for p in range(-6, 7):
+            for q in range(-6, 7):
+                x = Cyc(Fraction(p, d), Fraction(q, d))
+                for v in (x ** 3, x ** 3 * OMEGA, x ** 3 * OMEGA2, 3 * x ** 3, x, x + 1):
+                    t = cyc_cbrt(v)
+                    assert t == _ref_cyc_cbrt(v), v
+                    if t is not None:
+                        assert t ** 3 == v
+                        # the hash order picked a root too, possibly another one
+                        assert _ref_cyc_cbrt(v, order=list) in {t, t * OMEGA, t * OMEGA2}
+                        checked += 1
+    assert checked > 800
+    for v, root in [(Cyc(8), 2), (Cyc(216), 6), (ONE, 1), (Cyc(Fraction(8, 27)), Fraction(2, 3))]:
+        assert cyc_cbrt(v) == _ref_cyc_cbrt(v) == root
+    for v in (Cyc(2), OMEGA, Cyc(4, 1)):
+        assert cyc_cbrt(v) is None and _ref_cyc_cbrt(v) is None
 
 
 def test_cube_roots_of_large_radicands():

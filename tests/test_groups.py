@@ -22,6 +22,12 @@ def test_schema_catalog_guards():
         schema("G27", params=(1, 1))
     with pytest.raises(SchemaError):
         schema("G81_param")
+    # malformed pairs are refused, not truncated or passed to int()
+    for bad in ((1,), ("a", "b"), (1.5, 2), (1, 2, 3), 12):
+        with pytest.raises(SchemaError):
+            schema("G81_param", bad)
+        with pytest.raises(SchemaError):
+            get_group("G81_param", bad)
 
 
 def test_collection_examples():
@@ -175,6 +181,56 @@ def test_inconsistent_schema_fails_loudly():
     except CollectionError:
         detected = True  # the engine refused the non-group table outright
     assert detected
+
+
+def _g27_variant(central, power_rules):
+    sch = schema("G27")
+    return Group(GroupSchema("G27", sch.gens, central, sch.conj, power_rules))
+
+
+def test_inconsistent_power_rule_fails_lights_test():
+    # x3^3 = x1 on top of G27: every rule checks out, but the table is not
+    # associative
+    group = _g27_variant({1}, {2: (0,)})
+    assert check_schema(group) == []
+    assert exhaustive_associativity(group.table) == (1, 1, 2)
+
+
+def test_inconsistent_noncentral_power_rule_is_not_a_group_table():
+    # x2 not central and x2^3 = x1: some row misses the identity
+    group = _g27_variant((), {1: (0,)})
+    with pytest.raises(CollectionError, match="table is not a group table"):
+        group.inv
+
+
+def test_tables_agree_with_collection():
+    # the table is built up the polycyclic series; collection of whole words
+    # is the independent oracle for every generator column
+    for name, params in CATALOG:
+        group = get_group(name, params)
+        right = group._right()
+        for g in range(group.order):
+            word = group.letters_of(g)
+            for i in range(group.ngens):
+                assert right[i][g] == group.code_of(groups.collect(group.schema, word + [i]))
+    for name, params in (("G27", None), ("G81_param", (0, 2))):
+        group = get_group(name, params)
+        n = group.order
+        assert [[group.mult_collect(g, h) for h in range(n)] for g in range(n)] == group.rows
+
+
+def test_table_build_collects_only_rule_words(monkeypatch):
+    calls = []
+    real_collect = groups.collect
+
+    def counting_collect(*args, **kwargs):
+        calls.append(args)
+        return real_collect(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "collect", counting_collect)
+    rows = Group(schema("R243")).rows  # a fresh instance, not the shared one
+    assert 0 < len(calls) <= 15  # k(k+1)/2 for k = 5 generators
+    assert rows == get_group("R243").rows
 
 
 def test_efficient_coverings():
