@@ -18,14 +18,15 @@ extended one.
 
 Bulk arithmetic uses the exact lattice kernel at the end of the module: an
 array of scalars becomes an int64 array of coefficient vectors over one
-common denominator (`to_lattice`).  Batched matrix products go through
-`lattice_matmul`, linear maps such as conjugation through `lattice_einsum`
-with the constant tables PRODUCT, CONJ and MUL_W (module attributes built
-on first use, like the numpy import itself), values over different
-denominators are compared with `lattice_equal`, and single values come back
-through `from_lattice`.  Both conversions read and write the int state
-directly.  The tables are derived from `_reduce`, so the reduction rule is
-written down once.
+common denominator (`to_lattice`).  A matrix product is one integer matmul
+by `right_matrix`, the regular representation of Z[zeta9] applied entrywise
+(`lattice_matmul`, or `lattice_rmatmul` to reuse one).  Linear maps such as
+conjugation go through `lattice_einsum` with the tables PRODUCT, CONJ and
+MUL_W (built on first use, like the numpy import itself), values over
+different denominators are compared with `lattice_equal`, and single values
+come back through `from_lattice`.  Both conversions read and write the int
+state directly.  The tables are derived from `_reduce`, so the reduction
+rule is written down once.
 """
 
 import functools
@@ -323,8 +324,7 @@ def _tables():
     conj = np.array(_CONJ_BASIS, dtype=np.int64)
     product.flags.writeable = False
     conj.flags.writeable = False
-    return {"PRODUCT": product, "CONJ": conj, "MUL_W": product[3],
-            "PRODUCT36": product.reshape(36, 6)}
+    return {"PRODUCT": product, "CONJ": conj, "MUL_W": product[3]}
 
 
 def __getattr__(name):
@@ -372,7 +372,8 @@ def lattice_identity(n):
 
 
 def _magnitude(op):
-    return max(1, int(np.abs(op).max(initial=0)))
+    # max and min instead of abs: no temporary as large as op
+    return max(1, int(op.max(initial=0)), -int(op.min(initial=0)))
 
 
 def _check_bound(bound):
@@ -399,32 +400,48 @@ def lattice_einsum(subscripts, *operands):
         if axis not in output:
             bound *= n
     _check_bound(bound)
-    return np.einsum(subscripts, *operands, optimize=True)
+    return np.einsum(subscripts, *operands, optimize=len(operands) > 2)
+
+
+def right_matrix(b):
+    """The integer matrix of right multiplication by the lattice matrices b.
+
+    `b` has shape (..., k, n, 6).  Returns R of shape (..., 6k, 6n) with
+    R[(j, p), (l, r)] the z^r coefficient of z^p b[j, l], so that the
+    coefficient rows of a (..., m, k, 6) lattice a, reshaped to
+    (..., m, 6k), times R are those of the product a b.
+    """
+    _check_bound(_magnitude(b) * 6)  # six terms: a coefficient of b times 0 or +-1
+    R = b[..., :, None, :, :] @ _tables()["PRODUCT"]  # [..., j, p, l, r]
+    return R.reshape(b.shape[:-3] + (6 * b.shape[-3], 6 * b.shape[-2]))
 
 
 def lattice_matmul(a, a_den, b, b_den):
     """Exact batched matrix product of a / a_den and b / b_den.
 
     `a` has shape (..., m, k, 6) and `b` shape (..., k, n, 6); the batch
-    axes broadcast as in np.matmul.  The coefficient pairs are contracted
-    over k, then reduced through PRODUCT.  Returns (c, den) with c of shape
+    axes broadcast as in np.matmul.  Returns (c, den) with c of shape
     (..., m, n, 6) and den = a_den * b_den divided by its gcd with every
     coefficient, so denominators never grow past what the values need.
-    The int64 bound is lattice_einsum's for the same contraction: the
-    largest magnitudes times k * 36 terms; a product that could exceed it
-    raises CycError instead of wrapping.
+    This is `lattice_rmatmul` with R = right_matrix(b).
+    """
+    return lattice_rmatmul(a, a_den, right_matrix(b), b_den)
+
+
+def lattice_rmatmul(a, a_den, R, b_den):
+    """`lattice_matmul` of a / a_den and b / b_den, given R = right_matrix(b).
+
+    One integer matmul of a's coefficient rows by R, then the gcd reduction
+    of `lattice_matmul`.  The int64 bound is max|a| * max|R| * 6k, which
+    bounds every partial sum; a product that could exceed it raises
+    CycError instead of wrapping.
     """
     m, k = a.shape[-3:-1]
-    n = b.shape[-2]
-    if b.shape[-3] != k:
-        raise CycError("lattice product of %d-column and %d-row matrices" % (k, b.shape[-3]))
-    _check_bound(_magnitude(a) * _magnitude(b) * k * 36)
-    lhs = np.swapaxes(a, -1, -2).reshape(a.shape[:-3] + (m * 6, k))
-    rhs = b.reshape(b.shape[:-3] + (k, n * 6))
-    pairs = np.matmul(lhs, rhs)  # (..., m*6, n*6): entry (i, p), (j, q)
-    batch = pairs.shape[:-2]
-    pairs = np.swapaxes(pairs.reshape(batch + (m, 6, n, 6)), -3, -2)
-    c = pairs.reshape(batch + (m, n, 36)) @ _tables()["PRODUCT36"]
+    if R.shape[-2] != 6 * k:
+        raise CycError("lattice product of %d-column and %d-row matrices" % (k, R.shape[-2] // 6))
+    _check_bound(_magnitude(a) * _magnitude(R) * 6 * k)
+    c = a.reshape(a.shape[:-3] + (m, 6 * k)) @ R
+    c = c.reshape(c.shape[:-1] + (R.shape[-1] // 6, 6))
     den = a_den * b_den
     g = math.gcd(den, int(np.gcd.reduce(c, axis=None)))
     if g > 1:

@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 from . import _np as np
 from .cyclo import root_of_unity
-from .cyclo9 import (from_lattice, lattice_common, lattice_einsum, lattice_equal,
-                     lattice_identity, lattice_matmul, to_lattice)
+from .cyclo9 import (_state9, from_lattice, lattice_common, lattice_einsum, lattice_equal,
+                     lattice_identity, lattice_matmul, lattice_rmatmul, right_matrix, to_lattice)
 from .linalg import CycMatrix
 from .groups import Subgroup
 
@@ -172,10 +172,11 @@ class SubRep:
     The domain's generators are schema generators in normal-form order, and
     its elements are exactly the normal forms supported on them, so the
     image of any element is the product of generator powers read off its
-    exponent vector.  The images are given in generator order, one
-    CycMatrix each, and kept by generator name in `images`.  `images_at`
+    exponent vector.  The images are given in generator order, CycMatrix
+    values of one size, and kept by generator name in `images`.  `images_at`
     multiplies cached generator powers on the exact int64 lattice of
-    `cyclo9`, many elements per call.  The powers are built on first use,
+    `cyclo9`, many elements per call, and skips a generator whose exponent
+    is 0 at every requested element.  The powers are built on first use,
     so a representation whose entries do not fit the lattice can still be
     built and printed; evaluating it raises CycError.  No table is kept.
     """
@@ -187,6 +188,8 @@ class SubRep:
             raise MackeyError("domain generators must be schema generators in normal-form order")
         if len(images) != len(gens) or not gens:
             raise MackeyError("need one image per domain generator, and at least one")
+        if any(not isinstance(M, CycMatrix) or M.n != images[0].n for M in images):
+            raise MackeyError("images must be CycMatrix values of one size")
         weights = np.array(gens, dtype=np.int64)
         normal_forms = np.array(list(product(range(3), repeat=len(gens)))) @ weights
         if frozenset(normal_forms.tolist()) != subgroup.codes:
@@ -215,7 +218,10 @@ class SubRep:
     def images_at(self, codes):
         """The images at many element codes as one lattice (L, den), L of
         shape (len(codes), d, d, 6): the product of the generator powers in
-        each code's normal form, one lattice product per generator."""
+        each code's normal form.  A generator whose exponent is 0 at every
+        code is skipped; each other one after the first is one product,
+        gathered from the right-multiplication matrices of its three
+        powers.  den need not be the least denominator of the values."""
         codes = np.array(codes, dtype=np.int64).reshape(-1)
         exps = codes[:, None] // self._weights % 3
         outside = np.flatnonzero(exps @ self._weights != codes)
@@ -223,9 +229,10 @@ class SubRep:
             raise MackeyError("element %d lies outside the domain of %s"
                               % (codes[outside[0]], self.name))
         P, den = self.powers()
-        out, out_den = P[0, exps[:, 0]], den
-        for k in range(1, len(P)):
-            out, out_den = lattice_matmul(out, out_den, P[k, exps[:, k]], den)
+        used = np.flatnonzero(exps.any(axis=0)).tolist() or [0]
+        out, out_den = P[used[0], exps[:, used[0]]], den
+        for k in used[1:]:
+            out, out_den = lattice_rmatmul(out, out_den, right_matrix(P[k])[exps[:, k]], den)
         return out, out_den
 
     def eval(self, code):
@@ -248,9 +255,9 @@ class SubRep:
         sides evaluated at the product codes from the Cayley table.  The
         domain is exactly the normal forms on these generators, so the
         rules hold iff evaluation is a homomorphism.  Each family runs as
-        one lattice batch (one CycMatrix inverse per generator after the
-        first); only a failing rule is converted back to matrices for its
-        witness.  Raises CycError when entries leave the lattice.
+        one lattice batch (the inverse of each image after the first comes
+        from a memo on its value); only a failing rule is converted back to
+        matrices for its witness.  Raises CycError when entries leave the lattice.
         """
         if self._verdict is None:
             self._verdict = (self._first_broken_rule(),)
@@ -270,7 +277,7 @@ class SubRep:
         rules = [(j, i) for j in range(len(gens)) for i in range(j)]
         if not rules:
             return None
-        inverses, inv_den = to_lattice([M.inverse().rows
+        inverses, inv_den = to_lattice([_inverse(M).rows
                                         for M in list(self.images.values())[1:]])
         js, iss = np.array(rules).T
         conj, conj_den = lattice_matmul(P[js, 1], den, P[iss, 1], den)
@@ -286,6 +293,20 @@ class SubRep:
     def __repr__(self):
         return "SubRep(%s, dim=%d, |domain|=%d)" % (self.name, self.dim,
                                                     self.subgroup.order)
+
+
+_INVERSES = {}  # entries' integer states -> inverse; at most 256 entries
+
+
+def _inverse(M):
+    """M.inverse(), computed once per distinct value: one image recurs in
+    many representations (inflations, inductions, extensions)."""
+    key = tuple(_state9(x) for row in M.rows for x in row)
+    if key not in _INVERSES:
+        if len(_INVERSES) >= 256:
+            _INVERSES.clear()
+        _INVERSES[key] = M.inverse()
+    return _INVERSES[key]
 
 
 def _first_mismatch(lhs, rhs):

@@ -14,8 +14,8 @@ from spinchar.cyclo import (Cyc, CycError, OMEGA, OMEGA2, ZERO, ONE, _icbrt, _mo
                             _rational_roots, as_cyc, cyc_cbrt, cyc_str, parse_cyc, root_exponent,
                             root_of_unity)
 from spinchar.cyclo9 import (CONJ, MUL_W, PRODUCT, Cyc9, cyc9_cbrt, from_lattice,
-                             lattice_einsum, lattice_equal, lattice_matmul, parse_scalar,
-                             scalar_str, to_lattice, zeta9)
+                             lattice_einsum, lattice_equal, lattice_identity, lattice_matmul,
+                             parse_scalar, right_matrix, scalar_str, to_lattice, zeta9)
 from spinchar.linalg import CycMatrix
 
 
@@ -501,6 +501,73 @@ def test_lattice_matmul_matches_matrix_products(mats):
     assert all(CycMatrix.from_lattice(prod[k], prod_den) == A * M
                for k, M in enumerate(mats))
     assert lattice_equal(prod[:1], prod_den, prod[:1] * 3, prod_den * 3).all()
+
+
+def _product36_matmul(a, a_den, b, b_den):
+    """Reference for lattice_matmul: contract the coefficient pairs over k,
+    then reduce each pair z^p z^q through PRODUCT viewed as a 36 x 6 table."""
+    m, k = a.shape[-3:-1]
+    n = b.shape[-2]
+    lhs = np.swapaxes(a, -1, -2).reshape(a.shape[:-3] + (m * 6, k))
+    rhs = b.reshape(b.shape[:-3] + (k, n * 6))
+    pairs = np.matmul(lhs, rhs)  # (..., m*6, n*6): entry (i, p), (j, q)
+    batch = pairs.shape[:-2]
+    pairs = np.swapaxes(pairs.reshape(batch + (m, 6, n, 6)), -3, -2)
+    c = pairs.reshape(batch + (m, n, 36)) @ PRODUCT.reshape(36, 6)
+    den = a_den * b_den
+    g = math.gcd(den, int(np.gcd.reduce(c, axis=None)))
+    return c // g, den // g
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_lattice_matmul_matches_the_product36_reference(data):
+    m, k, n = (data.draw(st.integers(1, 3)) for _ in range(3))
+    a_batch, b_batch = data.draw(st.sampled_from(
+        [((), ()), ((3,), (3,)), ((2, 1), (1, 3)), ((), (2,)), ((4,), ())]))
+
+    def lattice(shape):
+        size = math.prod(shape)
+        values = data.draw(st.lists(lattice_entries, min_size=size, max_size=size))
+        arr = np.empty(size, dtype=object)
+        arr[:] = values
+        return to_lattice(arr.reshape(shape))
+
+    (a, a_den), (b, b_den) = lattice(a_batch + (m, k)), lattice(b_batch + (k, n))
+    got, got_den = lattice_matmul(a, a_den, b, b_den)
+    want, want_den = _product36_matmul(a, a_den, b, b_den)
+    assert got.shape == want.shape and got.dtype == np.int64
+    assert got_den == want_den and np.array_equal(got, want)
+    # and that denominator is the least one the values need
+    values = np.empty(got.shape[:-1], dtype=object)
+    values.flat[:] = [from_lattice(v, got_den) for v in got.reshape(-1, 6)]
+    assert to_lattice(values)[1] == got_den
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: _matrices(n, 2)))
+def test_right_matrix_is_multiplicative(mats):
+    B, C = mats
+    L, den = to_lattice([B.rows, C.rows])
+    BC, BC_den = to_lattice((B * C).rows)
+    # R(B) R(C) = R(BC), with each side scaled onto integers
+    assert np.array_equal((right_matrix(L[0]) @ right_matrix(L[1])) * BC_den,
+                          right_matrix(BC) * den * den)
+    assert np.array_equal(right_matrix(L)[1], right_matrix(L[1]))  # batched
+    assert np.array_equal(right_matrix(lattice_identity(B.n)), np.eye(6 * B.n, dtype=np.int64))
+
+
+def test_lattice_matmul_bound_edge():
+    # the bound is max|a| * max|R(b)| * 6k: 2^30 * 2^30 * 6 fits in int64, and
+    # 2^31 * 2^31 * 6 does not, although 2^62 itself would
+    x, y = Cyc9.from_scalar(Cyc(2 ** 30)) * zeta9(4), Cyc9.from_scalar(Cyc(-2 ** 30)) * zeta9(5)
+    L, den = to_lattice([[[x]], [[y]]])
+    prod, prod_den = lattice_matmul(L[0], den, L[1], den)
+    assert prod_den == 1 and from_lattice(prod[0, 0]) == x * y == -2 ** 60
+    for v in (2 ** 31, -2 ** 31):  # a negative operand's magnitude is its least entry
+        big, _ = to_lattice([[Cyc(v)]])
+        with pytest.raises(CycError):
+            lattice_matmul(big, 1, big, 1)
 
 
 def test_lattice_matmul_reduces_growing_denominators():

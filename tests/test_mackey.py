@@ -1,5 +1,10 @@
 """Duals, the action on them, orbits, and matrix induction."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from spinchar.cyclo import ONE, root_of_unity
@@ -214,3 +219,28 @@ def test_one_verify_run_checks_each_object_once(monkeypatch):
     # some objects are asked twice, and each is computed once
     assert len(calls) > len(objects)
     assert len(computed) == len({id(rep) for rep in computed}) == len(objects)
+
+
+def test_one_verify_inverts_each_distinct_image_once():
+    """`SubRep.verify` takes each generator image's inverse from a memo kept
+    for the process, so a fresh `spinchar verify` runs `CycMatrix.inverse`
+    once per distinct image value; the child process starts with no memo."""
+    script = """
+from spinchar import verify
+from spinchar.linalg import CycMatrix
+inverted = []
+inverse = CycMatrix.inverse
+def counting(self):
+    inverted.append(self)
+    return inverse(self)
+CycMatrix.inverse = counting
+assert all(result.passed for result in verify.run_checks())
+print(len(inverted), len(set(inverted)))
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, stdin=subprocess.DEVNULL,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    calls, distinct = map(int, proc.stdout.split())
+    assert calls == distinct > 0

@@ -444,6 +444,13 @@ def test_subrep_needs_a_normal_form_domain():
     chi = SubRep(Subgroup.generated(g27, ["x1", "x2"]), one * 2, "trivial")
     with pytest.raises(MackeyError, match="outside the domain"):
         chi.eval(g27.generator("x3").code)
+    # images of different sizes, or not matrices at all
+    eye2 = CycMatrix.identity(2)
+    for images in ([one[0], eye2], [eye2, one[0]], [one[0], [[1]]]):
+        with pytest.raises(MackeyError, match="of one size"):
+            SubRep(Subgroup.generated(g27, ["x1", "x2"]), images, "bad")
+    with pytest.raises(MackeyError, match="of one size"):
+        Representation(g27, {"x1": one[0], "x2": one[0], "x3": eye2}, "bad")
 
 
 def test_perturbed_base_image_fails_representations(monkeypatch):
@@ -488,6 +495,11 @@ def test_reordered_diagonal_fails_only_a_conjugation_rule():
     rows = [list(row) for row in rep.images["n1"].rows]
     rows[0][0], rows[1][1] = rows[1][1], rows[0][0]
     images = dict(rep.images, n1=CycMatrix(rows))
-    report = verify_rep(Representation(rep.group, images, rep.name, rep.spin_type))
-    assert len(report.failures) == 1
-    assert report.detail.startswith("conjugation rule phi(n2)n1: lhs=")
+    assert rep.verify() is None  # the untouched images are inverted first
+    planted = Representation(rep.group, images, rep.name, rep.spin_type)
+    bad = planted.verify()
+    assert bad == _first_broken_rule(planted)
+    desc, lhs, rhs = bad
+    assert desc == "conjugation rule phi(n2)n1"
+    assert verify_rep(planted).failures == ["%s: lhs=%s rhs=%s"
+                                            % (desc, lhs.str_rows(), rhs.str_rows())]

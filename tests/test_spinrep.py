@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinchar import cyclo9, spinrep
+from spinchar import cyclo9, mackey, spinrep
 from spinchar.cyclo import root_of_unity
 from spinchar.cyclo9 import Cyc9, lattice_einsum, lattice_equal, lattice_matmul
 from spinchar.linalg import CycMatrix, J_SHIFT, K_SHIFT
@@ -186,19 +186,48 @@ def test_verify_rep_negative_control():
     assert report.detail
 
 
+def _generator_product(rep, code):
+    """Reference for images_at: the product of generator-image powers in
+    normal-form order, in CycMatrix arithmetic."""
+    want = CycMatrix.identity(rep.dim)
+    for gen, e in zip(rep.group.schema.gens, rep.group.exps_of(code)):
+        want = want * rep.images[gen] ** e
+    return want
+
+
 def test_batched_images_match_generator_products():
-    # reference: the product of generator-image powers in normal-form
-    # order, in CycMatrix arithmetic
     for rep in (irreps_by_spin_type((2, 1))[1], irreps_by_spin_type((0, 0))[10]):
         group = rep.group
         codes = list(range(0, group.order, 7)) + [group.order - 1]
         L, den = rep.images_at(codes)
         for k, code in enumerate(codes):
-            want = CycMatrix.identity(rep.dim)
-            for gen, e in zip(group.schema.gens, group.exps_of(code)):
-                want = want * rep.images[gen] ** e
+            want = _generator_product(rep, code)
             assert CycMatrix.from_lattice(L[k], den) == want
             assert rep.eval(code) == want
+
+
+def test_images_at_skips_identity_factors(monkeypatch):
+    rep = irreps_by_spin_type((1, 1))[0]
+    group = rep.group
+    rep.powers()  # built once, on first use, before the count starts
+    products = []
+    for name in ("lattice_matmul", "lattice_rmatmul"):
+        real = getattr(mackey, name)
+        monkeypatch.setattr(mackey, name,
+                            lambda *args, _real=real: products.append(args) or _real(*args))
+    first, last = group.gen_codes[0], group.gen_codes[-1]
+    classes = [code for code, _ in group.conjugacy_classes()]
+    columns = sum(any(col) for col in zip(*map(group.exps_of, classes)))
+    # powers of the first generator need no product; z12 and n3 need one;
+    # the class representatives one per exponent column in use after the first
+    for codes, want in (([0, first, group.power(first, 2)], 0), ([first, last, 0], 1),
+                        (classes, columns - 1), ([], 0)):
+        products.clear()
+        L, den = rep.images_at(codes)
+        assert len(products) == want
+        assert L.shape == (len(codes), rep.dim, rep.dim, 6)
+        for k, code in enumerate(codes):
+            assert CycMatrix.from_lattice(L[k], den) == _generator_product(rep, code)
 
 
 class TestCharacters:
