@@ -37,6 +37,7 @@ every triple by Light's test, and the representation code's lattice products).
 
 from collections import Counter
 import numbers
+import random
 from typing import NamedTuple
 
 from . import _np as np
@@ -51,7 +52,7 @@ class CollectionError(RuntimeError):
 
 
 _COLLECT_BOUND = 200_000
-_TRIPLE_BLOCK = 1 << 16  # random associativity triples drawn and compared at once
+_TRIPLE_BLOCK = 1 << 14  # random associativity triples drawn and compared at once
 
 
 class GroupSchema:
@@ -396,13 +397,24 @@ class Group:
         return self._cache["center"]
 
     def derived_codes(self):
+        """[G, G]: the normal closure of the generators' commutators, closed
+        under conjugation by the generators until nothing new appears."""
         if "derived" not in self._cache:
-            r, inv = self.rows, self.inv
-            comms = set()
-            for g, row in enumerate(r):
-                gi = inv[g]
-                comms.update([r[r[gh][gi]][hi] for gh, hi in zip(row, inv)])
-            self._cache["derived"] = self.closure(comms)
+            if self.schema:
+                gens = self.gen_codes
+            else:  # greedy: each least code outside the span of those before it
+                gens, span = [], {0}
+                for g in range(self.order):
+                    if g not in span:
+                        gens.append(g)
+                        span = self.closure(gens)
+            new = {self.commutator(g, h) for g in gens for h in gens}
+            found, derived = new, self.closure(new)
+            while new:  # conjugate what the last round added
+                new = {self.conjugate(c, x) for c in new for x in gens} - derived
+                found = found | new
+                derived = self.closure(found)
+            self._cache["derived"] = derived
         return self._cache["derived"]
 
     def closure(self, codes):
@@ -616,15 +628,27 @@ def exhaustive_associativity(table):
 
 
 def random_triples_associative(table, count, seed=0):
-    """Spot-check associativity on `count` uniform triples, drawn and compared
-    in blocks of _TRIPLE_BLOCK; None if all pass."""
+    """Spot-check associativity on `count` uniform triples; a violating
+    (g, h, k) or None if all pass.
+
+    Codes come from `random.Random(seed)`, one `randbytes` call per block of
+    at most _TRIPLE_BLOCK triples: 1-byte words when n <= 256, else 2-byte,
+    masked to n's bit length, and words >= n are rejected, so every code is
+    exactly uniform.  The products are gathered from the flat table."""
     n = table.shape[0]
-    rng = np.random.default_rng(seed)
-    for start in range(0, count, _TRIPLE_BLOCK):
-        g, h, k = rng.integers(0, n, size=(3, min(_TRIPLE_BLOCK, count - start)))
-        bad = np.flatnonzero(table[table[g, h], k] != table[g, table[h, k]])
+    flat, rng = table.ravel(), random.Random(seed)
+    word = np.dtype("<u1" if n <= 256 else "<u2")
+    mask = (1 << (n - 1).bit_length()) - 1
+    while count > 0:
+        m = min(_TRIPLE_BLOCK, count)
+        codes = np.frombuffer(rng.randbytes(3 * m * word.itemsize), dtype=word) & mask
+        codes = codes[codes < n].astype(np.intp)
+        g, h, k = codes[:len(codes) // 3 * 3].reshape(3, -1)
+        gh = flat[g * n + h].astype(np.intp)  # int16 * n would wrap
+        bad = np.flatnonzero(flat[gh * n + k] != flat[g * n + flat[h * n + k]])
         if bad.size:
             return (int(g[bad[0]]), int(h[bad[0]]), int(k[bad[0]]))
+        count -= len(g)
     return None
 
 

@@ -4,9 +4,10 @@ Importing the CLI loads every module the benchmark's tracer wraps, and none
 of numpy, `dataclasses` (which imports `inspect`) or `fractions` (which
 imports `decimal`).  The structural commands (`group` reports) run on the
 Cayley table's Python rows and never load those modules either, the catalog
-commands never pull in `numpy.ma`, `fractions` or `decimal`, and one
-`verify` builds each catalog table once.  These are properties of a whole
-process, so each test runs its code in a child interpreter.
+commands never pull in `numpy.ma`, `fractions` or `decimal`, `verify` never
+loads `numpy.random` or `hashlib`, and one `verify` builds each catalog
+table once.  These are properties of a whole process, so each test runs its
+code in a child interpreter.
 """
 
 import os
@@ -80,6 +81,21 @@ print("numpy.ma" in sys.modules)
 print(sorted(m for m in ("fractions", "decimal") if m in sys.modules and m not in before))
 """ % (CATALOG_ARGS,))
     assert out == "False\n[]\n"
+
+
+def test_verify_loads_no_numpy_random_or_hashlib():
+    # the associativity spot check draws from the standard library's random;
+    # the structural checks run first, so each verdict is their own
+    out = _run("""
+import contextlib, io, sys
+from spinchar.cli import main
+for args in (%r, ["verify"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(args) == 0, args
+    print(sorted(m for m in %r if m in sys.modules))
+""" % (["verify", "--only", "orders,structure,automorphism,orbits,associativity"],
+       ("numpy.random", "secrets", "hashlib", "_hashlib")))
+    assert out == "[]\n[]\n"
 
 
 def test_verify_builds_each_table_once():

@@ -510,5 +510,77 @@ def test_associativity_passes_stay_small_in_memory():
         light_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert random_peak < 8 * 2 ** 20  # drawn all at once, the 10^6 triples took 29.4 MB
+    assert random_peak < 1.5 * 2 ** 20  # in int64 blocks of 2^16 from numpy.random: 3.0 MB
     assert light_peak < 4 * 2 ** 20  # the n^3 comparison in blocks of 32 took 11.6 MB
+
+
+def _violates(table, witness):
+    g, h, k = witness
+    return table[table[g, h], k] != table[g, table[h, k]]
+
+
+def _cyclic(n):
+    """The Cayley table of Z/n as int16."""
+    return ((np.arange(n)[:, None] + np.arange(n)) % n).astype(np.int16)
+
+
+def _planted(table, row, a, b):
+    table = table.copy()
+    table[row, [a, b]] = table[row, [b, a]]
+    return table
+
+
+def test_random_triples_are_reproducible_from_the_seed():
+    planted = _planted(get_group("GSHARP").table, 5, 7, 9)
+    witness = random_triples_associative(planted, 10 ** 6, seed=2024)
+    assert witness is not None and _violates(planted, witness)
+    assert random_triples_associative(planted, 10 ** 6, seed=2024) == witness
+    assert all(random_triples_associative(planted, 10 ** 5, seed=s) is not None
+               for s in range(3))
+
+
+class _RecordingTable(np.ndarray):
+    """A Cayley table that keeps every flat index it is gathered at."""
+
+    gathered = []
+
+    def __getitem__(self, index):
+        _RecordingTable.gathered.append(np.asarray(index))
+        return np.asarray(self)[index]
+
+
+@pytest.mark.parametrize("n", [3, 243, 300])
+def test_random_triples_draw_every_code_and_nothing_else(n):
+    # every gather is at a*n + b with a, b codes, so the quotients and
+    # remainders of the gathered indices are the codes the draws produced
+    _RecordingTable.gathered = []
+    assert random_triples_associative(_cyclic(n).view(_RecordingTable), 30000, seed=1) is None
+    index = np.concatenate(_RecordingTable.gathered)
+    assert index.min() >= 0 and index.max() < n * n
+    for codes in np.divmod(index, n):
+        assert np.array_equal(np.unique(codes), np.arange(n))
+
+
+def test_random_triples_on_a_table_of_more_than_256_elements():
+    # Z/300 needs 2-byte words, and its codes times 300 leave int16
+    table = _cyclic(300)
+    assert random_triples_associative(table, 10 ** 5, seed=3) is None
+    planted = _planted(table, 299, 0, 298)
+    witness = random_triples_associative(planted, 10 ** 6, seed=3)
+    assert witness is not None and _violates(planted, witness)
+
+
+def _derived_reference(group):
+    """The subgroup generated by all n^2 commutators."""
+    r, inv, n = group.rows, group.inv, group.order
+    return group.closure({r[r[r[g][h]][inv[g]]][inv[h]] for g in range(n) for h in range(n)})
+
+
+def test_derived_subgroup_from_generator_commutators_matches_all_commutators():
+    r243 = get_group("R243")
+    groups_ = [get_group(name, params) for name, params in CATALOG]
+    groups_ += [r243.quotient(r243.closure([r243.generator(z).code])) for z in ("z12", "z23")]
+    groups_ += [group.quotient(_derived_reference(group)) for group in groups_]
+    for group in groups_:
+        assert group.derived_codes() == _derived_reference(group)
+    assert [len(group.derived_codes()) for group in groups_[14:16]] == [9, 9]
