@@ -432,9 +432,9 @@ def lattice_rmatmul(a, a_den, R, b_den):
     """`lattice_matmul` of a / a_den and b / b_den, given R = right_matrix(b).
 
     One integer matmul of a's coefficient rows by R, then the gcd reduction
-    of `lattice_matmul`.  The int64 bound is max|a| * max|R| * 6k, which
-    bounds every partial sum; a product that could exceed it raises
-    CycError instead of wrapping.
+    of `lattice_matmul`, skipped when den is 1.  The int64 bound is
+    max|a| * max|R| * 6k, which bounds every partial sum; a product that
+    could exceed it raises CycError instead of wrapping.
     """
     m, k = a.shape[-3:-1]
     if R.shape[-2] != 6 * k:
@@ -443,7 +443,7 @@ def lattice_rmatmul(a, a_den, R, b_den):
     c = a.reshape(a.shape[:-3] + (m, 6 * k)) @ R
     c = c.reshape(c.shape[:-1] + (R.shape[-1] // 6, 6))
     den = a_den * b_den
-    g = math.gcd(den, int(np.gcd.reduce(c, axis=None)))
+    g = 1 if den == 1 else math.gcd(den, int(np.gcd.reduce(c, axis=None)))
     if g > 1:
         c //= g
         den //= g

@@ -52,7 +52,7 @@ class CollectionError(RuntimeError):
 
 
 _COLLECT_BOUND = 200_000
-_TRIPLE_BLOCK = 1 << 14  # random associativity triples drawn and compared at once
+_TRIPLE_BLOCK = 1 << 13  # random associativity triples drawn and compared at once
 
 
 class GroupSchema:

@@ -10,6 +10,7 @@ only its generator images; values and the homomorphism check run on the
 exact int64 lattice of `cyclo9`.
 """
 
+from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
@@ -190,17 +191,14 @@ class SubRep:
             raise MackeyError("need one image per domain generator, and at least one")
         if any(not isinstance(M, CycMatrix) or M.n != images[0].n for M in images):
             raise MackeyError("images must be CycMatrix values of one size")
-        weights = np.array(gens, dtype=np.int64)
-        normal_forms = np.array(list(product(range(3), repeat=len(gens)))) @ weights
-        if frozenset(normal_forms.tolist()) != subgroup.codes:
-            raise MackeyError("the domain is not the normal forms on its generators")
+        _check_normal_forms(tuple(gens), frozenset(subgroup.codes))
         self.subgroup = subgroup
         self.group = group
         self.images = {group.schema.gens[group.gen_codes.index(g)]: M
                        for g, M in zip(gens, images)}
         self.dim = images[0].n
         self.name = name
-        self._weights = weights
+        self._weights = np.array(gens, dtype=np.int64)
         self._powers = None
         self._verdict = None  # (first broken rule,) once verify has run
 
@@ -293,6 +291,14 @@ class SubRep:
     def __repr__(self):
         return "SubRep(%s, dim=%d, |domain|=%d)" % (self.name, self.dim,
                                                     self.subgroup.order)
+
+
+@lru_cache(maxsize=256)
+def _check_normal_forms(gens, codes):
+    """Raise unless `codes` are the normal forms on the generator codes `gens`."""
+    normal_forms = np.array(list(product(range(3), repeat=len(gens)))) @ gens
+    if frozenset(normal_forms.tolist()) != codes:
+        raise MackeyError("the domain is not the normal forms on its generators")
 
 
 _INVERSES = {}  # entries' integer states -> inverse; at most 256 entries

@@ -64,6 +64,12 @@ def intertwiner_alpha(e):
     return trace_anchor(e) / 3
 
 
+@lru_cache(maxsize=None)
+def _whole(group):
+    """The whole group as one Subgroup, shared by its representations."""
+    return Subgroup(group, frozenset(range(group.order)), group.gen_codes)
+
+
 class Representation(SubRep):
     """A SubRep of a whole schema group, with its spin type.
 
@@ -75,8 +81,7 @@ class Representation(SubRep):
         missing = [gen for gen in group.schema.gens if gen not in images]
         if missing:
             raise RepError("%s: generator %s has no image" % (name, missing[0]))
-        whole = Subgroup(group, frozenset(range(group.order)), group.gen_codes)
-        super().__init__(whole, [images[gen] for gen in group.schema.gens], name)
+        super().__init__(_whole(group), [images[gen] for gen in group.schema.gens], name)
         if spin_type is None:
             spin_type = self._infer_spin_type()
         self.spin_type = spin_type
@@ -169,7 +174,8 @@ def intertwiner_solutions(rho, w):
     Raises MackeyError when w does not normalize rho's domain (`eval`
     refuses a twisted generator outside it), and RepError when the solution
     space is not 1-dimensional (a Schur violation), when no scaling in
-    Q(zeta9) normalizes the cube, or when a normalized cube is not I.
+    Q(zeta9) normalizes the cube, or when a normalized cube is not I: with
+    X^3 = cI and w^3 = 1, each (t w^k X)^3 is t^3 c I, one scalar test.
     """
     group = rho.group
     w = group.element(w).code
@@ -188,13 +194,9 @@ def intertwiner_solutions(rho, w):
     t = cyc9_cbrt(ONE / c)
     if t is None:
         raise RepError("no cube root in Q(zeta9) normalizes the intertwiner")
-    out = []
-    for k in range(3):
-        M = X.scale(t * root_of_unity(k))
-        if M ** 3 != CycMatrix.identity(rho.dim):
-            raise RepError("normalized intertwiner cube is not the identity")
-        out.append(M)
-    return out
+    if t ** 3 * c != 1:
+        raise RepError("normalized intertwiner cube is not the identity")
+    return [X.scale(t * root_of_unity(k)) for k in range(3)]
 
 
 def solve_intertwiner(rho, w, preferred_trace=None):
@@ -279,13 +281,17 @@ def g27_nonspin_catalog():
     return reps
 
 
+@lru_cache(maxsize=None)
+def _base_orbits(group, u0_gens, section_gen):
+    """The base dual's orbits under the section generator, by representative."""
+    duals = dual_group(Subgroup.generated(group, u0_gens), u0_gens)
+    return orbit_decomposition(duals, [section_gen]).by_representative()
+
+
 def induced_base_rep(group, u0_gens, orbit_label, section_gen, name):
     """Orbit representative character of the abelian base, induced one
     step up along the cyclic section (1, s, s^2)."""
-    U0 = Subgroup.generated(group, u0_gens)
-    duals = dual_group(U0, u0_gens)
-    dec = orbit_decomposition(duals, [section_gen])
-    orbit = dec.by_representative().get(orbit_label)
+    orbit = _base_orbits(group, tuple(u0_gens), section_gen).get(orbit_label)
     if orbit is None:
         raise RepError("no orbit with representative %s" % (orbit_label,))
     if orbit.stabilizer.order != 1:
@@ -532,25 +538,17 @@ def restrict_to_projective(rep, section=None):
     h = h' x (x the last letter), T(h) = w^-a(h',x) T(h') T(x), so
     T(g) T(h) = w^(a(g,h') + a(gh',x) - a(h',x)) T(gh), starting from
     a(g, 1) = 0 because T(1) = I.  The exponent table is filled by that
-    recursion, one column h at a time for every g.
+    recursion for every g at once, one word length of h at a time.
     """
     g27 = get_group("G27")
-    r243 = rep.group
-    if r243.schema.name != "R243":
+    if rep.group.schema.name != "R243":
         raise RepError("projective restriction expects a representation of R243")
     if section is None:
         section = canonical_section()
-    # the section must invert the covering map
-    for g in range(g27.order):
-        exps = r243.exps_of(section[g])
-        if tuple(exps[2:]) != g27.exps_of(g):
-            raise RepError("section does not lift the base group elements")
-    if r243.exps_of(section[0]) != (0, 0, 0, 0, 0):
-        raise RepError("section must send the identity to the identity")
-
     n, t, gens = g27.order, g27.table, list(g27.gen_codes)
+    section = _lifting_section(tuple(section[g] for g in range(n)))
     try:
-        L, den = rep.images_at([section[g] for g in range(n)])
+        L, den = rep.images_at(section)
         wL = lattice_einsum("gijp,pq->gijq", L, cyclo9.MUL_W)
         targets = np.stack([L, wL, lattice_einsum("gijp,pq->gijq", wL, cyclo9.MUL_W)])
         prods, prods_den = lattice_matmul(L[:, None], den, L[None, gens], den)
@@ -565,10 +563,31 @@ def restrict_to_projective(rep, section=None):
                        % ((rep.name,) + (bad[0] if unit else (0, 0))))
     a = np.zeros((n, n), dtype=np.int8)
     a[:, gens] = matches.argmax(axis=0)
-    for h in range(1, n):
-        prefix, i = g27._split_last(h)  # h = prefix x_i
-        a[:, h] = (a[:, prefix] + a[t[:, prefix], gens[i]] - a[prefix, gens[i]]) % 3
+    for h, prefix, x in _word_layers(g27):  # h = prefix x
+        a[:, h] = (a[:, prefix] + a[t[:, prefix], x] - a[prefix, x]) % 3
     return CocycleTable(g27, a)
+
+
+@lru_cache(maxsize=256)
+def _lifting_section(section):
+    """`section` (R243 codes by G27 code), checked to lift G27 and fix 1."""
+    g27, r243 = get_group("G27"), get_group("R243")
+    for g, code in enumerate(section):
+        if r243.exps_of(code)[2:] != g27.exps_of(g):
+            raise RepError("section does not lift the base group elements")
+    if r243.exps_of(section[0]) != (0, 0, 0, 0, 0):
+        raise RepError("section must send the identity to the identity")
+    return section
+
+
+@lru_cache(maxsize=None)
+def _word_layers(group):
+    """(h, prefix, x) code arrays, h = prefix x in normal form, by word length."""
+    layers = {}
+    for h in range(1, group.order):
+        prefix, i = group._split_last(h)
+        layers.setdefault(sum(group.exps_of(h)), []).append((h, prefix, group.gen_codes[i]))
+    return tuple(np.array(layers[k]).T for k in sorted(layers))
 
 
 # -- alternative constructions used as cross-checks ---------------------------

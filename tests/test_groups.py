@@ -510,7 +510,7 @@ def test_associativity_passes_stay_small_in_memory():
         light_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert random_peak < 1.5 * 2 ** 20  # in int64 blocks of 2^16 from numpy.random: 3.0 MB
+    assert random_peak < 0.75 * 2 ** 20  # 0.47 MB; 0.93 MB in blocks of 2^14, 3.0 MB in 2^16
     assert light_peak < 4 * 2 ** 20  # the n^3 comparison in blocks of 32 took 11.6 MB
 
 

@@ -191,6 +191,19 @@ def test_induction_rejects_bad_sections():
         induce(chi, [w, w * w, g27.identity()])  # must start at the identity
 
 
+def test_bad_domain_is_refused_after_a_good_one_on_its_generators():
+    # the normal-form check is remembered per (generators, codes) pair; a
+    # domain with the same generators and other codes is checked afresh
+    g27, U, _ = g27_dual()
+    images = [CycMatrix([[ONE]])] * 2
+    x1x2, x3 = g27.parse_element("x1 x2"), g27.gen_codes[2]
+    bad = Subgroup(g27, U.codes - {x1x2} | {x3}, U.gen_codes)
+    for _ in range(2):
+        assert SubRep(U, images).subgroup is U
+        with pytest.raises(MackeyError, match="not the normal forms on its generators"):
+            SubRep(bad, images)
+
+
 def test_one_verify_run_checks_each_object_once(monkeypatch):
     """The catalogs check their induced and purely-spin irreducibles while
     they build them, and `check_representations` checks them again; the

@@ -174,6 +174,56 @@ class TestCatalog:
             assert lifted.images[name] == want
 
 
+def test_catalog_representations_share_one_domain():
+    r243 = get_group("R243")
+    domains = {id(rep.subgroup) for rep in full_catalog()}
+    assert len(domains) == 1
+    whole = full_catalog()[0].subgroup
+    assert whole.codes == frozenset(range(r243.order)) and whole.gen_codes == r243.gen_codes
+
+
+def test_catalog_splits_each_induction_base_once(monkeypatch):
+    for build in (spinrep.g27_nonspin_catalog, spinrep.g81_partial_catalog,
+                  spinrep.gbar_partial_catalog, spinrep.r243_pure_catalog,
+                  spinrep.full_catalog, spinrep._base_orbits):
+        build.cache_clear()  # cold catalogs, as in a fresh `spinchar chartable`
+    duals, orbits = [], []
+    real_dual, real_orbits = spinrep.dual_group, spinrep.orbit_decomposition
+
+    def counting_dual(sub, gens):
+        duals.append((sub.group.schema.name, sub.gen_codes))
+        return real_dual(sub, gens)
+
+    def counting_orbits(chars, w_gens):
+        sub = chars[0].subgroup
+        orbits.append((sub.group.schema.name, sub.gen_codes))
+        return real_orbits(chars, w_gens)
+    monkeypatch.setattr(spinrep, "dual_group", counting_dual)
+    monkeypatch.setattr(spinrep, "orbit_decomposition", counting_orbits)
+    full_catalog()
+    # G27's base for the non-spin type, then one base each for G81, GBAR, R243
+    assert sorted(name for name, _ in duals) == ["G27", "G81", "GBAR", "R243"]
+    assert len(set(duals)) == 4
+    assert sorted(orbits) == sorted(d for d in duals if d[0] != "G27")
+
+
+def test_complex_conjugates_close_the_catalog():
+    """Entrywise conjugation sends each irreducible of spin type (e, m) to a
+    representation of type (-e, -m) whose character is a catalog row."""
+    by_character = {rep.character().key(): rep.name for rep in full_catalog()}
+    partner = {}
+    for rep in full_catalog():
+        images = {gen: CycMatrix([[x.conj() for x in row] for row in M.rows])
+                  for gen, M in rep.images.items()}
+        bar = Representation(rep.group, images, "conj " + rep.name)
+        assert verify_rep(bar).passed
+        assert bar.spin_type == SpinType(-rep.spin_type.eps % 3, -rep.spin_type.mu % 3)
+        partner[rep.name] = by_character[bar.character().key()]
+    assert sorted(partner.values()) == sorted(partner)
+    assert all(partner[partner[name]] == name for name in partner)
+    assert partner["Pi(1,1;0)"] == "Pi(2,2;2)" and partner["Pi(0,1)"] == "Pi(0,2)"
+
+
 def test_verify_rep_negative_control():
     rep = next(r for r in g27_nonspin_catalog() if r.name == "Pi(0,1)")
     images = dict(rep.images)
@@ -417,13 +467,39 @@ class TestProjectiveRestriction:
         assert all(np.array_equal(t, tables[0]) for t in tables)
 
     def test_rejects_bad_section(self):
+        # a checked section is remembered; a refused one is checked afresh
         rep = irreps_by_spin_type((1, 0))[0]
         r243 = get_group("R243")
         section = {g: r243.code_of((0, 0) + get_group("G27").exps_of(g))
                    for g in range(27)}
         section[3] = r243.code_of((0, 0, 0, 0, 0))  # no longer a lift
-        with pytest.raises(RepError):
-            restrict_to_projective(rep, section)
+        moved_one = canonical_section()
+        moved_one[0] = r243.generator("z12").code
+        for _ in range(2):
+            restrict_to_projective(rep)
+            with pytest.raises(RepError, match="does not lift the base group elements"):
+                restrict_to_projective(rep, section)
+            with pytest.raises(RepError, match="must send the identity to the identity"):
+                restrict_to_projective(rep, moved_one)
+
+    def test_layered_recursion_matches_per_column_reference(self):
+        # reference: the fill one column h at a time in code order, from the
+        # same generator columns; the layers are G27's word lengths 1..6
+        g27 = get_group("G27")
+        n, t, gens = g27.order, g27.table, list(g27.gen_codes)
+        layers = spinrep._word_layers(g27)
+        assert len(layers) == 6
+        assert sorted(np.concatenate([h for h, _, _ in layers])) == list(range(1, n))
+        for section in (None, _moved_lift_section()):
+            for rep in full_catalog():
+                got = restrict_to_projective(rep, section).exps
+                want = np.zeros((n, n), dtype=np.int8)
+                want[:, gens] = got[:, gens]
+                for h in range(1, n):
+                    prefix, i = g27._split_last(h)  # h = prefix x_i
+                    want[:, h] = (want[:, prefix] + want[t[:, prefix], gens[i]]
+                                  - want[prefix, gens[i]]) % 3
+                assert np.array_equal(got, want), rep.name
 
 
 def test_character_table_shape_and_values():
