@@ -22,20 +22,26 @@ this reproduces x2 = [x1, x3], z12 = [xi1, xi2], xi2 = [xi1, xi3] and
 z23 = [n2, n3] exactly, and makes the covering maps between the schemas
 honest homomorphisms.
 
-Cayley tables are Python rows over element codes (the base-3 value of the
+Cayley tables are byte rows over element codes (the base-3 value of the
 exponent vector, most significant generator first, so code order is exactly
-lexicographic order on exponent vectors); `rows[g][h]` is g*h.  A table is
-built up the polycyclic series, one generator at a time, from k(k+1)/2
-collections of rule words (`Group._right`); collection of whole words stays
-the independent oracle that `check_schema` and the tests hold it to.  Every
+lexicographic order on exponent vectors): one `bytes` object per element,
+or a 2-byte `array('H')` above order 256, and `rows[g][h]` is g*h as an
+int.  A table is built up the polycyclic series, one generator at a time,
+from k(k+1)/2 collections of rule words (`Group._right`); collection of
+whole words stays the independent oracle that `check_schema` and the tests
+hold it to.  A given table (a quotient, or a planted defect) is compacted
+the same way and refused unless it is n x n over range(n).  Every
 structural algorithm -- inverses, center, derived subgroup, closures,
 classes, quotients, homomorphism tests -- reads those rows, so building and
 reporting a group needs no numpy.  `Group.table` is the same table as an
-int16 array, built on first use for the batched checks (associativity of
-every triple by Light's test, and the representation code's lattice products).
+int16 array, read from the row bytes on first use for the batched checks
+(associativity of every triple by Light's test, in 10^6 random triples
+drawn in blocks of 2^13, and the representation code's lattice products).
 """
 
+from array import array
 from collections import Counter
+from functools import partial
 import numbers
 import random
 from typing import NamedTuple
@@ -154,16 +160,40 @@ def _extend_to_codes(ngens, rows, image_codes):
     return phi
 
 
+def _row_type(n):
+    """The compact row of codes in range(n): bytes, or 2-byte words above 256."""
+    return bytes if n <= 256 else partial(array, "H")
+
+
 def _rows_from_right(right):
     """Cayley rows from the right-multiplication columns right[i][g] = g * g_i:
     column h is column prefix(h) moved by right multiplication with h's last
     letter."""
     n = len(right[0])
-    cols = [list(range(n))]
+    row_type = _row_type(n)
+    cols = [row_type(range(n))]
     for h in range(1, n):
         prefix, letter = _split_last(h, len(right))
-        cols.append(list(map(right[letter].__getitem__, cols[prefix])))
-    return [list(row) for row in zip(*cols)]
+        cols.append(row_type(map(right[letter].__getitem__, cols[prefix])))
+    return [row_type(row) for row in zip(*cols)]
+
+
+def _compact_rows(table, n, name):
+    """A given table of order n as compact rows; CollectionError unless it
+    has n rows, naming the first row that is not n codes in range(n)."""
+    if len(table) != n:
+        raise CollectionError("%s table has %d rows, expected %d" % (name, len(table), n))
+    row_type, out = _row_type(n), []
+    for g, row in enumerate(table):
+        row = [int(x) for x in row]
+        if len(row) != n:
+            raise CollectionError("%s table row %d has %d entries, expected %d"
+                                  % (name, g, len(row), n))
+        if not 0 <= min(row) <= max(row) < n:
+            raise CollectionError("%s table row %d has an entry outside range(%d)"
+                                  % (name, g, n))
+        out.append(row_type(row))
+    return out
 
 
 # -- the schema catalog ---------------------------------------------------
@@ -233,18 +263,19 @@ class Group:
 
     def __init__(self, sch, table=None):
         self.schema = sch
-        self._rows = None if table is None else [[int(x) for x in row] for row in table]
         self._table = None
         self._inv = None
         self._cache = {}
         if sch is None:
-            self.order = len(self._rows)
-            return
-        k = sch.ngens
-        self.ngens = k
-        self.order = 3 ** k
-        self._weights = tuple(3 ** (k - 1 - i) for i in range(k))
-        self.gen_codes = tuple(self._weights)  # code of each single generator
+            self.order = len(table)
+        else:
+            k = sch.ngens
+            self.ngens = k
+            self.order = 3 ** k
+            self._weights = tuple(3 ** (k - 1 - i) for i in range(k))
+            self.gen_codes = tuple(self._weights)  # code of each single generator
+        self._rows = None if table is None else _compact_rows(
+            table, self.order, sch.name if sch else "quotient")
 
     # element code <-> exponent vector ------------------------------------
 
@@ -274,7 +305,8 @@ class Group:
 
     @property
     def rows(self):
-        """Cayley table as Python rows; rows[g][h] = g*h."""
+        """Cayley table as one compact row per element (bytes, or array('H')
+        above order 256); rows[g][h] = g*h, an int."""
         if self._rows is None:
             self._rows = self._build_rows()
         return self._rows
@@ -284,7 +316,10 @@ class Group:
         """The Cayley table as an int16 array, table[g, h] = g*h, built from
         the rows on first use for batched checks."""
         if self._table is None:
-            self._table = np.array(self.rows, dtype=np.int16)
+            n = self.order
+            word = np.uint8 if n <= 256 else np.uint16
+            flat = np.frombuffer(b"".join(self.rows), word)
+            self._table = flat.reshape(n, n).astype(np.int16)
         return self._table
 
     def _right(self):
@@ -672,7 +707,7 @@ def check_schema(group):
     if len(elements) != n or elements != list(range(n)):
         problems.append("enumeration closure has %d elements, expected %d" % (len(elements), n))
     r = group.rows
-    if r[0] != list(range(n)) or any(row[0] != g for g, row in enumerate(r)):
+    if list(r[0]) != list(range(n)) or any(row[0] != g for g, row in enumerate(r)):
         problems.append("identity is not neutral")
     for j, i, g, h, word in _relation_pairs(group):
         if r[g][h] != group.code_of(collect(sch, word)):

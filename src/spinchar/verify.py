@@ -353,7 +353,7 @@ def run_checks(only=None):
         names = list(CHECKS)
     else:
         names = [n.strip() for n in only]
-        unknown = [n for n in names if n not in CHECKS]
+        unknown = dict.fromkeys(n for n in names if n not in CHECKS)
         if unknown:
             raise KeyError("unknown checks: %s (know %s)"
                            % (", ".join(map(repr, unknown)), ", ".join(CHECKS)))

@@ -234,7 +234,7 @@ def test_verify_unknown_check(capsys):
     # blank names are shown, not listed invisibly
     code, _, err = run_cli(capsys, "verify", "--only", ",")
     assert code == 2
-    assert err.startswith("error: unknown checks: '', '' (know orders, ")
+    assert err.startswith("error: unknown checks: '' (know orders, ")
     code, _, err = run_cli(capsys, "verify", "--only", "orders, ,bogus")
     assert code == 2
     assert err.startswith("error: unknown checks: '', 'bogus' (know ")
@@ -242,6 +242,15 @@ def test_verify_unknown_check(capsys):
     code, out, err = run_cli(capsys, "verify", "--only", "")
     assert (code, out) == (2, "")
     assert err.startswith("error: unknown checks: '' (know orders, ")
+
+
+def test_verify_names_each_unknown_check_once(capsys):
+    code, out, err = run_cli(capsys, "verify", "--only", "foo,foo")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown checks: 'foo' (know orders, ")
+    code, out, err = run_cli(capsys, "verify", "--only", "bar,orders,foo,,bar, foo,")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown checks: 'bar', 'foo', '' (know orders, ")
 
 
 def test_verify_repeated_check_is_refused(capsys, monkeypatch):

@@ -216,7 +216,8 @@ def test_tables_agree_with_collection():
     for name, params in (("G27", None), ("G81_param", (0, 2))):
         group = get_group(name, params)
         n = group.order
-        assert [[group.mult_collect(g, h) for h in range(n)] for g in range(n)] == group.rows
+        assert ([[group.mult_collect(g, h) for h in range(n)] for g in range(n)]
+                == [list(r) for r in group.rows])
 
 
 def test_table_build_collects_only_rule_words(monkeypatch):
@@ -411,16 +412,17 @@ def test_rows_and_table_agree():
     for name, params in CATALOG:
         group = get_group(name, params)
         assert group.table.dtype == np.int16
-        assert group.table.tolist() == group.rows
+        assert all(type(r) is bytes for r in group.rows), (name, params)
+        assert group.table.tolist() == [list(r) for r in group.rows]
     g27 = get_group("G27")
     from_array = Group(None, g27.table.astype(np.int64))
     assert from_array.rows == g27.rows and from_array.inv == g27.inv
     assert all(type(x) is int for row in from_array.rows for x in row)
-    assert from_array.table.tolist() == g27.rows
+    assert from_array.table.tolist() == [list(r) for r in g27.rows]
     r243 = get_group("R243")
     q = r243.quotient(r243.center_codes())
     assert q.order == 27 and all(type(x) is int for row in q.rows for x in row)
-    assert q.table.tolist() == q.rows
+    assert q.table.tolist() == [list(r) for r in q.rows]
 
 
 @pytest.mark.parametrize("name", ["R243", "GSHARP"])
@@ -440,7 +442,58 @@ def test_row_structure_matches_array_reference(name):
     classes = sorted({tuple(np.unique(t[t[:, g], inv]).tolist()) for g in range(n)})
     assert group.conjugacy_classes() == [(c[0], c) for c in classes]
     reps, index = np.unique(t[:, arr].min(axis=1), return_inverse=True)
-    assert group.quotient(arr.tolist()).rows == index[t[np.ix_(reps, reps)]].tolist()
+    assert ([list(r) for r in group.quotient(arr.tolist()).rows]
+            == index[t[np.ix_(reps, reps)]].tolist())
+
+
+def test_fresh_r243_rows_stay_small_in_memory():
+    Group(schema("G27")).rows  # warm the code paths outside the trace
+    tracemalloc.start()
+    try:
+        group = Group(schema("R243"))  # a fresh instance, not the shared one
+        group.rows
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained <= 128 * 2 ** 10  # 80 KiB; 491 KiB as lists of Python ints
+
+
+def test_table_only_group_above_256_elements():
+    # Z/300: codes need 2-byte rows, and the structure must match the arrays
+    t = _cyclic(300)
+    group = Group(None, t)
+    assert all(row.itemsize == 2 for row in group.rows)
+    assert group.table.dtype == np.int16 and np.array_equal(group.table, t)
+    inv = np.nonzero(t == 0)[1]
+    assert group.inv == inv.tolist()
+    assert group.center_codes() == frozenset(np.nonzero((t == t.T).all(axis=1))[0].tolist())
+    classes = sorted({tuple(np.unique(t[t[:, g], inv]).tolist()) for g in range(300)})
+    assert group.conjugacy_classes() == [(c[0], c) for c in classes]
+    arr = np.array(sorted(group.closure([100])))
+    reps, index = np.unique(t[:, arr].min(axis=1), return_inverse=True)
+    q = group.quotient(arr.tolist())
+    assert q.order == 100 and all(type(row) is bytes for row in q.rows)
+    assert q.table.tolist() == index[t[np.ix_(reps, reps)]].tolist()
+
+
+def test_malformed_tables_are_refused():
+    for table, message in (([[0, 1], [1]], "row 1 has 1 entries, expected 2"),
+                           ([[0, 1, 2], [1, 2, 0], [2, 0, 5]],
+                            "row 2 has an entry outside range\\(3\\)"),
+                           ([[0, -1], [1, 0]], "row 0 has an entry outside range\\(2\\)"),
+                           ([[0, 1], [1, 0], [0, 1]], "row 0 has 2 entries, expected 3")):
+        with pytest.raises(CollectionError, match="quotient table " + message):
+            Group(None, table)
+    g27 = get_group("G27")
+    rows = [list(row) for row in g27.rows]
+    with pytest.raises(CollectionError, match="G27 table has 26 rows, expected 27"):
+        Group(g27.schema, rows[:-1])
+    rows[4][7] = 27
+    with pytest.raises(CollectionError, match="G27 table row 4 has an entry outside"):
+        Group(g27.schema, rows)
+    rows[4] = rows[4][:-1]
+    with pytest.raises(CollectionError, match="G27 table row 4 has 26 entries"):
+        Group(g27.schema, rows)
 
 
 def _light_verdict(table):
