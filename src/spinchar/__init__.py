@@ -9,17 +9,16 @@ extracts the projective factor sets on the base group.
 from .cyclo import Cyc, CycError, OMEGA, cyc_cbrt, cyc_str, parse_cyc, root_of_unity
 from .cyclo9 import Cyc9, cyc9_cbrt, parse_scalar, scalar_str, zeta9
 from .linalg import CycMatrix, MatrixError, J_SHIFT, K_SHIFT, intertwiner_space, nullspace
-from .groups import (CheckReport, CollectionError, Group, GroupElement, GroupSchema,
+from .groups import (CheckReport, CollectionError, Group, GroupSchema,
                      SchemaError, Subgroup, check_schema, covering_data, exhaustive_associativity,
-                     find_param_isomorphism, get_group, isomorphism_fingerprint,
-                     quotient_fingerprint, random_triples_associative, schema,
+                     get_group, isomorphism_fingerprint, quotient_fingerprint,
+                     random_triples_associative, schema,
                      verify_efficient_covering, verify_phi_automorphism)
 from .mackey import (DualCharacter, MackeyError, SubRep, act_on_dual, dual_group,
                      induce, orbit_decomposition)
 from .spinrep import (ClassFunction, CocycleTable, RepError, Representation, SpinType,
                       extend_and_tensor, full_catalog, g27_nonspin_catalog,
-                      inner_product, intertwiner_solutions, irreps_by_spin_type,
-                      intertwiner_alpha, restrict_to_projective, solve_intertwiner,
+                      intertwiner_solutions, irreps_by_spin_type, intertwiner_alpha, restrict_to_projective, solve_intertwiner,
                       spin_character_table, verify_rep)
 from .verify import CHECKS, run_checks
 

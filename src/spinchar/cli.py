@@ -29,30 +29,13 @@ class UsageError(Exception):
     pass
 
 
-def _parse_spin(text):
-    if text == "all":
-        return None
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError("spin type must be 'e,m' or 'all', got %r" % text)
+def _parse_pair(text, what):
+    """The 'x,y' form of --spin and --params: two integers, each mod 3."""
     try:
-        e, m = (int(p) for p in parts)
-    except ValueError:
-        raise UsageError("spin type components must be integers, got %r" % text)
-    return SpinType(e % 3, m % 3)
-
-
-def _parse_params(text):
-    if text is None:
-        return None
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError("parameters must be 'a,b', got %r" % text)
-    try:
-        a, b = (int(p) for p in parts)
-    except ValueError:
-        raise UsageError("parameters must be integers, got %r" % text)
-    return (a % 3, b % 3)
+        x, y = (int(p) for p in text.split(","))
+    except ValueError:  # a non-integer, or other than two components
+        raise UsageError("%s must be two comma-separated integers, got %r" % (what, text))
+    return x % 3, y % 3
 
 
 def _unwritable(path):
@@ -78,7 +61,7 @@ def _json(obj):
 
 
 def cmd_group(args):
-    params = _parse_params(args.params)
+    params = None if args.params is None else _parse_pair(args.params, "parameters")
     if args.name not in SCHEMA_NAMES:
         raise UsageError("unknown schema %r (know %s)" % (args.name, ", ".join(SCHEMA_NAMES)))
     group = get_group(args.name, params)
@@ -141,7 +124,7 @@ def _native_irreps(group_name, spin):
 
 
 def cmd_irreps(args):
-    spin = _parse_spin(args.spin)
+    spin = None if args.spin == "all" else SpinType(*_parse_pair(args.spin, "spin type"))
     if args.group not in _NATIVE_CATALOGS:
         raise UsageError("unknown or catalog-free group %r" % args.group)
     reps = _native_irreps(args.group, spin)
@@ -189,9 +172,9 @@ def cmd_chartable(args):
 
 
 def cmd_cocycle(args):
-    spin = _parse_spin(args.spin)
-    if spin is None:
+    if args.spin == "all":
         raise UsageError("cocycle needs one spin type, not 'all'")
+    spin = SpinType(*_parse_pair(args.spin, "spin type"))
     reps = irreps_by_spin_type(spin)
     if args.irrep is not None:
         match = [r for r in reps if r.name == args.irrep]

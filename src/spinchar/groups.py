@@ -22,9 +22,13 @@ this reproduces x2 = [x1, x3], z12 = [xi1, xi2], xi2 = [xi1, xi3] and
 z23 = [n2, n3] exactly, and makes the covering maps between the schemas
 honest homomorphisms.
 
-Cayley tables are byte rows over element codes (the base-3 value of the
-exponent vector, most significant generator first, so code order is exactly
-lexicographic order on exponent vectors): one `bytes` object per element,
+An element is its code everywhere: the base-3 value of its exponent
+vector, most significant generator first, so code order is exactly
+lexicographic order on exponent vectors, and 0 is the identity.
+`Group.code` takes a code, or the text form `element_str` prints (a bare
+generator name included), and refuses anything else with SchemaError.
+
+Cayley tables are byte rows over element codes: one `bytes` object per element,
 or a 2-byte `array('H')` above order 256, and `rows[g][h]` is g*h as an
 int.  A table is built up the polycyclic series, one generator at a time,
 from k(k+1)/2 collections of rule words (`Group._right`); collection of
@@ -99,12 +103,6 @@ class GroupSchema:
     def conj_word(self, j, i):
         """Normal-form word for phi(g_j)g_i; identity action unless listed."""
         return self.conj.get((j, i), (i,))
-
-    def gen_index(self, gen_name):
-        try:
-            return self.gens.index(gen_name)
-        except ValueError:
-            raise SchemaError("no generator %r in %s" % (gen_name, self.name))
 
     def __repr__(self):
         return "GroupSchema(%s)" % (self.name if self.params is None
@@ -484,16 +482,6 @@ class Group:
             self._cache["classes"] = classes
         return self._cache["classes"]
 
-    def class_index_of(self):
-        """List mapping each code to its conjugacy-class index."""
-        if "class_index" not in self._cache:
-            idx = [0] * self.order
-            for ci, (_, members) in enumerate(self.conjugacy_classes()):
-                for m in members:
-                    idx[m] = ci
-            self._cache["class_index"] = idx
-        return self._cache["class_index"]
-
     def element_orders(self):
         if "orders" not in self._cache:
             self._cache["orders"] = tuple(self.element_order(g) for g in range(self.order))
@@ -519,34 +507,31 @@ class Group:
         return " ".join(parts) if parts else "1"
 
     def parse_element(self, text):
-        text = text.strip()
-        if not text:
-            raise SchemaError("empty element for %s" % self.schema.name)
-        exps = [0] * self.ngens
-        if text != "1":
-            for part in text.split():
-                try:
-                    gen, caret, e = part.partition("^")
-                    exps[self.schema.gen_index(gen)] += int(e) if caret else 1
-                except (ValueError, SchemaError):
-                    raise SchemaError("bad element %r for %s" % (text, self.schema.name))
+        """The code of a normal form in the text that `element_str` prints:
+        "1", or `gen^e` factors with e in {1, 2} (a bare `gen` is `gen^1`),
+        each generator at most once and in schema order.  Any other text,
+        such as a product that would need collecting, is a SchemaError."""
+        gens, exps, last = self.schema.gens, [0] * self.ngens, -1
+        parts = text.split()
+        if parts == ["1"]:
+            return 0
+        for part in parts or [""]:  # blank text fails as an unknown generator
+            gen, caret, e = part.partition("^")
+            i = gens.index(gen) if gen in gens else -1
+            if i <= last or (caret and e not in ("1", "2")):
+                raise SchemaError("%r is not a normal form of %s" % (text, self.schema.name))
+            exps[i], last = int(e) if caret else 1, i
         return self.code_of(exps)
 
-    def element(self, spec):
-        """GroupElement from a code, exponent iterable, or text form."""
-        if isinstance(spec, GroupElement):
-            return spec
-        if isinstance(spec, numbers.Integral):
-            return GroupElement(self, self.exps_of(int(spec)))
-        if isinstance(spec, str):
-            return GroupElement(self, self.exps_of(self.parse_element(spec)))
-        return GroupElement(self, tuple(int(e) % 3 for e in spec))
-
-    def generator(self, name):
-        return self.element(self.gen_codes[self.schema.gen_index(name)])
-
-    def identity(self):
-        return self.element(0)
+    def code(self, spec):
+        """The code of an element given as a code or, when the group has a
+        schema, in its text form; SchemaError for anything else."""
+        if isinstance(spec, str) and self.schema is not None:
+            return self.parse_element(spec)
+        if isinstance(spec, numbers.Integral) and 0 <= spec < self.order:
+            return int(spec)
+        raise SchemaError("%r is not an element code of a group of order %d"
+                          % (spec, self.order))
 
 
 _GROUPS = {}
@@ -565,57 +550,6 @@ def get_group(name, params=None):
     return group
 
 
-class GroupElement:
-    """A normal-form element of a schema's group; equality is on exponents."""
-
-    __slots__ = ("group", "exps")
-
-    def __init__(self, group, exps):
-        self.group = group
-        self.exps = tuple(exps)
-
-    @property
-    def code(self):
-        return self.group.code_of(self.exps)
-
-    def __mul__(self, other):
-        self._check(other)
-        # the defining operation: left-to-right collection of the two words
-        return self.group.element(self.group.mult_collect(self.code, other.code))
-
-    def inverse(self):
-        return self.group.element(self.group.inv[self.code])
-
-    def __pow__(self, k):
-        return self.group.element(self.group.power(self.code, k))
-
-    def conjugate_by(self, other):
-        self._check(other)
-        return self.group.element(self.group.conjugate(self.code, other.code))
-
-    def commutator(self, other):
-        self._check(other)
-        return self.group.element(self.group.commutator(self.code, other.code))
-
-    def order(self):
-        return self.group.element_order(self.code)
-
-    def _check(self, other):
-        if not isinstance(other, GroupElement) or other.group.schema.key != self.group.schema.key:
-            raise SchemaError("elements belong to different schemas")
-
-    def __eq__(self, other):
-        return (isinstance(other, GroupElement)
-                and self.group.schema.key == other.group.schema.key
-                and self.exps == other.exps)
-
-    def __hash__(self):
-        return hash((self.group.schema.key, self.exps))
-
-    def __repr__(self):
-        return "<%s: %s>" % (self.group.schema.name, self.group.element_str(self.code))
-
-
 class Subgroup(NamedTuple):
     """A subgroup as an explicit code set, with a chosen generating list."""
 
@@ -625,7 +559,7 @@ class Subgroup(NamedTuple):
 
     @staticmethod
     def generated(group, gens):
-        gen_codes = tuple(group.element(g).code for g in gens)
+        gen_codes = tuple(group.code(g) for g in gens)
         return Subgroup(group, group.closure(gen_codes), gen_codes)
 
     @property
@@ -751,7 +685,7 @@ def _tally(values):
 
 def quotient_fingerprint(group, normal_gens):
     """Fingerprint of group/<normal_gens> (the subgroup must be normal)."""
-    codes = group.closure([group.element(g).code for g in normal_gens])
+    codes = group.closure([group.code(g) for g in normal_gens])
     return isomorphism_fingerprint(group.quotient(codes))
 
 
@@ -816,7 +750,7 @@ def verify_efficient_covering(big, kernel_gens, small, gen_map):
     generator name (kernel generators map to the identity).
     """
     report = CheckReport("covering %s -> %s" % (big.schema.name, small.schema.name))
-    kernel_codes = [big.generator(g).code for g in kernel_gens]
+    kernel_codes = [big.code(g) for g in kernel_gens]
     kernel = big.closure(kernel_codes)
 
     center = big.center_codes()
@@ -832,7 +766,7 @@ def verify_efficient_covering(big, kernel_gens, small, gen_map):
         if name in kernel_gens or target is None:
             image_codes.append(0)
         else:
-            image_codes.append(small.generator(target).code)
+            image_codes.append(small.code(target))
     phi = hom_from_gen_images(big, small, image_codes)
 
     bad = homomorphism_violation(big, small, phi)
@@ -880,11 +814,9 @@ def verify_phi_automorphism(a, b):
     gs = get_group("GSHARP")
     report = CheckReport("phi automorphism (a=%d, b=%d)" % (a, b))
     r = gs.rows
-    zeta = gs.generator("zeta").code
-    z12 = gs.generator("z12").code
+    z12, zeta = gs.code("z12"), gs.code("zeta")
     image_codes = []
-    for name in gs.schema.gens:
-        g = gs.generator(name).code
+    for name, g in zip(gs.schema.gens, gs.gen_codes):
         if name == "xi1":
             g = r[g][gs.power(zeta, a)]
         elif name == "xi3":
@@ -914,41 +846,6 @@ def verify_phi_automorphism(a, b):
     elif set(onto) != set(primed):
         report.fail("presented (a,b) group image differs from primed subgroup")
     return report
-
-
-def find_param_isomorphism(a, b):
-    """Explicit isomorphism G81_param(a, b) -> G81, or None when none exists.
-
-    Searches generator images u (for xi1) and v (for xi3) in G81; the images
-    of xi2 and z12 are then forced as [u, v] and [u, [u, v]].  Brute force
-    finds an isomorphism exactly for the b = 0 pairs.
-    """
-    a %= 3
-    b %= 3
-    param = get_group("G81_param", (a, b))
-    g81 = get_group("G81")
-    n = g81.order
-    for u in range(n):
-        for v in range(n):
-            x2 = g81.commutator(u, v)
-            z = g81.commutator(u, x2)
-            if z == 0:
-                continue
-            if g81.power(u, 3) != g81.power(z, a):
-                continue
-            if g81.power(v, 3) != g81.power(z, b):
-                continue
-            if g81.power(x2, 3) != 0 or g81.commutator(x2, v) != 0:
-                continue
-            if g81.commutator(z, u) != 0 or g81.commutator(z, v) != 0:
-                continue
-            images = [z, u, x2, v]
-            psi = hom_from_gen_images(param, g81, images)
-            if len(set(psi)) != n:
-                continue
-            if homomorphism_violation(param, g81, psi) is None:
-                return {"z12": z, "xi1": u, "xi2": x2, "xi3": v}
-    return None
 
 
 # the standard covering maps between catalog schemas

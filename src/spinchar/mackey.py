@@ -69,7 +69,7 @@ def dual_group(subgroup, independent_gens):
     group = subgroup.group
     if not subgroup.is_abelian():
         raise MackeyError("dual_group requires an abelian subgroup")
-    gen_codes = [group.element(g).code for g in independent_gens]
+    gen_codes = [group.code(g) for g in independent_gens]
     k = len(gen_codes)
     if 3 ** k != subgroup.order:
         raise MackeyError("%d generators cannot span a subgroup of order %d"
@@ -98,7 +98,7 @@ def dual_group(subgroup, independent_gens):
 def act_on_dual(w, chi):
     """(w.chi)(u) = chi(w^-1 u w); the domain must be w-invariant."""
     group = chi.subgroup.group
-    w = group.element(w).code
+    w = group.code(w)
     winv = group.inv[w]
     moved = {}
     for code in chi.exps:
@@ -116,28 +116,21 @@ class Orbit(NamedTuple):
     stabilizer: Subgroup
 
 
-class OrbitDecomposition(NamedTuple):
-    orbits: list
-
-    def by_representative(self):
-        return {orb.representative.label: orb for orb in self.orbits}
-
-
-def orbit_decomposition(duals, w_gens, group=None):
-    """Partition of the dual under the subgroup generated by w_gens.
+def orbit_decomposition(duals, w_gens):
+    """Partition of the dual under the subgroup generated by w_gens, as
+    the list of its `Orbit`s in the order of their representatives.
 
     Orbit representatives are the lexicographically least labels; each
     stabilizer is returned as an explicit subgroup of <w_gens> and the
     orbit-stabilizer count is checked.
     """
     if not duals:
-        return OrbitDecomposition([])
-    group = group or duals[0].subgroup.group
+        return []
+    group = duals[0].subgroup.group
     by_label = {chi.label: chi for chi in duals}
     if len(by_label) != len(duals):
         raise MackeyError("duplicate labels in the dual list")
-    w_sub = Subgroup.generated(group, list(w_gens))
-    gen_codes = [group.element(g).code for g in w_gens]
+    w_sub = Subgroup.generated(group, w_gens)
 
     seen = set()
     orbits = []
@@ -148,7 +141,7 @@ def orbit_decomposition(duals, w_gens, group=None):
         members = {label}
         while frontier:
             cur = frontier.pop()
-            for w in gen_codes:
+            for w in w_sub.gen_codes:
                 moved = act_on_dual(w, by_label[cur])
                 nxt = moved.label
                 if nxt not in by_label or moved.exps != by_label[nxt].exps:
@@ -164,7 +157,7 @@ def orbit_decomposition(duals, w_gens, group=None):
         if len(members) * len(stab_codes) != w_sub.order:
             raise MackeyError("orbit-stabilizer count violated")
         orbits.append(Orbit(rep, tuple(sorted(members)), stabilizer))
-    return OrbitDecomposition(orbits)
+    return orbits
 
 
 class SubRep:
@@ -341,7 +334,7 @@ def induce(rho, section, name=None):
     H = rho.subgroup
     group = rho.group
     table = group.table
-    sect = np.array([group.element(s).code for s in section])
+    sect = np.array([group.code(s) for s in section])
     if sect[0] != 0:
         raise MackeyError("section must start at the identity")
 

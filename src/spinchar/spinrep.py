@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from . import _np as np
 from . import cyclo9
-from .cyclo import CycError, ZERO, ONE, OMEGA, OMEGA2, root_of_unity, root_exponent
+from .cyclo import CycError, ONE, OMEGA, OMEGA2, root_of_unity, root_exponent
 from .cyclo9 import (cyc9_cbrt, from_lattice, lattice_einsum, lattice_equal,
                      lattice_identity, lattice_matmul, scalar_str, to_lattice)
 from .linalg import CycMatrix, intertwiner_space
@@ -137,11 +137,6 @@ class ClassFunction(NamedTuple):
     values: dict
     name: str = ""
 
-    def at(self, code):
-        cls = self.group.class_index_of()[int(code)]
-        rep = self.group.conjugacy_classes()[cls][0]
-        return self.values[rep]
-
     def __eq__(self, other):
         return (isinstance(other, ClassFunction)
                 and self.group.schema.key == other.group.schema.key
@@ -153,16 +148,6 @@ class ClassFunction(NamedTuple):
     def key(self):
         return tuple(scalar_str(self.values[rep])
                      for rep, _ in self.group.conjugacy_classes())
-
-
-def inner_product(c1, c2):
-    """(1/|G|) sum_g c1(g) conj(c2(g)), exactly, class by class."""
-    if c1.group.schema.key != c2.group.schema.key:
-        raise RepError("class functions live on different schemas")
-    total = ZERO
-    for rep, members in c1.group.conjugacy_classes():
-        total = total + c1.values[rep] * c2.values[rep].conj() * len(members)
-    return total / c1.group.order
 
 
 # -- the intertwiner step ---------------------------------------------------
@@ -178,7 +163,7 @@ def intertwiner_solutions(rho, w):
     X^3 = cI and w^3 = 1, each (t w^k X)^3 is t^3 c I, one scalar test.
     """
     group = rho.group
-    w = group.element(w).code
+    w = group.code(w)
     pairs = []
     for u in rho.subgroup.gen_codes:
         pairs.append((rho.eval(group.conjugate(u, w)), rho.eval(u)))
@@ -223,7 +208,7 @@ def solve_intertwiner(rho, w, preferred_trace=None):
                                                    for row in M.rows for x in row))
 
     group = rho.group
-    wc = group.element(w).code
+    wc = group.code(w)
     gens = list(rho.subgroup.gen_codes)
     G, G_den = rho.images_at(gens)
     J, J_den = to_lattice(chosen.rows)
@@ -272,8 +257,8 @@ def g27_nonspin_catalog():
             reps.append(Representation(g27, images, "Pi(%d,0,%d)" % (m, q)))
     U = Subgroup.generated(g27, ["x1", "x2"])
     duals = dual_group(U, ["x1", "x2"])
-    w = g27.generator("x3")
-    section = [g27.identity(), w, w * w]
+    w = g27.code("x3")
+    section = [0, w, g27.mult(w, w)]
     for n in (1, 2):
         chi = next(c for c in duals if c.label == (0, n))
         ind = induce(chi.as_subrep(), section, name="Pi(0,%d)" % n)
@@ -285,7 +270,8 @@ def g27_nonspin_catalog():
 def _base_orbits(group, u0_gens, section_gen):
     """The base dual's orbits under the section generator, by representative."""
     duals = dual_group(Subgroup.generated(group, u0_gens), u0_gens)
-    return orbit_decomposition(duals, [section_gen]).by_representative()
+    return {orbit.representative.label: orbit
+            for orbit in orbit_decomposition(duals, [section_gen])}
 
 
 def induced_base_rep(group, u0_gens, orbit_label, section_gen, name):
@@ -296,9 +282,8 @@ def induced_base_rep(group, u0_gens, orbit_label, section_gen, name):
         raise RepError("no orbit with representative %s" % (orbit_label,))
     if orbit.stabilizer.order != 1:
         raise RepError("expected a free orbit for %s" % (orbit_label,))
-    s = group.generator(section_gen)
-    return induce(orbit.representative.as_subrep(), [group.identity(), s, s * s],
-                  name=name)
+    s = group.code(section_gen)
+    return induce(orbit.representative.as_subrep(), [0, s, group.mult(s, s)], name=name)
 
 
 @lru_cache(maxsize=None)
@@ -606,7 +591,7 @@ def mu_route_direct(mu):
     # linear characters with z12 -> 1, z23 -> w^mu; they factor through
     # U/<z12>, which is elementary abelian, and are labeled by their
     # exponents at (n1, n2)
-    gen_codes = [r243.generator(g).code for g in ("n1", "n2")]
+    gen_codes = [r243.code(g) for g in ("n1", "n2")]
     chis = []
     for a in range(3):
         for b in range(3):
@@ -620,11 +605,11 @@ def mu_route_direct(mu):
                     code: chi.value(code) for code in U.codes}:
                 raise RepError("direct-route character is not multiplicative")
             chis.append(chi)
-    n3 = r243.generator("n3")
+    n3 = r243.code("n3")
     out = []
-    for orbit in orbit_decomposition(chis, ["n3"]).orbits:
+    for orbit in orbit_decomposition(chis, ["n3"]):
         label = orbit.representative.label
-        ind = induce(orbit.representative.as_subrep(), [r243.identity(), n3, n3 * n3],
+        ind = induce(orbit.representative.as_subrep(), [0, n3, r243.mult(n3, n3)],
                      name="Ind%s" % (label,))
         out.append(Representation(r243, ind.images, ind.name))
     return out

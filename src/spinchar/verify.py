@@ -83,14 +83,14 @@ def check_orbits():
     duals = dual_group(Subgroup.generated(g27, ["x1", "x2"]), ["x1", "x2"])
     for chi in duals:
         m, n = chi.label
-        if act_on_dual(g27.generator("x3"), chi).label != ((m + n) % 3, n):
+        if act_on_dual(g27.code("x3"), chi).label != ((m + n) % 3, n):
             failures.append("base-group dual action sends %s wrongly" % (chi.label,))
     dec = orbit_decomposition(duals, ["x3"])
-    free = sorted(o.representative.label for o in dec.orbits if len(o.members) == 3)
-    fixed = sorted(o.representative.label for o in dec.orbits if len(o.members) == 1)
+    free = sorted(o.representative.label for o in dec if len(o.members) == 3)
+    fixed = sorted(o.representative.label for o in dec if len(o.members) == 1)
     if free != [(0, 1), (0, 2)] or fixed != [(0, 0), (1, 0), (2, 0)]:
         failures.append("base-group orbit decomposition is wrong: %s / %s" % (free, fixed))
-    for o in dec.orbits:
+    for o in dec:
         want = 1 if len(o.members) == 3 else 3
         if o.stabilizer.order != want:
             failures.append("stabilizer of %s has order %d"
@@ -100,10 +100,10 @@ def check_orbits():
     duals0 = dual_group(Subgroup.generated(g81, ["z12", "xi1"]), ["z12", "xi1"])
     for chi in duals0:
         e, m = chi.label
-        if act_on_dual(g81.generator("xi2"), chi).label != (e, (m + e) % 3):
+        if act_on_dual(g81.code("xi2"), chi).label != (e, (m + e) % 3):
             failures.append("covering-group dual action sends %s wrongly" % (chi.label,))
     dec0 = orbit_decomposition(duals0, ["xi2"])
-    for o in dec0.orbits:
+    for o in dec0:
         e, m = o.representative.label
         if e == 0 and (len(o.members), o.stabilizer.order) != (1, 3):
             failures.append("fixed point %s has wrong orbit data" % (o.representative.label,))
@@ -186,7 +186,7 @@ def check_characters():
             elif not tr.is_zero():
                 failures.append("Pi(0,%d) does not vanish off the center" % n)
     g81 = get_group("G81")
-    z12_span = {g81.power(g81.generator("z12").code, e) for e in range(3)}
+    z12_span = {g81.power(g81.code("z12"), e) for e in range(3)}
     for eps in (1, 2):
         P, _, _ = g81_partial_catalog(eps)
         for code, tr in P.character_values().items():

@@ -115,6 +115,18 @@ def test_negative_spin_needs_the_equals_form(capsys):
         assert "expected one argument" in err and "Traceback" not in err
 
 
+def test_malformed_pairs_are_usage_errors():
+    # --spin and --params share one 'x,y' parser
+    for argv in (["irreps", "--spin", "1,2,3"], ["cocycle", "--spin", "x,1"],
+                 ["irreps", "--spin", "x,1"], ["cocycle", "--spin", "1,2,3"],
+                 ["group", "G81_param", "--params", "1"],
+                 ["group", "G81_param", "--params", "1,x"]):
+        code, out, err = _exit_code(argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and "two comma-separated integers" in err, argv
+        assert "Traceback" not in err
+
+
 def test_chartable_json_round_trip(capsys):
     code, out, _ = run_cli(capsys, "chartable", "--format", "json")
     assert code == 0

@@ -9,7 +9,7 @@ import pytest
 from spinchar import groups
 from spinchar.groups import (CollectionError, GroupSchema, Group, SchemaError, Subgroup,
                              check_schema, covering_data, exhaustive_associativity,
-                             find_param_isomorphism, get_group, hom_from_gen_images,
+                             get_group, hom_from_gen_images,
                              homomorphism_violation, isomorphism_fingerprint, quotient_fingerprint,
                              random_triples_associative, schema,
                              verify_efficient_covering, verify_phi_automorphism)
@@ -32,31 +32,31 @@ def test_schema_catalog_guards():
 
 def test_collection_examples():
     g27 = get_group("G27")
-    x1, x3 = g27.generator("x1"), g27.generator("x3")
-    assert (x3 * x1).exps == (1, 2, 1)
-    assert (x1 * g27.identity()) == x1
+    x1, x3 = g27.code("x1"), g27.code("x3")
+    assert g27.exps_of(g27.mult_collect(x3, x1)) == (1, 2, 1)
+    assert g27.mult_collect(x1, 0) == x1
 
     r243 = get_group("R243")
-    n1, n3 = r243.generator("n1"), r243.generator("n3")
-    prod = n3 * n1
-    assert prod.exps == (1, 0, 1, 2, 1)
-    assert r243.element_str(prod.code) == "z12^1 n1^1 n2^2 n3^1"
+    n1, n3 = r243.code("n1"), r243.code("n3")
+    prod = r243.mult_collect(n3, n1)
+    assert r243.exps_of(prod) == (1, 0, 1, 2, 1)
+    assert r243.element_str(prod) == "z12^1 n1^1 n2^2 n3^1"
 
 
 def test_commutators_and_conjugation():
     g81 = get_group("G81")
-    xi1, xi2, xi3 = (g81.generator(n) for n in ("xi1", "xi2", "xi3"))
-    assert xi1.commutator(xi3) == xi2
-    assert xi1.commutator(xi2) == g81.generator("z12")
+    xi1, xi2, xi3 = (g81.code(n) for n in ("xi1", "xi2", "xi3"))
+    assert g81.commutator(xi1, xi3) == xi2
+    assert g81.commutator(xi1, xi2) == g81.code("z12")
     r243 = get_group("R243")
-    n1, n2, n3 = (r243.generator(n) for n in ("n1", "n2", "n3"))
-    assert n2.commutator(n3) == r243.generator("z23")
-    assert n1.commutator(n3) == n2
-    assert n1.commutator(n2) == r243.generator("z12")
+    n1, n2, n3 = (r243.code(n) for n in ("n1", "n2", "n3"))
+    assert r243.commutator(n2, n3) == r243.code("z23")
+    assert r243.commutator(n1, n3) == n2
+    assert r243.commutator(n1, n2) == r243.code("z12")
     # conjugate(g, h) = h g h^-1 agrees with the schema rule
-    assert n1.conjugate_by(n3).exps == (1, 0, 1, 2, 0)
-    assert g81.identity().order() == 1
-    assert xi1.order() == 3
+    assert r243.exps_of(r243.conjugate(n1, n3)) == (1, 0, 1, 2, 0)
+    assert g81.element_order(0) == 1
+    assert g81.element_order(xi1) == 3
 
 
 def test_element_text_round_trip():
@@ -72,11 +72,34 @@ def test_element_text_round_trip():
             r243.parse_element(bad)
 
 
-def test_cross_schema_operations_rejected():
+def test_parse_element_accepts_only_normal_forms():
+    for name, params in CATALOG:
+        group = get_group(name, params)
+        assert [group.parse_element(group.element_str(g)) for g in range(group.order)] \
+            == list(range(group.order))
+    # the first three texts spell these products, which an exponent vector
+    # read mod 3 would get wrong; none of the five is a normal form
+    param, r243, gsharp = get_group("G81_param", (1, 0)), get_group("R243"), get_group("GSHARP")
+    assert param.element_str(param.power(param.code("xi1"), 3)) == "z12^1"
+    assert r243.element_str(r243.mult_collect(r243.code("n3"), r243.code("n1"))) \
+        == "z12^1 n1^1 n2^2 n3^1"
+    assert gsharp.element_str(gsharp.inv[gsharp.code("zeta")]) == "z12^2 zeta^2"
+    for group, text in ((param, "xi1^3"), (r243, "n3 n1"), (gsharp, "zeta^-1"),
+                        (r243, "n1 n1"), (r243, "n1^0")):
+        with pytest.raises(SchemaError, match="not a normal form"):
+            group.parse_element(text)
+
+
+def test_code_refuses_what_is_not_an_element():
     g27 = get_group("G27")
-    g81 = get_group("G81")
-    with pytest.raises(SchemaError):
-        g27.generator("x1") * g81.generator("xi1")
+    assert [g27.code(26), g27.code(np.int64(5)), g27.code("x1^1 x3^2")] \
+        == [26, 5, g27.code_of((1, 0, 2))]
+    quotient = g27.quotient(g27.center_codes())
+    assert quotient.code(8) == 8
+    for group, bad in ((g27, 300), (g27, 27), (g27, -1), (g27, 1.0), (g27, None),
+                       (g27, (1, 0, 0)), (g27, b"x1"), (quotient, 9), (quotient, "x1")):
+        with pytest.raises(SchemaError):
+            group.code(bad)
 
 
 def test_enumerated_orders():
@@ -113,8 +136,9 @@ def test_gsharp_order_settled_by_enumeration():
     # with the adjoined central generator genuinely of order 9
     gsharp = get_group("GSHARP")
     assert len(gsharp.enumerate_elements()) == 243
-    assert gsharp.generator("zeta").order() == 9
-    assert (gsharp.generator("zeta") ** 3) == gsharp.generator("z12")
+    zeta = gsharp.code("zeta")
+    assert gsharp.element_order(zeta) == 9
+    assert gsharp.power(zeta, 3) == gsharp.code("z12")
 
 
 def test_center_and_derived():
@@ -276,7 +300,7 @@ def _agrees_with_the_scan(big, small, images):
 
 def _covering_images(big, small, gen_map, kernel):
     return [0 if name in kernel or name not in gen_map
-            else small.generator(gen_map[name]).code for name in big.schema.gens]
+            else small.code(gen_map[name]) for name in big.schema.gens]
 
 
 def test_relation_pairs_decide_the_coverings_and_their_central_moves():
@@ -340,6 +364,41 @@ def test_phi_automorphism_all_pairs():
             assert report.passed, (a, b, report.failures)
 
 
+def find_param_isomorphism(a, b):
+    """Explicit isomorphism G81_param(a, b) -> G81, or None when none exists.
+
+    Searches generator images u (for xi1) and v (for xi3) in G81; the images
+    of xi2 and z12 are then forced as [u, v] and [u, [u, v]].  Brute force
+    finds an isomorphism exactly for the b = 0 pairs.
+    """
+    a %= 3
+    b %= 3
+    param = get_group("G81_param", (a, b))
+    g81 = get_group("G81")
+    n = g81.order
+    for u in range(n):
+        for v in range(n):
+            x2 = g81.commutator(u, v)
+            z = g81.commutator(u, x2)
+            if z == 0:
+                continue
+            if g81.power(u, 3) != g81.power(z, a):
+                continue
+            if g81.power(v, 3) != g81.power(z, b):
+                continue
+            if g81.power(x2, 3) != 0 or g81.commutator(x2, v) != 0:
+                continue
+            if g81.commutator(z, u) != 0 or g81.commutator(z, v) != 0:
+                continue
+            images = [z, u, x2, v]
+            psi = hom_from_gen_images(param, g81, images)
+            if len(set(psi)) != n:
+                continue
+            if homomorphism_violation(param, g81, psi) is None:
+                return {"z12": z, "xi1": u, "xi2": x2, "xi3": v}
+    return None
+
+
 def test_param_family_isomorphism_pattern():
     """|G'| = 81 always; brute force shows G' is isomorphic to the covering
     group exactly when b = 0 (four distinct isomorphism classes arise)."""
@@ -370,7 +429,7 @@ def test_fingerprints():
 
 def test_quotient_is_a_table_group():
     r243 = get_group("R243")
-    mult = r243.closure([r243.generator("z12").code, r243.generator("z23").code])
+    mult = r243.closure([r243.code("z12"), r243.code("z23")])
     q = r243.quotient(mult)
     assert q.schema is None and q.order == 27
     assert exhaustive_associativity(q.table) is None
@@ -382,7 +441,7 @@ def test_quotient_is_a_table_group():
     assert len(q.conjugacy_classes()) == 11
     assert isomorphism_fingerprint(q) == isomorphism_fingerprint(g27)
     with pytest.raises(SchemaError, match="not normal"):
-        r243.quotient(r243.closure([r243.generator("n1").code]))
+        r243.quotient(r243.closure([r243.code("n1")]))
 
 
 def test_subgroup_helper():
@@ -512,8 +571,7 @@ def _light_verdict(table):
 def test_light_test_agrees_with_the_cubic_reference():
     r243 = get_group("R243")
     tables = [get_group(name, params).table for name, params in CATALOG]
-    tables.append(r243.quotient(r243.closure([r243.generator(z).code
-                                              for z in ("z12", "z23")])).table)
+    tables.append(r243.quotient(r243.closure([r243.code(z) for z in ("z12", "z23")])).table)
     # relabelled codes: the greedy generating set is a different one
     perm = np.random.default_rng(3).permutation(r243.order)
     relabelled = np.empty_like(r243.table)
@@ -632,7 +690,7 @@ def _derived_reference(group):
 def test_derived_subgroup_from_generator_commutators_matches_all_commutators():
     r243 = get_group("R243")
     groups_ = [get_group(name, params) for name, params in CATALOG]
-    groups_ += [r243.quotient(r243.closure([r243.generator(z).code])) for z in ("z12", "z23")]
+    groups_ += [r243.quotient(r243.closure([r243.code(z)])) for z in ("z12", "z23")]
     groups_ += [group.quotient(_derived_reference(group)) for group in groups_]
     for group in groups_:
         assert group.derived_codes() == _derived_reference(group)

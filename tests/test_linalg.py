@@ -127,7 +127,7 @@ def test_schur_one_dimensional_space():
     from spinchar.spinrep import g81_partial_catalog
     g81 = get_group("G81")
     P, _, _ = g81_partial_catalog(1)
-    w = g81.generator("xi3").code
+    w = g81.code("xi3")
     pairs = [(P.eval(g81.conjugate(u, w)), P.eval(u))
              for u in P.subgroup.gen_codes]
     basis = intertwiner_space(pairs, 3)

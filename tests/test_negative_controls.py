@@ -90,7 +90,7 @@ def test_swapped_class_size_fails_columns():
 def test_swapped_lift_fails_the_table_cross_check(monkeypatch):
     r243 = get_group("R243")
     section = canonical_section()
-    z12 = r243.generator("z12").code
+    z12 = r243.code("z12")
     g0 = 5
     section[g0] = r243.mult(z12, section[g0])  # another lift of the same element
 
@@ -300,7 +300,7 @@ def test_inverted_action_convention_fails_orbits(monkeypatch):
     def planted(w, chi):
         # (w.chi)(u) = chi(w u w^-1), the opposite of the documented convention
         group = chi.subgroup.group
-        return real(group.inv[group.element(w).code], chi)
+        return real(group.inv[group.code(w)], chi)
 
     monkeypatch.setattr(verify, "act_on_dual", planted)
     result = verify.check_orbits()
@@ -443,7 +443,7 @@ def test_subrep_needs_a_normal_form_domain():
             SubRep(domain, one * len(gens), "bad")
     chi = SubRep(Subgroup.generated(g27, ["x1", "x2"]), one * 2, "trivial")
     with pytest.raises(MackeyError, match="outside the domain"):
-        chi.eval(g27.generator("x3").code)
+        chi.eval(g27.code("x3"))
     # images of different sizes, or not matrices at all
     eye2 = CycMatrix.identity(2)
     for images in ([one[0], eye2], [eye2, one[0]], [one[0], [[1]]]):
@@ -469,8 +469,8 @@ def test_perturbed_base_image_fails_representations(monkeypatch):
 def test_perturbed_character_fails_induction():
     g27 = get_group("G27")
     chi = dual_group(Subgroup.generated(g27, ["x1", "x2"]), ["x1", "x2"])[4].as_subrep()
-    x3 = g27.generator("x3")
-    section = [g27.identity(), x3, x3 * x3]
+    x3 = g27.code("x3")
+    section = [0, x3, g27.mult(x3, x3)]
     induce(chi, section)
     planted = _perturbed_image(chi, "x1", 0, 0, coeff=3)  # chi(x1) + w
     with pytest.raises(MackeyError, match="not a homomorphism"):
