@@ -13,6 +13,7 @@ import errno
 import io
 import json
 import os
+import re
 import sys
 
 from .groups import (SCHEMA_NAMES, COVERING_MAPS, SchemaError, get_group,
@@ -30,12 +31,15 @@ class UsageError(Exception):
 
 
 def _parse_pair(text, what):
-    """The 'x,y' form of --spin and --params: two integers, each mod 3."""
-    try:
-        x, y = (int(p) for p in text.split(","))
-    except ValueError:  # a non-integer, or other than two components
-        raise UsageError("%s must be two comma-separated integers, got %r" % (what, text))
-    return x % 3, y % 3
+    """The 'x,y' form of --spin and --params: two integers, each an optional
+    sign and ASCII digits (none of the other forms int() reads), each mod 3."""
+    parts = text.split(",")
+    if len(parts) == 2 and all(re.fullmatch("[+-]?[0-9]+", p) for p in parts):
+        try:
+            return tuple(int(p) % 3 for p in parts)
+        except ValueError:  # a numeral longer than int() reads
+            pass
+    raise UsageError("%s must be two comma-separated integers, got %r" % (what, text))
 
 
 def _unwritable(path):

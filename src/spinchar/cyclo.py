@@ -6,16 +6,16 @@ w^2 + w + 1 = 0 folded into multiplication.  Everything is arbitrary
 precision, each operation costs integer products and one gcd, and the
 state is canonical, so equality compares the three ints.  The coordinates
 a = p/d and b = q/d are read-only `fractions.Fraction` views, used by
-parsing and hashing; `fractions` is imported on first use.  The cube-root
-search runs on the integer state alone.
+hashing; `fractions` is imported on first use.  The cube-root search runs
+on the integer state alone.
 
-The canonical text form is "p/q+r/s*w" with zero terms omitted; see
-`cyc_str` / `parse_cyc`.
+The canonical text form is "p/q+r/s*w" with zero terms omitted, printed by
+`terms_str` like the Q(zeta9) form and read by `cyclo9.parse_scalar`.
+`power` is the square-and-multiply loop of both scalar types and matrices.
 """
 
 import math
 import numbers
-import re
 
 
 class CycError(ArithmeticError):
@@ -96,14 +96,7 @@ class Cyc:
     def __pow__(self, k):
         if k < 0:
             return (ONE / self) ** (-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, ONE)
 
     # -- field-specific pieces ------------------------------------------
 
@@ -196,6 +189,17 @@ def _inverse(p, q, d):
     return d * (p - q), -d * q, n
 
 
+def power(x, k, one):
+    """x^k for an int k >= 0 by square-and-multiply, starting from `one`."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * x
+        x = x * x
+        k >>= 1
+    return out
+
+
 def as_cyc(x):
     if isinstance(x, Cyc):
         return x
@@ -233,66 +237,21 @@ def _ratio_str(p, d):
     return str(p // g) if d == g else "%d/%d" % (p // g, d // g)
 
 
+def terms_str(coeffs, d, syms):
+    """The sum of coeffs[k]/d * syms[k] as text, syms[0] = "" the constant: zero
+    terms omitted, a unit coefficient and its "*" left off, "0" for zero."""
+    parts = []
+    for n, sym in zip(coeffs, syms):
+        if n:
+            coef = "" if sym and n == d else _ratio_str(n, d) + ("*" if sym else "")
+            parts.append(("+" if parts and n > 0 else "") + coef + sym)
+    return "".join(parts) or "0"
+
+
 def cyc_str(z):
     """Canonical serialization: "0", "1", "w", "-1-1*w", "5/3+2*w", ..."""
     z = as_cyc(z)
-    if z.is_zero():
-        return "0"
-    parts = []
-    if z.p:
-        parts.append(_ratio_str(z.p, z.d))
-    if z.q:
-        if z.q == z.d:
-            term = "w"
-        else:
-            term = _ratio_str(z.q, z.d) + "*w"
-        if parts and z.q > 0:
-            parts.append("+")
-        parts.append(term)
-    return "".join(parts)
-
-
-_TERM_RE = re.compile(
-    r"""^(?:
-        (?P<coef>[+-]?\d+(?:/\d+)?)\*w   # explicit coefficient times w
-        | (?P<bare>[+-]?)w               # bare w with optional sign
-        | (?P<rat>[+-]?\d+(?:/\d+)?)     # rational term
-    )$""",
-    re.VERBOSE,
-)
-
-
-def parse_cyc(text):
-    """Parse the canonical text form back into a Cyc (round-trips cyc_str)."""
-    s = text.strip().replace(" ", "")
-    if not s:
-        raise CycError("empty Q(w) literal")
-    # split into signed terms, keeping each sign attached to its term
-    terms = re.findall(r"[+-]?[^+-]+", s)
-    if "".join(terms) != s:
-        raise CycError("malformed Q(w) literal: %r" % text)
-    a = b = 0
-    for term in terms:
-        m = _TERM_RE.match(term)
-        if m is None:
-            raise CycError("malformed term %r in Q(w) literal %r" % (term, text))
-        if m.group("coef") is not None:
-            b += _rational(m.group("coef"), text)
-        elif m.group("rat") is not None:
-            a += _rational(m.group("rat"), text)
-        else:
-            b += -1 if m.group("bare") == "-" else 1
-    return Cyc(a, b)
-
-
-def _rational(numeral, text):
-    """Fraction of a numeral matched inside the literal `text`; a zero
-    denominator or a numeral too long for int() raises CycError."""
-    from fractions import Fraction
-    try:
-        return Fraction(numeral)
-    except (ValueError, ZeroDivisionError):
-        raise CycError("bad number %r in %r" % (numeral, text))
+    return terms_str((z.p, z.q), z.d, ("", "w"))
 
 
 # -- exact cube roots ----------------------------------------------------

@@ -12,9 +12,9 @@ numerators over one denominator, n / d with d > 0 and the gcd of all seven
 ints 1 (zero is 0/1), so arithmetic runs on ints with one gcd per result
 and equal values have equal state; the coefficients n_k / d are read-only
 `fractions.Fraction` views (`c`, importing `fractions` on first use).
-Q(w) embeds via w = zeta9^3; values lying in the subfield serialize through
-the Q(w) grammar, so the plain "p/q+r/s*w" format is a sublanguage of the
-extended one.
+Q(w) embeds via w = zeta9^3; values lying in the subfield print in the Q(w)
+grammar, a sublanguage of this one, and `parse_scalar` (ASCII digits only)
+is the one reader of both.
 
 Bulk arithmetic uses the exact lattice kernel at the end of the module: an
 array of scalars becomes an int64 array of coefficient vectors over one
@@ -36,8 +36,7 @@ import operator
 import re
 
 from . import _np as np
-from .cyclo import (Cyc, CycError, _cyc, _ratio, _ratio_str, _rational, cyc_cbrt, cyc_str,
-                    parse_cyc, root_of_unity)
+from .cyclo import Cyc, CycError, _cyc, _ratio, cyc_cbrt, cyc_str, power, root_of_unity, terms_str
 
 
 def _reduce(coeffs):
@@ -116,14 +115,7 @@ class Cyc9:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        out = _C9_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, _C9_ONE)
 
     def inverse(self):
         """Multiplicative inverse: the product y of the five other Galois
@@ -247,67 +239,58 @@ def cyc9_cbrt(v):
 
 # -- serialization over both fields ------------------------------------------
 
+_Z_SYMS = ("", "z", "z^2", "z^3", "z^4", "z^5")
+
+
 def scalar_str(x):
     """Canonical string for a Cyc or Cyc9; Q(w) values use the w grammar."""
-    if isinstance(x, Cyc):
-        return cyc_str(x)
-    sub = x.to_cyc()
-    if sub is not None:
-        return cyc_str(sub)
-    parts = []
-    for k, nk in enumerate(x.n):
-        if not nk:
-            continue
-        sym = "" if k == 0 else ("z" if k == 1 else "z^%d" % k)
-        if k == 0:
-            term = _ratio_str(nk, x.d)
-        elif nk == x.d:
-            term = sym
-        else:
-            term = "%s*%s" % (_ratio_str(nk, x.d), sym)
-        if parts and nk > 0:
-            parts.append("+")
-        parts.append(term)
-    return "".join(parts)
+    sub = x if isinstance(x, Cyc) else x.to_cyc()
+    return terms_str(x.n, x.d, _Z_SYMS) if sub is None else cyc_str(sub)
 
 
-_Z_TERM_RE = re.compile(
-    r"""^(?:
-        (?P<coef>[+-]?\d+(?:/\d+)?)\*z(?:\^(?P<p1>\d+))?
-        | (?P<sign>[+-]?)z(?:\^(?P<p2>\d+))?
-    )$""",
-    re.VERBOSE,
+# One signed term: a numeral, a numeral times a symbol, or a bare symbol.
+# ASCII only, so every digit is one that `scalar_str` prints.
+_TERM_RE = re.compile(
+    r"""(?P<sign>[+-]?)
+        (?: (?P<num>\d+(?:/\d+)?) (?:\*(?P<sym>w|z(?:\^\d+)?))?
+          | (?P<bare>w|z(?:\^\d+)?) )""",
+    re.VERBOSE | re.ASCII,
 )
 
 
 def parse_scalar(text):
-    """Parse the canonical scalar grammar; returns Cyc when the string has
-    no zeta9 terms, Cyc9 otherwise.  Round-trips scalar_str exactly."""
+    """Parse the canonical scalar grammar of `scalar_str`, spaces ignored:
+    signed terms "p/q", "p/q*w" or "w", and "p/q*z^k" or "z^k" for zeta9^k
+    with 1 <= k <= 5 (a bare "z" is "z^1").  Returns a Cyc when there is no
+    z term, a Cyc9 otherwise; anything else raises CycError."""
     s = text.strip().replace(" ", "")
-    if "z" not in s:
-        return parse_cyc(s)
     terms = re.findall(r"[+-]?[^+-]+", s)
-    if "".join(terms) != s:
-        raise CycError("malformed Q(zeta9) literal: %r" % text)
-    coeffs = [0] * 6
+    if not s or "".join(terms) != s:
+        raise CycError("malformed scalar literal: %r" % text)
+    coeffs, has_z = [0] * 6, False
     for term in terms:
-        m = _Z_TERM_RE.match(term)
+        m = _TERM_RE.fullmatch(term)
         if m is None:
-            try:
-                sub = parse_cyc(term)
-            except CycError:
-                raise CycError("malformed term %r in %r" % (term, text))
-            coeffs[0] += sub.a
-            coeffs[3] += sub.b
-            continue
-        k = int(_rational(m.group("p1") or m.group("p2") or "1", text))
-        if not 1 <= k <= 5:
-            raise CycError("zeta9 exponent %d outside 1..5 in %r" % (k, text))
-        if m.group("coef") is not None:
-            coeffs[k] += _rational(m.group("coef"), text)
-        else:
-            coeffs[k] += -1 if m.group("sign") == "-" else 1
-    return Cyc9(coeffs)
+            raise CycError("malformed term %r in %r" % (term, text))
+        c = _rational(m["num"], text) if m["num"] else 1
+        sym = m["sym"] or m["bare"]
+        k = {None: 0, "w": 3}.get(sym)
+        if k is None:  # "z" or "z^e"
+            k, has_z = int(_rational(sym[2:] or "1", text)), True
+            if not 1 <= k <= 5:
+                raise CycError("zeta9 exponent %d outside 1..5 in %r" % (k, text))
+        coeffs[k] += -c if m["sign"] == "-" else c
+    return Cyc9(coeffs) if has_z else Cyc(coeffs[0], coeffs[3])
+
+
+def _rational(numeral, text):
+    """Fraction of a numeral matched inside the literal `text`; a zero
+    denominator or a numeral too long for int() raises CycError."""
+    from fractions import Fraction
+    try:
+        return Fraction(numeral)
+    except (ValueError, ZeroDivisionError):
+        raise CycError("bad number %r in %r" % (numeral, text))
 
 
 # -- exact lattice kernel -----------------------------------------------------

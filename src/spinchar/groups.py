@@ -26,7 +26,8 @@ An element is its code everywhere: the base-3 value of its exponent
 vector, most significant generator first, so code order is exactly
 lexicographic order on exponent vectors, and 0 is the identity.
 `Group.code` takes a code, or the text form `element_str` prints (a bare
-generator name included), and refuses anything else with SchemaError.
+generator name included), and refuses anything else with SchemaError, as
+it refuses all text on a group given by its table alone, which has none.
 
 Cayley tables are byte rows over element codes: one `bytes` object per element,
 or a 2-byte `array('H')` above order 256, and `rows[g][h]` is g*h as an
@@ -35,8 +36,9 @@ from k(k+1)/2 collections of rule words (`Group._right`); collection of
 whole words stays the independent oracle that `check_schema` and the tests
 hold it to.  A given table (a quotient, or a planted defect) is compacted
 the same way and refused unless it is n x n over range(n).  Every
-structural algorithm -- inverses, center, derived subgroup, closures,
-classes, quotients, homomorphism tests -- reads those rows, so building and
+structural algorithm -- inverses, center, derived subgroup, closures (the
+enumeration of elements is the closure of the generators), classes,
+quotients, homomorphism tests -- reads those rows, so building and
 reporting a group needs no numpy.  `Group.table` is the same table as an
 int16 array, read from the row bytes on first use for the batched checks
 (associativity of every triple by Light's test, in 10^6 random triples
@@ -46,6 +48,7 @@ drawn in blocks of 2^13, and the representation code's lattice products).
 from array import array
 from collections import Counter
 from functools import partial
+from itertools import chain
 import numbers
 import random
 from typing import NamedTuple
@@ -166,14 +169,17 @@ def _row_type(n):
 def _rows_from_right(right):
     """Cayley rows from the right-multiplication columns right[i][g] = g * g_i:
     column h is column prefix(h) moved by right multiplication with h's last
-    letter."""
+    letter.  The columns are joined and freed before the rows are cut from
+    them, so the rows, which live on, do not sit among freed columns."""
     n = len(right[0])
     row_type = _row_type(n)
     cols = [row_type(range(n))]
     for h in range(1, n):
         prefix, letter = _split_last(h, len(right))
         cols.append(row_type(map(right[letter].__getitem__, cols[prefix])))
-    return [row_type(row) for row in zip(*cols)]
+    flat = row_type(chain.from_iterable(cols))  # flat[h * n + g] = g * h
+    del cols
+    return [flat[g::n] for g in range(n)]
 
 
 def _compact_rows(table, n, name):
@@ -256,7 +262,7 @@ class Group:
     cached structure is built eagerly enough to be shared read-only.  With
     no schema the group is given by its Cayley table alone (a quotient),
     as an array or as rows; the table-driven structure below works the
-    same, while element words and collection need a schema.
+    same, while element words, their text and collection need a schema.
     """
 
     def __init__(self, sch, table=None):
@@ -321,8 +327,8 @@ class Group:
         return self._table
 
     def _right(self):
-        """right[i][g] = g * g_i for every code g; computed once and shared by
-        the enumeration and the table.
+        """right[i][g] = g * g_i for every code g, the columns `_build_rows`
+        composes into the table.
 
         Built up the series G_1 < ... < G_k, G_l on the first l generators:
         g_l's rule words lie in G_l, so each element of G_{l+1} is q t^e with
@@ -331,23 +337,21 @@ class Group:
         and u = t^3 collected, q t^e g_i = (q phi^e(g_i)) t^e for i < l, and
         q t^e t is q t^(e+1), or q u when e = 2: l + 1 collections per step.
         """
-        if "right" not in self._cache:
-            sch, k = self.schema, self.ngens
-            right, rows = [], [[0]]
-            for l in range(k):
-                if l:
-                    rows = _rows_from_right(right)
-                # phi(g_i) for i < l, then u, as codes in G_l
-                words = [sch.conj_word(l, i) for i in range(l)] + [sch.power[l]]
-                *images, u = [self.code_of(collect(sch, w)) // 3 ** (k - l) for w in words]
-                phi = _extend_to_codes(l, rows, images)
-                orbits = [(3 ** (l - 1 - i), a, phi[a]) for i, a in enumerate(images)]
-                right = [[3 * row[x] + e for row in rows for e, x in enumerate(orbit)]
-                         for orbit in orbits]  # g_i, phi(g_i), phi^2(g_i)
-                right.append([3 * q + e + 1 if e < 2 else 3 * rows[q][u]
-                              for q in range(len(rows)) for e in range(3)])
-            self._cache["right"] = right
-        return self._cache["right"]
+        sch, k = self.schema, self.ngens
+        right, rows = [], [[0]]
+        for l in range(k):
+            if l:
+                rows = _rows_from_right(right)
+            # phi(g_i) for i < l, then u, as codes in G_l
+            words = [sch.conj_word(l, i) for i in range(l)] + [sch.power[l]]
+            *images, u = [self.code_of(collect(sch, w)) // 3 ** (k - l) for w in words]
+            phi = _extend_to_codes(l, rows, images)
+            orbits = [(3 ** (l - 1 - i), a, phi[a]) for i, a in enumerate(images)]
+            right = [[3 * row[x] + e for row in rows for e, x in enumerate(orbit)]
+                     for orbit in orbits]  # g_i, phi(g_i), phi^2(g_i)
+            right.append([3 * q + e + 1 if e < 2 else 3 * rows[q][u]
+                          for q in range(len(rows)) for e in range(3)])
+        return right
 
     def _build_rows(self):
         return _rows_from_right(self._right())
@@ -398,26 +402,10 @@ class Group:
     # enumeration ----------------------------------------------------------
 
     def enumerate_elements(self):
-        """Closure of the identity under right multiplication by the generators.
-
-        Returns all element codes in code order; the length is the group
-        order as actually realized by the table's generator columns.  The
-        closure is computed once per group.
-        """
+        """The closure of the generators, in code order, computed once; its
+        length is the group order as actually realized by the table."""
         if "elements" not in self._cache:
-            right = self._right()
-            seen = {0}
-            frontier = [0]
-            while frontier:
-                nxt = []
-                for g in frontier:
-                    for col in right:
-                        h = col[g]
-                        if h not in seen:
-                            seen.add(h)
-                            nxt.append(h)
-                frontier = nxt
-            self._cache["elements"] = tuple(sorted(seen))
+            self._cache["elements"] = tuple(sorted(self.closure(self.gen_codes)))
         return list(self._cache["elements"])
 
     # structure ------------------------------------------------------------
@@ -501,9 +489,15 @@ class Group:
 
     # formatting -------------------------------------------------------------
 
+    def _gen_names(self):
+        """The generator names; SchemaError for a group given by its table alone."""
+        if self.schema is None:
+            raise SchemaError("a group given by its table alone has no element text")
+        return self.schema.gens
+
     def element_str(self, code):
-        exps = self.exps_of(code)
-        parts = ["%s^%d" % (g, e) for g, e in zip(self.schema.gens, exps) if e]
+        gens = self._gen_names()
+        parts = ["%s^%d" % (g, e) for g, e in zip(gens, self.exps_of(code)) if e]
         return " ".join(parts) if parts else "1"
 
     def parse_element(self, text):
@@ -511,7 +505,7 @@ class Group:
         "1", or `gen^e` factors with e in {1, 2} (a bare `gen` is `gen^1`),
         each generator at most once and in schema order.  Any other text,
         such as a product that would need collecting, is a SchemaError."""
-        gens, exps, last = self.schema.gens, [0] * self.ngens, -1
+        gens, exps, last = self._gen_names(), [0] * self.ngens, -1
         parts = text.split()
         if parts == ["1"]:
             return 0
@@ -526,7 +520,7 @@ class Group:
     def code(self, spec):
         """The code of an element given as a code or, when the group has a
         schema, in its text form; SchemaError for anything else."""
-        if isinstance(spec, str) and self.schema is not None:
+        if isinstance(spec, str):
             return self.parse_element(spec)
         if isinstance(spec, numbers.Integral) and 0 <= spec < self.order:
             return int(spec)

@@ -2,14 +2,15 @@
 
 Everything is exact: each entry is a `cyclo.Cyc` or a `cyclo9.Cyc9`, and a
 matrix may hold both (the scalar types mix through their own operators, and
-equal values compare and hash equal), elimination uses first-nonzero
-pivoting (there is no rounding, so no pivot-magnitude heuristics), and a
-singular inverse or dimension mismatch raises instead of degrading.
+equal values compare and hash equal).  One elimination, `_echelon` (an
+incremental Gauss-Jordan with first-nonzero pivoting: there is no rounding,
+so no pivot-magnitude heuristics), gives the determinant, the inverse and
+the nullspace.  A singular inverse or a dimension mismatch raises.
 """
 
 import math
 
-from .cyclo import Cyc, ONE, ZERO, as_cyc
+from .cyclo import Cyc, ONE, ZERO, as_cyc, power
 from .cyclo9 import Cyc9, from_lattice, scalar_str
 
 
@@ -102,14 +103,7 @@ class CycMatrix:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        out = CycMatrix.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, CycMatrix.identity(self.n))
 
     # -- structure -------------------------------------------------------
 
@@ -120,44 +114,26 @@ class CycMatrix:
         return t
 
     def det(self):
-        """Exact determinant by elimination with row swaps."""
-        n = self.n
-        m = [list(row) for row in self.rows]
-        det = ONE
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
-            if pivot is None:
-                return ZERO
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                det = -det
-            p = m[col][col]
-            det = det * p
-            below = [r for r in range(col + 1, n) if not m[r][col].is_zero()]
-            if below:
-                p_inv = ONE / p  # one inversion per pivot, then multiplies
-                for r in below:
-                    f = m[r][col] * p_inv
-                    m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+        """Exact determinant: the product of the elimination's leads, signed
+        by the parity of its pivot columns (row additions keep the value)."""
+        _, pivots, leads = _echelon(self.rows, self.n)
+        if len(pivots) < self.n:
+            return ZERO
+        det = -ONE if sum(b > a for i, a in enumerate(pivots) for b in pivots[:i]) % 2 else ONE
+        for lead in leads:
+            det = det * lead
         return det
 
     def inverse(self):
-        """Exact inverse via Gauss-Jordan; raises MatrixError when singular."""
+        """Exact inverse, the right half of [self | I] reduced; raises
+        MatrixError when singular."""
         n = self.n
-        m = [list(row) + [ONE if i == j else ZERO for j in range(n)]
-             for i, row in enumerate(self.rows)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
-            if pivot is None:
-                raise MatrixError("singular matrix has no inverse")
-            m[col], m[pivot] = m[pivot], m[col]
-            p_inv = ONE / m[col][col]
-            m[col] = [x * p_inv for x in m[col]]
-            for r in range(n):
-                if r != col and not m[r][col].is_zero():
-                    f = m[r][col]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-        return CycMatrix([row[n:] for row in m])
+        augmented = [row + e for row, e in zip(self.rows, CycMatrix.identity(n).rows)]
+        echelon, pivots, _ = _echelon(augmented, 2 * n)
+        if any(col >= n for col in pivots):  # a pivot right of the bar
+            raise MatrixError("singular matrix has no inverse")
+        by_col = dict(zip(pivots, echelon))
+        return CycMatrix([by_col[col][n:] for col in range(n)])
 
     def conj_transpose(self):
         return CycMatrix([[self.rows[j][i].conj() for j in range(self.n)]
@@ -195,12 +171,40 @@ K_SHIFT = CycMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
 
 # -- exact homogeneous solving -------------------------------------------
 
+def _echelon(rows, ncols):
+    """Reduced row echelon form, one row at a time: each row is cleared at
+    the pivots so far, and what is left, if anything, is scaled to 1 at its
+    first nonzero column (one inversion, then multiplies), which becomes a
+    pivot cleared from the earlier rows.  Returns (echelon, pivots, leads):
+    the reduced rows, the pivot column of each and the value it was scaled by.
+    """
+    echelon, pivots, leads = [], [], []
+    for row in rows:
+        row = list(row)
+        for other, col in zip(echelon, pivots):
+            f = row[col]
+            if not f.is_zero():
+                row = [x - f * y for x, y in zip(row, other)]
+        lead = next((c for c in range(ncols) if not row[c].is_zero()), None)
+        if lead is None:
+            continue
+        p_inv = ONE / row[lead]
+        leads.append(row[lead])
+        row = [x * p_inv for x in row]
+        for r, other in enumerate(echelon):
+            f = other[lead]
+            if not f.is_zero():
+                echelon[r] = [x - f * y for x, y in zip(other, row)]
+        echelon.append(row)
+        pivots.append(lead)
+    return echelon, pivots, leads
+
+
 def nullspace(rows, ncols):
     """Basis of the right nullspace of the given row list, exactly.
 
-    Gaussian elimination with first-nonzero pivoting; each input row is
-    cleared of denominators first, and the returned basis has one vector per
-    free column (that column's entry set to 1).
+    Each row is cleared of denominators before `_echelon`; the basis has one
+    vector per free column (that column's entry set to 1).
     """
     work = []
     for row in rows:
@@ -209,35 +213,15 @@ def nullspace(rows, ncols):
             raise MatrixError("row length mismatch")
         den = math.lcm(*(x.d for x in row))
         work.append([x * den for x in row])
-
-    pivots = {}  # column -> row index in echelon list
-    echelon = []
-    for row in work:
-        row = list(row)
-        for col, r in pivots.items():
-            if not row[col].is_zero():
-                f = row[col]
-                row = [x - f * y for x, y in zip(row, echelon[r])]
-        lead = next((c for c in range(ncols) if not row[c].is_zero()), None)
-        if lead is None:
-            continue
-        p_inv = ONE / row[lead]
-        row = [x * p_inv for x in row]
-        for r, other in enumerate(echelon):
-            if not other[lead].is_zero():
-                f = other[lead]
-                echelon[r] = [x - f * y for x, y in zip(other, row)]
-        pivots[lead] = len(echelon)
-        echelon.append(row)
-
-    free_cols = [c for c in range(ncols) if c not in pivots]
+    echelon, pivots, _ = _echelon(work, ncols)
     basis = []
-    for fc in free_cols:
-        vec = [ZERO] * ncols
-        vec[fc] = ONE
-        for col, r in pivots.items():
-            vec[col] = -echelon[r][fc]
-        basis.append(vec)
+    for fc in range(ncols):
+        if fc not in pivots:
+            vec = [ZERO] * ncols
+            vec[fc] = ONE
+            for row, col in zip(echelon, pivots):
+                vec[col] = -row[fc]
+            basis.append(vec)
     return basis
 
 

@@ -190,8 +190,8 @@ def solve_intertwiner(rho, w, preferred_trace=None):
     Among the three cube-root scalings the one matching `preferred_trace`
     is returned when that pins a unique solution (the partially-spin anchor
     trace 3*alpha); otherwise the lexicographically least serialization.
-    The returned J is re-verified against the twisted equations for w, w^2
-    and w^3, each as one batch of lattice products over rho's generators.
+    `extend_and_tensor` checks the extension by J against the presentation,
+    whose rules joining w to rho's generators decide that J intertwines.
     """
     sols = intertwiner_solutions(rho, w)
     chosen = None
@@ -206,23 +206,6 @@ def solve_intertwiner(rho, w, preferred_trace=None):
         else:
             chosen = min(sols, key=lambda M: tuple(scalar_str(x)
                                                    for row in M.rows for x in row))
-
-    group = rho.group
-    wc = group.code(w)
-    gens = list(rho.subgroup.gen_codes)
-    G, G_den = rho.images_at(gens)
-    J, J_den = to_lattice(chosen.rows)
-    Ji, Ji_den = J, J_den
-    wi = wc
-    for i in (1, 2, 3):
-        if i > 1:
-            Ji, Ji_den = lattice_matmul(Ji, Ji_den, J, J_den)
-            wi = group.mult(wi, wc)
-        twisted, t_den = rho.images_at([group.conjugate(u, wi) for u in gens])
-        lhs = lattice_matmul(twisted, t_den, Ji, Ji_den)
-        rhs = lattice_matmul(Ji, Ji_den, G, G_den)
-        if not lattice_equal(*lhs, *rhs).all():
-            raise RepError("intertwiner power %d fails its equation" % i)
     return chosen
 
 
@@ -255,13 +238,8 @@ def g27_nonspin_catalog():
                       "x2": CycMatrix([[ONE]]),
                       "x3": CycMatrix([[root_of_unity(q)]])}
             reps.append(Representation(g27, images, "Pi(%d,0,%d)" % (m, q)))
-    U = Subgroup.generated(g27, ["x1", "x2"])
-    duals = dual_group(U, ["x1", "x2"])
-    w = g27.code("x3")
-    section = [0, w, g27.mult(w, w)]
     for n in (1, 2):
-        chi = next(c for c in duals if c.label == (0, n))
-        ind = induce(chi.as_subrep(), section, name="Pi(0,%d)" % n)
+        ind = induced_base_rep(g27, ["x1", "x2"], (0, n), "x3", "Pi(0,%d)" % n)
         reps.append(Representation(g27, ind.images, ind.name))
     return reps
 

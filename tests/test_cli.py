@@ -120,7 +120,11 @@ def test_malformed_pairs_are_usage_errors():
     for argv in (["irreps", "--spin", "1,2,3"], ["cocycle", "--spin", "x,1"],
                  ["irreps", "--spin", "x,1"], ["cocycle", "--spin", "1,2,3"],
                  ["group", "G81_param", "--params", "1"],
-                 ["group", "G81_param", "--params", "1,x"]):
+                 ["group", "G81_param", "--params", "1,x"],
+                 # int() would read these: only a sign and ASCII digits pass
+                 ["group", "G81_param", "--params", "1_0,2"],
+                 ["group", "G81_param", "--params", "\u0661,0"],
+                 ["irreps", "--spin", "\u0662,0"]):
         code, out, err = _exit_code(argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and "two comma-separated integers" in err, argv

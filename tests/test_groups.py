@@ -100,6 +100,11 @@ def test_code_refuses_what_is_not_an_element():
                        (g27, (1, 0, 0)), (g27, b"x1"), (quotient, 9), (quotient, "x1")):
         with pytest.raises(SchemaError):
             group.code(bad)
+    # a group given by its table alone has no element text either way
+    with pytest.raises(SchemaError, match="no element text"):
+        quotient.element_str(1)
+    with pytest.raises(SchemaError, match="no element text"):
+        quotient.parse_element("x1")
 
 
 def test_enumerated_orders():

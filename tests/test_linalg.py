@@ -1,5 +1,6 @@
 """Exact matrices over the cyclotomic fields and the homogeneous solver."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -52,6 +53,28 @@ def test_inverse_and_det_multiplicative():
         assert M * M.inverse() == I3
         N = rand_matrix(rng)
         assert (M * N).det() == M.det() * N.det()
+
+
+def test_det_and_inverse_match_the_permutation_expansion():
+    # sparse entries, so pivots land out of order and rows vanish; the
+    # reference is the Leibniz sum over permutations with their signs
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        M = CycMatrix([[rand_cyc(rng) if rng.random() < 0.5 else 0 for _ in range(n)]
+                       for _ in range(n)])
+        expected = Cyc(0)
+        for perm in itertools.permutations(range(n)):
+            term = Cyc((-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:]))
+            for i, j in enumerate(perm):
+                term = term * M[i, j]
+            expected = expected + term
+        assert M.det() == expected
+        if expected.is_zero():
+            with pytest.raises(MatrixError):
+                M.inverse()
+        else:
+            assert M * M.inverse() == CycMatrix.identity(n)
 
 
 def test_singular_and_mismatch_errors():

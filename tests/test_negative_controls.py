@@ -16,10 +16,10 @@ import re
 import pytest
 
 from spinchar import groups, spinrep, verify
-from spinchar.cyclo import OMEGA, Cyc
+from spinchar.cyclo import OMEGA, Cyc, root_of_unity
 from spinchar.cyclo9 import Cyc9, zeta9
 from spinchar.groups import Group, GroupSchema, Subgroup, get_group
-from spinchar.linalg import CycMatrix
+from spinchar.linalg import J_SHIFT, CycMatrix
 from spinchar.mackey import MackeyError, SubRep, dual_group, induce
 from spinchar.spinrep import (RepError, Representation, canonical_section, full_catalog,
                               irreps_by_spin_type, r243_pure_catalog, restrict_to_projective,
@@ -503,3 +503,19 @@ def test_reordered_diagonal_fails_only_a_conjugation_rule():
     assert desc == "conjugation rule phi(n2)n1"
     assert verify_rep(planted).failures == ["%s: lhs=%s rhs=%s"
                                             % (desc, lhs.str_rows(), rhs.str_rows())]
+
+
+def test_non_intertwining_jw_fails_the_extension(monkeypatch):
+    # J_SHIFT has cube I but intertwines no induced P: the conjugation rules
+    # of the extension, checked by verify_rep, are what refuse it
+    monkeypatch.setattr(spinrep, "intertwiner_solutions",
+                        lambda rho, w: [J_SHIFT.scale(root_of_unity(k)) for k in range(3)])
+    for build in (spinrep.g81_partial_catalog, spinrep.gbar_partial_catalog,
+                  spinrep.r243_pure_catalog, spinrep.full_catalog):
+        build.cache_clear()
+    for build, args, rule in ((spinrep.g81_partial_catalog, (1,), "phi(xi3)xi1"),
+                              (spinrep.gbar_partial_catalog, (2,), "phi(xb2)xb1"),
+                              (spinrep.r243_pure_catalog, (1, 2), "phi(n3)n1")):
+        with pytest.raises(RepError, match=re.escape(
+                "extension is not a representation: conjugation rule " + rule + ":")):
+            build(*args)
