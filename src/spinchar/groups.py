@@ -39,9 +39,9 @@ the same way and refused unless it is n x n over range(n).  Every
 structural algorithm -- inverses, center, derived subgroup, closures (the
 enumeration of elements is the closure of the generators), classes,
 quotients, homomorphism tests -- reads those rows, so building and
-reporting a group needs no numpy.  `Group.table` is the same table as an
-int16 array, read from the row bytes on first use for the batched checks
-(associativity of every triple by Light's test, in 10^6 random triples
+reporting a group needs no numpy.  `Group.table` is the same table as a
+uint8 or uint16 array over the row bytes, made on first use for the batched
+checks (associativity of every triple by Light's test, in 10^6 random triples
 drawn in blocks of 2^13, and the representation code's lattice products).
 """
 
@@ -317,13 +317,13 @@ class Group:
 
     @property
     def table(self):
-        """The Cayley table as an int16 array, table[g, h] = g*h, built from
-        the rows on first use for batched checks."""
+        """The Cayley table as a read-only uint8 (uint16 above order 256)
+        array over the joined row bytes, table[g, h] = g*h, built on first
+        use for batched checks.  Arithmetic on its entries widens them first."""
         if self._table is None:
             n = self.order
             word = np.uint8 if n <= 256 else np.uint16
-            flat = np.frombuffer(b"".join(self.rows), word)
-            self._table = flat.reshape(n, n).astype(np.int16)
+            self._table = np.frombuffer(b"".join(self.rows), word).reshape(n, n)
         return self._table
 
     def _right(self):
@@ -607,7 +607,7 @@ def random_triples_associative(table, count, seed=0):
         codes = np.frombuffer(rng.randbytes(3 * m * word.itemsize), dtype=word) & mask
         codes = codes[codes < n].astype(np.intp)
         g, h, k = codes[:len(codes) // 3 * 3].reshape(3, -1)
-        gh = flat[g * n + h].astype(np.intp)  # int16 * n would wrap
+        gh = flat[g * n + h].astype(np.intp)  # a table word times n would wrap
         bad = np.flatnonzero(flat[gh * n + k] != flat[g * n + flat[h * n + k]])
         if bad.size:
             return (int(g[bad[0]]), int(h[bad[0]]), int(k[bad[0]]))

@@ -1,9 +1,10 @@
 """Little-group machinery for finite semidirect products U x| W, U abelian.
 
-Duals of abelian subgroups, the conjugation action on them (and on any
-listed linear characters) with the convention (w.chi)(u) = chi(w^-1 u w),
-orbit/stabilizer decomposition, and
-explicit matrix induction over a coset section on the delta-function basis
+Duals of abelian subgroups, each linear character held as its exponents at
+the domain's generators; the conjugation action on them (and on any listed
+linear characters), (w.chi)(u) = chi(w^-1 u w), which conjugates only those
+generators; orbit/stabilizer decomposition on those labels; and explicit
+matrix induction over a coset section on the delta-function basis
 (contragredient convention, so inducing the trivial-orbit characters of the
 base group reproduces the cyclic shift J exactly).  A representation holds
 only its generator images; values and the homomorphism check run on the
@@ -26,88 +27,59 @@ class MackeyError(ValueError):
     """Violated precondition: non-abelian base, bad section, bad action."""
 
 
-class DualCharacter:
+class DualCharacter(NamedTuple):
     """A linear character valued in cube roots of unity: an element of the
     dual of an abelian subgroup, or a one-dimensional character of a
     non-abelian one.
 
-    `label` is the exponent tuple at `gen_codes` (for a dual, the chosen
-    independent generators); it must tell apart the characters that are
-    listed together.  The full value table is kept as omega-exponents per
-    element code, and orbit_decomposition matches moved characters on it,
-    not on the label alone.
+    `label` holds the omega-exponents at the domain's generators, which are
+    schema generators in normal-form order; the domain's elements are the
+    normal forms on them, so the label fixes every value.
     """
 
-    def __init__(self, subgroup, gen_codes, label, exps):
-        self.subgroup = subgroup
-        self.gen_codes = tuple(gen_codes)
-        self.label = tuple(label)
-        self.exps = exps  # dict: element code -> exponent of omega
+    subgroup: Subgroup
+    label: tuple
 
-    def value(self, code):
-        return root_of_unity(self.exps[int(code)])
+    def exponent(self, code):
+        """The omega-exponent at an element code of the domain."""
+        if code not in self.subgroup.codes:
+            raise MackeyError("element %d lies outside the domain" % code)
+        return sum(l * (code // g % 3) for l, g in zip(self.label, self.subgroup.gen_codes)) % 3
 
     def as_subrep(self, name=None):
-        images = [CycMatrix([[self.value(g)]]) for g in self.subgroup.gen_codes]
+        images = [CycMatrix([[root_of_unity(l)]]) for l in self.label]
         return SubRep(self.subgroup, images, name or ("chi%s" % (self.label,)))
 
-    def __eq__(self, other):
-        return isinstance(other, DualCharacter) and self.exps == other.exps \
-            and self.subgroup.codes == other.subgroup.codes
 
-    def __repr__(self):
-        return "DualCharacter(label=%s)" % (self.label,)
+def dual_group(subgroup):
+    """All characters of an abelian subgroup, labeled by exponent tuples at
+    its generators.
 
-
-def dual_group(subgroup, independent_gens):
-    """All characters of an abelian subgroup, labeled by exponent tuples.
-
-    The generators must be independent of order 3: their power products must
-    enumerate the subgroup bijectively.  The trivial subgroup with no
-    generators yields the single trivial character.
+    The domain must be the normal forms on its generators, each of order 3,
+    so that every exponent tuple is a character.  The trivial subgroup with
+    no generators yields the single trivial character.
     """
-    group = subgroup.group
     if not subgroup.is_abelian():
         raise MackeyError("dual_group requires an abelian subgroup")
-    gen_codes = [group.code(g) for g in independent_gens]
-    k = len(gen_codes)
-    if 3 ** k != subgroup.order:
-        raise MackeyError("%d generators cannot span a subgroup of order %d"
-                          % (k, subgroup.order))
-    # enumerate power products once; they must hit every element exactly once
-    rows = group.rows
-    codes_by_vec = {}
-    for vec in product(range(3), repeat=k):
-        acc = 0
-        for g, e in zip(gen_codes, vec):
-            for _ in range(e):
-                acc = rows[acc][g]
-        codes_by_vec[vec] = acc
-    if set(codes_by_vec.values()) != set(subgroup.codes):
-        raise MackeyError("generators are not independent in the subgroup")
-
-    duals = []
-    for label in product(range(3), repeat=k):
-        exps = {}
-        for vec, code in codes_by_vec.items():
-            exps[code] = sum(l * e for l, e in zip(label, vec)) % 3
-        duals.append(DualCharacter(subgroup, gen_codes, label, exps))
-    return duals
+    _check_domain(subgroup)
+    rows = subgroup.group.rows
+    if any(rows[rows[g][g]][g] for g in subgroup.gen_codes):
+        raise MackeyError("dual_group requires generators of order 3")
+    return [DualCharacter(subgroup, label)
+            for label in product(range(3), repeat=len(subgroup.gen_codes))]
 
 
 def act_on_dual(w, chi):
-    """(w.chi)(u) = chi(w^-1 u w); the domain must be w-invariant."""
+    """(w.chi)(u) = chi(w^-1 u w); the domain must be w-invariant.
+
+    Only the domain's generators are conjugated: conjugation is an
+    automorphism, so generators that stay in the domain keep all of it."""
     group = chi.subgroup.group
-    w = group.code(w)
-    winv = group.inv[w]
-    moved = {}
-    for code in chi.exps:
-        conj = group.conjugate(code, winv)  # w^-1 * code * w
-        if conj not in chi.exps:
-            raise MackeyError("conjugation by the acting element leaves the domain")
-        moved[code] = chi.exps[conj]
-    label = tuple(moved[g] for g in chi.gen_codes)
-    return DualCharacter(chi.subgroup, chi.gen_codes, label, moved)
+    winv = group.inv[group.code(w)]
+    conj = [group.conjugate(g, winv) for g in chi.subgroup.gen_codes]  # w^-1 g w
+    if any(c not in chi.subgroup.codes for c in conj):
+        raise MackeyError("conjugation by the acting element leaves the domain")
+    return DualCharacter(chi.subgroup, tuple(chi.exponent(c) for c in conj))
 
 
 class Orbit(NamedTuple):
@@ -144,15 +116,14 @@ def orbit_decomposition(duals, w_gens):
             for w in w_sub.gen_codes:
                 moved = act_on_dual(w, by_label[cur])
                 nxt = moved.label
-                if nxt not in by_label or moved.exps != by_label[nxt].exps:
+                if by_label.get(nxt) != moved:
                     raise MackeyError("action leaves the listed dual")
                 if nxt not in members:
                     members.add(nxt)
                     frontier.append(nxt)
         seen |= members
         rep = by_label[min(members)]
-        stab_codes = frozenset(w for w in w_sub.codes
-                               if act_on_dual(w, rep).exps == rep.exps)
+        stab_codes = frozenset(w for w in w_sub.codes if act_on_dual(w, rep) == rep)
         stabilizer = Subgroup(group, stab_codes, tuple(sorted(stab_codes)))
         if len(members) * len(stab_codes) != w_sub.order:
             raise MackeyError("orbit-stabilizer count violated")
@@ -176,15 +147,13 @@ class SubRep:
     """
 
     def __init__(self, subgroup, images, name=None):
+        _check_domain(subgroup)
         group = subgroup.group
         gens = subgroup.gen_codes
-        if list(gens) != [g for g in group.gen_codes if g in gens]:
-            raise MackeyError("domain generators must be schema generators in normal-form order")
         if len(images) != len(gens) or not gens:
             raise MackeyError("need one image per domain generator, and at least one")
         if any(not isinstance(M, CycMatrix) or M.n != images[0].n for M in images):
             raise MackeyError("images must be CycMatrix values of one size")
-        _check_normal_forms(tuple(gens), frozenset(subgroup.codes))
         self.subgroup = subgroup
         self.group = group
         self.images = {group.schema.gens[group.gen_codes.index(g)]: M
@@ -287,10 +256,15 @@ class SubRep:
 
 
 @lru_cache(maxsize=256)
-def _check_normal_forms(gens, codes):
-    """Raise unless `codes` are the normal forms on the generator codes `gens`."""
-    normal_forms = np.array(list(product(range(3), repeat=len(gens)))) @ gens
-    if frozenset(normal_forms.tolist()) != codes:
+def _check_domain(subgroup):
+    """Raise unless the domain's generators are schema generators in
+    normal-form order and its elements are exactly the normal forms on them."""
+    gens, normal_forms = subgroup.gen_codes, {0}
+    if list(gens) != [g for g in subgroup.group.gen_codes if g in gens]:
+        raise MackeyError("domain generators must be schema generators in normal-form order")
+    for g in gens:
+        normal_forms = {c + e * g for c in normal_forms for e in range(3)}
+    if normal_forms != subgroup.codes:
         raise MackeyError("the domain is not the normal forms on its generators")
 
 

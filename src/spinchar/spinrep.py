@@ -247,7 +247,7 @@ def g27_nonspin_catalog():
 @lru_cache(maxsize=None)
 def _base_orbits(group, u0_gens, section_gen):
     """The base dual's orbits under the section generator, by representative."""
-    duals = dual_group(Subgroup.generated(group, u0_gens), u0_gens)
+    duals = dual_group(Subgroup.generated(group, u0_gens))
     return {orbit.representative.label: orbit
             for orbit in orbit_decomposition(duals, [section_gen])}
 
@@ -566,27 +566,15 @@ def mu_route_direct(mu):
     mu %= 3
     r243 = get_group("R243")
     U = Subgroup.generated(r243, ["z12", "z23", "n1", "n2"])
-    # linear characters with z12 -> 1, z23 -> w^mu; they factor through
-    # U/<z12>, which is elementary abelian, and are labeled by their
-    # exponents at (n1, n2)
-    gen_codes = [r243.code(g) for g in ("n1", "n2")]
-    chis = []
-    for a in range(3):
-        for b in range(3):
-            exps = {}
-            for code in U.codes:
-                _, e1, e2, e3, _ = r243.exps_of(code)
-                exps[code] = (mu * e1 + a * e2 + b * e3) % 3
-            chi = DualCharacter(U, gen_codes, (a, b), exps)
-            sub = chi.as_subrep()  # a homomorphism that must reproduce every value
-            if sub.verify() is not None or sub.character_values() != {
-                    code: chi.value(code) for code in U.codes}:
-                raise RepError("direct-route character is not multiplicative")
-            chis.append(chi)
+    # linear characters with z12 -> 1, z23 -> w^mu, labeled by their exponents
+    # at (z12, z23, n1, n2); they factor through the elementary abelian U/<z12>
+    chis = [DualCharacter(U, (0, mu, a, b)) for a in range(3) for b in range(3)]
+    if any(chi.as_subrep().verify() is not None for chi in chis):
+        raise RepError("direct-route character is not multiplicative")
     n3 = r243.code("n3")
     out = []
     for orbit in orbit_decomposition(chis, ["n3"]):
-        label = orbit.representative.label
+        label = orbit.representative.label[2:]
         ind = induce(orbit.representative.as_subrep(), [0, n3, r243.mult(n3, n3)],
                      name="Ind%s" % (label,))
         out.append(Representation(r243, ind.images, ind.name))

@@ -80,7 +80,7 @@ def check_automorphism():
 def check_orbits():
     failures = []
     g27 = get_group("G27")
-    duals = dual_group(Subgroup.generated(g27, ["x1", "x2"]), ["x1", "x2"])
+    duals = dual_group(Subgroup.generated(g27, ["x1", "x2"]))
     for chi in duals:
         m, n = chi.label
         if act_on_dual(g27.code("x3"), chi).label != ((m + n) % 3, n):
@@ -97,7 +97,7 @@ def check_orbits():
                             % (o.representative.label, o.stabilizer.order))
 
     g81 = get_group("G81")
-    duals0 = dual_group(Subgroup.generated(g81, ["z12", "xi1"]), ["z12", "xi1"])
+    duals0 = dual_group(Subgroup.generated(g81, ["z12", "xi1"]))
     for chi in duals0:
         e, m = chi.label
         if act_on_dual(g81.code("xi2"), chi).label != (e, (m + e) % 3):

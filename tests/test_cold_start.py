@@ -3,10 +3,11 @@
 Importing the CLI loads every module the benchmark's tracer wraps, and none
 of numpy, `dataclasses` (which imports `inspect`) or `fractions` (which
 imports `decimal`).  The structural commands (`group` reports) run on the
-Cayley table's Python rows and never load those modules either, the catalog
-commands never pull in `numpy.ma`, `fractions` or `decimal`, `verify` never
-loads `numpy.random` or `hashlib`, and one `verify` builds each catalog
-table once.  These are properties of a whole process, so each test runs its
+Cayley table's Python rows and never load those modules either, nor do
+the table-only `verify` checks (orders, structure, automorphism, orbits).
+The catalog commands never pull in `numpy.ma`, `fractions` or `decimal`,
+`verify` never loads `numpy.random` or `hashlib`, and one `verify` builds
+each catalog table once.  These are properties of a whole process, so each test runs its
 code in a child interpreter.
 """
 
@@ -56,15 +57,17 @@ print(sorted(m for m in %r if "spinchar." + m not in sys.modules))
 
 
 def test_group_reports_import_no_numpy():
+    # nor do the table-only checks, the dual and orbit check among them
     out = _run("""
 import contextlib, io, sys
 before = set(sys.modules)
 from spinchar.cli import main
 for args in %r:
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["group"] + args + ["--format", "json"]) == 0, args
+        assert main(args) == 0, args
 print(sorted(m for m in %r if m in sys.modules and m not in before))
-""" % (GROUP_ARGS, HEAVY))
+""" % ([["group"] + args + ["--format", "json"] for args in GROUP_ARGS]
+       + [["verify", "--only", "orders,structure,automorphism,orbits"]], HEAVY))
     assert out == "[]\n"
 
 

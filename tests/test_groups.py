@@ -475,7 +475,7 @@ def test_get_group_keys_on_the_normalized_schema():
 def test_rows_and_table_agree():
     for name, params in CATALOG:
         group = get_group(name, params)
-        assert group.table.dtype == np.int16
+        assert group.table.dtype == np.uint8
         assert all(type(r) is bytes for r in group.rows), (name, params)
         assert group.table.tolist() == [list(r) for r in group.rows]
     g27 = get_group("G27")
@@ -527,7 +527,7 @@ def test_table_only_group_above_256_elements():
     t = _cyclic(300)
     group = Group(None, t)
     assert all(row.itemsize == 2 for row in group.rows)
-    assert group.table.dtype == np.int16 and np.array_equal(group.table, t)
+    assert group.table.dtype == np.uint16 and np.array_equal(group.table, t)
     inv = np.nonzero(t == 0)[1]
     assert group.inv == inv.tolist()
     assert group.center_codes() == frozenset(np.nonzero((t == t.T).all(axis=1))[0].tolist())

@@ -10,15 +10,15 @@ import pytest
 from spinchar.cyclo import ONE, root_of_unity
 from spinchar.cyclo9 import Cyc9
 from spinchar.linalg import CycMatrix, J_SHIFT
-from spinchar.groups import Subgroup, get_group
-from spinchar.mackey import (DualCharacter, MackeyError, SubRep, act_on_dual,
-                             dual_group, induce, orbit_decomposition)
+from spinchar.groups import Group, Subgroup, get_group
+from spinchar.mackey import (MackeyError, SubRep, act_on_dual, dual_group, induce,
+                             orbit_decomposition)
 
 
 def g27_dual():
     g27 = get_group("G27")
     U = Subgroup.generated(g27, ["x1", "x2"])
-    return g27, U, dual_group(U, ["x1", "x2"])
+    return g27, U, dual_group(U)
 
 
 def test_dual_group_counts_and_multiplicativity():
@@ -29,25 +29,44 @@ def test_dual_group_counts_and_multiplicativity():
     for chi in duals:
         for u in codes:
             for v in codes:
-                assert chi.value(t[u, v]) == chi.value(u) * chi.value(v)
+                assert chi.exponent(int(t[u, v])) == (chi.exponent(u) + chi.exponent(v)) % 3
 
 
 def test_dual_group_rejects_nonabelian_and_dependent_generators():
     g81 = get_group("G81")
     U = Subgroup.generated(g81, ["z12", "xi1", "xi2"])
-    with pytest.raises(MackeyError):
-        dual_group(U, ["z12", "xi1", "xi2"])
+    with pytest.raises(MackeyError, match="abelian"):
+        dual_group(U)
     g27 = get_group("G27")
     X2 = Subgroup.generated(g27, ["x2"])
-    with pytest.raises(MackeyError):
-        dual_group(X2, ["x2", "x2"])
+    with pytest.raises(MackeyError, match="schema generators"):
+        dual_group(X2._replace(gen_codes=X2.gen_codes * 2))
+    with pytest.raises(MackeyError, match="schema generators"):
+        dual_group(Subgroup.generated(g27, ["x1 x2"]))
+    U = Subgroup.generated(g27, ["x1", "x2"])
+    with pytest.raises(MackeyError, match="normal forms"):
+        dual_group(U._replace(gen_codes=U.gen_codes[:1]))
+
+
+def test_dual_group_refuses_a_generator_of_order_9():
+    # in G81_param(1,0), xi1^3 = z12: <z12, xi1> is Z/9 and the normal
+    # forms on its generators, but an exponent label at xi1 is no character
+    g81 = get_group("G81_param", (1, 0))
+    U = Subgroup.generated(g81, ["z12", "xi1"])
+    assert U.order == 9 and U.is_abelian()
+    xi1 = g81.code("xi1")
+    assert g81.power(xi1, 3) == g81.code("z12")
+    with pytest.raises(MackeyError, match="order 3"):
+        dual_group(U)
 
 
 def test_trivial_subgroup_dual():
     g27 = get_group("G27")
     T = Subgroup.generated(g27, [])
-    duals = dual_group(T, [])
-    assert len(duals) == 1 and duals[0].value(0) == ONE
+    duals = dual_group(T)
+    assert len(duals) == 1 and duals[0].exponent(0) == 0
+    with pytest.raises(MackeyError, match="outside the domain"):
+        duals[0].exponent(g27.code("x1"))
 
 
 def test_action_formula_on_base_dual():
@@ -65,13 +84,42 @@ def test_action_is_a_group_action():
     for chi in duals:
         one_then_other = act_on_dual(w, act_on_dual(w, chi))
         together = act_on_dual(g27.mult(w, w), chi)
-        assert one_then_other.exps == together.exps
+        assert one_then_other == together
+
+
+@pytest.mark.parametrize("name, domain, acting", [("G27", ["x1", "x2"], "x3"),
+                                                  ("G81", ["z12", "xi1"], "xi2")])
+def test_action_is_conjugation_read_from_the_table(monkeypatch, name, domain, acting):
+    # (w.chi)(u) = chi(w^-1 u w) at every u of the base, for every w of the
+    # acting group, and each action conjugates the k domain generators only
+    group = get_group(name)
+    U = Subgroup.generated(group, domain)
+    W = Subgroup.generated(group, [acting])
+    t, inv = group.table, group.inv
+    calls = []
+    real = Group.conjugate
+
+    def counting(self, g, h):
+        calls.append((g, h))
+        return real(self, g, h)
+
+    monkeypatch.setattr(Group, "conjugate", counting)
+    duals = dual_group(U)
+    for w in sorted(W.codes):
+        moved = []
+        for chi in duals:
+            calls.clear()
+            moved.append(act_on_dual(w, chi))
+            assert len(calls) == len(U.gen_codes)
+            for u in U.codes:
+                assert moved[-1].exponent(u) == chi.exponent(int(t[t[inv[w], u], w]))
+        assert sorted(moved) == sorted(duals)  # a permutation of the dual
 
 
 def test_action_formula_on_covering_dual():
     g81 = get_group("G81")
     U0 = Subgroup.generated(g81, ["z12", "xi1"])
-    duals = dual_group(U0, ["z12", "xi1"])
+    duals = dual_group(U0)
     xi2 = g81.code("xi2")
     for chi in duals:
         e, m = chi.label
@@ -81,7 +129,7 @@ def test_action_formula_on_covering_dual():
 def test_action_requires_invariant_domain():
     g81 = get_group("G81")
     X1 = Subgroup.generated(g81, ["xi1"])
-    duals = dual_group(X1, ["xi1"])
+    duals = dual_group(X1)
     with pytest.raises(MackeyError):
         act_on_dual(g81.code("xi2"), duals[1])
 
@@ -107,24 +155,17 @@ def test_orbit_decomposition_trivial_action():
     assert all(len(o.members) == 1 and o.stabilizer.order == 1 for o in dec)
 
 
-def test_orbit_decomposition_checks_full_value_table():
-    # a listed character that agrees with the moved one on its label but not
-    # elsewhere in U is not the image of the action
+def test_orbit_decomposition_refuses_an_unlisted_image():
+    # x3 sends (0, 1) to (1, 1), which the list leaves out
     g27, U, duals = g27_dual()
-    i = next(k for k, chi in enumerate(duals) if chi.label == (1, 1))
-    chi = duals[i]
-    other = next(c for c in sorted(U.codes) if c and c not in chi.gen_codes)
-    exps = dict(chi.exps)
-    exps[other] = (exps[other] + 1) % 3
-    duals[i] = DualCharacter(chi.subgroup, chi.gen_codes, chi.label, exps)
     with pytest.raises(MackeyError, match="leaves the listed dual"):
-        orbit_decomposition(duals, ["x3"])
+        orbit_decomposition([chi for chi in duals if chi.label != (1, 1)], ["x3"])
 
 
 def test_spin_orbits_on_covering():
     g81 = get_group("G81")
     U0 = Subgroup.generated(g81, ["z12", "xi1"])
-    duals = dual_group(U0, ["z12", "xi1"])
+    duals = dual_group(U0)
     by_rep = {o.representative.label: o for o in orbit_decomposition(duals, ["xi2"])}
     for eps in (1, 2):
         orbit = by_rep[(eps, 0)]
@@ -151,7 +192,7 @@ def test_induced_base_matrices():
 def test_induction_dimension_and_identity_section():
     g81 = get_group("G81")
     U0 = Subgroup.generated(g81, ["z12", "xi1"])
-    duals = dual_group(U0, ["z12", "xi1"])
+    duals = dual_group(U0)
     chi = next(c for c in duals if c.label == (1, 0))
     xi2 = g81.code("xi2")
     ind = induce(chi.as_subrep(), [0, xi2, g81.mult(xi2, xi2)])
@@ -191,8 +232,8 @@ def test_induction_rejects_bad_sections():
 
 
 def test_bad_domain_is_refused_after_a_good_one_on_its_generators():
-    # the normal-form check is remembered per (generators, codes) pair; a
-    # domain with the same generators and other codes is checked afresh
+    # the domain check is remembered per subgroup; a domain with the same
+    # generators and other codes is checked afresh
     g27, U, _ = g27_dual()
     images = [CycMatrix([[ONE]])] * 2
     x1x2, x3 = g27.parse_element("x1 x2"), g27.gen_codes[2]
