@@ -19,10 +19,8 @@ import sys
 from .groups import (SCHEMA_NAMES, COVERING_MAPS, SchemaError, get_group,
                      verify_efficient_covering, isomorphism_fingerprint)
 from .cyclo9 import scalar_str
-from .spinrep import (SpinType, irreps_by_spin_type, full_catalog,
-                      spin_character_table, restrict_to_projective,
-                      g27_nonspin_catalog, g81_partial_catalog,
-                      gbar_partial_catalog)
+from .spinrep import (SpinType, irreps_by_spin_type, full_catalog, native_irreps,
+                      spin_character_table, restrict_to_projective)
 from .verify import CHECKS, run_checks
 
 
@@ -111,20 +109,15 @@ _NATIVE_CATALOGS = {"G27", "G81", "GBAR", "R243"}
 
 
 def _native_irreps(group_name, spin):
-    if group_name == "R243":
-        if spin is None:
-            return list(full_catalog())
-        return irreps_by_spin_type(spin)
-    if spin is None:
+    if spin is None and group_name != "R243":
         raise UsageError("--spin all is only available for R243")
-    if group_name == "G27" and spin == SpinType(0, 0):
-        return g27_nonspin_catalog()
-    if group_name == "G81" and spin.mu == 0 and spin.eps != 0:
-        return g81_partial_catalog(spin.eps)[2]
-    if group_name == "GBAR" and spin.eps == 0 and spin.mu != 0:
-        return gbar_partial_catalog(spin.mu)[2]
-    raise UsageError("group %s does not carry spin type %s natively"
-                     % (group_name, spin))
+    if group_name == "R243":
+        return list(full_catalog()) if spin is None else irreps_by_spin_type(spin)
+    native, reps = native_irreps(spin)
+    if native != group_name:
+        raise UsageError("group %s does not carry spin type %s natively"
+                         % (group_name, spin))
+    return reps
 
 
 def cmd_irreps(args):

@@ -190,13 +190,15 @@ def _inverse(p, q, d):
 
 
 def power(x, k, one):
-    """x^k for an int k >= 0 by square-and-multiply, starting from `one`."""
-    out = one
-    while k:
-        if k & 1:
+    """x^k for an int k >= 0 by left-to-right square-and-multiply: `one`
+    for k = 0, else popcount(k) + bit_length(k) - 2 products."""
+    if k == 0:
+        return one
+    out = x
+    for bit in bin(k)[3:]:
+        out = out * out
+        if bit == "1":
             out = out * x
-        x = x * x
-        k >>= 1
     return out
 
 

@@ -112,7 +112,7 @@ class GroupSchema:
                                     else "%s%s" % (self.name, (self.params,)))
 
 
-def collect(schema, letters, bound=_COLLECT_BOUND):
+def collect(schema, letters):
     """Left-to-right collection of a generator word into an exponent vector."""
     w = list(letters)
     conj = schema.conj
@@ -121,8 +121,9 @@ def collect(schema, letters, bound=_COLLECT_BOUND):
     steps = 0
     while i < len(w):
         steps += 1
-        if steps > bound:
-            raise CollectionError("collection exceeded %d steps in %s" % (bound, schema.name))
+        if steps > _COLLECT_BOUND:
+            raise CollectionError("collection exceeded %d steps in %s"
+                                  % (_COLLECT_BOUND, schema.name))
         a = w[i]
         if i + 1 < len(w) and a > w[i + 1]:
             b = w[i + 1]

@@ -3,13 +3,14 @@ type, their exact characters, and the projective restriction to the base
 group with its 2-cocycle.
 
 Spin type (eps, mu) records the scalars w^eps, w^mu by which a representation
-moves the two central multiplier generators.  The nine types split into the
-non-spin type (built on the base group via induced representations), two
-partially-spin families (built on the two intermediate coverings via the
-intertwiner-extension method for a semidirect product with non-abelian
-base), and four purely-spin families (built on the representation group
-itself), then inflated to the representation group along the covering maps.
-Each is a `Representation`: a `mackey.SubRep` of a whole group plus its spin type.
+moves the two central multiplier generators.  The non-spin type is built on
+the base group by induction; the two partially-spin families on the two
+intermediate coverings and the four purely-spin ones on the representation
+group itself are one recipe, `_stairway`: a base character induced one step
+(Mackey), then extended across the last generator by an intertwiner.
+`native_irreps` alone says which group carries a spin type, and
+`irreps_by_spin_type` inflates along the covering maps.  Each is a
+`Representation`: a `mackey.SubRep` of a whole group plus its spin type.
 """
 
 from functools import lru_cache
@@ -264,19 +265,28 @@ def induced_base_rep(group, u0_gens, orbit_label, section_gen, name):
     return induce(orbit.representative.as_subrep(), [0, s, group.mult(s, s)], name=name)
 
 
+def _stairway(spin, group, base_gens, section_gen, ext_gen, anchor=None):
+    """One climb of the stairway for spin type `spin` on the named group:
+    the base character labelled by the spin's nonzero exponents, then 0, is
+    induced along `section_gen` (Mackey) to P, which is extended across
+    `ext_gen` by its intertwiner J (of trace `anchor` when that pins it) and
+    twisted by w^r.  Returns (P, J, [Pi(e,m;0), Pi(e,m;1), Pi(e,m;2)])."""
+    spin = SpinType(*spin)
+    label = tuple(e for e in spin if e) + (0,)
+    P = induced_base_rep(get_group(group), base_gens, label, section_gen, "P%s" % (spin,))
+    jw = solve_intertwiner(P, ext_gen, preferred_trace=anchor)
+    reps = [extend_and_tensor(P, jw, r, ext_gen, "Pi(%d,%d;%d)" % (spin + (r,)))
+            for r in range(3)]
+    return P, jw, reps
+
+
 @lru_cache(maxsize=None)
 def g81_partial_catalog(eps):
     """The three irreducibles of spin type (eps, 0), eps != 0, on the first
     covering group, via intertwiner extension of the induced P(eps, 0)."""
     if eps % 3 == 0:
         raise RepError("partially-spin type needs eps != 0")
-    eps %= 3
-    g81 = get_group("G81")
-    P = induced_base_rep(g81, ["z12", "xi1"], (eps, 0), "xi2", "P(%d,0)" % eps)
-    jw = solve_intertwiner(P, "xi3", preferred_trace=trace_anchor(eps))
-    reps = [extend_and_tensor(P, jw, r, "xi3", "Pi(%d,0;%d)" % (eps, r))
-            for r in range(3)]
-    return P, jw, reps
+    return _stairway((eps % 3, 0), "G81", ["z12", "xi1"], "xi2", "xi3", trace_anchor(eps))
 
 
 @lru_cache(maxsize=None)
@@ -285,13 +295,7 @@ def gbar_partial_catalog(mu):
     other stairway's covering group (z23 adjoined first)."""
     if mu % 3 == 0:
         raise RepError("partially-spin type needs mu != 0")
-    mu %= 3
-    gbar = get_group("GBAR")
-    P = induced_base_rep(gbar, ["z23", "xb2"], (mu, 0), "xb3", "P(0,%d)" % mu)
-    jw = solve_intertwiner(P, "xb1", preferred_trace=trace_anchor(mu))
-    reps = [extend_and_tensor(P, jw, t, "xb1", "Pi(0,%d;%d)" % (mu, t))
-            for t in range(3)]
-    return P, jw, reps
+    return _stairway((0, mu % 3), "GBAR", ["z23", "xb2"], "xb3", "xb1", trace_anchor(mu))
 
 
 @lru_cache(maxsize=None)
@@ -300,15 +304,7 @@ def r243_pure_catalog(eps, mu):
     representation group itself."""
     if eps % 3 == 0 or mu % 3 == 0:
         raise RepError("purely-spin type needs eps, mu != 0")
-    eps %= 3
-    mu %= 3
-    r243 = get_group("R243")
-    P = induced_base_rep(r243, ["z12", "z23", "n1"], (eps, mu, 0), "n2",
-                         "P(%d,%d)" % (eps, mu))
-    jw = solve_intertwiner(P, "n3")
-    reps = [extend_and_tensor(P, jw, s, "n3", "Pi(%d,%d;%d)" % (eps, mu, s))
-            for s in range(3)]
-    return P, jw, reps
+    return _stairway((eps % 3, mu % 3), "R243", ["z12", "z23", "n1"], "n2", "n3")
 
 
 def inflate(rep, big, gen_map):
@@ -323,22 +319,28 @@ def inflate(rep, big, gen_map):
     return Representation(big, images, rep.name)
 
 
+def native_irreps(spin):
+    """The name of the group that carries spin type `spin` natively, and its
+    irreducibles of that type: G27 for non-spin, the covering adjoining the
+    one nonzero multiplier for partially-spin, R243 for purely-spin."""
+    spin = SpinType(spin[0] % 3, spin[1] % 3)
+    if spin.kind == "non-spin":
+        return "G27", g27_nonspin_catalog()
+    if spin.kind == "purely-spin":
+        return "R243", r243_pure_catalog(*spin)[2]
+    if spin.mu == 0:
+        return "G81", g81_partial_catalog(spin.eps)[2]
+    return "GBAR", gbar_partial_catalog(spin.mu)[2]
+
+
 def irreps_by_spin_type(spin):
     """Complete inequivalent list for one spin type, as representations of
     the representation group (quotient constructions inflated)."""
     spin = SpinType(spin[0] % 3, spin[1] % 3)
-    r243 = get_group("R243")
-    if spin.kind == "non-spin":
-        gen_map, _ = covering_data("R243", "G27")
-        reps = [inflate(r, r243, gen_map) for r in g27_nonspin_catalog()]
-    elif spin.eps != 0 and spin.mu == 0:
-        gen_map, _ = covering_data("R243", "G81")
-        reps = [inflate(r, r243, gen_map) for r in g81_partial_catalog(spin.eps)[2]]
-    elif spin.eps == 0:
-        gen_map, _ = covering_data("R243", "GBAR")
-        reps = [inflate(r, r243, gen_map) for r in gbar_partial_catalog(spin.mu)[2]]
-    else:
-        reps = r243_pure_catalog(spin.eps, spin.mu)[2]
+    group, reps = native_irreps(spin)
+    if group != "R243":
+        gen_map, _ = covering_data("R243", group)
+        reps = [inflate(r, get_group("R243"), gen_map) for r in reps]
     for rep in reps:
         if rep.spin_type != spin:
             raise RepError("%s landed in spin type %s, wanted %s"
@@ -353,24 +355,6 @@ def full_catalog():
     for spin in ALL_SPIN_TYPES:
         out.extend(irreps_by_spin_type(spin))
     return tuple(out)
-
-
-class Census(NamedTuple):
-    by_type: dict      # SpinType -> sorted dimension list
-    total: int
-    dim_square_sum: int
-
-    def per_type_square_sums(self):
-        return {st: sum(d * d for d in dims) for st, dims in self.by_type.items()}
-
-
-def catalog_census(catalog):
-    by_type = {}
-    for rep in catalog:
-        by_type.setdefault(rep.spin_type, []).append(rep.dim)
-    for st in by_type:
-        by_type[st].sort()
-    return Census(by_type, len(catalog), sum(r.dim * r.dim for r in catalog))
 
 
 # -- the spin character table -------------------------------------------------

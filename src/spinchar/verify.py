@@ -13,7 +13,7 @@ from .groups import (CheckReport, Subgroup, get_group, covering_data, verify_eff
                      random_triples_associative, isomorphism_fingerprint,
                      quotient_fingerprint)
 from .mackey import dual_group, act_on_dual, orbit_decomposition
-from .spinrep import (SpinType, full_catalog, catalog_census, spin_character_table,
+from .spinrep import (SpinType, full_catalog, spin_character_table,
                       verify_rep, restrict_to_projective, g81_partial_catalog,
                       gbar_partial_catalog, r243_pure_catalog, g27_nonspin_catalog,
                       intertwiner_alpha, irreps_by_spin_type, mu_route_direct,
@@ -113,6 +113,13 @@ def check_orbits():
                        "dual actions and orbit/stabilizer data match on both levels")
 
 
+def _displayed_bases():
+    """(eps, mu, P) for the induced bases the paper displays, P(eps,0) on G81
+    and P(eps,mu) on R243, from the catalogs as they are at each call."""
+    return ([(eps, 0, g81_partial_catalog(eps)[0]) for eps in (1, 2)]
+            + [(eps, mu, r243_pure_catalog(eps, mu)[0]) for eps in (1, 2) for mu in (1, 2)])
+
+
 def check_anchors():
     failures = []
     for rep in g27_nonspin_catalog():
@@ -125,27 +132,15 @@ def check_anchors():
                 failures.append("%s image of x1 is wrong" % rep.name)
             if rep.images["x2"] != CycMatrix.scalar(3, root_of_unity(n)):
                 failures.append("%s image of x2 is wrong" % rep.name)
-    for eps in (1, 2):
-        P, _, _ = g81_partial_catalog(eps)
-        if P.images["z12"] != CycMatrix.scalar(3, root_of_unity(eps)):
-            failures.append("P(%d,0) image of z12 is wrong" % eps)
-        if P.images["xi1"] != CycMatrix.diagonal(
-                [ONE, root_of_unity(-eps), root_of_unity(eps)]):
-            failures.append("P(%d,0) image of xi1 is wrong" % eps)
-        if P.images["xi2"] != J_SHIFT:
-            failures.append("P(%d,0) image of xi2 is wrong" % eps)
-    for eps in (1, 2):
-        for mu in (1, 2):
-            P, _, _ = r243_pure_catalog(eps, mu)
-            if P.images["z23"] != CycMatrix.scalar(3, root_of_unity(mu)):
-                failures.append("P(%d,%d) image of z23 is wrong" % (eps, mu))
-            if P.images["z12"] != CycMatrix.scalar(3, root_of_unity(eps)):
-                failures.append("P(%d,%d) image of z12 is wrong" % (eps, mu))
-            if P.images["n1"] != CycMatrix.diagonal(
-                    [ONE, root_of_unity(-eps), root_of_unity(eps)]):
-                failures.append("P(%d,%d) image of n1 is wrong" % (eps, mu))
-            if P.images["n2"] != J_SHIFT:
-                failures.append("P(%d,%d) image of n2 is wrong" % (eps, mu))
+    for eps, mu, P in _displayed_bases():
+        *_, base, section = P.images  # generator names in normal-form order
+        want = {"z12": CycMatrix.scalar(3, root_of_unity(eps)),
+                "z23": CycMatrix.scalar(3, root_of_unity(mu)),
+                base: CycMatrix.diagonal([ONE, root_of_unity(-eps), root_of_unity(eps)]),
+                section: J_SHIFT}
+        for gen, image in P.images.items():
+            if image != want[gen]:
+                failures.append("%s image of %s is wrong" % (P.name, gen))
     return CheckReport("anchors", failures,
                        "induced matrices match the displayed forms entrywise")
 
@@ -185,29 +180,15 @@ def check_characters():
                     failures.append("Pi(0,%d) at x2^%d is not 3w^%d" % (n, b2, b2 * n))
             elif not tr.is_zero():
                 failures.append("Pi(0,%d) does not vanish off the center" % n)
-    g81 = get_group("G81")
-    z12_span = {g81.power(g81.code("z12"), e) for e in range(3)}
-    for eps in (1, 2):
-        P, _, _ = g81_partial_catalog(eps)
+    for eps, mu, P in _displayed_bases():
+        weights = [{"z12": eps, "z23": mu}[gen] for gen in P.group.schema.multiplier]
         for code, tr in P.character_values().items():
-            if code in z12_span:
-                if tr != 3 * root_of_unity(eps * g81.exps_of(code)[0]):
-                    failures.append("P(%d,0) central value wrong" % eps)
+            exps = P.group.exps_of(code)  # the multiplier generators lead the schema
+            if not any(exps[len(weights):]):
+                if tr != 3 * root_of_unity(sum(w * e for w, e in zip(weights, exps))):
+                    failures.append("%s central value wrong" % P.name)
             elif not tr.is_zero():
-                failures.append("P(%d,0) character not concentrated on the multiplier" % eps)
-    r243 = get_group("R243")
-    mult_span = {r243.code_of((a, b, 0, 0, 0)) for a in range(3) for b in range(3)}
-    for eps in (1, 2):
-        for mu in (1, 2):
-            P, _, _ = r243_pure_catalog(eps, mu)
-            for code, tr in P.character_values().items():
-                a, b = r243.exps_of(code)[:2]
-                if code in mult_span:
-                    if tr != 3 * root_of_unity(eps * a + mu * b):
-                        failures.append("P(%d,%d) central value wrong" % (eps, mu))
-                elif not tr.is_zero():
-                    failures.append("P(%d,%d) character not concentrated on the "
-                                    "multiplier" % (eps, mu))
+                failures.append("%s character not concentrated on the multiplier" % P.name)
     return CheckReport("characters", failures,
                        "character formula and all three support claims hold exactly")
 
@@ -215,21 +196,24 @@ def check_characters():
 def check_census():
     failures = []
     catalog = full_catalog()
-    census = catalog_census(catalog)
-    if census.total != 35:
-        failures.append("catalog has %d irreducibles, expected 35" % census.total)
-    if census.dim_square_sum != 243:
-        failures.append("sum of dim^2 is %d, expected 243" % census.dim_square_sum)
-    for st, dims in census.by_type.items():
+    by_type = {}
+    for rep in catalog:
+        by_type.setdefault(rep.spin_type, []).append(rep.dim)
+    total, square_sum = len(catalog), sum(r.dim * r.dim for r in catalog)
+    if total != 35:
+        failures.append("catalog has %d irreducibles, expected 35" % total)
+    if square_sum != 243:
+        failures.append("sum of dim^2 is %d, expected 243" % square_sum)
+    for st, dims in by_type.items():
         want = [1] * 9 + [3, 3] if st == SpinType(0, 0) else [3, 3, 3]
-        if dims != want:
-            failures.append("spin type %s has dims %s" % (st, dims))
-    for st, sq in census.per_type_square_sums().items():
-        if sq != 27:
-            failures.append("spin type %s has dim^2 sum %d" % (st, sq))
+        if sorted(dims) != want:
+            failures.append("spin type %s has dims %s" % (st, sorted(dims)))
+    for st, dims in by_type.items():
+        if sum(d * d for d in dims) != 27:
+            failures.append("spin type %s has dim^2 sum %d" % (st, sum(d * d for d in dims)))
     nclasses = len(get_group("R243").conjugacy_classes())
-    if nclasses != census.total:
-        failures.append("%d conjugacy classes vs %d irreducibles" % (nclasses, census.total))
+    if nclasses != total:
+        failures.append("%d conjugacy classes vs %d irreducibles" % (nclasses, total))
     return CheckReport("census", failures,
                        "35 irreducibles: 9x1 + 2x3 non-spin, 3x3 per other type; "
                        "dim^2 sums 243 total and 27 per type; 35 classes")
@@ -305,9 +289,8 @@ def check_associativity():
 
 
 def check_representations():
-    bases = ([g81_partial_catalog(eps)[0] for eps in (1, 2)]
-             + [gbar_partial_catalog(mu)[0] for mu in (1, 2)]
-             + [r243_pure_catalog(eps, mu)[0] for eps in (1, 2) for mu in (1, 2)])
+    bases = ([P for _, _, P in _displayed_bases()]
+             + [gbar_partial_catalog(mu)[0] for mu in (1, 2)])
     failures = []
     for rep in list(full_catalog()) + bases:
         report = verify_rep(rep)

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from spinchar import cli, verify
 from spinchar.cli import main
 from spinchar.cyclo9 import parse_scalar, scalar_str
+from spinchar.spinrep import ALL_SPIN_TYPES, irreps_by_spin_type
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +100,24 @@ def _exit_code(argv):
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def test_each_spin_type_lists_on_r243_and_on_its_one_native_group():
+    native = {"non-spin": "G27", "purely-spin": "R243"}
+    for spin in ALL_SPIN_TYPES:
+        home = native.get(spin.kind, "G81" if spin.mu == 0 else "GBAR")
+        want = [rep.name for rep in irreps_by_spin_type(spin)]
+        for group in ("G27", "G81", "GBAR", "R243"):
+            code, out, err = _exit_code(["irreps", "--group", group, "--spin",
+                                         "%d,%d" % spin, "--format", "json"])
+            if group in ("R243", home):
+                assert (code, err) == (0, ""), (group, spin)
+                data = json.loads(out)
+                assert [e["name"] for e in data["irreps"]] == want, (group, spin)
+                assert {e["group"] for e in data["irreps"]} == {group}
+            else:
+                assert (code, out) == (2, ""), (group, spin)
+                assert "group %s does not carry spin type %s" % (group, spin) in err
 
 
 def test_negative_spin_needs_the_equals_form(capsys):

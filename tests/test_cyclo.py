@@ -215,6 +215,30 @@ def test_scalar_arithmetic_builds_no_fraction(monkeypatch):
     assert made == []
 
 
+def test_power_makes_popcount_plus_bit_length_minus_two_products(monkeypatch):
+    x, u = Cyc(Fraction(1, 3), -2), zeta9(2) + Fraction(1, 5)
+    X = CycMatrix([[x, 1, 0], [0, u, OMEGA], [2, 0, Fraction(-1, 2)]])
+    for base, one in [(x, ONE), (u, Cyc9.from_scalar(1)), (X, CycMatrix.identity(3))]:
+        want = one
+        for k in range(21):
+            assert base ** k == want, (base, k)
+            want = want * base
+    calls = []
+    real_mul = CycMatrix.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(CycMatrix, "__mul__", counting_mul)
+    assert X ** 3 == real_mul(real_mul(X, X), X)
+    assert len(calls) == 2
+    for k in (1, 2, 5, 8, 20):
+        calls.clear()
+        X ** k
+        assert len(calls) == bin(k).count("1") + k.bit_length() - 2
+
+
 @given(st.one_of(st.text(), st.text(alphabet="0123456789/+-*^wz ")))
 def test_arbitrary_text_raises_only_cyc_error(text):
     try:

@@ -368,6 +368,24 @@ def test_perturbed_central_entry_fails_characters(monkeypatch):
     assert result.failures == [central, spread, spread] * 2
 
 
+def test_perturbed_second_multiplier_entry_fails_characters(monkeypatch):
+    # through the mu term: P(1,2)(z23) = w^2 I gains z^3 = w at (1, 1), so the
+    # six z12^a z23^b (b != 0) lose 3 w^(a + 2b), and z12^a z23^b n1^c (c != 0)
+    # gain a trace; the cyclic n2 factor keeps a zero diagonal
+    real = verify.r243_pure_catalog
+
+    def planted(eps, mu):
+        P, jw, reps = real(eps, mu)
+        return (_perturbed_image(P, "z23", 1, 1, coeff=3) if (eps, mu) == (1, 2) else P), jw, reps
+
+    monkeypatch.setattr(verify, "r243_pure_catalog", planted)
+    result = verify.check_characters()
+    assert not result.passed
+    central, spread = "P(1,2) central value wrong", \
+        "P(1,2) character not concentrated on the multiplier"
+    assert result.failures == [central, spread, spread] * 6
+
+
 def test_duplicated_irreducible_fails_census(monkeypatch):
     catalog = full_catalog()
     # the last (2,2) irreducible replaced by a copy of the first character

@@ -14,7 +14,7 @@ from spinchar.cyclo9 import Cyc9, lattice_einsum, lattice_equal, lattice_matmul
 from spinchar.linalg import CycMatrix, J_SHIFT, K_SHIFT
 from spinchar.groups import get_group, covering_data
 from spinchar.spinrep import (RepError, Representation, SpinType,
-                              canonical_section, catalog_census, extend_and_tensor, full_catalog,
+                              canonical_section, extend_and_tensor, full_catalog,
                               g27_nonspin_catalog, g81_partial_catalog, inflate,
                               intertwiner_solutions, irreps_by_spin_type,
                               intertwiner_alpha, mu_route_direct, r243_pure_catalog,
@@ -150,12 +150,6 @@ class TestCatalog:
             for rep in reps:
                 assert rep.spin_type == SpinType(*spin)
                 assert rep.group.schema.name == "R243"
-
-    def test_census(self):
-        census = catalog_census(full_catalog())
-        assert census.total == 35
-        assert census.dim_square_sum == 243
-        assert all(v == 27 for v in census.per_type_square_sums().values())
 
     def test_extension_requires_coverage(self):
         P, jw, _ = g81_partial_catalog(1)
