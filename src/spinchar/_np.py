@@ -4,12 +4,19 @@ Modules that need arrays only inside some functions import this module as
 `np` (`from . import _np as np`), so importing them, and every command that
 never touches an array, costs no numpy import.  Each attribute is looked up
 once, then served from this module's namespace.
+
+spinchar's array work is integer only and never calls BLAS, so unless the
+user has set OPENBLAS_NUM_THREADS, numpy is imported with it at 1: its
+OpenBLAS then starts no pool of idle worker threads.
 """
+
+import os
 
 
 def __getattr__(name):
     if name.startswith("__"):
         raise AttributeError(name)
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     import numpy
     value = globals()[name] = getattr(numpy, name)
     return value

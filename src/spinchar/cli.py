@@ -113,11 +113,11 @@ def _native_irreps(group_name, spin):
         raise UsageError("--spin all is only available for R243")
     if group_name == "R243":
         return list(full_catalog()) if spin is None else irreps_by_spin_type(spin)
-    native, reps = native_irreps(spin)
+    native, build = native_irreps(spin)
     if native != group_name:
         raise UsageError("group %s does not carry spin type %s natively"
                          % (group_name, spin))
-    return reps
+    return build()
 
 
 def cmd_irreps(args):

@@ -38,11 +38,12 @@ hold it to.  A given table (a quotient, or a planted defect) is compacted
 the same way and refused unless it is n x n over range(n).  Every
 structural algorithm -- inverses, center, derived subgroup, closures (the
 enumeration of elements is the closure of the generators), classes,
-quotients, homomorphism tests -- reads those rows, so building and
-reporting a group needs no numpy.  `Group.table` is the same table as a
-uint8 or uint16 array over the row bytes, made on first use for the batched
-checks (associativity of every triple by Light's test, in 10^6 random triples
-drawn in blocks of 2^13, and the representation code's lattice products).
+quotients, homomorphism tests, Light's test of every triple's associativity
+-- reads those rows, so building and reporting a group needs no numpy.
+`Group.table` is the same table as a uint8 or uint16 array over the row
+bytes, made on first use for the batched work (the associativity spot
+check of 10^6 random triples drawn in blocks of 2^13, and the
+representation code's lattice products).
 """
 
 from array import array
@@ -575,19 +576,34 @@ def exhaustive_associativity(table):
     """(x s) y == x (s y) over all triples, by Light's test; a violating (x, s, y)
     or None.  The middles s that pass are closed under the product, so n^2
     products for each s of a generating set decide all n^3 triples.  The set is
-    greedy and read from the table alone, so quotients need no schema."""
-    gens, seen = [], np.zeros(table.shape[0], dtype=bool)
-    while not seen.all():
-        gens.append(int(np.argmin(seen)))  # the least code outside the closure
-        seen[gens[-1]], size = True, 0
-        while size < seen.sum():  # close under right multiplication by gens
-            size = seen.sum()
-            seen[table[seen][:, gens]] = True
+    greedy and read from the table alone, so quotients need no schema.
+
+    `table` is `Group.rows`, read as it is, or any other n x n table, which is
+    compacted to rows first.  For each s, row x s is held against row s
+    composed with row x: a byte translation, or an element map above order
+    256.  The witness is the least x, then the least y, for the first failing s."""
+    n = len(table)
+    small = n <= 256
+    rows = (table if all(type(row) is (bytes if small else array) for row in table)
+            else _compact_rows(table, n, "given"))
+    gens, seen = [], bytearray(n)
+    while 0 in seen:
+        gens.append(seen.index(0))  # the least code outside the closure
+        seen[gens[-1]] = 1
+        todo = [x for x in range(n) if seen[x]]
+        while todo:  # close under right multiplication by gens
+            for y in map(rows[todo.pop()].__getitem__, gens):
+                if not seen[y]:
+                    seen[y] = 1
+                    todo.append(y)
+    pad = bytes(256 - n) if small else b""
     for s in gens:
-        lhs, rhs = table[table[:, s]], table[:, table[s]]
-        if not np.array_equal(lhs, rhs):
-            x, y = np.argwhere(lhs != rhs)[0]
-            return (int(x), s, int(y))
+        for x, row in enumerate(rows):
+            rhs = (rows[s].translate(row + pad) if small  # x (s y) for every y
+                   else array("H", map(row.__getitem__, rows[s])))
+            if rows[row[s]] != rhs:
+                y = next(y for y, (a, b) in enumerate(zip(rows[row[s]], rhs)) if a != b)
+                return (x, s, y)
     return None
 
 
@@ -598,17 +614,19 @@ def random_triples_associative(table, count, seed=0):
     Codes come from `random.Random(seed)`, one `randbytes` call per block of
     at most _TRIPLE_BLOCK triples: 1-byte words when n <= 256, else 2-byte,
     masked to n's bit length, and words >= n are rejected, so every code is
-    exactly uniform.  The products are gathered from the flat table."""
+    exactly uniform.  The products are gathered from the flat table at flat
+    indices computed in 2-byte words when n^2 <= 2^16, else in 4-byte ones."""
     n = table.shape[0]
     flat, rng = table.ravel(), random.Random(seed)
     word = np.dtype("<u1" if n <= 256 else "<u2")
+    index = np.uint16 if n * n <= 1 << 16 else np.uint32
     mask = (1 << (n - 1).bit_length()) - 1
     while count > 0:
         m = min(_TRIPLE_BLOCK, count)
         codes = np.frombuffer(rng.randbytes(3 * m * word.itemsize), dtype=word) & mask
-        codes = codes[codes < n].astype(np.intp)
+        codes = codes[codes < n].astype(index)
         g, h, k = codes[:len(codes) // 3 * 3].reshape(3, -1)
-        gh = flat[g * n + h].astype(np.intp)  # a table word times n would wrap
+        gh = flat[g * n + h].astype(index)  # a table word times n would wrap
         bad = np.flatnonzero(flat[gh * n + k] != flat[g * n + flat[h * n + k]])
         if bad.size:
             return (int(g[bad[0]]), int(h[bad[0]]), int(k[bad[0]]))

@@ -320,24 +320,27 @@ def inflate(rep, big, gen_map):
 
 
 def native_irreps(spin):
-    """The name of the group that carries spin type `spin` natively, and its
-    irreducibles of that type: G27 for non-spin, the covering adjoining the
-    one nonzero multiplier for partially-spin, R243 for purely-spin."""
+    """The name of the group that carries spin type `spin` natively, and a
+    function that builds its irreducibles of that type: G27 for non-spin,
+    the covering adjoining the one nonzero multiplier for partially-spin,
+    R243 for purely-spin.  The name comes before any building, so a caller
+    can refuse a group at no cost."""
     spin = SpinType(spin[0] % 3, spin[1] % 3)
     if spin.kind == "non-spin":
-        return "G27", g27_nonspin_catalog()
+        return "G27", g27_nonspin_catalog
     if spin.kind == "purely-spin":
-        return "R243", r243_pure_catalog(*spin)[2]
+        return "R243", lambda: r243_pure_catalog(*spin)[2]
     if spin.mu == 0:
-        return "G81", g81_partial_catalog(spin.eps)[2]
-    return "GBAR", gbar_partial_catalog(spin.mu)[2]
+        return "G81", lambda: g81_partial_catalog(spin.eps)[2]
+    return "GBAR", lambda: gbar_partial_catalog(spin.mu)[2]
 
 
 def irreps_by_spin_type(spin):
     """Complete inequivalent list for one spin type, as representations of
     the representation group (quotient constructions inflated)."""
     spin = SpinType(spin[0] % 3, spin[1] % 3)
-    group, reps = native_irreps(spin)
+    group, build = native_irreps(spin)
+    reps = build()
     if group != "R243":
         gen_map, _ = covering_data("R243", group)
         reps = [inflate(r, get_group("R243"), gen_map) for r in reps]

@@ -277,7 +277,7 @@ def check_associativity():
         problems = check_schema(group)
         if problems:
             failures.append("%s%s: %s" % (name, params or "", " | ".join(problems)))
-        bad = exhaustive_associativity(group.table)
+        bad = exhaustive_associativity(group.rows)
         if bad is not None:
             failures.append("%s%s associativity fails at %s" % (name, params or "", bad))
     bad = random_triples_associative(get_group("GSHARP").table, 10 ** 6, seed=2024)

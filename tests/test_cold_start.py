@@ -7,8 +7,12 @@ Cayley table's Python rows and never load those modules either, nor do
 the table-only `verify` checks (orders, structure, automorphism, orbits).
 The catalog commands never pull in `numpy.ma`, `fractions` or `decimal`,
 `verify` never loads `numpy.random` or `hashlib`, and one `verify` builds
-each catalog table once.  These are properties of a whole process, so each test runs its
-code in a child interpreter.
+each catalog table once.  Light's test reads the rows too: only the random
+associativity pass makes a numpy table, GSHARP's.  numpy starts no idle
+OpenBLAS threads unless the user asks for them, and `irreps` refuses a
+group that does not carry the spin type before it builds anything.  These
+are properties of a whole process, so each test runs its code in a child
+interpreter.
 """
 
 import os
@@ -16,7 +20,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+
+# the 14 catalog groups as get_group arguments
+CATALOG = ([(name, None) for name in ("G27", "G81", "GBAR", "R243", "GSHARP")]
+           + [("G81_param", (a, b)) for a in range(3) for b in range(3)])
 
 # the 14 `group` reports of the benchmark's structure workload
 GROUP_ARGS = ([[name] for name in ("G27", "G81", "GBAR", "R243", "GSHARP")]
@@ -36,8 +46,14 @@ HEAVY = ("numpy", "dataclasses", "inspect", "fractions", "decimal")
 TRACED = ("cli", "groups", "cyclo", "cyclo9", "linalg", "mackey", "spinrep", "verify")
 
 
-def _run(code):
+def _run(code, **variables):
+    """stdout of `code` in a child interpreter; `variables` set (a str) or
+    unset (None) environment variables on top of this process's."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    for name, value in variables.items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           stdin=subprocess.DEVNULL, capture_output=True, text=True,
                           timeout=300)
@@ -115,3 +131,55 @@ assert all(r.passed for r in verify.run_checks())
 print(len(built), max(built.values()))
 """)
     assert out == "14 1\n"
+
+
+def test_lights_test_on_the_rows_imports_no_numpy():
+    out = _run("""
+import sys
+from spinchar.groups import exhaustive_associativity, get_group
+print([exhaustive_associativity(get_group(*args).rows) for args in %r])
+print("numpy" in sys.modules)
+""" % (CATALOG,))
+    assert out == "%s\nFalse\n" % ([None] * 14)
+
+
+def test_associativity_check_makes_only_the_gsharp_array():
+    out = _run("""
+from spinchar import groups, verify
+assert verify.check_associativity().passed
+print(sorted(key for key, group in groups._GROUPS.items() if group._table is not None))
+""")
+    assert out == "[('GSHARP', None)]\n"
+
+
+def test_mismatched_irreps_group_is_refused_before_any_build():
+    out = _run("""
+import contextlib, io
+from spinchar import spinrep
+from spinchar.cli import main
+refused = 0
+for group in ("G27", "G81", "GBAR"):
+    for spin in spinrep.ALL_SPIN_TYPES:
+        if spinrep.native_irreps(spin)[0] != group:
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(["irreps", "--group", group, "--spin", "%d,%d" % spin])
+            assert code == 2 and "does not carry spin type" in err.getvalue()
+            refused += 1
+print(refused, [name for name in dir(spinrep) if name.endswith("_catalog")
+                and getattr(spinrep, name).cache_info().currsize])
+""")
+    assert out == "22 []\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc/self/task to count threads")
+def test_numpy_starts_no_openblas_threads_unless_asked():
+    code = """
+import contextlib, io, os, sys
+from spinchar.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["cocycle", "--spin", "0,0", "--irrep", "Pi(0,1)", "--format", "json"]) == 0
+print("numpy" in sys.modules, len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"])
+"""
+    assert _run(code, OPENBLAS_NUM_THREADS=None) == "True 1 1\n"
+    assert _run(code, OPENBLAS_NUM_THREADS="2").split()[::2] == ["True", "2"]

@@ -615,7 +615,7 @@ def test_light_test_agrees_with_the_cubic_reference_on_order_3_magmas():
 
 
 def test_associativity_passes_stay_small_in_memory():
-    gsharp, r243 = get_group("GSHARP").table, get_group("R243").table
+    gsharp, r243 = get_group("GSHARP").table, get_group("R243").rows
     random_triples_associative(gsharp, 10, seed=1)  # warm numpy outside the trace
     tracemalloc.start()
     try:
@@ -626,8 +626,10 @@ def test_associativity_passes_stay_small_in_memory():
         light_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert random_peak < 0.75 * 2 ** 20  # 0.47 MB; 0.93 MB in blocks of 2^14, 3.0 MB in 2^16
-    assert light_peak < 4 * 2 ** 20  # the n^3 comparison in blocks of 32 took 11.6 MB
+    # 0.17 MB in 2-byte index words; 0.47 MB in intp, 0.93 MB in blocks of 2^14
+    assert random_peak < 0.25 * 2 ** 20
+    # 1.5 kB on the byte rows; 0.23 MB on the uint8 array, 11.6 MB for the n^3 comparison
+    assert light_peak < 2 ** 16
 
 
 def _violates(table, witness):
