@@ -16,17 +16,16 @@ Q(w) embeds via w = zeta9^3; values lying in the subfield print in the Q(w)
 grammar, a sublanguage of this one, and `parse_scalar` (ASCII digits only)
 is the one reader of both.
 
-Bulk arithmetic uses the exact lattice kernel at the end of the module: an
-array of scalars becomes an int64 array of coefficient vectors over one
-common denominator (`to_lattice`).  A matrix product is one integer matmul
-by `right_matrix`, the regular representation of Z[zeta9] applied entrywise
-(`lattice_matmul`, or `lattice_rmatmul` to reuse one).  Linear maps such as
-conjugation go through `lattice_einsum` with the tables PRODUCT, CONJ and
-MUL_W (built on first use, like the numpy import itself), values over
-different denominators are compared with `lattice_equal`, and single values
-come back through `from_lattice`.  Both conversions read and write the int
-state directly.  The tables are derived from `_reduce`, so the reduction
-rule is written down once.
+Representations compute on the exact matrix kernel at the end of the
+module, on Python ints: a matrix is a state, rows of entries that are None
+(zero) or six numerators over one denominator in lowest terms, so equal
+matrices have equal states (`matrix_state`; `state_mul` skips zeros).
+Only `verify`'s table-wide checks use numpy: scalars become an int64 array
+of coefficient vectors over one denominator (`to_lattice`), a product is
+one integer matmul by `right_matrix`, the regular representation of
+Z[zeta9] (`lattice_matmul`), and each int64 operation that could wrap is
+refused with CycError.  Products reduce through `_reduce` and the tables
+PRODUCT and CONJ derive from it, so the rule is written down once.
 """
 
 import functools
@@ -40,15 +39,14 @@ from .cyclo import Cyc, CycError, _cyc, _ratio, cyc_cbrt, cyc_str, power, root_o
 
 
 def _reduce(coeffs):
-    """Reduce a coefficient list modulo x^6 + x^3 + 1 to degree < 6."""
-    c = list(coeffs) + [0] * (11 - len(coeffs))
-    for k in range(10, 5, -1):
-        v = c[k]
-        if v:
-            c[k] = 0
-            c[k - 3] -= v
-            c[k - 6] -= v
-    return tuple(c[:6])
+    """Reduce the 11 coefficients of a degree < 11 polynomial modulo
+    x^6 + x^3 + 1 to degree < 6: z^k = -z^(k-3) - z^(k-6), k = 10 down to 6."""
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = coeffs
+    c4, c7 = c4 - c10, c7 - c10
+    c3, c6 = c3 - c9, c6 - c9
+    c2, c5 = c2 - c8, c5 - c8
+    c1, c4 = c1 - c7, c4 - c7
+    return c0 - c6, c1, c2, c3 - c6, c4, c5
 
 
 def _poly_mul(a, b):
@@ -70,7 +68,10 @@ class Cyc9:
     def __new__(cls, coeffs=()):
         ratios = [_ratio(x) for x in coeffs]
         d = math.lcm(*(e for _, e in ratios))
-        return _cyc9(_reduce([p * (d // e) for p, e in ratios]), d)
+        folded = [0] * 11  # z^9 = 1
+        for k, (p, e) in enumerate(ratios):
+            folded[k % 9] += p * (d // e)
+        return _cyc9(_reduce(folded), d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyc9 is immutable")
@@ -199,7 +200,7 @@ def _state9(x):
 
 def _basis_row(k):
     """z^k (0 <= k <= 10) reduced to the power basis, as six integers."""
-    return _reduce([0] * k + [1])
+    return _reduce([0] * k + [1] + [0] * (10 - k))
 
 
 def _apply(n, table):
@@ -293,27 +294,101 @@ def _rational(numeral, text):
         raise CycError("bad number %r in %r" % (numeral, text))
 
 
-# -- exact lattice kernel -----------------------------------------------------
+# -- exact matrix kernel on Python ints ----------------------------------------
+
+def from_lattice(coeffs, den=1):
+    """The scalar with coefficient vector coeffs / den (den > 0); a Cyc
+    when it lies in Q(w), otherwise a Cyc9."""
+    n = tuple(map(int, coeffs))
+    if n[1] or n[2] or n[4] or n[5]:
+        return _cyc9(n, int(den))
+    return _cyc(n[0], n[3], int(den))
+
+
+def matrix_state(rows):
+    """The state (rows, den) of a matrix of scalars (Cyc, Cyc9, int,
+    Fraction): each entry is None for zero, else its six numerators over the
+    one denominator den > 0, the least common one of the entries.  No prime
+    divides den and every numerator, so equal matrices have equal states."""
+    states = [[_state9(x) for x in row] for row in rows]
+    den = math.lcm(*(d for row in states for _, d in row))
+    return tuple(tuple(None if not any(n) else n if d == den else tuple(a * (den // d) for a in n)
+                       for n, d in row) for row in states), den
+
+
+def state_mul(a, b):
+    """The state of the product of two states' matrices.  Only nonzero
+    entries and coefficients are multiplied, and each entry of the product
+    is reduced modulo x^6 + x^3 + 1 once."""
+    (a_rows, a_den), (b_rows, b_den) = a, b
+    b_terms = [[(j, [(q, y) for q, y in enumerate(n) if y]) for j, n in enumerate(row)
+                if n is not None] for row in b_rows]
+    out = []
+    for row in a_rows:
+        acc = [None] * len(b_rows)
+        for x, terms in zip(row, b_terms):
+            if x is not None:
+                for j, ys in terms:
+                    c = acc[j]
+                    if c is None:
+                        c = acc[j] = [0] * 11
+                    for p, xp in enumerate(x):
+                        if xp:
+                            for q, y in ys:
+                                c[p + q] += xp * y
+        for j, c in enumerate(acc):
+            if c is not None:
+                c = acc[j] = _reduce(c)
+                if not any(c):
+                    acc[j] = None
+        out.append(tuple(acc))
+    g = den = a_den * b_den
+    for row in out:
+        for n in row:
+            if n is not None and g != 1:
+                g = math.gcd(g, *n)
+    if g != 1:
+        out = [tuple(n and tuple(map(g.__rfloordiv__, n)) for n in row) for row in out]
+    return tuple(out), den // g
+
+
+def state_trace(state):
+    """The trace of a state's matrix, as a scalar."""
+    rows, den = state
+    diagonal = [row[i] for i, row in enumerate(rows) if row[i] is not None]
+    return from_lattice([sum(col) for col in zip(*diagonal)] if diagonal else (0,) * 6, den)
+
+
+def state_times_w(state):
+    """The state of w times a state's matrix.  w z^k = z^(k+3), and z^6, z^7,
+    z^8 reduce to -z^3 - 1, -z^4 - z, -z^5 - z^2; w is a unit of Z[zeta9],
+    so the state stays in lowest terms."""
+    rows, den = state
+    return tuple(tuple(n and (-n[3], -n[4], -n[5], n[0] - n[3], n[1] - n[4], n[2] - n[5])
+                       for n in row) for row in rows), den
+
+
+# -- int64 lattice arrays, for the table-wide checks of `verify` ---------------
 
 _INT64_MAX = 2 ** 63 - 1
 
 
 @functools.cache
 def _tables():
-    # Coefficient rows: PRODUCT[i, j] = z^i z^j, CONJ[i] = conj(z^i) and
-    # MUL_W[i] = w z^i, so a coefficient vector x maps to x @ CONJ and x @ MUL_W.
+    # Coefficient rows: PRODUCT[i, j] = z^i z^j and CONJ[i] = conj(z^i), so a
+    # coefficient vector x maps to x @ CONJ.
     product = np.array([[_basis_row(i + j) for j in range(6)] for i in range(6)],
                        dtype=np.int64)
     conj = np.array(_CONJ_BASIS, dtype=np.int64)
     product.flags.writeable = False
     conj.flags.writeable = False
-    return {"PRODUCT": product, "CONJ": conj, "MUL_W": product[3]}
+    return {"PRODUCT": product, "CONJ": conj}
 
 
 def __getattr__(name):
-    """PRODUCT, CONJ and MUL_W are built on first use, so importing this
-    module imports no numpy."""
-    if name in ("PRODUCT", "CONJ", "MUL_W"):
+    """PRODUCT and CONJ are built on first use, so importing this module
+    imports no numpy."""
+    if name in ("PRODUCT", "CONJ"):
         return _tables()[name]
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
@@ -328,30 +403,11 @@ def to_lattice(values):
     a coefficient does not fit in int64.
     """
     arr = np.array(values, dtype=object)
-    states = [_state9(x) for x in arr.flat]
-    den = math.lcm(*(d for _, d in states))
-    ints = []
-    for n, d in states:
-        ints.extend(n if d == den else [a * (den // d) for a in n])
+    (row,), den = matrix_state([arr.flat])
+    ints = [a for n in row for a in n or (0,) * 6]
     if ints and max(map(abs, ints)) > _INT64_MAX:
         raise CycError("lattice coefficient exceeds the int64 range")
     return np.array(ints, dtype=np.int64).reshape(arr.shape + (6,)), den
-
-
-def from_lattice(coeffs, den=1):
-    """The scalar with coefficient vector coeffs / den (den > 0); a Cyc
-    when it lies in Q(w), otherwise a Cyc9."""
-    n = tuple(map(int, coeffs))
-    if n[1] or n[2] or n[4] or n[5]:
-        return _cyc9(n, int(den))
-    return _cyc(n[0], n[3], int(den))
-
-
-def lattice_identity(n):
-    """The n x n identity matrix as a lattice array of shape (n, n, 6)."""
-    out = np.zeros((n, n, 6), dtype=np.int64)
-    out[np.arange(n), np.arange(n), 0] = 1
-    return out
 
 
 def _magnitude(op):
@@ -403,28 +459,20 @@ def lattice_matmul(a, a_den, b, b_den):
     """Exact batched matrix product of a / a_den and b / b_den.
 
     `a` has shape (..., m, k, 6) and `b` shape (..., k, n, 6); the batch
-    axes broadcast as in np.matmul.  Returns (c, den) with c of shape
-    (..., m, n, 6) and den = a_den * b_den divided by its gcd with every
-    coefficient, so denominators never grow past what the values need.
-    This is `lattice_rmatmul` with R = right_matrix(b).
-    """
-    return lattice_rmatmul(a, a_den, right_matrix(b), b_den)
-
-
-def lattice_rmatmul(a, a_den, R, b_den):
-    """`lattice_matmul` of a / a_den and b / b_den, given R = right_matrix(b).
-
-    One integer matmul of a's coefficient rows by R, then the gcd reduction
-    of `lattice_matmul`, skipped when den is 1.  The int64 bound is
+    axes broadcast as in np.matmul.  One integer matmul of a's coefficient
+    rows by R = right_matrix(b) gives c of shape (..., m, n, 6), returned
+    with den = a_den * b_den divided by its gcd with every coefficient, so
+    denominators never grow past what the values need.  The int64 bound is
     max|a| * max|R| * 6k, which bounds every partial sum; a product that
     could exceed it raises CycError instead of wrapping.
     """
     m, k = a.shape[-3:-1]
-    if R.shape[-2] != 6 * k:
-        raise CycError("lattice product of %d-column and %d-row matrices" % (k, R.shape[-2] // 6))
+    if b.shape[-3] != k:
+        raise CycError("lattice product of %d-column and %d-row matrices" % (k, b.shape[-3]))
+    R = right_matrix(b)
     _check_bound(_magnitude(a) * _magnitude(R) * 6 * k)
     c = a.reshape(a.shape[:-3] + (m, 6 * k)) @ R
-    c = c.reshape(c.shape[:-1] + (R.shape[-1] // 6, 6))
+    c = c.reshape(c.shape[:-1] + (b.shape[-2], 6))
     den = a_den * b_den
     g = 1 if den == 1 else math.gcd(den, int(np.gcd.reduce(c, axis=None)))
     if g > 1:
@@ -433,26 +481,13 @@ def lattice_rmatmul(a, a_den, R, b_den):
     return c, den
 
 
-def lattice_common(*pairs):
-    """(L, den) pairs rescaled onto their least common denominator.
-
-    Returns ([L1, L2, ...], den).  Raises CycError when a rescaled
-    coefficient could leave int64.
-    """
-    den = math.lcm(*(d for _, d in pairs))
-    out = []
-    for L, d in pairs:
-        k = den // d
-        _check_bound(_magnitude(L) * k)
-        out.append(L * k if k != 1 else L)
-    return out, den
-
-
 def lattice_equal(a, a_den, b, b_den):
-    """Coefficient-wise equality of a / a_den and b / b_den, broadcast.
-
-    Reduce the result over the value axes (the last three for matrices) to
-    compare whole values.
+    """Coefficient-wise equality of a / a_den and b / b_den, broadcast, on
+    their least common denominator; CycError when rescaling could leave
+    int64.  Reduce the result over the value axes (the last three for
+    matrices) to compare whole values.
     """
-    (a, b), _ = lattice_common((a, a_den), (b, b_den))
-    return a == b
+    den = math.lcm(a_den, b_den)
+    ka, kb = den // a_den, den // b_den
+    _check_bound(max(_magnitude(a) * ka, _magnitude(b) * kb))
+    return (a * ka if ka != 1 else a) == (b * kb if kb != 1 else b)

@@ -2,7 +2,8 @@
 
 Everything is exact: each entry is a `cyclo.Cyc` or a `cyclo9.Cyc9`, and a
 matrix may hold both (the scalar types mix through their own operators, and
-equal values compare and hash equal).  One elimination, `_echelon` (an
+equal values compare and hash equal); a product runs on the matrix kernel
+of `cyclo9`, over Python ints.  One elimination, `_echelon` (an
 incremental Gauss-Jordan with first-nonzero pivoting: there is no rounding,
 so no pivot-magnitude heuristics), gives the determinant, the inverse and
 the nullspace.  A singular inverse or a dimension mismatch raises.
@@ -11,7 +12,7 @@ the nullspace.  A singular inverse or a dimension mismatch raises.
 import math
 
 from .cyclo import Cyc, ONE, ZERO, as_cyc, power
-from .cyclo9 import Cyc9, from_lattice, scalar_str
+from .cyclo9 import Cyc9, from_lattice, matrix_state, scalar_str, state_mul
 
 
 class MatrixError(ArithmeticError):
@@ -54,10 +55,10 @@ class CycMatrix:
         return CycMatrix.diagonal([value] * n)
 
     @staticmethod
-    def from_lattice(L, den=1):
-        """The matrix with entries L[i, j] / den, L an (n, n, 6) lattice
-        array of `cyclo9`."""
-        return CycMatrix([[from_lattice(v, den) for v in row] for row in L.tolist()])
+    def from_state(state):
+        """The matrix of a `cyclo9` kernel state."""
+        return CycMatrix([[ZERO if n is None else from_lattice(n, state[1]) for n in row]
+                          for row in state[0]])
 
     def _check_dim(self, other):
         if not isinstance(other, CycMatrix) or other.n != self.n:
@@ -88,9 +89,8 @@ class CycMatrix:
     def __mul__(self, other):
         if isinstance(other, CycMatrix):
             self._check_dim(other)
-            cols = list(zip(*other.rows))
-            return CycMatrix([[_dot(row, col) for col in cols]
-                              for row in self.rows])
+            return CycMatrix.from_state(state_mul(matrix_state(self.rows),
+                                                  matrix_state(other.rows)))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -154,14 +154,6 @@ class CycMatrix:
 
     def __repr__(self):
         return "CycMatrix(%r)" % (self.str_rows(),)
-
-
-def _dot(u, v):
-    t = None
-    for x, y in zip(u, v):
-        if not (x.is_zero() or y.is_zero()):
-            t = x * y if t is None else t + x * y
-    return ZERO if t is None else t
 
 
 # The cyclic shift and its square; J sends basis vector e_i to e_{i-1}.

@@ -7,18 +7,17 @@ generators; orbit/stabilizer decomposition on those labels; and explicit
 matrix induction over a coset section on the delta-function basis
 (contragredient convention, so inducing the trivial-orbit characters of the
 base group reproduces the cyclic shift J exactly).  A representation holds
-only its generator images; values and the homomorphism check run on the
-exact int64 lattice of `cyclo9`.
+only its generator images; values, characters and the homomorphism check
+run on the exact matrix kernel of `cyclo9`, on Python ints, and read the
+Cayley table's rows, so no catalog command imports numpy.
 """
 
 from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
-from . import _np as np
-from .cyclo import root_of_unity
-from .cyclo9 import (_state9, from_lattice, lattice_common, lattice_einsum, lattice_equal,
-                     lattice_identity, lattice_matmul, lattice_rmatmul, right_matrix, to_lattice)
+from .cyclo import ZERO, root_of_unity
+from .cyclo9 import matrix_state, state_mul, state_trace
 from .linalg import CycMatrix
 from .groups import Subgroup
 
@@ -139,11 +138,8 @@ class SubRep:
     image of any element is the product of generator powers read off its
     exponent vector.  The images are given in generator order, CycMatrix
     values of one size, and kept by generator name in `images`.  `images_at`
-    multiplies cached generator powers on the exact int64 lattice of
-    `cyclo9`, many elements per call, and skips a generator whose exponent
-    is 0 at every requested element.  The powers are built on first use,
-    so a representation whose entries do not fit the lattice can still be
-    built and printed; evaluating it raises CycError.  No table is kept.
+    multiplies cached generator powers as `cyclo9` kernel states, skipping
+    every generator whose exponent is 0.  No table is kept.
     """
 
     def __init__(self, subgroup, images, name=None):
@@ -160,51 +156,47 @@ class SubRep:
                        for g, M in zip(gens, images)}
         self.dim = images[0].n
         self.name = name
-        self._weights = np.array(gens, dtype=np.int64)
         self._powers = None
         self._verdict = None  # (first broken rule,) once verify has run
 
     def powers(self):
-        """(P, den): P[k, e] / den is the lattice image of the k-th domain
-        generator to the power e, for e = 0, 1, 2; shape (ngens, 3, d, d, 6)."""
+        """P[k][e]: the state of the k-th domain generator's image to the
+        power e, for e = 0, 1, 2, built on first use."""
         if self._powers is None:
-            L, den = to_lattice([M.rows for M in self.images.values()])
-            sq, sq_den = lattice_matmul(L, den, L, den)
-            eye = np.broadcast_to(lattice_identity(self.dim), L.shape)
-            (eye, L, sq), den = lattice_common((eye, 1), (L, den), (sq, sq_den))
-            self._powers = (np.stack([eye, L, sq], axis=1), den)
+            eye = matrix_state(CycMatrix.identity(self.dim).rows)
+            states = [matrix_state(M.rows) for M in self.images.values()]
+            self._powers = [(eye, m, state_mul(m, m)) for m in states]
         return self._powers
 
     def images_at(self, codes):
-        """The images at many element codes as one lattice (L, den), L of
-        shape (len(codes), d, d, 6): the product of the generator powers in
-        each code's normal form.  A generator whose exponent is 0 at every
-        code is skipped; each other one after the first is one product,
-        gathered from the right-multiplication matrices of its three
-        powers.  den need not be the least denominator of the values."""
-        codes = np.array(codes, dtype=np.int64).reshape(-1)
-        exps = codes[:, None] // self._weights % 3
-        outside = np.flatnonzero(exps @ self._weights != codes)
-        if len(outside):
-            raise MackeyError("element %d lies outside the domain of %s"
-                              % (codes[outside[0]], self.name))
-        P, den = self.powers()
-        used = np.flatnonzero(exps.any(axis=0)).tolist() or [0]
-        out, out_den = P[used[0], exps[:, used[0]]], den
-        for k in used[1:]:
-            out, out_den = lattice_rmatmul(out, out_den, right_matrix(P[k])[exps[:, k]], den)
-        return out, out_den
+        """The images at element codes as kernel states: the products of the
+        generator powers in each code's normal form, in generator order.  A
+        generator at exponent 0 is skipped, and each normal-form prefix is
+        multiplied once per call: one product beyond its prefix's."""
+        gens, P = self.subgroup.gen_codes, self.powers()
+        known = {0: P[0][0]}  # prefix code -> its image
+        out = []
+        for code in codes:
+            prefix = 0
+            for g, powers in zip(gens, P):
+                e = code // g % 3
+                if e:
+                    step = prefix + e * g
+                    if step not in known:
+                        known[step] = state_mul(known[prefix], powers[e]) if prefix else powers[e]
+                    prefix = step
+            if prefix != code:
+                raise MackeyError("element %d lies outside the domain of %s" % (code, self.name))
+            out.append(known[code])
+        return out
 
     def eval(self, code):
-        L, den = self.images_at([code])
-        return CycMatrix.from_lattice(L[0], den)
+        return CycMatrix.from_state(self.images_at([code])[0])
 
     def character_values(self, codes=None):
         """The traces at `codes` (default: the whole domain), by code."""
         codes = sorted(self.subgroup.codes) if codes is None else list(codes)
-        L, den = self.images_at(codes)
-        traces = lattice_einsum("cjjp->cp", L)
-        return {code: from_lattice(t, den) for code, t in zip(codes, traces)}
+        return {code: state_trace(image) for code, image in zip(codes, self.images_at(codes))}
 
     def verify(self):
         """The exact homomorphism check: the first broken rule of the
@@ -214,41 +206,23 @@ class SubRep:
         gj gi gj^-1 (i before j) among the domain's generators, with right
         sides evaluated at the product codes from the Cayley table.  The
         domain is exactly the normal forms on these generators, so the
-        rules hold iff evaluation is a homomorphism.  Each family runs as
-        one lattice batch (the inverse of each image after the first comes
-        from a memo on its value); only a failing rule is converted back to
-        matrices for its witness.  Raises CycError when entries leave the lattice.
+        rules hold iff evaluation is a homomorphism.  Both sides are kernel
+        states (the inverse of each image after the first comes from a memo
+        on its value); only a failing rule's sides are turned back into matrices.
         """
         if self._verdict is None:
             self._verdict = (self._first_broken_rule(),)
         return self._verdict[0]
 
     def _first_broken_rule(self):
-        group = self.group
-        table = group.table
-        names = list(self.images)
-        gens = np.array(self.subgroup.gen_codes)
-        P, den = self.powers()
-        cubes = lattice_matmul(P[:, 2], den, P[:, 1], den)
-        bad = _first_mismatch(cubes, self.images_at(table[table[gens, gens], gens]))
-        if bad is not None:
-            k, lhs, rhs = bad
-            return "cube rule for %s" % names[k], lhs, rhs
-        rules = [(j, i) for j in range(len(gens)) for i in range(j)]
-        if not rules:
-            return None
-        inverses, inv_den = to_lattice([_inverse(M).rows
-                                        for M in list(self.images.values())[1:]])
-        js, iss = np.array(rules).T
-        conj, conj_den = lattice_matmul(P[js, 1], den, P[iss, 1], den)
-        conj = lattice_matmul(conj, conj_den, inverses[js - 1], inv_den)
-        words = self.images_at([group.conjugate(gens[i], gens[j]) for j, i in rules])
-        bad = _first_mismatch(conj, words)
-        if bad is not None:
-            k, lhs, rhs = bad
-            j, i = rules[k]
-            return "conjugation rule phi(%s)%s" % (names[j], names[i]), lhs, rhs
-        return None
+        group, rows, gens, P = self.group, self.group.rows, self.subgroup.gen_codes, self.powers()
+        names, images = list(self.images), list(self.images.values())
+        cubes = [("cube rule for %s" % names[k], state_mul(P[k][2], P[k][1]), rows[rows[g][g]][g])
+                 for k, g in enumerate(gens)]
+        return _first_mismatch(self, cubes) or _first_mismatch(self, [
+            ("conjugation rule phi(%s)%s" % (names[j], names[i]),
+             state_mul(state_mul(P[j][1], P[i][1]), _inverse(images[j])),
+             group.conjugate(gens[i], gens[j])) for j in range(len(gens)) for i in range(j)])
 
     def __repr__(self):
         return "SubRep(%s, dim=%d, |domain|=%d)" % (self.name, self.dim,
@@ -268,29 +242,27 @@ def _check_domain(subgroup):
         raise MackeyError("the domain is not the normal forms on its generators")
 
 
-_INVERSES = {}  # entries' integer states -> inverse; at most 256 entries
+_INVERSES = {}  # state -> state of the inverse; at most 256 entries
 
 
 def _inverse(M):
-    """M.inverse(), computed once per distinct value: one image recurs in
-    many representations (inflations, inductions, extensions)."""
-    key = tuple(_state9(x) for row in M.rows for x in row)
+    """The state of M.inverse(), computed once per distinct value: one image
+    recurs in many representations (inflations, inductions, extensions)."""
+    key = matrix_state(M.rows)
     if key not in _INVERSES:
         if len(_INVERSES) >= 256:
             _INVERSES.clear()
-        _INVERSES[key] = M.inverse()
+        _INVERSES[key] = matrix_state(M.inverse().rows)
     return _INVERSES[key]
 
 
-def _first_mismatch(lhs, rhs):
-    """(k, lhs[k], rhs[k]) as CycMatrix for the first unequal pair of two
-    lattice batches, or None."""
-    (L, L_den), (R, R_den) = lhs, rhs
-    bad = np.flatnonzero(~lattice_equal(L, L_den, R, R_den).all(axis=(1, 2, 3)))
-    if not len(bad):
-        return None
-    k = bad[0]
-    return k, CycMatrix.from_lattice(L[k], L_den), CycMatrix.from_lattice(R[k], R_den)
+def _first_mismatch(rep, rules):
+    """The first of the rules (description, lhs state, code) whose lhs is not
+    rep's image at code, as (description, lhs, rhs) with CycMatrix sides, or None."""
+    for (desc, lhs, _), rhs in zip(rules, rep.images_at([code for _, _, code in rules])):
+        if lhs != rhs:
+            return desc, CycMatrix.from_state(lhs), CycMatrix.from_state(rhs)
+    return None
 
 
 def induce(rho, section, name=None):
@@ -307,30 +279,30 @@ def induce(rho, section, name=None):
     """
     H = rho.subgroup
     group = rho.group
-    table = group.table
-    sect = np.array([group.code(s) for s in section])
+    rows = group.rows
+    sect = [group.code(s) for s in section]
     if sect[0] != 0:
         raise MackeyError("section must start at the identity")
 
-    cosets = table[sorted(H.codes)][:, sect].T      # row i: the coset H s_i
-    target_codes = frozenset(cosets.ravel().tolist())
-    if len(target_codes) != cosets.size:
+    coset_of = {rows[h][s]: i for i, s in enumerate(sect) for h in H.codes}  # h s_i -> i
+    if len(coset_of) != len(sect) * H.order:
         raise MackeyError("section is not a transversal: cosets overlap")
-    coset_of = np.full(group.order, -1)
-    coset_of[cosets] = np.arange(len(sect))[:, None]
-
-    gens = [g for g in group.gen_codes if g in target_codes]
-    t = table[sect[:, None], gens]                  # s_j y, shape (k, m)
-    i = coset_of[t]
-    if (i < 0).any():
-        raise MackeyError("section does not close under the target")
-    k, m, d = len(sect), len(gens), rho.dim
-    L, den = rho.images_at(table[t, np.array(group.inv)[sect[i]]])   # u = s_j y s_i^-1
-    blocks = np.zeros((m, k, d, k, d, 6), dtype=np.int64)
-    # block (j, i) of y sits at rows j*d.. and columns i*d.. after the reshape
-    blocks[np.arange(m), np.arange(k)[:, None], :, i] = L.reshape(k, m, d, d, 6)
-    images = [CycMatrix.from_lattice(B, den) for B in blocks.reshape(m, k * d, k * d, 6)]
-    out = SubRep(Subgroup(group, target_codes, tuple(gens)), images, name)
+    gens = [g for g in group.gen_codes if g in coset_of]
+    placed, codes = [], []  # (y, j, i) and u = s_j y s_i^-1, with s_j y = u s_i
+    for y in gens:
+        for j, s in enumerate(sect):
+            i = coset_of.get(rows[s][y])
+            if i is None:
+                raise MackeyError("section does not close under the target")
+            placed.append((y, j, i))
+            codes.append(rows[rows[s][y]][group.inv[sect[i]]])
+    k, d = len(sect), rho.dim
+    blocks = {y: [[ZERO] * (k * d) for _ in range(k * d)] for y in gens}
+    for (y, j, i), U in zip(placed, map(CycMatrix.from_state, rho.images_at(codes))):
+        for r, row in enumerate(U.rows):  # block (j, i) at rows j*d.. and columns i*d..
+            blocks[y][j * d + r][i * d:(i + 1) * d] = row
+    images = [CycMatrix(blocks[y]) for y in gens]
+    out = SubRep(Subgroup(group, frozenset(coset_of), tuple(gens)), images, name)
     bad = out.verify()
     if bad is not None:
         raise MackeyError("induced representation is not a homomorphism: %s" % bad[0])

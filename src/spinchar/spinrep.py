@@ -18,9 +18,9 @@ from typing import NamedTuple
 
 from . import _np as np
 from . import cyclo9
-from .cyclo import CycError, ONE, OMEGA, OMEGA2, root_of_unity, root_exponent
-from .cyclo9 import (cyc9_cbrt, from_lattice, lattice_einsum, lattice_equal,
-                     lattice_identity, lattice_matmul, scalar_str, to_lattice)
+from .cyclo import ONE, OMEGA, OMEGA2, root_of_unity, root_exponent
+from .cyclo9 import (cyc9_cbrt, from_lattice, lattice_einsum, lattice_equal, lattice_matmul,
+                     matrix_state, scalar_str, state_mul, state_times_w, to_lattice)
 from .linalg import CycMatrix, intertwiner_space
 from .groups import CheckReport, Subgroup, get_group, covering_data
 from .mackey import DualCharacter, SubRep, dual_group, orbit_decomposition, induce
@@ -110,15 +110,10 @@ def verify_rep(rep):
     """Check a representation's presentation rules (`SubRep.verify`) and
     that every multiplier generator in its domain maps to a cube-root
     scalar.  The report holds at most one failure, with both sides as
-    witnesses; entries that leave the int64 lattice are reported as the
-    failure, not raised.
+    witnesses.
     """
     report = CheckReport(rep.name or "subrep")
-    try:
-        bad = rep.verify()
-    except CycError as exc:
-        report.fail("entries leave the exact lattice: %s" % exc)
-        return report
+    bad = rep.verify()
     for gen in rep.group.schema.multiplier:
         if bad is None and gen in rep.images:
             scal = rep.images[gen].as_scalar()
@@ -412,27 +407,43 @@ def spin_character_table():
 # -- projective restriction ---------------------------------------------------
 
 class CocycleTable(NamedTuple):
-    """Factor set on the base group, stored as omega-exponents mod 3."""
+    """Factor set on the base group (whose Cayley rows are bytes): exps[g][h],
+    in one bytes row per g, is the omega-exponent 0, 1 or 2 of alpha(g, h)."""
 
     base: object
-    exps: "np.ndarray"  # (27, 27) int8
+    exps: tuple
 
     def value(self, g, h):
-        return root_of_unity(int(self.exps[g, h]))
+        return root_of_unity(self.exps[g][h])
 
     def is_trivial(self):
-        return not self.exps.any()
+        return not any(map(any, self.exps))
 
     def identity_violation(self):
-        """First triple violating a(g,h) a(gh,k) = a(g,hk) a(h,k), or None."""
-        t = self.base.table
-        e = self.exps.astype(np.int16)
-        lhs = (e[:, :, None] + e[t, :]) % 3
-        rhs = (e[:, t] + e[None, :, :]) % 3
-        bad = np.argwhere(lhs != rhs)
-        if len(bad):
-            return tuple(int(x) for x in bad[0])
-        return None
+        """First triple (g, h, k), in that order, violating
+        a(g,h) a(gh,k) = a(g,hk) a(h,k), or None.
+
+        The four exponents are laid out over all n^3 triples as byte
+        strings, at index (g n + h) n + k, and lhs + 2 rhs, which is 0 mod 3
+        exactly where the identity holds, is one integer sum: no byte of it
+        exceeds 12, so none carries into the next."""
+        n, rows, exps = self.base.order, self.base.rows, self.exps
+        padded = [row + bytes(256 - n) for row in exps]  # translation tables
+        spread = bytes(i // n for i in range(n * n))  # h n + k -> h
+        g_h = b"".join(spread.translate(row) for row in padded)
+        gh_k = b"".join(map(exps.__getitem__, b"".join(rows)))
+        g_hk = b"".join(row.translate(table) for table in padded for row in rows)
+        h_k = b"".join(exps) * n
+        lhs = int.from_bytes(g_h, "big") + int.from_bytes(gh_k, "big")
+        rhs = int.from_bytes(g_hk, "big") + int.from_bytes(h_k, "big")
+        first = (lhs + 2 * rhs).to_bytes(n ** 3, "big").translate(_NONZERO_MOD3).find(1)
+        if first < 0:
+            return None
+        g, hk = divmod(first, n * n)
+        return (g,) + divmod(hk, n)
+
+
+_NONZERO_MOD3 = bytes(v % 3 != 0 for v in range(256))
 
 
 def canonical_section():
@@ -474,13 +485,11 @@ def restrict_to_projective(rep, section=None):
     CocycleTable of alpha(g, h) with T(g) T(h) = alpha(g, h) T(gh), where
     T(g) = rep(s(g)), checked to be a cube root of unity at every pair.
 
-    The check runs on the exact lattice of `cyclo9`: the 27 section images
-    come from `Representation.images_at` as one integer array over a common
-    denominator.  T(1) must be the identity, and the products T(g) T(x_i)
-    with the base group's generators x_i are formed in one broadcast
-    `lattice_matmul` and compared coefficient by coefficient with
-    w^k T(g x_i) for k = 0, 1, 2; each needs a unique matching k.  A
-    failure raises RepError, as does data too large for the int64 lattice.
+    The check runs on the exact kernel of `cyclo9`, on the 27 section images
+    from one `Representation.images_at` call.  T(1) must be the identity,
+    and each T(g) T(x_i), x_i a generator of the base group, is compared
+    whole with w^k T(g x_i), k = 0, 1, 2, for a unique match; a failure
+    raises RepError.
 
     That decides every pair.  Each y is some g x_i, and a unique k needs
     T(y) != 0, so a scalar relating T(g) T(h) to T(gh) is unique when it
@@ -488,34 +497,32 @@ def restrict_to_projective(rep, section=None):
     h = h' x (x the last letter), T(h) = w^-a(h',x) T(h') T(x), so
     T(g) T(h) = w^(a(g,h') + a(gh',x) - a(h',x)) T(gh), starting from
     a(g, 1) = 0 because T(1) = I.  The exponent table is filled by that
-    recursion for every g at once, one word length of h at a time.
+    recursion one column h at a time in code order, in which h' comes
+    before h.
     """
     g27 = get_group("G27")
     if rep.group.schema.name != "R243":
         raise RepError("projective restriction expects a representation of R243")
     if section is None:
         section = canonical_section()
-    n, t, gens = g27.order, g27.table, list(g27.gen_codes)
-    section = _lifting_section(tuple(section[g] for g in range(n)))
-    try:
-        L, den = rep.images_at(section)
-        wL = lattice_einsum("gijp,pq->gijq", L, cyclo9.MUL_W)
-        targets = np.stack([L, wL, lattice_einsum("gijp,pq->gijq", wL, cyclo9.MUL_W)])
-        prods, prods_den = lattice_matmul(L[:, None], den, L[None, gens], den)
-        same = lattice_equal(prods, prods_den, targets[:, t[:, gens]], den)
-        matches = same.all(axis=(3, 4, 5))  # [k, g, i]: T(g) T(x_i) = w^k T(g x_i)
-        unit = lattice_equal(L[0], den, lattice_identity(rep.dim), 1).all()
-    except CycError as exc:
-        raise RepError("restriction of %s leaves the exact lattice: %s" % (rep.name, exc))
-    bad = [(g, gens[i]) for g, i in np.argwhere(matches.sum(axis=0) != 1)]
-    if not unit or bad:
-        raise RepError("restriction of %s is not projective at (%d, %d)"
-                       % ((rep.name,) + (bad[0] if unit else (0, 0))))
-    a = np.zeros((n, n), dtype=np.int8)
-    a[:, gens] = matches.argmax(axis=0)
-    for h, prefix, x in _word_layers(g27):  # h = prefix x
-        a[:, h] = (a[:, prefix] + a[t[:, prefix], x] - a[prefix, x]) % 3
-    return CocycleTable(g27, a)
+    n, rows, gens = g27.order, g27.rows, g27.gen_codes
+    T = rep.images_at(_lifting_section(tuple(section[g] for g in range(n))))
+    if T[0] != matrix_state(CycMatrix.identity(rep.dim).rows):
+        raise RepError("restriction of %s is not projective at (0, 0)" % rep.name)
+    multiples = [(t, (wt := state_times_w(t)), state_times_w(wt)) for t in T]  # w^k T(y)
+    a = [bytearray(n) for _ in range(n)]
+    for g in range(n):
+        for x in gens:
+            prod, targets = state_mul(T[g], T[x]), multiples[rows[g][x]]
+            if targets.count(prod) != 1:
+                raise RepError("restriction of %s is not projective at (%d, %d)"
+                               % (rep.name, g, x))
+            a[g][x] = targets.index(prod)
+    for h in range(1, n):
+        prefix, i = g27._split_last(h)  # h = prefix x_i
+        for g in range(n):
+            a[g][h] = (a[g][prefix] + a[rows[g][prefix]][gens[i]] - a[prefix][gens[i]]) % 3
+    return CocycleTable(g27, tuple(map(bytes, a)))
 
 
 @lru_cache(maxsize=256)
@@ -528,16 +535,6 @@ def _lifting_section(section):
     if r243.exps_of(section[0]) != (0, 0, 0, 0, 0):
         raise RepError("section must send the identity to the identity")
     return section
-
-
-@lru_cache(maxsize=None)
-def _word_layers(group):
-    """(h, prefix, x) code arrays, h = prefix x in normal form, by word length."""
-    layers = {}
-    for h in range(1, group.order):
-        prefix, i = group._split_last(h)
-        layers.setdefault(sum(group.exps_of(h)), []).append((h, prefix, group.gen_codes[i]))
-    return tuple(np.array(layers[k]).T for k in sorted(layers))
 
 
 # -- alternative constructions used as cross-checks ---------------------------

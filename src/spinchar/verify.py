@@ -247,7 +247,8 @@ def check_cocycle():
         if bad is not None:
             failures.append("%s cocycle identity fails at %s" % (rep.name, bad))
         eps, mu = rep.spin_type
-        diff = np.argwhere(coc.exps != (eps * a + mu * b) % 3)
+        exps = np.frombuffer(b"".join(coc.exps), dtype=np.uint8).reshape(a.shape)
+        diff = np.argwhere(exps != (eps * a + mu * b) % 3)
         if len(diff):
             failures.append("%s cocycle differs from the table-only derivation at %s"
                             % (rep.name, tuple(int(x) for x in diff[0])))
@@ -260,7 +261,7 @@ def check_cocycle():
     for st, tables in by_type.items():
         _, first = tables[0]
         for name, exps in tables[1:]:
-            if not np.array_equal(exps, first):
+            if exps != first:
                 failures.append("cocycles differ inside spin type %s (%s)" % (st, name))
     return CheckReport("cocycle", failures,
                        "2-cocycle identity holds on all 27^3 triples for each of "

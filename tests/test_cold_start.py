@@ -5,14 +5,15 @@ of numpy, `dataclasses` (which imports `inspect`) or `fractions` (which
 imports `decimal`).  The structural commands (`group` reports) run on the
 Cayley table's Python rows and never load those modules either, nor do
 the table-only `verify` checks (orders, structure, automorphism, orbits).
-The catalog commands never pull in `numpy.ma`, `fractions` or `decimal`,
-`verify` never loads `numpy.random` or `hashlib`, and one `verify` builds
-each catalog table once.  Light's test reads the rows too: only the random
-associativity pass makes a numpy table, GSHARP's.  numpy starts no idle
-OpenBLAS threads unless the user asks for them, and `irreps` refuses a
-group that does not carry the spin type before it builds anything.  These
-are properties of a whole process, so each test runs its code in a child
-interpreter.
+The catalog commands (`chartable`, `irreps`, `cocycle`) compute on Python
+ints and load none of numpy, `fractions` or `decimal`; numpy serves only
+`verify`'s table-wide checks.  `verify` never loads `numpy.random` or
+`hashlib`, and one `verify` builds each catalog table once.  Light's test
+reads the rows too: only the random associativity pass makes a numpy
+table, GSHARP's.  numpy starts no idle OpenBLAS threads unless the user
+asks for them, and `irreps` refuses a group that does not carry the spin
+type before it builds anything.  These are properties of a whole process,
+so each test runs its code in a child interpreter.
 """
 
 import os
@@ -33,9 +34,13 @@ GROUP_ARGS = ([[name] for name in ("G27", "G81", "GBAR", "R243", "GSHARP")]
               + [["G81_param", "--params", "%d,%d" % (a, b)]
                  for a in range(3) for b in range(3)])
 
-# the catalog-building commands of the benchmark's export workload
-CATALOG_ARGS = [["chartable", "--format", "json"],
+# the catalog-building commands: the table in both formats, every irreducible,
+# one native family, and one cocycle of each spin kind
+CATALOG_ARGS = [["chartable", "--format", "json"], ["chartable", "--format", "csv"],
                 ["irreps", "--spin", "all", "--format", "json"],
+                ["irreps", "--group", "G81", "--spin", "1,0", "--format", "json"],
+                ["cocycle", "--spin", "0,0", "--irrep", "Pi(0,1)", "--format", "json"],
+                ["cocycle", "--spin", "0,2", "--irrep", "Pi(0,2;1)", "--format", "json"],
                 ["cocycle", "--spin", "1,1", "--irrep", "Pi(1,1;0)", "--format", "json"]]
 
 
@@ -87,7 +92,7 @@ print(sorted(m for m in %r if m in sys.modules and m not in before))
     assert out == "[]\n"
 
 
-def test_catalog_commands_import_no_numpy_ma():
+def test_catalog_commands_import_no_numpy():
     # nor `fractions` or `decimal`: the cube-root search runs on integer pairs
     out = _run("""
 import contextlib, io, sys
@@ -96,10 +101,9 @@ before = set(sys.modules)
 for args in %r:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(args) == 0, args
-print("numpy.ma" in sys.modules)
-print(sorted(m for m in ("fractions", "decimal") if m in sys.modules and m not in before))
+print(sorted(m for m in ("numpy", "fractions", "decimal") if m in sys.modules and m not in before))
 """ % (CATALOG_ARGS,))
-    assert out == "False\n[]\n"
+    assert out == "[]\n"
 
 
 def test_verify_loads_no_numpy_random_or_hashlib():
@@ -178,7 +182,7 @@ def test_numpy_starts_no_openblas_threads_unless_asked():
 import contextlib, io, os, sys
 from spinchar.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["cocycle", "--spin", "0,0", "--irrep", "Pi(0,1)", "--format", "json"]) == 0
+    assert main(["verify", "--only", "associativity"]) == 0
 print("numpy" in sys.modules, len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"])
 """
     assert _run(code, OPENBLAS_NUM_THREADS=None) == "True 1 1\n"

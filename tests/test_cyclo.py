@@ -13,9 +13,10 @@ from hypothesis import given, settings, strategies as st
 from spinchar.cyclo import (Cyc, CycError, OMEGA, OMEGA2, ZERO, ONE, _icbrt, _monotone_root,
                             _rational_roots, as_cyc, cyc_cbrt, cyc_str, root_exponent,
                             root_of_unity)
-from spinchar.cyclo9 import (CONJ, MUL_W, PRODUCT, Cyc9, cyc9_cbrt, from_lattice,
-                             lattice_einsum, lattice_equal, lattice_identity, lattice_matmul,
-                             parse_scalar, right_matrix, scalar_str, to_lattice, zeta9)
+from spinchar.cyclo9 import (CONJ, PRODUCT, Cyc9, cyc9_cbrt, from_lattice,
+                             lattice_einsum, lattice_equal, lattice_matmul, matrix_state,
+                             parse_scalar, right_matrix, scalar_str, state_mul, state_times_w,
+                             state_trace, to_lattice, zeta9)
 from spinchar.linalg import CycMatrix
 
 
@@ -188,8 +189,16 @@ def test_values_reducing_to_zero_are_zero():
     assert (Cyc(Fraction(2, 6), Fraction(4, 6)).p, third.q, third.d) == (1, 2, 3)
 
 
+def test_coefficients_of_any_degree_reduce():
+    # z^9 = 1, so a coefficient list of any length names one value
+    assert Cyc9([0] * 11 + [1]) == zeta9(2) and Cyc9([0] * 18 + [Fraction(1, 2)]) == Fraction(1, 2)
+    coeffs = [Fraction(k - 7, 1 + k % 4) for k in range(25)]
+    assert Cyc9(coeffs) == sum((c * zeta9(k) for k, c in enumerate(coeffs)), ZERO)
+
+
 def test_scalar_arithmetic_builds_no_fraction(monkeypatch):
-    """+, -, *, /, conj and the lattice conversions run on the int state."""
+    """+, -, *, /, conj, the lattice conversions and the matrix kernel run on
+    the int state."""
     x, y = Cyc(Fraction(1, 3), -2), Cyc(Fraction(-5, 6), Fraction(7, 4))
     u, v = Cyc9([Fraction(1, 3), 0, Fraction(-2, 3), 1, 0, 5]), zeta9(2) + Fraction(1, 5)
     r = Fraction(2, 7)
@@ -211,7 +220,9 @@ def test_scalar_arithmetic_builds_no_fraction(monkeypatch):
     x.conj(), u.conj(), -x, -u, u.inverse(), x ** -2, u ** 3
     L, den = to_lattice([[x, u], [3, r]])
     [from_lattice(L[i, j], den) for i in range(2) for j in range(2)]
-    CycMatrix.from_lattice(L, den)
+    state = matrix_state([[x, u], [3, r]])
+    CycMatrix.from_state(state_times_w(state_mul(state, state)))
+    state_trace(state)
     assert made == []
 
 
@@ -469,7 +480,8 @@ class TestNinthField:
 
 
 class TestLatticeKernel:
-    """The int64 lattice tables against scalar Cyc9 arithmetic as reference."""
+    """The int64 lattice tables, and the kernel's multiple by w, against
+    scalar Cyc9 arithmetic as reference."""
 
     def test_tables_match_scalar_arithmetic(self):
         rng = random.Random(9)
@@ -481,7 +493,7 @@ class TestLatticeKernel:
             prod = lattice_einsum("p,q,pqr->r", L[0], L[1], PRODUCT)
             assert from_lattice(prod, den * den) == a * b
             assert from_lattice(L[0] @ CONJ, den) == a.conj()
-            assert from_lattice(L[0] @ MUL_W, den) == a * OMEGA
+            assert state_times_w(matrix_state([[a]])) == matrix_state([[a * OMEGA]])
 
     def test_denominator_comes_from_the_data(self):
         L, den = to_lattice([[ONE, Cyc(Fraction(1, 6))], [zeta9(2), 4]])
@@ -507,9 +519,33 @@ lattice_entries = st.one_of(st.builds(Cyc, thirds, thirds),
                             st.builds(Cyc9, st.lists(thirds, min_size=6, max_size=6)))
 
 
-def _matrices(n, count):
-    square = st.lists(st.lists(lattice_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+def _matrices(n, count, entries=lattice_entries):
+    square = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
     return st.lists(square.map(CycMatrix), min_size=count, max_size=count)
+
+
+def _lattice_matrix(L, den):
+    """The CycMatrix with entries L[i, j] / den of an (n, n, 6) lattice array."""
+    return CycMatrix([[from_lattice(v, den) for v in row] for row in L])
+
+
+# entries over mixed denominators, zero among them, held as either scalar type
+mixed = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 7]))
+kernel_entries = st.one_of(st.just(ZERO), st.builds(Cyc, mixed, mixed),
+                           st.builds(Cyc9, st.lists(mixed, min_size=6, max_size=6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: _matrices(n, 2, kernel_entries)))
+def test_state_mul_matches_matrix_products(mats):
+    A, B = mats
+    got = state_mul(matrix_state(A.rows), matrix_state(B.rows))
+    assert CycMatrix.from_state(got) == A * B
+    assert got == matrix_state((A * B).rows)  # reduced: equal values, equal states
+    eye = matrix_state(CycMatrix.identity(A.n).rows)
+    assert state_mul(eye, matrix_state(A.rows)) == matrix_state(A.rows)
+    assert state_trace(got) == (A * B).trace()
+    assert state_times_w(got) == matrix_state((A * B).scale(OMEGA).rows)
 
 
 @settings(max_examples=25, deadline=None)
@@ -519,12 +555,12 @@ def test_lattice_matmul_matches_matrix_products(mats):
     L, den = to_lattice([A.rows, B.rows, C.rows, D.rows])
     prod, prod_den = lattice_matmul(L[:2], den, L[2:], den)  # A*C and B*D in one call
     for k, want in enumerate((A * C, B * D)):
-        assert CycMatrix.from_lattice(prod[k], prod_den) == want
+        assert _lattice_matrix(prod[k], prod_den) == want
     # the denominator is reduced to the least one the values need
     assert prod_den == to_lattice([(A * C).rows, (B * D).rows])[1]
     # a single matrix broadcasts against the batch
     prod, prod_den = lattice_matmul(L[0], den, L, den)
-    assert all(CycMatrix.from_lattice(prod[k], prod_den) == A * M
+    assert all(_lattice_matrix(prod[k], prod_den) == A * M
                for k, M in enumerate(mats))
     assert lattice_equal(prod[:1], prod_den, prod[:1] * 3, prod_den * 3).all()
 
@@ -580,7 +616,8 @@ def test_right_matrix_is_multiplicative(mats):
     assert np.array_equal((right_matrix(L[0]) @ right_matrix(L[1])) * BC_den,
                           right_matrix(BC) * den * den)
     assert np.array_equal(right_matrix(L)[1], right_matrix(L[1]))  # batched
-    assert np.array_equal(right_matrix(lattice_identity(B.n)), np.eye(6 * B.n, dtype=np.int64))
+    eye, _ = to_lattice(CycMatrix.identity(B.n).rows)
+    assert np.array_equal(right_matrix(eye), np.eye(6 * B.n, dtype=np.int64))
 
 
 def test_lattice_matmul_bound_edge():
@@ -608,7 +645,7 @@ def test_lattice_matmul_reduces_growing_denominators():
     for k in range(2, 61):
         acc, acc_den = lattice_matmul(acc, acc_den, L, den)
         assert acc_den in (1, 3)
-    assert acc_den == 1 and CycMatrix.from_lattice(acc, acc_den) == CycMatrix.identity(3)
+    assert acc_den == 1 and _lattice_matrix(acc, acc_den) == CycMatrix.identity(3)
     # a denominator that must grow does so past the int64 range, exactly
     third, _ = to_lattice([[Cyc(Fraction(1, 3))]])
     acc, acc_den = third, 3

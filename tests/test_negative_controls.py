@@ -39,8 +39,11 @@ def test_scaled_generator_is_not_projective():
 
 
 def test_huge_generator_is_refused_not_wrapped():
+    # Python ints cannot wrap: T(x1^2) T(x1) = 10^36 I is told apart from T(1) = I
     rep = _scaled(irreps_by_spin_type((1, 1))[0], "n1", 10 ** 12)
-    with pytest.raises(RepError, match="lattice"):
+    g27 = get_group("G27")
+    x1 = g27.gen_codes[0]
+    with pytest.raises(RepError, match=r"not projective at \(%d, %d\)" % (g27.power(x1, 2), x1)):
         restrict_to_projective(rep)
 
 
@@ -48,7 +51,7 @@ def test_huge_generator_fails_verify_rep_with_a_report():
     rep = _scaled(irreps_by_spin_type((1, 1))[0], "n1", 10 ** 12)
     report = verify_rep(rep)
     assert not report.passed
-    assert "lattice" in report.detail
+    assert report.detail.startswith("cube rule for n1: lhs=[['%d', '0', '0']" % 10 ** 36)
 
 
 def _perturbed_table(row, cls):

@@ -5,15 +5,16 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
+import random
+
 import pytest
 
-from spinchar import cyclo9, mackey, spinrep
-from spinchar.cyclo import ZERO, root_of_unity
-from spinchar.cyclo9 import Cyc9, lattice_einsum, lattice_equal, lattice_matmul
+from spinchar import mackey, spinrep
+from spinchar.cyclo import OMEGA, ZERO, root_of_unity
+from spinchar.cyclo9 import Cyc9, matrix_state, state_mul
 from spinchar.linalg import CycMatrix, J_SHIFT, K_SHIFT
 from spinchar.groups import get_group, covering_data
-from spinchar.spinrep import (RepError, Representation, SpinType,
+from spinchar.spinrep import (CocycleTable, RepError, Representation, SpinType,
                               canonical_section, extend_and_tensor, full_catalog,
                               g27_nonspin_catalog, g81_partial_catalog, inflate,
                               intertwiner_solutions, irreps_by_spin_type,
@@ -252,10 +253,10 @@ def test_batched_images_match_generator_products():
     for rep in (irreps_by_spin_type((2, 1))[1], irreps_by_spin_type((0, 0))[10]):
         group = rep.group
         codes = list(range(0, group.order, 7)) + [group.order - 1]
-        L, den = rep.images_at(codes)
-        for k, code in enumerate(codes):
+        for code, image in zip(codes, rep.images_at(codes)):
             want = _generator_product(rep, code)
-            assert CycMatrix.from_lattice(L[k], den) == want
+            assert CycMatrix.from_state(image) == want
+            assert image == matrix_state(want.rows)  # equal values have equal states
             assert rep.eval(code) == want
 
 
@@ -264,23 +265,34 @@ def test_images_at_skips_identity_factors(monkeypatch):
     group = rep.group
     rep.powers()  # built once, on first use, before the count starts
     products = []
-    for name in ("lattice_matmul", "lattice_rmatmul"):
-        real = getattr(mackey, name)
-        monkeypatch.setattr(mackey, name,
-                            lambda *args, _real=real: products.append(args) or _real(*args))
+    monkeypatch.setattr(mackey, "state_mul",
+                        lambda a, b, _real=state_mul: products.append((a, b)) or _real(a, b))
     first, last = group.gen_codes[0], group.gen_codes[-1]
     classes = [code for code, _ in group.conjugacy_classes()]
-    columns = sum(any(col) for col in zip(*map(group.exps_of, classes)))
-    # powers of the first generator need no product; z12 and n3 need one;
-    # the class representatives one per exponent column in use after the first
-    for codes, want in (([0, first, group.power(first, 2)], 0), ([first, last, 0], 1),
-                        (classes, columns - 1), ([], 0)):
+
+    def prefixes(codes):
+        """The distinct normal-form prefixes of the codes with two or more
+        nonzero exponents: each costs one product, once per call."""
+        out = set()
+        for code in codes:
+            exps = group.exps_of(code)
+            used = [i for i, e in enumerate(exps) if e]
+            out.update(group.code_of(exps[:i + 1]) for i in used[1:])
+        return len(out)
+
+    # powers of one generator need no product, first * last one, and a
+    # repeated code is multiplied once
+    for codes, want in (([0, first, group.power(first, 2)], 0), ([first, last, 0], 0),
+                        ([group.mult(first, last)] * 2, 1), (classes, prefixes(classes)),
+                        ([], 0)):
         products.clear()
-        L, den = rep.images_at(codes)
+        images = rep.images_at(codes)
         assert len(products) == want
-        assert L.shape == (len(codes), rep.dim, rep.dim, 6)
-        for k, code in enumerate(codes):
-            assert CycMatrix.from_lattice(L[k], den) == _generator_product(rep, code)
+        assert len(images) == len(codes)
+        for code, image in zip(codes, images):
+            assert CycMatrix.from_state(image) == _generator_product(rep, code)
+    assert 0 < prefixes(classes) < sum(max(0, sum(map(bool, group.exps_of(c))) - 1)
+                                       for c in classes)
 
 
 class TestCharacters:
@@ -366,23 +378,24 @@ class TestTwistInvariance:
 
 def _all_pairs_exps(rep, section=None):
     """Reference for the generator rule: T(g) T(h) against w^k T(gh) at all
-    729 pairs, one row of 27 products per g.  Returns the exponent table, or
-    raises RepError naming the first pair without a unique k."""
+    729 pairs, with each w^k T(gh) scaled in CycMatrix arithmetic.  Returns
+    the exponent table as bytes rows, or raises RepError naming the first
+    pair without a unique k."""
     g27 = get_group("G27")
     section = canonical_section() if section is None else section
     n = g27.order
-    L, den = rep.images_at([section[g] for g in range(n)])
-    wL = lattice_einsum("gijp,pq->gijq", L, cyclo9.MUL_W)
-    targets = np.stack([L, wL, lattice_einsum("gijp,pq->gijq", wL, cyclo9.MUL_W)])
-    matches = np.empty((3, n, n), dtype=bool)
+    T = rep.images_at([section[g] for g in range(n)])
+    targets = [[matrix_state(CycMatrix.from_state(t).scale(root_of_unity(k)).rows)
+                for k in range(3)] for t in T]
+    exps = [bytearray(n) for _ in range(n)]
     for g in range(n):
-        prods, prods_den = lattice_matmul(L[g], den, L, den)
-        same = lattice_equal(prods, prods_den, targets[:, g27.table[g]], den)
-        matches[:, g] = same.all(axis=(2, 3, 4))
-    bad = np.argwhere(matches.sum(axis=0) != 1)
-    if len(bad):
-        raise RepError("%s is not projective at (%d, %d)" % ((rep.name,) + tuple(bad[0])))
-    return matches.argmax(axis=0)
+        for h in range(n):
+            prod = state_mul(T[g], T[h])
+            ks = [k for k, target in enumerate(targets[g27.mult(g, h)]) if target == prod]
+            if len(ks) != 1:
+                raise RepError("%s is not projective at (%d, %d)" % (rep.name, g, h))
+            exps[g][h] = ks[0]
+    return tuple(map(bytes, exps))
 
 
 def _moved_lift_section():
@@ -394,14 +407,29 @@ def _moved_lift_section():
 
 
 def _edited_images(rep, edit):
-    """A fresh copy of rep whose batched images pass through edit(codes, L)."""
+    """A fresh copy of rep whose images pass through edit(codes, images)."""
     copy = Representation(rep.group, dict(rep.images), rep.name, rep.spin_type)
 
     def images_at(codes):
-        L, den = rep.images_at(codes)
-        return edit(list(codes), L.copy()), den
+        return edit(list(codes), rep.images_at(codes))
     copy.images_at = images_at
     return copy
+
+
+def _scaled_state(state, c):
+    return matrix_state(CycMatrix.from_state(state).scale(c).rows)
+
+
+def _first_identity_violation(coc):
+    """Reference for CocycleTable.identity_violation: the loop over all n^3
+    triples in (g, h, k) order."""
+    t, a, n = coc.base.rows, coc.exps, coc.base.order
+    for g in range(n):
+        for h in range(n):
+            for k in range(n):
+                if (a[g][h] + a[t[g][h]][k] - a[g][t[h][k]] - a[h][k]) % 3:
+                    return (g, h, k)
+    return None
 
 
 class TestProjectiveRestriction:
@@ -416,16 +444,16 @@ class TestProjectiveRestriction:
         coc = restrict_to_projective(rep)
         assert not coc.is_trivial()
         assert coc.identity_violation() is None
-        assert set(np.unique(coc.exps)) <= {0, 1, 2}
+        assert set(b"".join(coc.exps)) <= {0, 1, 2}
         # normalized section: alpha(1, g) = alpha(g, 1) = 1
-        assert not coc.exps[0, :].any() and not coc.exps[:, 0].any()
+        assert not any(coc.exps[0]) and not any(row[0] for row in coc.exps)
         # the restriction is a genuine projective representation at every pair
         g27 = get_group("G27")
         section = canonical_section()
         T = [rep.eval(section[g]) for g in range(g27.order)]
         for g in range(g27.order):
             for h in range(g27.order):
-                rhs = T[int(g27.table[g, h])].scale(coc.value(g, h))
+                rhs = T[g27.mult(g, h)].scale(coc.value(g, h))
                 assert T[g] * T[h] == rhs
 
     def test_generator_rule_matches_all_pairs_reference(self):
@@ -434,7 +462,7 @@ class TestProjectiveRestriction:
             for section in (None, moved):
                 want = _all_pairs_exps(rep, section)
                 got = restrict_to_projective(rep, section).exps
-                assert np.array_equal(got, want), (rep.name, section is moved)
+                assert got == want, (rep.name, section is moved)
 
     def test_scaled_non_generator_row_is_not_projective(self):
         # T(x1 x3) doubled: no generator image moves, yet both rules reject it
@@ -442,9 +470,10 @@ class TestProjectiveRestriction:
         section = canonical_section()
         x1x3 = section[g27.mult(g27.gen_codes[0], g27.gen_codes[2])]
 
-        def double(codes, L):
-            L[codes.index(x1x3)] *= 2
-            return L
+        def double(codes, images):
+            k = codes.index(x1x3)
+            images[k] = _scaled_state(images[k], 2)
+            return images
         rep = _edited_images(irreps_by_spin_type((1, 1))[0], double)
         with pytest.raises(RepError, match="not projective"):
             _all_pairs_exps(rep)
@@ -454,20 +483,33 @@ class TestProjectiveRestriction:
     def test_identity_image_w_is_not_projective(self):
         # T(1) = w I is a projective table with alpha(g, 1) = w, which the
         # all-pairs comparison accepts; the generator rule needs T(1) = I
-        def scale_identity(codes, L):
-            L[0] = lattice_einsum("ijp,pq->ijq", L[0], cyclo9.MUL_W)
-            return L
+        def scale_identity(codes, images):
+            images[0] = _scaled_state(images[0], OMEGA)
+            return images
         rep = _edited_images(irreps_by_spin_type((1, 1))[0], scale_identity)
-        assert _all_pairs_exps(rep)[1, 0] == 1
+        assert _all_pairs_exps(rep)[1][0] == 1
         with pytest.raises(RepError, match=r"not projective at \(0, 0\)"):
             restrict_to_projective(rep)
+
+    def test_zero_images_are_not_projective(self):
+        # T(1) = I and every other T(y) = 0: each T(g) T(x) = 0 matches all
+        # three w^k T(gx), so no scalar is unique and the first pair fails
+        def zero_off_identity(codes, images):
+            zero = matrix_state([[0] * 3] * 3)
+            return [image if code == 0 else zero for code, image in zip(codes, images)]
+        rep = _edited_images(irreps_by_spin_type((1, 1))[0], zero_off_identity)
+        x1 = get_group("G27").gen_codes[0]
+        with pytest.raises(RepError, match=r"not projective at \(0, %d\)" % x1):
+            restrict_to_projective(rep)
+        with pytest.raises(RepError, match=r"not projective at \(0, 1\)"):
+            _all_pairs_exps(rep)
 
     def test_same_cocycle_across_twists(self):
         tables = []
         for rep in irreps_by_spin_type((2, 1)):
             coc = restrict_to_projective(rep)
             tables.append(coc.exps)
-        assert all(np.array_equal(t, tables[0]) for t in tables)
+        assert all(t == tables[0] for t in tables)
 
     def test_rejects_bad_section(self):
         # a checked section is remembered; a refused one is checked afresh
@@ -485,24 +527,43 @@ class TestProjectiveRestriction:
             with pytest.raises(RepError, match="must send the identity to the identity"):
                 restrict_to_projective(rep, moved_one)
 
-    def test_layered_recursion_matches_per_column_reference(self):
-        # reference: the fill one column h at a time in code order, from the
-        # same generator columns; the layers are G27's word lengths 1..6
+    def test_recursion_matches_per_column_reference(self):
+        # reference: each column h on its own, from the generator columns
+        # along the letters of h, a(g, h) = sum over h = w x v (x a letter)
+        # of a(g w, x) - a(w, x), with no other column read
         g27 = get_group("G27")
-        n, t, gens = g27.order, g27.table, list(g27.gen_codes)
-        layers = spinrep._word_layers(g27)
-        assert len(layers) == 6
-        assert sorted(np.concatenate([h for h, _, _ in layers])) == list(range(1, n))
+        n, t, gens = g27.order, g27.rows, g27.gen_codes
         for section in (None, _moved_lift_section()):
             for rep in full_catalog():
                 got = restrict_to_projective(rep, section).exps
-                want = np.zeros((n, n), dtype=np.int8)
-                want[:, gens] = got[:, gens]
-                for h in range(1, n):
-                    prefix, i = g27._split_last(h)  # h = prefix x_i
-                    want[:, h] = (want[:, prefix] + want[t[:, prefix], gens[i]]
-                                  - want[prefix, gens[i]]) % 3
-                assert np.array_equal(got, want), rep.name
+                want = [bytearray(n) for _ in range(n)]
+                for h in range(n):
+                    for g in range(n):
+                        prefix, total = 0, 0
+                        for i in g27.letters_of(h):
+                            x = gens[i]
+                            total += got[t[g][prefix]][x] - got[prefix][x]
+                            prefix = t[prefix][x]
+                        want[g][h] = total % 3
+                assert got == tuple(map(bytes, want)), rep.name
+
+    def test_identity_violation_matches_the_triple_loop(self):
+        g27 = get_group("G27")
+        tables = [restrict_to_projective(rep).exps for rep in full_catalog()]
+        for exps in tables:
+            coc = CocycleTable(g27, exps)
+            assert coc.identity_violation() is None
+            assert _first_identity_violation(coc) is None
+        # one entry moved off a cocycle, at random and at the corners
+        rng = random.Random(25)
+        spots = [(0, 0), (0, 26), (26, 0), (26, 26)]
+        spots += [(rng.randrange(27), rng.randrange(27)) for _ in range(12)]
+        for k, (g, h) in enumerate(spots):
+            planted = [bytearray(row) for row in tables[k * 2 % len(tables)]]
+            planted[g][h] = (planted[g][h] + 1 + k % 2) % 3
+            coc = CocycleTable(g27, tuple(map(bytes, planted)))
+            witness = coc.identity_violation()
+            assert witness is not None and witness == _first_identity_violation(coc), (g, h)
 
 
 def test_character_table_shape_and_values():
