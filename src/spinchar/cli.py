@@ -4,7 +4,9 @@ Subcommands: `group` (structure report), `irreps` (catalog listing),
 `chartable` (the 35x35 spin character table as JSON or CSV), `cocycle`
 (restricted factor set of one irreducible), and `verify` (the named check
 suite).  Output is deterministic: identical invocations produce identical
-bytes.  Exit codes: 0 success, 1 verification failure, 2 usage error.
+bytes, except for the wall seconds of each check that `verify --timings`
+adds, the one nondeterministic output.  Exit codes: 0 success, 1
+verification failure, 2 usage error.
 """
 
 import argparse
@@ -215,12 +217,14 @@ def cmd_verify(args):
         raise UsageError(exc.args[0])  # str() of a KeyError would quote it
     passed = all(r.passed for r in results)
     if args.format == "json":
-        text = _json({"passed": passed,
-                      "checks": [{"name": r.name, "passed": r.passed,
-                                  "detail": r.detail} for r in results]})
+        checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
+        if args.timings:
+            for entry, r in zip(checks, results):
+                entry["seconds"] = round(r.seconds, 6)
+        text = _json({"passed": passed, "checks": checks})
     else:
         lines = ["%s %-16s %s" % ("PASS" if r.passed else "FAIL", r.name, r.detail)
-                 for r in results]
+                 + (" [%.3f s]" % r.seconds if args.timings else "") for r in results]
         lines.append("%d/%d checks passed" % (sum(r.passed for r in results), len(results)))
         text = "\n".join(lines) + "\n"
     return text, 0 if passed else 1
@@ -265,6 +269,8 @@ def build_parser():
     p.add_argument("--only", help="comma-separated check names (%s)" % ", ".join(CHECKS))
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out", default=None)
+    p.add_argument("--timings", action="store_true",
+                   help="add each check's wall seconds (nondeterministic output)")
     return parser
 
 

@@ -19,7 +19,8 @@ is the one reader of both.
 Representations compute on the exact matrix kernel at the end of the
 module, on Python ints: a matrix is a state, rows of entries that are None
 (zero) or six numerators over one denominator in lowest terms, so equal
-matrices have equal states (`matrix_state`; `state_mul` skips zeros).
+matrices have equal states (`matrix_state`; `state_mul` skips zeros, and
+`state_mul_trace` gives the trace of a product without forming it).
 Only `verify`'s table-wide checks use numpy: scalars become an int64 array
 of coefficient vectors over one denominator (`to_lattice`), a product is
 one integer matmul by `right_matrix`, the regular representation of
@@ -357,6 +358,24 @@ def state_trace(state):
     rows, den = state
     diagonal = [row[i] for i, row in enumerate(rows) if row[i] is not None]
     return from_lattice([sum(col) for col in zip(*diagonal)] if diagonal else (0,) * 6, den)
+
+
+def state_mul_trace(a, b):
+    """The trace of the product of two states' matrices, sum a_ij b_ji,
+    as a scalar, without forming the product: the d^2 entry products go
+    into one accumulator, which is reduced once."""
+    (a_rows, a_den), (b_rows, b_den) = a, b
+    acc = [0] * 11
+    for i, row in enumerate(a_rows):
+        for x, b_row in zip(row, b_rows):
+            y = b_row[i]
+            if x is not None and y is not None:
+                for p, xp in enumerate(x):
+                    if xp:
+                        for q, yq in enumerate(y):
+                            if yq:
+                                acc[p + q] += xp * yq
+    return from_lattice(_reduce(acc), a_den * b_den)
 
 
 def state_times_w(state):

@@ -302,9 +302,6 @@ class Group:
             word.extend([i] * (code // wgt % 3))
         return word
 
-    def _split_last(self, code):
-        return _split_last(code, self.ngens)
-
     # multiplication -------------------------------------------------------
 
     def mult_collect(self, g, h):
@@ -708,17 +705,20 @@ def quotient_fingerprint(group, normal_gens):
 
 class CheckReport:
     """Outcome of a multi-part verification: failure messages carrying their
-    witnesses, and the text that stands for a pass."""
+    witnesses, the text that stands for a pass, and the wall seconds the
+    check took when its runner measured them (not part of the outcome)."""
 
     def __init__(self, name, failures=None, ok_text=""):
         self.name = name
         self.failures = [] if failures is None else failures
         self.ok_text = ok_text
+        self.seconds = None
 
     def __eq__(self, other):
         if type(other) is not CheckReport:
             return NotImplemented
-        return vars(self) == vars(other)
+        return (self.name, self.failures, self.ok_text) == (other.name, other.failures,
+                                                             other.ok_text)
 
     @property
     def passed(self):

@@ -17,7 +17,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .cyclo import ZERO, root_of_unity
-from .cyclo9 import matrix_state, state_mul, state_trace
+from .cyclo9 import matrix_state, state_mul, state_mul_trace, state_trace
 from .linalg import CycMatrix
 from .groups import Subgroup
 
@@ -140,9 +140,13 @@ class SubRep:
     values of one size, and kept by generator name in `images`.  `images_at`
     multiplies cached generator powers as `cyclo9` kernel states, skipping
     every generator whose exponent is 0.  No table is kept.
+
+    `base`, when given, is a SubRep of the same group whose images are among
+    these, as the same objects: `verify` takes the rules among its
+    generators from base.verify() when that passes.
     """
 
-    def __init__(self, subgroup, images, name=None):
+    def __init__(self, subgroup, images, name=None, base=None):
         _check_domain(subgroup)
         group = subgroup.group
         gens = subgroup.gen_codes
@@ -156,6 +160,10 @@ class SubRep:
                        for g, M in zip(gens, images)}
         self.dim = images[0].n
         self.name = name
+        if base is not None and (base.group is not group or any(
+                self.images.get(gen) is not M for gen, M in base.images.items())):
+            raise MackeyError("a base must share the group and its generator images")
+        self._base = base
         self._powers = None
         self._verdict = None  # (first broken rule,) once verify has run
 
@@ -194,9 +202,35 @@ class SubRep:
         return CycMatrix.from_state(self.images_at([code])[0])
 
     def character_values(self, codes=None):
-        """The traces at `codes` (default: the whole domain), by code."""
+        """The traces at `codes` (default: the whole domain), by code.
+
+        A code that no other code extends (is not a proper normal-form
+        prefix of another) is never formed as a matrix: its trace is that of
+        its last product, tr(A B) = sum a_ij b_ji (`state_mul_trace`), A the
+        image of the code without its last letter and B that letter's power.
+        The images of the proper prefixes come from one `images_at` call."""
         codes = sorted(self.subgroup.codes) if codes is None else list(codes)
-        return {code: state_trace(image) for code, image in zip(codes, self.images_at(codes))}
+        gens, P = self.subgroup.gen_codes, self.powers()
+        lasts, inner = [], set()  # (prefix, k, e) of each code; the proper prefixes
+        for code in codes:
+            if code not in self.subgroup.codes:
+                raise MackeyError("element %d lies outside the domain of %s" % (code, self.name))
+            lasts.append(_last_letter(code, gens))
+            prefix = lasts[-1][0]
+            while prefix and prefix not in inner:
+                inner.add(prefix)
+                prefix = _last_letter(prefix, gens)[0]
+        inner = sorted(inner)
+        formed = dict(zip(inner, self.images_at(inner)))
+        values = {}
+        for code, (prefix, k, e) in zip(codes, lasts):
+            if code in formed:
+                values[code] = state_trace(formed[code])
+            elif prefix:
+                values[code] = state_mul_trace(formed[prefix], P[k][e])
+            else:
+                values[code] = state_trace(P[k][e])
+        return values
 
     def verify(self):
         """The exact homomorphism check: the first broken rule of the
@@ -209,6 +243,13 @@ class SubRep:
         rules hold iff evaluation is a homomorphism.  Both sides are kernel
         states (the inverse of each image after the first comes from a memo
         on its value); only a failing rule's sides are turned back into matrices.
+
+        With a `base` whose verify() passes, the rules among the base's
+        generators are inherited, not checked again: their left sides are
+        formed from the same image objects, and their right-hand codes lie
+        in the base's domain, where `images_at` skips every other generator
+        and so multiplies the same states in the same order.  A base that
+        fails passes nothing on, and every rule is checked.
         """
         if self._verdict is None:
             self._verdict = (self._first_broken_rule(),)
@@ -217,16 +258,29 @@ class SubRep:
     def _first_broken_rule(self):
         group, rows, gens, P = self.group, self.group.rows, self.subgroup.gen_codes, self.powers()
         names, images = list(self.images), list(self.images.values())
+        base = self._base
+        known = base.images if base is not None and base.verify() is None else {}
         cubes = [("cube rule for %s" % names[k], state_mul(P[k][2], P[k][1]), rows[rows[g][g]][g])
-                 for k, g in enumerate(gens)]
+                 for k, g in enumerate(gens) if names[k] not in known]
         return _first_mismatch(self, cubes) or _first_mismatch(self, [
             ("conjugation rule phi(%s)%s" % (names[j], names[i]),
              state_mul(state_mul(P[j][1], P[i][1]), _inverse(images[j])),
-             group.conjugate(gens[i], gens[j])) for j in range(len(gens)) for i in range(j)])
+             group.conjugate(gens[i], gens[j])) for j in range(len(gens)) for i in range(j)
+            if names[i] not in known or names[j] not in known])
 
     def __repr__(self):
         return "SubRep(%s, dim=%d, |domain|=%d)" % (self.name, self.dim,
                                                     self.subgroup.order)
+
+
+def _last_letter(code, gens):
+    """(prefix, k, e) with code = prefix gens[k]^e, gens[k] the last letter
+    of code's normal form on the generators `gens`; (0, 0, 0) for 1."""
+    for k in reversed(range(len(gens))):
+        e = code // gens[k] % 3
+        if e:
+            return code - e * gens[k], k, e
+    return 0, 0, 0
 
 
 @lru_cache(maxsize=256)

@@ -75,14 +75,15 @@ class Representation(SubRep):
     """A SubRep of a whole schema group, with its spin type.
 
     `images` maps every schema generator's name to its CycMatrix; the spin
-    type is read off the multiplier images unless given.
+    type is read off the multiplier images unless given.  `base` is passed
+    to `SubRep`, whose `verify` then inherits the base's rules.
     """
 
-    def __init__(self, group, images, name, spin_type=None):
+    def __init__(self, group, images, name, spin_type=None, base=None):
         missing = [gen for gen in group.schema.gens if gen not in images]
         if missing:
             raise RepError("%s: generator %s has no image" % (name, missing[0]))
-        super().__init__(_whole(group), [images[gen] for gen in group.schema.gens], name)
+        super().__init__(_whole(group), [images[gen] for gen in group.schema.gens], name, base)
         if spin_type is None:
             spin_type = self._infer_spin_type()
         self.spin_type = spin_type
@@ -209,11 +210,16 @@ def extend_and_tensor(rho, jw, r, w_gen, name):
     """Extend rho across the acting generator and twist by w^r.
 
     rho must cover every schema generator except `w_gen`, which maps to
-    w^r * jw.  The result is verified against the full schema.
+    w^r * jw.  The result is verified against the full schema, in which it
+    inherits the rules among rho's generators when rho.verify() passes
+    (`induce` has already checked them, on the same image objects and the
+    same right-hand codes), so only the rules that involve `w_gen` are
+    checked.  A rho that fails passes nothing on, so every rule is checked,
+    its broken one among them.
     """
     images = dict(rho.images)
     images[w_gen] = jw.scale(root_of_unity(r))
-    rep = Representation(rho.group, images, name)
+    rep = Representation(rho.group, images, name, base=rho)
     report = verify_rep(rep)
     if not report.passed:
         raise RepError("extension is not a representation: %s" % report.detail)
@@ -486,43 +492,83 @@ def restrict_to_projective(rep, section=None):
     T(g) = rep(s(g)), checked to be a cube root of unity at every pair.
 
     The check runs on the exact kernel of `cyclo9`, on the 27 section images
-    from one `Representation.images_at` call.  T(1) must be the identity,
-    and each T(g) T(x_i), x_i a generator of the base group, is compared
-    whole with w^k T(g x_i), k = 0, 1, 2, for a unique match; a failure
-    raises RepError.
+    from one `Representation.images_at` call.  T(1) must be the identity.
+    The generator rule is checked only for the base group's generators that
+    the others do not generate (x1 and x3: x2 is their commutator, so it
+    lies in their closure): each T(g) T(x) is compared whole with
+    w^k T(gx), k = 0, 1, 2, for a unique match; a failure raises RepError.
 
-    That decides every pair.  Each y is some g x_i, and a unique k needs
-    T(y) != 0, so a scalar relating T(g) T(h) to T(gh) is unique when it
-    exists.  It exists by induction on the length of h's normal form: for
-    h = h' x (x the last letter), T(h) = w^-a(h',x) T(h') T(x), so
-    T(g) T(h) = w^(a(g,h') + a(gh',x) - a(h',x)) T(gh), starting from
-    a(g, 1) = 0 because T(1) = I.  The exponent table is filled by that
-    recursion one column h at a time in code order, in which h' comes
-    before h.
+    That decides every pair.  For each checked x, g -> gx is a bijection, so
+    every y is some gx, and a unique k there needs T(y) != 0; a scalar
+    relating T(g) T(h) to T(gh) is then unique when it exists.  It
+    exists by induction along a breadth-first spanning tree of the Cayley
+    graph over the checked generators: for h = h' x (h' before h in the
+    tree), T(h) = w^-a(h',x) T(h') T(x), so T(g) T(h) =
+    w^(a(g,h') + a(gh',x) - a(h',x)) T(gh), starting from a(g, 1) = 0
+    because T(1) = I.  The other columns are filled by that recursion in
+    tree order.
+
+    A pair is not multiplied when `images_at` has already formed its
+    product, which it reads off the lifted R243 codes, never the G27 codes:
+    s(x) is one R243 generator w, s(g) has no letter after w and a w-exponent
+    below 2, and s(gx) = s(g) + w.  `images_at` formed T(gx) as T(p) w^(e+1)
+    from the image T(p) of s(g) without its w-power w^e, and T(g) as
+    T(p) w^e, so T(g) T(x) = T(gx) literally (e = 0) or by associativity of
+    exact products (e = 1): k = 0, and only T(gx) != 0 is checked.  On the
+    canonical section that leaves 34 of the 54 products T(g) T(x).
     """
     g27 = get_group("G27")
     if rep.group.schema.name != "R243":
         raise RepError("projective restriction expects a representation of R243")
     if section is None:
         section = canonical_section()
-    n, rows, gens = g27.order, g27.rows, g27.gen_codes
-    T = rep.images_at(_lifting_section(tuple(section[g] for g in range(n))))
+    n, rows = g27.order, g27.rows
+    gens, tree = _spanning_tree(g27)
+    lift = _lifting_section(tuple(section[g] for g in range(n)))
+    T = rep.images_at(lift)
     if T[0] != matrix_state(CycMatrix.identity(rep.dim).rows):
         raise RepError("restriction of %s is not projective at (0, 0)" % rep.name)
     multiples = [(t, (wt := state_times_w(t)), state_times_w(wt)) for t in T]  # w^k T(y)
+    letters = set(rep.group.gen_codes)
     a = [bytearray(n) for _ in range(n)]
-    for g in range(n):
+    for g, s in enumerate(lift):
         for x in gens:
-            prod, targets = state_mul(T[g], T[x]), multiples[rows[g][x]]
-            if targets.count(prod) != 1:
+            y, w = rows[g][x], lift[x]
+            if w in letters and s % w == 0 and s // w % 3 < 2 and lift[y] == s + w:
+                k = 0 if any(map(any, T[y][0])) else None  # T(g) T(x) is T(y)
+            else:
+                prod, targets = state_mul(T[g], T[x]), multiples[y]
+                k = targets.index(prod) if targets.count(prod) == 1 else None
+            if k is None:
                 raise RepError("restriction of %s is not projective at (%d, %d)"
                                % (rep.name, g, x))
-            a[g][x] = targets.index(prod)
-    for h in range(1, n):
-        prefix, i = g27._split_last(h)  # h = prefix x_i
+            a[g][x] = k
+    for h, prefix, x in tree:
         for g in range(n):
-            a[g][h] = (a[g][prefix] + a[rows[g][prefix]][gens[i]] - a[prefix][gens[i]]) % 3
+            a[g][h] = (a[g][prefix] + a[rows[g][prefix]][x] - a[prefix][x]) % 3
     return CocycleTable(g27, tuple(map(bytes, a)))
+
+
+@lru_cache(maxsize=None)
+def _spanning_tree(group):
+    """The schema generators of `group` that the others do not generate, and
+    a breadth-first spanning tree of its Cayley graph over them: one
+    (h, prefix, x) with h = prefix x for each h other than 1 and those
+    generators, each prefix 1, a generator or listed before h."""
+    gens = list(group.gen_codes)
+    for x in group.gen_codes:
+        others = [y for y in gens if y != x]
+        if x in group.closure(others):
+            gens = others
+    rows, order, tree = group.rows, [0], []
+    for h in order:  # grows while it is read: breadth first
+        for x in gens:
+            y = rows[h][x]
+            if y not in order:
+                order.append(y)
+                if h:
+                    tree.append((y, h, x))
+    return tuple(gens), tuple(tree)
 
 
 @lru_cache(maxsize=256)

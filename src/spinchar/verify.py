@@ -5,8 +5,11 @@ Each check runs an exact computation and returns a CheckReport; the CLI
 comparisons are literal equality -- there are no tolerances anywhere.
 """
 
+import time
+
 from . import _np as np
 from .cyclo import ONE, root_of_unity
+from .cyclo9 import scalar_str
 from .linalg import CycMatrix, J_SHIFT, K_SHIFT
 from .groups import (CheckReport, Subgroup, get_group, covering_data, verify_efficient_covering,
                      verify_phi_automorphism, check_schema, exhaustive_associativity,
@@ -16,8 +19,7 @@ from .mackey import dual_group, act_on_dual, orbit_decomposition
 from .spinrep import (SpinType, full_catalog, spin_character_table,
                       verify_rep, restrict_to_projective, g81_partial_catalog,
                       gbar_partial_catalog, r243_pure_catalog, g27_nonspin_catalog,
-                      intertwiner_alpha, irreps_by_spin_type, mu_route_direct,
-                      table_cocycle)
+                      intertwiner_alpha, mu_route_direct, table_cocycle)
 
 
 def check_orders():
@@ -240,10 +242,13 @@ def check_orthogonality():
 def check_cocycle():
     failures = []
     by_type = {}
+    verdicts = {}  # the identity is decided once per distinct table
     a, b = table_cocycle()
     for rep in full_catalog():
         coc = restrict_to_projective(rep)
-        bad = coc.identity_violation()
+        if coc.exps not in verdicts:
+            verdicts[coc.exps] = coc.identity_violation()
+        bad = verdicts[coc.exps]
         if bad is not None:
             failures.append("%s cocycle identity fails at %s" % (rep.name, bad))
         eps, mu = rep.spin_type
@@ -304,9 +309,11 @@ def check_representations():
 
 def check_stairways():
     failures = []
+    table = spin_character_table()  # its (0, mu) rows are the stairway builds
     for mu in (1, 2):
         direct = sorted(r.character().key() for r in mu_route_direct(mu))
-        stair = sorted(r.character().key() for r in irreps_by_spin_type((0, mu)))
+        stair = sorted(tuple(map(scalar_str, values))
+                       for _, spin, _, values in table.rows if spin == (0, mu))
         if direct != stair:
             failures.append("(0,%d) direct build differs from the stairway build" % mu)
     return CheckReport("stairways", failures,
@@ -332,7 +339,8 @@ CHECKS = {
 
 
 def run_checks(only=None):
-    """Run the named checks (all by default) and return their results."""
+    """Run the named checks (all by default) and return their results, each
+    with its wall time in seconds as `seconds`."""
     if only is None:
         names = list(CHECKS)
     else:
@@ -344,4 +352,9 @@ def run_checks(only=None):
         repeated = dict.fromkeys(n for i, n in enumerate(names) if n in names[:i])
         if repeated:
             raise KeyError("repeated checks: %s" % ", ".join(map(repr, repeated)))
-    return [CHECKS[name]() for name in names]
+    results = []
+    for name in names:
+        start = time.perf_counter()
+        results.append(CHECKS[name]())
+        results[-1].seconds = time.perf_counter() - start
+    return results

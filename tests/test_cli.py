@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import re
 
 from hypothesis import given, settings, strategies as st
 
@@ -260,6 +261,21 @@ def test_verify_subset(capsys):
     assert "2/2 checks passed" in out
     code, out, _ = run_cli(capsys, "verify", "--only", "orders", "--format", "json")
     assert json.loads(out)["passed"] is True
+
+
+def test_verify_timings_are_opt_in(capsys):
+    argv = ["verify", "--only", "orders,orbits"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and all("seconds" not in c for c in json.loads(out)["checks"])
+    code, out, _ = run_cli(capsys, *argv, "--format", "json", "--timings")
+    checks = json.loads(out)["checks"]
+    assert code == 0 and [c["name"] for c in checks] == ["orders", "orbits"]
+    assert all(type(c["seconds"]) is float and c["seconds"] >= 0 for c in checks)
+    code, plain, _ = run_cli(capsys, *argv)
+    code, timed, _ = run_cli(capsys, *argv, "--timings")
+    assert code == 0 and timed.splitlines()[-1] == plain.splitlines()[-1]
+    for line, timed_line in zip(plain.splitlines()[:-1], timed.splitlines()[:-1]):
+        assert re.fullmatch(re.escape(line) + r" \[\d+\.\d{3} s\]", timed_line)
 
 
 def test_verify_unknown_check(capsys):

@@ -15,8 +15,8 @@ from spinchar.cyclo import (Cyc, CycError, OMEGA, OMEGA2, ZERO, ONE, _icbrt, _mo
                             root_of_unity)
 from spinchar.cyclo9 import (CONJ, PRODUCT, Cyc9, cyc9_cbrt, from_lattice,
                              lattice_einsum, lattice_equal, lattice_matmul, matrix_state,
-                             parse_scalar, right_matrix, scalar_str, state_mul, state_times_w,
-                             state_trace, to_lattice, zeta9)
+                             parse_scalar, right_matrix, scalar_str, state_mul, state_mul_trace,
+                             state_times_w, state_trace, to_lattice, zeta9)
 from spinchar.linalg import CycMatrix
 
 
@@ -546,6 +546,57 @@ def test_state_mul_matches_matrix_products(mats):
     assert state_mul(eye, matrix_state(A.rows)) == matrix_state(A.rows)
     assert state_trace(got) == (A * B).trace()
     assert state_times_w(got) == matrix_state((A * B).scale(OMEGA).rows)
+
+
+def _coefficients(x):
+    """The power-basis coefficients of a Cyc (p + q w) / d or a Cyc9, as
+    six Fractions; w = z^3."""
+    if isinstance(x, Cyc):
+        return [Fraction(x.p, x.d), 0, 0, Fraction(x.q, x.d), 0, 0]
+    return list(x.c)
+
+
+def _fraction_product(A, B):
+    """Reference for state_mul, sharing no code with cyclo9: each entry of
+    A B as a sum of polynomial products of Fraction 6-vectors, reduced from
+    the top degree down by z^6 = -z^3 - 1, i.e. z^k = -z^(k-3) - z^(k-6)."""
+    out = []
+    for i in range(A.n):
+        row = []
+        for j in range(A.n):
+            poly = [Fraction(0)] * 11
+            for k in range(A.n):
+                a, b = _coefficients(A[i, k]), _coefficients(B[k, j])
+                for p in range(6):
+                    for q in range(6):
+                        poly[p + q] += a[p] * b[q]
+            for k in range(10, 5, -1):
+                poly[k - 3] -= poly[k]
+                poly[k - 6] -= poly[k]
+            row.append(poly[:6])
+        out.append(row)
+    return out
+
+
+def _state_fractions(state):
+    rows, den = state
+    return [[[Fraction(0)] * 6 if n is None else [Fraction(a, den) for a in n] for n in row]
+            for row in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: _matrices(n, 3, kernel_entries)))
+def test_state_mul_matches_a_fraction_reference(mats):
+    A, B, C = mats
+    a, b, c = (matrix_state(M.rows) for M in mats)
+    want = _fraction_product(A, B)
+    assert _state_fractions(state_mul(a, b)) == want
+    # associativity, which restrict_to_projective relies on for the pairs it skips
+    assert state_mul(state_mul(a, b), c) == state_mul(a, state_mul(b, c))
+    # the trace-only product, against the same reference
+    trace = state_mul_trace(a, b)
+    assert trace == state_trace(state_mul(a, b))
+    assert _coefficients(trace) == [sum(want[i][i][p] for i in range(A.n)) for p in range(6)]
 
 
 @settings(max_examples=25, deadline=None)

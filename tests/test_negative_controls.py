@@ -111,6 +111,35 @@ def test_swapped_lift_fails_the_table_cross_check(monkeypatch):
                      for rep in irreps_by_spin_type((e, m))}
 
 
+def test_moved_generator_lift_is_multiplied_in_full(monkeypatch):
+    # s(x3) -> z12 s(x3) is no R243 generator, so the restriction skips no
+    # pair of the x3 column: it forms all 27 of its products, against 9 on
+    # the canonical section, where images_at already formed the other 18
+    r243, g27 = get_group("R243"), get_group("G27")
+    x1, x3 = g27.code("x1"), g27.code("x3")
+    moved = canonical_section()
+    moved[x3] = r243.mult(r243.code("z12"), moved[x3])
+    rep = irreps_by_spin_type((1, 1))[0]
+    right = []  # the right factor of each generator-rule product
+    monkeypatch.setattr(spinrep, "state_mul",
+                        lambda a, b, _real=spinrep.state_mul: right.append(b) or _real(a, b))
+    for section, want in ((canonical_section(), (25, 9)), (moved, (25, 27))):
+        right.clear()
+        restrict_to_projective(rep, section)
+        T = rep.images_at([section[x1], section[x3]])
+        assert (right.count(T[0]), right.count(T[1])) == want
+        assert len(right) == sum(want)
+    monkeypatch.undo()
+    monkeypatch.setattr(verify, "restrict_to_projective",
+                        lambda rep: restrict_to_projective(rep, moved))
+    result = verify.check_cocycle()
+    assert not result.passed
+    failures = result.detail.split("; ")
+    assert all("differs from the table-only derivation" in f for f in failures)
+    assert {f.split(" cocycle")[0] for f in failures} == {
+        rep.name for e in (1, 2) for m in range(3) for rep in irreps_by_spin_type((e, m))}
+
+
 def test_wrong_covering_kernel_fails_structure(monkeypatch):
     real = verify.covering_data
 
@@ -482,6 +511,24 @@ def test_perturbed_base_image_fails_representations(monkeypatch):
     result = verify.check_representations()
     assert len(result.failures) == 1
     assert result.failures[0].startswith("P(1,1): cube rule for n2: lhs=")
+
+
+@pytest.mark.parametrize("gen, rule", [("n2", "cube rule for n2"),
+                                       ("n1", "conjugation rule phi(n2)n1")])
+def test_extension_of_a_broken_base_inherits_nothing(gen, rule):
+    # the twists inherit the rules among P's generators only from a P that
+    # passes; from a broken one they check every rule and name its own
+    P, jw, _ = r243_pure_catalog(1, 1)
+    planted = _perturbed_image(P, gen, 2, 1, coeff=4)
+    assert planted.verify()[0] == rule
+    with pytest.raises(RepError, match=re.escape("extension is not a representation: %s: "
+                                                 % rule)):
+        spinrep.extend_and_tensor(planted, jw, 0, "n3", "Pi(1,1;0)")
+    assert spinrep.extend_and_tensor(P, jw, 0, "n3", "Pi(1,1;0)").verify() is None
+    # a base must hand over its own image objects
+    images = dict(P.images, n3=jw, **{gen: planted.images[gen]})
+    with pytest.raises(MackeyError, match="share the group and its generator images"):
+        Representation(P.group, images, "bad", base=P)
 
 
 def test_perturbed_character_fails_induction():

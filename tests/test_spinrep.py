@@ -295,6 +295,55 @@ def test_images_at_skips_identity_factors(monkeypatch):
                                        for c in classes)
 
 
+def test_restriction_skips_the_products_images_at_formed(monkeypatch):
+    # 20 products form the 27 section images; of the 54 generator-rule
+    # pairs over x1 and x3, the 20 whose product images_at formed are skipped
+    rep = irreps_by_spin_type((1, 1))[0]
+    assert rep.dim == 3 and rep.spin_type.kind == "purely-spin"
+    rep.powers()  # built once, on first use, before the count starts
+    counts = {mackey: 0, spinrep: 0}
+    for module in counts:
+        def counting(a, b, _module=module):
+            counts[_module] += 1
+            return state_mul(a, b)
+        monkeypatch.setattr(module, "state_mul", counting)
+    restrict_to_projective(rep)
+    assert (counts[mackey], counts[spinrep]) == (20, 34)
+
+
+_COUNTING = """
+from spinchar import cyclo9, linalg, mackey, spinrep, verify
+counts = [0, 0]
+mul, trace = cyclo9.state_mul, cyclo9.state_mul_trace
+def counting_mul(a, b):
+    counts[0] += 1
+    return mul(a, b)
+def counting_trace(a, b):
+    counts[1] += 1
+    return trace(a, b)
+for module in (linalg, mackey, spinrep):
+    module.state_mul = counting_mul
+mackey.state_mul_trace = counting_trace
+%s
+print(*counts)
+"""
+
+
+@pytest.mark.parametrize("run, want", [
+    ("assert all(result.passed for result in verify.run_checks())", (4428, 1060)),
+    ("spinrep.spin_character_table()", (989, 700)),
+])
+def test_cold_runs_make_the_recorded_products(run, want):
+    # full products and trace-only ones of a cold `spinchar verify` and a
+    # cold `chartable` (7,655 and 2,013 full products before the cuts)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", _COUNTING % run], env=env,
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert tuple(map(int, proc.stdout.split())) == want
+
+
 class TestCharacters:
     def test_induced_character_formula(self):
         g27 = get_group("G27")
