@@ -16,26 +16,25 @@ Q(w) embeds via w = zeta9^3; values lying in the subfield print in the Q(w)
 grammar, a sublanguage of this one, and `parse_scalar` (ASCII digits only)
 is the one reader of both.
 
-Representations compute on the exact matrix kernel at the end of the
+Representations compute on the exact matrix kernel near the end of the
 module, on Python ints: a matrix is a state, rows of entries that are None
 (zero) or six numerators over one denominator in lowest terms, so equal
 matrices have equal states (`matrix_state`; `state_mul` skips zeros, and
 `state_mul_trace` gives the trace of a product without forming it).
-Only `verify`'s table-wide checks use numpy: scalars become an int64 array
-of coefficient vectors over one denominator (`to_lattice`), a product is
-one integer matmul by `right_matrix`, the regular representation of
-Z[zeta9] (`lattice_matmul`), and each int64 operation that could wrap is
-refused with CycError.  Products reduce through `_reduce` and the tables
-PRODUCT and CONJ derive from it, so the rule is written down once.
+`verify`'s table-wide sums (the Gram matrix and the column relations of
+the character table) pack each value as one Python int by Kronecker
+substitution (`pack_table`), so an inner product is one sum of int
+products, and compare residues mod X^6 + X^3 + 1 (`Packing`); Python
+ints cannot wrap, so no sum needs a range check.  Scalar and kernel
+products reduce through `_reduce`, so the rule is written down once.
 """
 
-import functools
 import math
 import numbers
 import operator
 import re
+from typing import NamedTuple
 
-from . import _np as np
 from .cyclo import Cyc, CycError, _cyc, _ratio, cyc_cbrt, cyc_str, power, root_of_unity, terms_str
 
 
@@ -387,126 +386,80 @@ def state_times_w(state):
                        for n in row) for row in rows), den
 
 
-# -- int64 lattice arrays, for the table-wide checks of `verify` ---------------
+# -- Kronecker substitution, for the table-wide sums of `verify` ---------------
 
-_INT64_MAX = 2 ** 63 - 1
-
-
-@functools.cache
-def _tables():
-    # Coefficient rows: PRODUCT[i, j] = z^i z^j and CONJ[i] = conj(z^i), so a
-    # coefficient vector x maps to x @ CONJ.
-    product = np.array([[_basis_row(i + j) for j in range(6)] for i in range(6)],
-                       dtype=np.int64)
-    conj = np.array(_CONJ_BASIS, dtype=np.int64)
-    product.flags.writeable = False
-    conj.flags.writeable = False
-    return {"PRODUCT": product, "CONJ": conj}
+def packing_bits(bound):
+    """The digit width B of a packing whose reduced digits are at most
+    `bound` in magnitude: the least B with 2^(B-1) > bound."""
+    return bound.bit_length() + 1
 
 
-def __getattr__(name):
-    """PRODUCT and CONJ are built on first use, so importing this module
-    imports no numpy."""
-    if name in ("PRODUCT", "CONJ"):
-        return _tables()[name]
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+class Packing(NamedTuple):
+    """Values over one denominator `den` packed as Python ints, Kronecker
+    substitution (Schonhage 1982): n / den with numerators c_0..c_5 is the
+    int sum c_k X^k, X = 2^bits.  A sum of products of packed values is
+    then one int, P(X) for the unreduced degree < 11 polynomial P of the
+    sum of products, whose value has denominator den^2.
 
-
-def to_lattice(values):
-    """Exact integer coordinates of an array of scalars.
-
-    `values` is a nested sequence of Cyc, Cyc9, int or Fraction.  Returns
-    (L, den): den is the least positive integer with den * x in Z[zeta9]
-    for every x, and L is the int64 array of shape values.shape + (6,)
-    holding the power-basis coefficients of den * x.  Raises CycError when
-    a coefficient does not fit in int64.
+    P reduced by z^6 = -z^3 - 1 is R, and P = R + Q (x^6 + x^3 + 1) with Q
+    integral, the divisor being monic; so P(X) = R(X) mod the int
+    N = X^6 + X^3 + 1 (`modulus`).  While each digit of R is below
+    X / 2 = 2^(bits - 1) in magnitude, |R(X)| <= (X/2 - 1)(X^6 - 1)/(X - 1)
+    < (X^6 - 1) / 2 < N / 2: R(X) is P(X)'s symmetric residue mod N, and
+    its digits, each in -X/2 < d < X/2, are read back uniquely.  So two
+    sums are equal values exactly when their residues are equal, and only
+    a sum whose value is wanted needs decoding.
     """
-    arr = np.array(values, dtype=object)
-    (row,), den = matrix_state([arr.flat])
-    ints = [a for n in row for a in n or (0,) * 6]
-    if ints and max(map(abs, ints)) > _INT64_MAX:
-        raise CycError("lattice coefficient exceeds the int64 range")
-    return np.array(ints, dtype=np.int64).reshape(arr.shape + (6,)), den
+
+    bits: int
+    den: int
+    modulus: int
+
+    def unpack(self, s, scale=1):
+        """The value of the sum of products s, divided by `scale`: the
+        digits of s's symmetric residue mod N over den^2 scale."""
+        r, n = s % self.modulus, self.modulus
+        if r > n >> 1:
+            r -= n
+        half, mask = 1 << (self.bits - 1), (1 << self.bits) - 1
+        digits = []
+        for _ in range(6):
+            d = ((r + half) & mask) - half  # the signed digit, -X/2 <= d < X/2
+            digits.append(d)
+            r = (r - d) >> self.bits
+        return from_lattice(digits, self.den * self.den * scale)
 
 
-def _magnitude(op):
-    # max and min instead of abs: no temporary as large as op
-    return max(1, int(op.max(initial=0)), -int(op.min(initial=0)))
+def pack_table(rows, weight, target):
+    """(packing, packed rows, packed conjugate rows) of a table of scalars
+    (Cyc, Cyc9, int, Fraction) over their least common denominator, for
+    sums of products value * conj(value) whose int weights have absolute
+    sum at most `weight`, each compared with a rational integer of
+    magnitude at most `target`.  Each distinct value is packed once.
 
-
-def _check_bound(bound):
-    if bound > _INT64_MAX:
-        raise CycError("lattice product could overflow int64 (bound %d)" % bound)
-
-
-def lattice_einsum(subscripts, *operands):
-    """np.einsum on int64 lattice arrays, refused with CycError when a sum
-    of products could leave the int64 range (numpy would wrap silently).
-
-    `subscripts` is explicit ("ab,bc->ac", no ellipsis).  The bound is the
-    product of the operands' largest magnitudes (at least 1 each) times the
-    number of terms summed into each output entry; it also bounds every
-    intermediate that an optimized contraction order forms on the way.
+    The digit width follows from the data.  With every numerator of a value
+    at most m and of a conjugate at most m' in magnitude, the z^k
+    coefficient of an unreduced sum is at most 6 m m' weight: each of its
+    products contributes at most six pairs z^p z^q with p + q = k.  The
+    reduction gives (p0 - p6 + p9, p1 - p7 + p10, p2 - p8, p3 - p6,
+    p4 - p7, p5 - p8), at most three terms a digit, so no reduced digit
+    exceeds 18 m m' weight, and a target t, packed as t den^2, has the one
+    digit t den^2.  `packing_bits` of the larger bound then meets the
+    condition of `Packing`.
     """
-    inputs, output = subscripts.split("->")
-    sizes = {}
-    bound = 1
-    for spec, op in zip(inputs.split(","), operands):
-        sizes.update(zip(spec, op.shape))
-        bound *= _magnitude(op)
-    for axis, n in sizes.items():
-        if axis not in output:
-            bound *= n
-    _check_bound(bound)
-    return np.einsum(subscripts, *operands, optimize=len(operands) > 2)
+    states = [[_state9(x) for x in row] for row in rows]
+    distinct = {s for row in states for s in row}
+    den = math.lcm(*(d for _, d in distinct))
+    nums = {(n, d): tuple(a * (den // d) for a in n) for n, d in distinct}
+    conjs = {s: _apply(n, _CONJ_BASIS) for s, n in nums.items()}
+    m = max((abs(a) for n in nums.values() for a in n), default=0)
+    mc = max((abs(a) for n in conjs.values() for a in n), default=0)
+    bits = packing_bits(max(18 * m * mc * weight, target * den * den))
+    packing = Packing(bits, den, (1 << 6 * bits) + (1 << 3 * bits) + 1)
 
+    def pack(n):
+        return sum(c << bits * k for k, c in enumerate(n))
 
-def right_matrix(b):
-    """The integer matrix of right multiplication by the lattice matrices b.
-
-    `b` has shape (..., k, n, 6).  Returns R of shape (..., 6k, 6n) with
-    R[(j, p), (l, r)] the z^r coefficient of z^p b[j, l], so that the
-    coefficient rows of a (..., m, k, 6) lattice a, reshaped to
-    (..., m, 6k), times R are those of the product a b.
-    """
-    _check_bound(_magnitude(b) * 6)  # six terms: a coefficient of b times 0 or +-1
-    R = b[..., :, None, :, :] @ _tables()["PRODUCT"]  # [..., j, p, l, r]
-    return R.reshape(b.shape[:-3] + (6 * b.shape[-3], 6 * b.shape[-2]))
-
-
-def lattice_matmul(a, a_den, b, b_den):
-    """Exact batched matrix product of a / a_den and b / b_den.
-
-    `a` has shape (..., m, k, 6) and `b` shape (..., k, n, 6); the batch
-    axes broadcast as in np.matmul.  One integer matmul of a's coefficient
-    rows by R = right_matrix(b) gives c of shape (..., m, n, 6), returned
-    with den = a_den * b_den divided by its gcd with every coefficient, so
-    denominators never grow past what the values need.  The int64 bound is
-    max|a| * max|R| * 6k, which bounds every partial sum; a product that
-    could exceed it raises CycError instead of wrapping.
-    """
-    m, k = a.shape[-3:-1]
-    if b.shape[-3] != k:
-        raise CycError("lattice product of %d-column and %d-row matrices" % (k, b.shape[-3]))
-    R = right_matrix(b)
-    _check_bound(_magnitude(a) * _magnitude(R) * 6 * k)
-    c = a.reshape(a.shape[:-3] + (m, 6 * k)) @ R
-    c = c.reshape(c.shape[:-1] + (b.shape[-2], 6))
-    den = a_den * b_den
-    g = 1 if den == 1 else math.gcd(den, int(np.gcd.reduce(c, axis=None)))
-    if g > 1:
-        c //= g
-        den //= g
-    return c, den
-
-
-def lattice_equal(a, a_den, b, b_den):
-    """Coefficient-wise equality of a / a_den and b / b_den, broadcast, on
-    their least common denominator; CycError when rescaling could leave
-    int64.  Reduce the result over the value axes (the last three for
-    matrices) to compare whole values.
-    """
-    den = math.lcm(a_den, b_den)
-    ka, kb = den // a_den, den // b_den
-    _check_bound(max(_magnitude(a) * ka, _magnitude(b) * kb))
-    return (a * ka if ka != 1 else a) == (b * kb if kb != 1 else b)
+    value, conj = {s: pack(n) for s, n in nums.items()}, {s: pack(n) for s, n in conjs.items()}
+    return (packing, [[value[s] for s in row] for row in states],
+            [[conj[s] for s in row] for row in states])

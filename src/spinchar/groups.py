@@ -41,11 +41,10 @@ enumeration of elements is the closure of the generators), classes,
 quotients, homomorphism tests, Light's test of every triple's associativity
 -- reads those rows, so building and reporting a group needs no numpy.
 `Group.table` is the same table as a uint8 or uint16 array over the row
-bytes, made on first use by the two table-wide checks that only `verify`
-runs, the associativity spot check of 10^6 random triples drawn in blocks
-of 2^13 and the table-only derivation of the cocycles; numpy serves only
-those and `verify`'s orthogonality check, and the catalog commands compute
-on Python ints from the rows.
+bytes, made on first use by the one check that needs it, `verify`'s
+associativity spot check of 10^6 random GSHARP triples drawn in blocks of
+2^13; numpy serves only that pass, and every other command and check
+computes on Python ints from the rows.
 """
 
 from array import array

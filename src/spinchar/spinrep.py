@@ -14,13 +14,11 @@ group itself are one recipe, `_stairway`: a base character induced one step
 """
 
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
-from . import _np as np
-from . import cyclo9
-from .cyclo import ONE, OMEGA, OMEGA2, root_of_unity, root_exponent
-from .cyclo9 import (cyc9_cbrt, from_lattice, lattice_einsum, lattice_equal, lattice_matmul,
-                     matrix_state, scalar_str, state_mul, state_times_w, to_lattice)
+from .cyclo import ONE, OMEGA, OMEGA2, ZERO, root_of_unity, root_exponent
+from .cyclo9 import cyc9_cbrt, matrix_state, pack_table, scalar_str, state_mul, state_times_w
 from .linalg import CycMatrix, intertwiner_space
 from .groups import CheckReport, Subgroup, get_group, covering_data
 from .mackey import DualCharacter, SubRep, dual_group, orbit_decomposition, induce
@@ -368,33 +366,40 @@ class CharTable(NamedTuple):
     classes: list   # (representative code, class size)
     rows: list      # (name, SpinType, dim, list of Cyc values)
 
-    def _lattice(self):
-        """The row values as a (rows, classes, 6) lattice array, its complex
-        conjugate, and their common denominator."""
-        X, den = to_lattice([values for _, _, _, values in self.rows])
-        return X, lattice_einsum("icp,pq->icq", X, cyclo9.CONJ), den
+    def _packed(self):
+        """`cyclo9.pack_table` of the row values, bounded for the weighted
+        row sums of the Gram matrix and the unweighted column sums, each
+        compared with at most the group order."""
+        weight = max(sum(size for _, size in self.classes), len(self.rows))
+        return pack_table([values for _, _, _, values in self.rows], weight, self.group.order)
 
     def gram_matrix(self):
-        """Exact Gram matrix of the rows under the character inner product."""
-        X, Xc, den = self._lattice()
-        sizes = np.array([s for _, s in self.classes], dtype=np.int64)
-        weighted = lattice_einsum("icp,c->icp", X, sizes)
-        gram, gram_den = lattice_matmul(weighted, den, np.swapaxes(Xc, 0, 1), den)
-        scale = gram_den * self.group.order
-        return [[from_lattice(v, scale) for v in row] for row in gram]
+        """Exact Gram matrix of the rows under the character inner product;
+        an entry is decoded only when it is neither 0 nor 1."""
+        packing, rows, conj = self._packed()
+        order = self.group.order
+        one = order * packing.den ** 2
+        gram = []
+        for row in rows:
+            weighted = [size * v for (_, size), v in zip(self.classes, row)]
+            line = []
+            for conj_row in conj:
+                r = sum(map(mul, weighted, conj_row)) % packing.modulus
+                line.append(ZERO if r == 0 else ONE if r == one else packing.unpack(r, order))
+            gram.append(line)
+        return gram
 
     def column_orthogonality_violation(self):
         """First (g, h) class pair violating sum_chi chi(g) conj(chi(h)) =
         |centralizer(g)| [g ~ h], or None."""
-        X, Xc, den = self._lattice()
-        sums, sums_den = lattice_matmul(np.swapaxes(X, 0, 1), den, Xc, den)
-        want = np.zeros_like(sums)
-        for c, (_, size) in enumerate(self.classes):
-            want[c, c, 0] = self.group.order // size
-        bad = np.argwhere(~lattice_equal(sums, sums_den, want, 1).all(axis=2))
-        if len(bad):
-            i, j = (int(x) for x in bad[0])
-            return (i, j, from_lattice(sums[i, j], sums_den))
+        packing, rows, conj = self._packed()
+        den2, conj_columns = packing.den ** 2, list(zip(*conj))
+        for g, column in enumerate(zip(*rows)):
+            centralizer = self.group.order // self.classes[g][1] * den2
+            for h, conj_column in enumerate(conj_columns):
+                s = sum(map(mul, column, conj_column))
+                if s % packing.modulus != (centralizer if g == h else 0):
+                    return (g, h, packing.unpack(s))
         return None
 
 
@@ -464,25 +469,23 @@ def table_cocycle():
     """The factor set of the canonical section from the R243 Cayley table
     alone, sharing no code with the matrix path of restrict_to_projective.
 
-    s(g) s(h) s(gh)^-1 = z12^a z23^b for every pair; returns the (27, 27)
-    exponent arrays (a, b).  An irreducible of spin type (eps, mu) then
+    s(g) s(h) s(gh)^-1 = z12^a z23^b for every pair; returns the exponents
+    (a, b) as 27 bytes rows each, a[g][h] and b[g][h], from 729 lookups in
+    R243's rows and inverses.  An irreducible of spin type (eps, mu) then
     restricts with cocycle exponents (eps a + mu b) mod 3.
     """
-    g27 = get_group("G27")
-    r243 = get_group("R243")
+    g27, r243 = get_group("G27"), get_group("R243")
     section = canonical_section()
-    s = np.array([section[g] for g in range(g27.order)])
-    table = r243.table
-    c = table[table[s[:, None], s[None, :]], np.array(r243.inv)[s[g27.table]]]
-    a = np.full(r243.order, -1)
-    b = np.full(r243.order, -1)
-    for x in range(3):
-        for y in range(3):
-            code = r243.code_of((x, y, 0, 0, 0))
-            a[code], b[code] = x, y
-    if (a[c] < 0).any():
+    s = [section[g] for g in range(g27.order)]
+    rows, inv = r243.rows, r243.inv
+    # z12^a z23^b has code 81 a + 27 b: byte 3 a + b, and 255 off the multiplier
+    pair = bytes(code // 27 if code % 27 == 0 else 255 for code in range(256))
+    c = [bytes(rows[rows[s[g]][s[h]]][inv[s[gh]]] for h, gh in enumerate(row)).translate(pair)
+         for g, row in enumerate(g27.rows)]
+    if any(255 in row for row in c):
         raise RepError("section cocycle leaves the multiplier subgroup")
-    return a[c], b[c]
+    a_of, b_of = bytes(v // 3 for v in range(256)), bytes(v % 3 for v in range(256))
+    return tuple(row.translate(a_of) for row in c), tuple(row.translate(b_of) for row in c)
 
 
 def restrict_to_projective(rep, section=None):
@@ -495,8 +498,11 @@ def restrict_to_projective(rep, section=None):
     from one `Representation.images_at` call.  T(1) must be the identity.
     The generator rule is checked only for the base group's generators that
     the others do not generate (x1 and x3: x2 is their commutator, so it
-    lies in their closure): each T(g) T(x) is compared whole with
-    w^k T(gx), k = 0, 1, 2, for a unique match; a failure raises RepError.
+    lies in their closure): T(gx) is tested nonzero, then T(g) T(x) is
+    compared whole with w^0, w^1 and w^2 T(gx) in turn, each multiple
+    formed only after the one before it failed to match.  A nonzero T(gx)
+    makes the three multiples distinct (w^j T = w^k T with j != k forces
+    T = 0), so the first match is the unique k.  A failure raises RepError.
 
     That decides every pair.  For each checked x, g -> gx is a bijection, so
     every y is some gx, and a unique k there needs T(y) != 0; a scalar
@@ -528,17 +534,18 @@ def restrict_to_projective(rep, section=None):
     T = rep.images_at(lift)
     if T[0] != matrix_state(CycMatrix.identity(rep.dim).rows):
         raise RepError("restriction of %s is not projective at (0, 0)" % rep.name)
-    multiples = [(t, (wt := state_times_w(t)), state_times_w(wt)) for t in T]  # w^k T(y)
     letters = set(rep.group.gen_codes)
     a = [bytearray(n) for _ in range(n)]
     for g, s in enumerate(lift):
         for x in gens:
             y, w = rows[g][x], lift[x]
-            if w in letters and s % w == 0 and s // w % 3 < 2 and lift[y] == s + w:
-                k = 0 if any(map(any, T[y][0])) else None  # T(g) T(x) is T(y)
+            if not any(map(any, T[y][0])):
+                k = None  # T(gx) = 0 matches every multiple: no unique scalar
+            elif w in letters and s % w == 0 and s // w % 3 < 2 and lift[y] == s + w:
+                k = 0  # T(g) T(x) is T(y)
             else:
-                prod, targets = state_mul(T[g], T[x]), multiples[y]
-                k = targets.index(prod) if targets.count(prod) == 1 else None
+                prod = state_mul(T[g], T[x])
+                k = next((k for k, t in enumerate(_w_multiples(T[y])) if t == prod), None)
             if k is None:
                 raise RepError("restriction of %s is not projective at (%d, %d)"
                                % (rep.name, g, x))
@@ -547,6 +554,14 @@ def restrict_to_projective(rep, section=None):
         for g in range(n):
             a[g][h] = (a[g][prefix] + a[rows[g][prefix]][x] - a[prefix][x]) % 3
     return CocycleTable(g27, tuple(map(bytes, a)))
+
+
+def _w_multiples(t):
+    """w^0 t, w^1 t and w^2 t, each formed only when the one before it has
+    been read."""
+    yield t
+    yield (t := state_times_w(t))
+    yield state_times_w(t)
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,6 @@ comparisons are literal equality -- there are no tolerances anywhere.
 
 import time
 
-from . import _np as np
 from .cyclo import ONE, root_of_unity
 from .cyclo9 import scalar_str
 from .linalg import CycMatrix, J_SHIFT, K_SHIFT
@@ -244,6 +243,11 @@ def check_cocycle():
     by_type = {}
     verdicts = {}  # the identity is decided once per distinct table
     a, b = table_cocycle()
+    n = len(a)
+    # byte 3 a + b at g n + h: no byte exceeds 8, so none carries
+    pair = (3 * int.from_bytes(b"".join(a), "big")
+            + int.from_bytes(b"".join(b), "big")).to_bytes(n * n, "big")
+    expected = {}  # eps a + mu b mod 3, one table per spin type
     for rep in full_catalog():
         coc = restrict_to_projective(rep)
         if coc.exps not in verdicts:
@@ -252,11 +256,14 @@ def check_cocycle():
         if bad is not None:
             failures.append("%s cocycle identity fails at %s" % (rep.name, bad))
         eps, mu = rep.spin_type
-        exps = np.frombuffer(b"".join(coc.exps), dtype=np.uint8).reshape(a.shape)
-        diff = np.argwhere(exps != (eps * a + mu * b) % 3)
-        if len(diff):
+        if rep.spin_type not in expected:
+            expected[rep.spin_type] = pair.translate(
+                bytes((eps * (v // 3) + mu * (v % 3)) % 3 for v in range(256)))
+        got, want = b"".join(coc.exps), expected[rep.spin_type]
+        if got != want:
+            first = next(i for i, (x, y) in enumerate(zip(got, want)) if x != y)
             failures.append("%s cocycle differs from the table-only derivation at %s"
-                            % (rep.name, tuple(int(x) for x in diff[0])))
+                            % (rep.name, divmod(first, n)))
         if rep.spin_type == SpinType(0, 0) and not coc.is_trivial():
             failures.append("%s is non-spin but has a nontrivial cocycle" % rep.name)
         if rep.spin_type != SpinType(0, 0) and coc.is_trivial():

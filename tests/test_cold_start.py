@@ -6,11 +6,11 @@ imports `decimal`).  The structural commands (`group` reports) run on the
 Cayley table's Python rows and never load those modules either, nor do
 the table-only `verify` checks (orders, structure, automorphism, orbits).
 The catalog commands (`chartable`, `irreps`, `cocycle`) compute on Python
-ints and load none of numpy, `fractions` or `decimal`; numpy serves only
-`verify`'s table-wide checks.  `verify` never loads `numpy.random` or
-`hashlib`, and one `verify` builds each catalog table once.  Light's test
-reads the rows too: only the random associativity pass makes a numpy
-table, GSHARP's.  numpy starts no idle OpenBLAS threads unless the user
+ints and load none of numpy, `fractions` or `decimal`, and neither do
+`verify`'s orthogonality and cocycle checks: numpy serves only the GSHARP
+random associativity pass, the one place that makes a numpy table.
+`verify` never loads `numpy.random` or `hashlib`, and one `verify` builds
+each catalog table once.  Light's test reads the rows too.  numpy starts no idle OpenBLAS threads unless the user
 asks for them, and `irreps` refuses a group that does not carry the spin
 type before it builds anything.  These are properties of a whole process,
 so each test runs its code in a child interpreter.
@@ -119,6 +119,18 @@ for args in (%r, ["verify"]):
 """ % (["verify", "--only", "orders,structure,automorphism,orbits,associativity"],
        ("numpy.random", "secrets", "hashlib", "_hashlib")))
     assert out == "[]\n[]\n"
+
+
+def test_orthogonality_and_cocycle_import_no_numpy():
+    # numpy serves only the GSHARP random associativity pass
+    out = _run("""
+import contextlib, io, sys
+from spinchar.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["verify", "--only", "orthogonality,cocycle"]) == 0
+print("numpy" in sys.modules)
+""")
+    assert out == "False\n"
 
 
 def test_verify_builds_each_table_once():

@@ -6,18 +6,18 @@ import random
 import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinchar.cyclo import (Cyc, CycError, OMEGA, OMEGA2, ZERO, ONE, _icbrt, _monotone_root,
                             _rational_roots, as_cyc, cyc_cbrt, cyc_str, root_exponent,
                             root_of_unity)
-from spinchar.cyclo9 import (CONJ, PRODUCT, Cyc9, cyc9_cbrt, from_lattice,
-                             lattice_einsum, lattice_equal, lattice_matmul, matrix_state,
-                             parse_scalar, right_matrix, scalar_str, state_mul, state_mul_trace,
-                             state_times_w, state_trace, to_lattice, zeta9)
+from spinchar.cyclo9 import (Cyc9, Packing, cyc9_cbrt, matrix_state, pack_table, packing_bits,
+                             parse_scalar, scalar_str, state_mul, state_mul_trace, state_times_w,
+                             state_trace, zeta9)
+from spinchar.groups import get_group
 from spinchar.linalg import CycMatrix
+from spinchar.spinrep import CharTable, g27_nonspin_catalog
 
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -197,8 +197,8 @@ def test_coefficients_of_any_degree_reduce():
 
 
 def test_scalar_arithmetic_builds_no_fraction(monkeypatch):
-    """+, -, *, /, conj, the lattice conversions and the matrix kernel run on
-    the int state."""
+    """+, -, *, /, conj, the packing and the matrix kernel run on the int
+    state."""
     x, y = Cyc(Fraction(1, 3), -2), Cyc(Fraction(-5, 6), Fraction(7, 4))
     u, v = Cyc9([Fraction(1, 3), 0, Fraction(-2, 3), 1, 0, 5]), zeta9(2) + Fraction(1, 5)
     r = Fraction(2, 7)
@@ -218,8 +218,8 @@ def test_scalar_arithmetic_builds_no_fraction(monkeypatch):
                 if t != 0:
                     s / t
     x.conj(), u.conj(), -x, -u, u.inverse(), x ** -2, u ** 3
-    L, den = to_lattice([[x, u], [3, r]])
-    [from_lattice(L[i, j], den) for i in range(2) for j in range(2)]
+    packing, packed, conj = pack_table([[x, u], [3, r]], 1, 1)
+    [packing.unpack(a * b) for row in packed for a in row for b in conj[0]]
     state = matrix_state([[x, u], [3, r]])
     CycMatrix.from_state(state_times_w(state_mul(state, state)))
     state_trace(state)
@@ -479,54 +479,118 @@ class TestNinthField:
                 parse_scalar(bad)
 
 
-class TestLatticeKernel:
-    """The int64 lattice tables, and the kernel's multiple by w, against
-    scalar Cyc9 arithmetic as reference."""
+class TestPackedKernel:
+    """Kronecker packing, and the kernel's multiple by w, against scalar
+    Cyc9 arithmetic as reference."""
 
-    def test_tables_match_scalar_arithmetic(self):
+    def test_products_match_scalar_arithmetic(self):
         rng = random.Random(9)
         for _ in range(100):
             a = Cyc9([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(6)])
             b = Cyc9.from_scalar(Cyc(Fraction(rng.randint(-5, 5), 3), rng.randint(-5, 5)))
-            L, den = to_lattice([a, b])
-            assert from_lattice(L[0], den) == a and from_lattice(L[1], den) == b
-            prod = lattice_einsum("p,q,pqr->r", L[0], L[1], PRODUCT)
-            assert from_lattice(prod, den * den) == a * b
-            assert from_lattice(L[0] @ CONJ, den) == a.conj()
+            packing, (values,), (conj,) = pack_table([[a, b]], 1, 0)
+            assert packing.unpack(values[0] * conj[1]) == a * b.conj()
+            assert packing.unpack(values[1] * conj[0]) == b * a.conj()
             assert state_times_w(matrix_state([[a]])) == matrix_state([[a * OMEGA]])
 
     def test_denominator_comes_from_the_data(self):
-        L, den = to_lattice([[ONE, Cyc(Fraction(1, 6))], [zeta9(2), 4]])
-        assert den == 6 and L.shape == (2, 2, 6) and L.dtype == np.int64
-        assert to_lattice([1, OMEGA])[1] == 1
-        assert from_lattice(L[0, 1], den) == Cyc(Fraction(1, 6))
-        assert isinstance(from_lattice(L[0, 1], den), Cyc)
-        assert isinstance(from_lattice(L[1, 0], den), Cyc9)
+        values = [ONE, Cyc(Fraction(1, 6)), zeta9(2), 4]
+        packing, (packed,), (conj,) = pack_table([values], 1, 1)
+        assert packing.den == 6 and pack_table([[1, OMEGA]], 1, 1)[0].den == 1
+        got = [packing.unpack(v * conj[0]) for v in packed]  # v * conj(1)
+        assert got == values
+        assert isinstance(got[1], Cyc) and isinstance(got[2], Cyc9)
 
-    def test_magnitudes_checked_before_int64_wraps(self):
-        with pytest.raises(CycError):
-            to_lattice([Cyc(2 ** 63)])
-        small, _ = to_lattice([Cyc(2 ** 28)])
-        assert from_lattice(lattice_einsum("ip,iq,pqr->r", small, small, PRODUCT)) == 2 ** 56
-        big, _ = to_lattice([Cyc(2 ** 32)])  # its square wraps to 0 in int64
-        with pytest.raises(CycError):
-            lattice_einsum("ip,iq,pqr->r", big, big, PRODUCT)
+    def test_numerators_near_2_70_give_exact_sums(self):
+        # Python ints cannot wrap: the G27 table scaled by c = 2^70 + 1 + zeta9
+        # has Gram matrix |c|^2 I and column sums |c|^2 |centralizer|
+        g27 = get_group("G27")
+        classes = [(rep, len(members)) for rep, members in g27.conjugacy_classes()]
+        c = Cyc9([2 ** 70 + 1, 1])
+        rows = [(rep.name, rep.spin_type, rep.dim,
+                 [c * rep.character().values[code] for code, _ in classes])
+                for rep in g27_nonspin_catalog()]
+        table = CharTable(g27, classes, rows)
+        norm = c * c.conj()
+        assert norm.n[0] > 2 ** 140
+        gram = table.gram_matrix()
+        assert gram == [[norm if i == j else 0 for j in range(11)] for i in range(11)]
+        assert table.column_orthogonality_violation() == (0, 0, 27 * norm)
+        plain = table._replace(rows=[(name, spin, dim, [v / c for v in values])
+                                     for name, spin, dim, values in rows])
+        assert plain.column_orthogonality_violation() is None
 
 
-# entries with denominators 1 and 3, held as either scalar type
-thirds = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 3]))
-lattice_entries = st.one_of(st.builds(Cyc, thirds, thirds),
-                            st.builds(Cyc9, st.lists(thirds, min_size=6, max_size=6)))
+def test_packing_bits_is_the_least_width_that_decodes():
+    # 2^(B - 1) > bound is the condition of Packing, which B - 1 would break
+    for bound in [0, 1, 2, 3, 7, 8, 2 ** 40 - 1, 2 ** 40, 18 * 9 * 18 * 243]:
+        bits = packing_bits(bound)
+        assert 2 ** (bits - 1) > bound and (bound >= 2 ** (bits - 2) or bound == 0)
+    # pack_table takes the larger of the sum bound and the target bound
+    values = [Cyc9([3, -2, 0, 1, 0, -1]), Fraction(1, 2), zeta9(5)]
+    packing, _, _ = pack_table([values], 7, 5)
+    m = max(abs(a) for x in values for a in Cyc9.from_scalar(x * 2).n)
+    mc = max(abs(a) for x in values for a in Cyc9.from_scalar(x * 2).conj().n)
+    assert (packing.den, packing.bits) == (2, packing_bits(max(18 * m * mc * 7, 5 * 4)))
+    assert pack_table([[Fraction(1, 7)]], 1, 1)[0].bits == packing_bits(49)  # target wins
+    # digits at the edge 2^(B-1) - 1 read back at width B and are misread at B - 1
+    bits = packing_bits(255)
+    for edge in ([255] * 6, [-255] * 6, [255, -255, 0, 255, -1, 1]):
+        for width, ok in ((bits, True), (bits - 1, False)):
+            n = (1 << 6 * width) + (1 << 3 * width) + 1
+            s = sum(d << width * k for k, d in enumerate(edge))
+            assert (Packing(width, 1, n).unpack(s) == Cyc9(edge)) is ok
 
 
-def _matrices(n, count, entries=lattice_entries):
+# values over denominators 1 to 9, zero among them, held as either scalar type
+ninths = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 9))
+packed_entries = st.one_of(st.just(ZERO), st.builds(Cyc, ninths, ninths),
+                           st.builds(Cyc9, st.lists(ninths, min_size=6, max_size=6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-9, 9), packed_entries, packed_entries),
+                min_size=1, max_size=8))
+def test_packed_inner_product_matches_cyc9_sums(terms):
+    weights = [w for w, _, _ in terms]
+    xs, ys = [x for _, x, _ in terms], [y for _, _, y in terms]
+    packing, (px, _), (_, cy) = pack_table([xs, ys], sum(map(abs, weights)), 1)
+    s = sum(w * a * b for w, a, b in zip(weights, px, cy))
+    want = sum((Cyc9.from_scalar(x) * Cyc9.from_scalar(y).conj() * w
+                for w, x, y in terms), Cyc9())
+    assert packing.unpack(s) == want
+    # the residue is the packing of the reduced sum, so equal values compare as ints
+    scale, rest = divmod(packing.den ** 2, want.d)
+    assert rest == 0
+    reduced = sum(a * scale << packing.bits * k for k, a in enumerate(want.n))
+    assert s % packing.modulus == reduced % packing.modulus
+
+
+edge_digits = st.integers(2, 80).flatmap(lambda bits: st.tuples(
+    st.just(bits),
+    st.lists(st.one_of(st.sampled_from([2 ** (bits - 1) - 1, 1 - 2 ** (bits - 1),
+                                        2 ** (bits - 2) - 1, 1 - 2 ** (bits - 2), 0]),
+                       st.integers(1 - 2 ** (bits - 1), 2 ** (bits - 1) - 1)),
+             min_size=6, max_size=6),
+    st.lists(st.integers(-2 ** 90, 2 ** 90), min_size=0, max_size=5),
+    st.integers(1, 9)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_digits)
+def test_symmetric_residue_reads_back_reduced_digits(case):
+    # P(X) = R(X) + Q(X) N: any multiple of N leaves R, digits up to the
+    # edge 2^(B-1) - 1 of packing_bits(bound) and the one a bit inside it
+    bits, digits, quotient, den = case
+    n = (1 << 6 * bits) + (1 << 3 * bits) + 1
+    s = (sum(d << bits * k for k, d in enumerate(digits))
+         + sum(q << bits * k for k, q in enumerate(quotient)) * n)
+    assert Packing(bits, den, n).unpack(s) == Cyc9([Fraction(d, den * den) for d in digits])
+
+
+def _matrices(n, count, entries):
     square = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
     return st.lists(square.map(CycMatrix), min_size=count, max_size=count)
-
-
-def _lattice_matrix(L, den):
-    """The CycMatrix with entries L[i, j] / den of an (n, n, 6) lattice array."""
-    return CycMatrix([[from_lattice(v, den) for v in row] for row in L])
 
 
 # entries over mixed denominators, zero among them, held as either scalar type
@@ -597,124 +661,3 @@ def test_state_mul_matches_a_fraction_reference(mats):
     trace = state_mul_trace(a, b)
     assert trace == state_trace(state_mul(a, b))
     assert _coefficients(trace) == [sum(want[i][i][p] for i in range(A.n)) for p in range(6)]
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(1, 3).flatmap(lambda n: _matrices(n, 4)))
-def test_lattice_matmul_matches_matrix_products(mats):
-    A, B, C, D = mats
-    L, den = to_lattice([A.rows, B.rows, C.rows, D.rows])
-    prod, prod_den = lattice_matmul(L[:2], den, L[2:], den)  # A*C and B*D in one call
-    for k, want in enumerate((A * C, B * D)):
-        assert _lattice_matrix(prod[k], prod_den) == want
-    # the denominator is reduced to the least one the values need
-    assert prod_den == to_lattice([(A * C).rows, (B * D).rows])[1]
-    # a single matrix broadcasts against the batch
-    prod, prod_den = lattice_matmul(L[0], den, L, den)
-    assert all(_lattice_matrix(prod[k], prod_den) == A * M
-               for k, M in enumerate(mats))
-    assert lattice_equal(prod[:1], prod_den, prod[:1] * 3, prod_den * 3).all()
-
-
-def _product36_matmul(a, a_den, b, b_den):
-    """Reference for lattice_matmul: contract the coefficient pairs over k,
-    then reduce each pair z^p z^q through PRODUCT viewed as a 36 x 6 table."""
-    m, k = a.shape[-3:-1]
-    n = b.shape[-2]
-    lhs = np.swapaxes(a, -1, -2).reshape(a.shape[:-3] + (m * 6, k))
-    rhs = b.reshape(b.shape[:-3] + (k, n * 6))
-    pairs = np.matmul(lhs, rhs)  # (..., m*6, n*6): entry (i, p), (j, q)
-    batch = pairs.shape[:-2]
-    pairs = np.swapaxes(pairs.reshape(batch + (m, 6, n, 6)), -3, -2)
-    c = pairs.reshape(batch + (m, n, 36)) @ PRODUCT.reshape(36, 6)
-    den = a_den * b_den
-    g = math.gcd(den, int(np.gcd.reduce(c, axis=None)))
-    return c // g, den // g
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_lattice_matmul_matches_the_product36_reference(data):
-    m, k, n = (data.draw(st.integers(1, 3)) for _ in range(3))
-    a_batch, b_batch = data.draw(st.sampled_from(
-        [((), ()), ((3,), (3,)), ((2, 1), (1, 3)), ((), (2,)), ((4,), ())]))
-
-    def lattice(shape):
-        size = math.prod(shape)
-        values = data.draw(st.lists(lattice_entries, min_size=size, max_size=size))
-        arr = np.empty(size, dtype=object)
-        arr[:] = values
-        return to_lattice(arr.reshape(shape))
-
-    (a, a_den), (b, b_den) = lattice(a_batch + (m, k)), lattice(b_batch + (k, n))
-    got, got_den = lattice_matmul(a, a_den, b, b_den)
-    want, want_den = _product36_matmul(a, a_den, b, b_den)
-    assert got.shape == want.shape and got.dtype == np.int64
-    assert got_den == want_den and np.array_equal(got, want)
-    # and that denominator is the least one the values need
-    values = np.empty(got.shape[:-1], dtype=object)
-    values.flat[:] = [from_lattice(v, got_den) for v in got.reshape(-1, 6)]
-    assert to_lattice(values)[1] == got_den
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(1, 3).flatmap(lambda n: _matrices(n, 2)))
-def test_right_matrix_is_multiplicative(mats):
-    B, C = mats
-    L, den = to_lattice([B.rows, C.rows])
-    BC, BC_den = to_lattice((B * C).rows)
-    # R(B) R(C) = R(BC), with each side scaled onto integers
-    assert np.array_equal((right_matrix(L[0]) @ right_matrix(L[1])) * BC_den,
-                          right_matrix(BC) * den * den)
-    assert np.array_equal(right_matrix(L)[1], right_matrix(L[1]))  # batched
-    eye, _ = to_lattice(CycMatrix.identity(B.n).rows)
-    assert np.array_equal(right_matrix(eye), np.eye(6 * B.n, dtype=np.int64))
-
-
-def test_lattice_matmul_bound_edge():
-    # the bound is max|a| * max|R(b)| * 6k: 2^30 * 2^30 * 6 fits in int64, and
-    # 2^31 * 2^31 * 6 does not, although 2^62 itself would
-    x, y = Cyc9.from_scalar(Cyc(2 ** 30)) * zeta9(4), Cyc9.from_scalar(Cyc(-2 ** 30)) * zeta9(5)
-    L, den = to_lattice([[[x]], [[y]]])
-    prod, prod_den = lattice_matmul(L[0], den, L[1], den)
-    assert prod_den == 1 and from_lattice(prod[0, 0]) == x * y == -2 ** 60
-    for v in (2 ** 31, -2 ** 31):  # a negative operand's magnitude is its least entry
-        big, _ = to_lattice([[Cyc(v)]])
-        with pytest.raises(CycError):
-            lattice_matmul(big, 1, big, 1)
-
-
-def test_lattice_matmul_reduces_growing_denominators():
-    # U = alpha (I + w^-1 J + K) has denominator 3 and U^3 = I: unreduced,
-    # the running product's coefficients would reach 3^60 and be refused
-    alpha = -(OMEGA - OMEGA ** 2) / 3
-    J = CycMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-    U = (CycMatrix.identity(3) + J.scale(OMEGA ** -1) + J * J).scale(alpha)
-    L, den = to_lattice(U.rows)
-    assert den == 3
-    acc, acc_den = L, den
-    for k in range(2, 61):
-        acc, acc_den = lattice_matmul(acc, acc_den, L, den)
-        assert acc_den in (1, 3)
-    assert acc_den == 1 and _lattice_matrix(acc, acc_den) == CycMatrix.identity(3)
-    # a denominator that must grow does so past the int64 range, exactly
-    third, _ = to_lattice([[Cyc(Fraction(1, 3))]])
-    acc, acc_den = third, 3
-    for _ in range(44):
-        acc, acc_den = lattice_matmul(acc, acc_den, third, 3)
-    assert acc_den == 3 ** 45 and from_lattice(acc[0, 0], acc_den) == Fraction(1, 3 ** 45)
-
-
-def test_lattice_matmul_overflow_raises_instead_of_wrapping():
-    big, _ = to_lattice([[Cyc(2 ** 32)]])  # its square wraps to 0 in int64
-    with pytest.raises(CycError):
-        lattice_matmul(big, 1, big, 1)
-    small, _ = to_lattice([[Cyc(2 ** 26)]])
-    prod, den = lattice_matmul(small, 1, small, 1)
-    assert from_lattice(prod[0, 0], den) == 2 ** 52
-    # rescaling onto a common denominator is bounded the same way
-    with pytest.raises(CycError):
-        lattice_equal(small, 1, small, 3 ** 40)
-    with pytest.raises(CycError):
-        lattice_matmul(small, 1, np.zeros((2, 1, 6), dtype=np.int64), 1)  # inner sizes differ
-

@@ -90,6 +90,53 @@ def test_swapped_class_size_fails_columns():
     assert total == 243  # |centralizer of 1|, where the swapped size claims 27
 
 
+def test_value_times_w_fails_an_off_diagonal_column_pair():
+    # |w x| = |x| leaves every diagonal column sum; the first pair to move
+    # is (identity, that class), by dim conj(x) (w^2 - 1)
+    table = spin_character_table()
+    row = 30
+    name, spin, dim, values = table.rows[row]
+    g = next(c for c in range(1, len(values)) if values[c] != 0)
+    rows = list(table.rows)
+    rows[row] = (name, spin, dim, values[:g] + [values[g] * OMEGA] + values[g + 1:])
+    bad = table._replace(rows=rows).column_orthogonality_violation()
+    assert bad == (0, g, dim * values[g].conj() * (OMEGA ** 2 - 1))
+
+
+def test_moved_z5_coefficient_fails_exactly_its_gram_row_and_column(monkeypatch):
+    # the highest packed digit of one value at the identity class moves;
+    # every chi(1) is nonzero, so exactly the Gram row and column of that
+    # character move, and the first column pair to fail is the identity's
+    row, table = 7, spin_character_table()
+    rows = [(name, st, dim, list(values)) for name, st, dim, values in table.rows]
+    rows[row][3][0] = rows[row][3][0] + zeta9(5)
+    monkeypatch.setattr(verify, "spin_character_table", lambda: table._replace(rows=rows))
+    result = verify.check_orthogonality()
+    assert not result.passed
+    named = {tuple(map(int, pair))
+             for pair in re.findall(r"gram\[(\d+)\]\[(\d+)\]", result.detail)}
+    n = len(rows)
+    assert named == {(row, j) for j in range(n)} | {(i, row) for i in range(n)}
+    assert result.failures[-1].startswith("column orthogonality fails at class pair (0, 0, ")
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_planted_table_cocycle_byte_is_named_where_it_weighs(monkeypatch, which):
+    # one exponent of a (which = 0) or b (which = 1) moved at (g, h): exactly
+    # the irreducibles whose eps (or mu) is nonzero differ there, and only there
+    g, h = 5, 17
+    tables = [list(rows) for rows in spinrep.table_cocycle()]
+    planted = bytearray(tables[which][g])
+    planted[h] = (planted[h] + 1) % 3
+    tables[which][g] = bytes(planted)
+    monkeypatch.setattr(verify, "table_cocycle", lambda: tuple(map(tuple, tables)))
+    result = verify.check_cocycle()
+    assert not result.passed
+    assert set(result.failures) == {
+        "%s cocycle differs from the table-only derivation at (%d, %d)" % (rep.name, g, h)
+        for rep in full_catalog() if rep.spin_type[which]}
+
+
 def test_swapped_lift_fails_the_table_cross_check(monkeypatch):
     r243 = get_group("R243")
     section = canonical_section()

@@ -51,3 +51,14 @@ def test_every_definition_is_referenced_in_the_package():
         and node.name not in _UNREFERENCED_ON_PURPOSE
         and total[node.name] - reads(node)[node.name] <= 0)
     assert dead == []
+
+
+
+def test_only_groups_imports_the_numpy_shim():
+    # numpy serves only the GSHARP random associativity pass, through
+    # Group.table; every other module runs on Python ints
+    importers = sorted(
+        path.name for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and any(alias.name == "_np" for alias in node.names))
+    assert importers == ["groups.py"]

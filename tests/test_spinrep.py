@@ -11,7 +11,7 @@ import pytest
 
 from spinchar import mackey, spinrep
 from spinchar.cyclo import OMEGA, ZERO, root_of_unity
-from spinchar.cyclo9 import Cyc9, matrix_state, state_mul
+from spinchar.cyclo9 import Cyc9, matrix_state, state_mul, state_times_w
 from spinchar.linalg import CycMatrix, J_SHIFT, K_SHIFT
 from spinchar.groups import get_group, covering_data
 from spinchar.spinrep import (CocycleTable, RepError, Representation, SpinType,
@@ -309,6 +309,26 @@ def test_restriction_skips_the_products_images_at_formed(monkeypatch):
         monkeypatch.setattr(module, "state_mul", counting)
     restrict_to_projective(rep)
     assert (counts[mackey], counts[spinrep]) == (20, 34)
+
+
+def test_restriction_forms_w_multiples_only_after_a_product(monkeypatch):
+    # w T(gx) and w^2 T(gx) are formed only after a full product T(g) T(x)
+    # missed the multiple before: none for a skipped pair, k for a full
+    # product whose scalar is w^k (54 were formed up front before)
+    rep = irreps_by_spin_type((1, 1))[0]
+    rep.powers()  # built once, on first use, before the count starts
+    events = []
+    monkeypatch.setattr(spinrep, "state_mul",
+                        lambda a, b: events.append("*") or state_mul(a, b))
+    monkeypatch.setattr(spinrep, "state_times_w",
+                        lambda t: events.append("w") or state_times_w(t))
+    coc = restrict_to_projective(rep)
+    runs = "".join(events).split("*")
+    assert runs[0] == "" and len(runs) == 35  # every multiple follows one of 34 products
+    assert all(run in ("", "w", "ww") for run in runs)
+    g27 = get_group("G27")
+    ks = [coc.exps[g][x] for g in range(27) for x in (g27.code("x1"), g27.code("x3"))]
+    assert events.count("w") == sum(ks) == 27
 
 
 _COUNTING = """
