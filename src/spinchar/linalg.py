@@ -1,39 +1,35 @@
 """Small dense matrices over Q(zeta9), and exact linear solving.
 
-Everything is exact: each entry is a `cyclo.Cyc` or a `cyclo9.Cyc9`, and a
-matrix may hold both (the scalar types mix through their own operators, and
-equal values compare and hash equal); a product runs on the matrix kernel
-of `cyclo9`, over Python ints.  One elimination, `_echelon` (an
-incremental Gauss-Jordan with first-nonzero pivoting: there is no rounding,
-so no pivot-magnitude heuristics), gives the determinant, the inverse and
-the nullspace.  A singular inverse or a dimension mismatch raises.
+Everything is exact.  A matrix is a `cyclo9` kernel state: rows of entries
+that are None (zero) or six int numerators, over one denominator in lowest
+terms, so equal matrices have equal states whichever scalar types (`Cyc`,
+`Cyc9`, int, `Fraction`) built them.  A product runs on the kernel; `rows`
+decodes the entries as scalars for what runs entry by entry.  One
+elimination, `_echelon` (an incremental Gauss-Jordan with first-nonzero
+pivoting: there is no rounding, so no pivot-magnitude heuristics), gives
+the determinant, the inverse and the nullspace.  A singular inverse or a
+dimension mismatch raises.
 """
 
-import math
-
-from .cyclo import Cyc, ONE, ZERO, as_cyc, power
-from .cyclo9 import Cyc9, from_lattice, matrix_state, scalar_str, state_mul
+from .cyclo import ONE, ZERO, power
+from .cyclo9 import from_lattice, matrix_state, scalar_str, state_mul, state_trace
 
 
 class MatrixError(ArithmeticError):
     """Dimension mismatch or inversion of a singular matrix."""
 
 
-def _entry(x):
-    return x if isinstance(x, (Cyc, Cyc9)) else as_cyc(x)
-
-
 class CycMatrix:
-    """An n x n matrix over Q(zeta9), immutable."""
+    """An n x n matrix over Q(zeta9), immutable: its kernel state."""
 
-    __slots__ = ("rows", "n")
+    __slots__ = ("state", "n")
 
     def __init__(self, rows):
-        rows = tuple(tuple(_entry(x) for x in row) for row in rows)
-        n = len(rows)
-        if any(len(row) != n for row in rows):
+        state = matrix_state(rows)
+        n = len(state[0])
+        if any(len(row) != n for row in state[0]):
             raise MatrixError("matrix must be square")
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "state", state)
         object.__setattr__(self, "n", n)
 
     def __setattr__(self, name, value):
@@ -56,9 +52,17 @@ class CycMatrix:
 
     @staticmethod
     def from_state(state):
-        """The matrix of a `cyclo9` kernel state."""
-        return CycMatrix([[ZERO if n is None else from_lattice(n, state[1]) for n in row]
-                          for row in state[0]])
+        """The matrix of a `cyclo9` kernel state, which it keeps as it is."""
+        M = object.__new__(CycMatrix)
+        object.__setattr__(M, "state", state)
+        object.__setattr__(M, "n", len(state[0]))
+        return M
+
+    @property
+    def rows(self):
+        """The entries as scalars, decoded from the state on each read."""
+        rows, den = self.state
+        return tuple(tuple(_decode(x, den) for x in row) for row in rows)
 
     def _check_dim(self, other):
         if not isinstance(other, CycMatrix) or other.n != self.n:
@@ -66,38 +70,32 @@ class CycMatrix:
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        rows, den = self.state
+        return _decode(rows[i][j], den)
 
     def __eq__(self, other):
         if not isinstance(other, CycMatrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self.state == other.state
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(self.state)
 
     def __add__(self, other):
         self._check_dim(other)
         return CycMatrix([[x + y for x, y in zip(r1, r2)]
                           for r1, r2 in zip(self.rows, other.rows)])
 
-    def __sub__(self, other):
-        self._check_dim(other)
-        return CycMatrix([[x - y for x, y in zip(r1, r2)]
-                          for r1, r2 in zip(self.rows, other.rows)])
-
     def __mul__(self, other):
         if isinstance(other, CycMatrix):
             self._check_dim(other)
-            return CycMatrix.from_state(state_mul(matrix_state(self.rows),
-                                                  matrix_state(other.rows)))
+            return CycMatrix.from_state(state_mul(self.state, other.state))
         return self.scale(other)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c):
-        c = _entry(c)
         return CycMatrix([[c * x for x in row] for row in self.rows])
 
     def __pow__(self, k):
@@ -108,10 +106,7 @@ class CycMatrix:
     # -- structure -------------------------------------------------------
 
     def trace(self):
-        t = ZERO
-        for i in range(self.n):
-            t = t + self.rows[i][i]
-        return t
+        return state_trace(self.state)
 
     def det(self):
         """Exact determinant: the product of the elimination's leads, signed
@@ -136,15 +131,14 @@ class CycMatrix:
         return CycMatrix([by_col[col][n:] for col in range(n)])
 
     def conj_transpose(self):
-        return CycMatrix([[self.rows[j][i].conj() for j in range(self.n)]
-                          for i in range(self.n)])
+        return CycMatrix([[x.conj() for x in col] for col in zip(*self.rows)])
 
     def is_unitary(self):
         return self * self.conj_transpose() == CycMatrix.identity(self.n)
 
     def as_scalar(self):
         """The c with self = c*I, or None if not a scalar matrix."""
-        c = self.rows[0][0]
+        c = self[0, 0]
         if self != CycMatrix.scalar(self.n, c):
             return None
         return c
@@ -154,6 +148,11 @@ class CycMatrix:
 
     def __repr__(self):
         return "CycMatrix(%r)" % (self.str_rows(),)
+
+
+def _decode(n, den):
+    """The scalar of a state entry: zero for None, else n / den."""
+    return ZERO if n is None else from_lattice(n, den)
 
 
 # The cyclic shift and its square; J sends basis vector e_i to e_{i-1}.
@@ -195,17 +194,14 @@ def _echelon(rows, ncols):
 def nullspace(rows, ncols):
     """Basis of the right nullspace of the given row list, exactly.
 
-    Each row is cleared of denominators before `_echelon`; the basis has one
-    vector per free column (that column's entry set to 1).
+    The rows are brought over one denominator (`matrix_state`), which is
+    dropped before `_echelon`; the basis has one vector per free column
+    (that column's entry set to 1).
     """
-    work = []
-    for row in rows:
-        row = [_entry(x) for x in row]
-        if len(row) != ncols:
-            raise MatrixError("row length mismatch")
-        den = math.lcm(*(x.d for x in row))
-        work.append([x * den for x in row])
-    echelon, pivots, _ = _echelon(work, ncols)
+    state, _ = matrix_state(rows)
+    if any(len(row) != ncols for row in state):
+        raise MatrixError("row length mismatch")
+    echelon, pivots, _ = _echelon([[_decode(n, 1) for n in row] for row in state], ncols)
     basis = []
     for fc in range(ncols):
         if fc not in pivots:
@@ -227,13 +223,14 @@ def intertwiner_space(pairs, n):
     for A, B in pairs:
         if A.n != n or B.n != n:
             raise MatrixError("dimension mismatch in constraint pair")
+        a, b = A.rows, B.rows
         for p in range(n):
             for q in range(n):
                 row = [ZERO] * (n * n)
                 # sum_j A[p,j] X[j,q] - sum_j X[p,j] B[j,q] = 0
                 for j in range(n):
-                    row[j * n + q] = row[j * n + q] + A[p, j]
-                    row[p * n + j] = row[p * n + j] - B[j, q]
+                    row[j * n + q] = row[j * n + q] + a[p][j]
+                    row[p * n + j] = row[p * n + j] - b[j][q]
                 rows.append(row)
     basis = nullspace(rows, n * n)
     return [CycMatrix([vec[i * n:(i + 1) * n] for i in range(n)])

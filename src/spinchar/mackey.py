@@ -17,7 +17,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .cyclo import ZERO, root_of_unity
-from .cyclo9 import matrix_state, state_mul, state_mul_trace, state_trace
+from .cyclo9 import state_mul, state_mul_trace, state_trace
 from .linalg import CycMatrix
 from .groups import Subgroup
 
@@ -171,8 +171,8 @@ class SubRep:
         """P[k][e]: the state of the k-th domain generator's image to the
         power e, for e = 0, 1, 2, built on first use."""
         if self._powers is None:
-            eye = matrix_state(CycMatrix.identity(self.dim).rows)
-            states = [matrix_state(M.rows) for M in self.images.values()]
+            eye = CycMatrix.identity(self.dim).state
+            states = [M.state for M in self.images.values()]
             self._powers = [(eye, m, state_mul(m, m)) for m in states]
         return self._powers
 
@@ -257,14 +257,14 @@ class SubRep:
 
     def _first_broken_rule(self):
         group, rows, gens, P = self.group, self.group.rows, self.subgroup.gen_codes, self.powers()
-        names, images = list(self.images), list(self.images.values())
+        names = list(self.images)
         base = self._base
         known = base.images if base is not None and base.verify() is None else {}
         cubes = [("cube rule for %s" % names[k], state_mul(P[k][2], P[k][1]), rows[rows[g][g]][g])
                  for k, g in enumerate(gens) if names[k] not in known]
         return _first_mismatch(self, cubes) or _first_mismatch(self, [
             ("conjugation rule phi(%s)%s" % (names[j], names[i]),
-             state_mul(state_mul(P[j][1], P[i][1]), _inverse(images[j])),
+             state_mul(state_mul(P[j][1], P[i][1]), _inverse(P[j][1])),
              group.conjugate(gens[i], gens[j])) for j in range(len(gens)) for i in range(j)
             if names[i] not in known or names[j] not in known])
 
@@ -296,18 +296,12 @@ def _check_domain(subgroup):
         raise MackeyError("the domain is not the normal forms on its generators")
 
 
-_INVERSES = {}  # state -> state of the inverse; at most 256 entries
-
-
-def _inverse(M):
-    """The state of M.inverse(), computed once per distinct value: one image
-    recurs in many representations (inflations, inductions, extensions)."""
-    key = matrix_state(M.rows)
-    if key not in _INVERSES:
-        if len(_INVERSES) >= 256:
-            _INVERSES.clear()
-        _INVERSES[key] = matrix_state(M.inverse().rows)
-    return _INVERSES[key]
+@lru_cache(maxsize=256)
+def _inverse(state):
+    """The state of the inverse of a state's matrix, computed once per
+    distinct value: one image recurs in many representations (inflations,
+    inductions, extensions)."""
+    return CycMatrix.from_state(state).inverse().state
 
 
 def _first_mismatch(rep, rules):

@@ -18,7 +18,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .cyclo import ONE, OMEGA, OMEGA2, ZERO, root_of_unity, root_exponent
-from .cyclo9 import cyc9_cbrt, matrix_state, pack_table, scalar_str, state_mul, state_times_w
+from .cyclo9 import cyc9_cbrt, pack_table, scalar_str, state_mul, state_times_w
 from .linalg import CycMatrix, intertwiner_space
 from .groups import CheckReport, Subgroup, get_group, covering_data
 from .mackey import DualCharacter, SubRep, dual_group, orbit_decomposition, induce
@@ -199,8 +199,7 @@ def solve_intertwiner(rho, w, preferred_trace=None):
         if eye in sols:
             chosen = eye  # untwisted extension, e.g. under a trivial action
         else:
-            chosen = min(sols, key=lambda M: tuple(scalar_str(x)
-                                                   for row in M.rows for x in row))
+            chosen = min(sols, key=CycMatrix.str_rows)
     return chosen
 
 
@@ -532,7 +531,7 @@ def restrict_to_projective(rep, section=None):
     gens, tree = _spanning_tree(g27)
     lift = _lifting_section(tuple(section[g] for g in range(n)))
     T = rep.images_at(lift)
-    if T[0] != matrix_state(CycMatrix.identity(rep.dim).rows):
+    if T[0] != CycMatrix.identity(rep.dim).state:
         raise RepError("restriction of %s is not projective at (0, 0)" % rep.name)
     letters = set(rep.group.gen_codes)
     a = [bytearray(n) for _ in range(n)]

@@ -62,3 +62,14 @@ def test_only_groups_imports_the_numpy_shim():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.ImportFrom) and any(alias.name == "_np" for alias in node.names))
     assert importers == ["groups.py"]
+
+
+def test_a_matrix_has_one_form():
+    # a CycMatrix is its kernel state, so no module re-encodes a matrix's
+    # scalar rows: matrix_state(M.rows) is M.state
+    found = sorted(
+        "%s:%d" % (path.name, node.lineno) for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and ast.unparse(node.func).rsplit(".", 1)[-1] == "matrix_state"
+        and any(isinstance(arg, ast.Attribute) and arg.attr == "rows" for arg in node.args))
+    assert found == []

@@ -22,7 +22,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ROOT / "perfbench" / "layers.py"
 LIVE_SITES = ("mackey.SubRep.verify", "mackey.induce", "spinrep.Representation.eval",
-              "linalg.CycMatrix.inverse")
+              "linalg.CycMatrix.inverse", "linalg.CycMatrix.__mul__", "linalg.nullspace",
+              "linalg.intertwiner_space", "cyclo.Cyc.__mul__", "cyclo9.Cyc9.__mul__")
 
 
 def _sites():
