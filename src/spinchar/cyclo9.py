@@ -19,8 +19,10 @@ is the one reader of both.
 Representations compute on the exact matrix kernel near the end of the
 module, on Python ints: a matrix is a state, rows of entries that are None
 (zero) or six numerators over one denominator in lowest terms, so equal
-matrices have equal states (`matrix_state`; `state_mul` skips zeros, and
-`state_mul_trace` gives the trace of a product without forming it).
+matrices have equal states (`matrix_state`).  `state_mul` multiplies only
+pairs of nonzero entries, each by `_poly_mul`, the 6 x 6 convolution
+unrolled, memoized over entry pairs (`_entry_mul`); `state_mul_trace`
+gives the trace of a product without forming it.
 `verify`'s table-wide sums (the Gram matrix and the column relations of
 the character table) pack each value as one Python int by Kronecker
 substitution (`pack_table`), so an inner product is one sum of int
@@ -29,6 +31,7 @@ ints cannot wrap, so no sum needs a range check.  Scalar and kernel
 products reduce through `_reduce`, so the rule is written down once.
 """
 
+from functools import lru_cache
 import math
 import numbers
 import operator
@@ -49,15 +52,22 @@ def _reduce(coeffs):
     return c0 - c6, c1, c2, c3 - c6, c4, c5
 
 
-def _poly_mul(a, b):
-    """Product of two int coefficient 6-tuples, reduced to degree < 6."""
-    prod = [0] * 11
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] += ai * bj
-    return _reduce(prod)
+def _poly_mul(x, y):
+    """Product of two int coefficient 6-tuples, reduced to degree < 6: the
+    6 x 6 convolution unrolled, then `_reduce`."""
+    x0, x1, x2, x3, x4, x5 = x
+    y0, y1, y2, y3, y4, y5 = y
+    return _reduce((x0 * y0,
+                    x0 * y1 + x1 * y0,
+                    x0 * y2 + x1 * y1 + x2 * y0,
+                    x0 * y3 + x1 * y2 + x2 * y1 + x3 * y0,
+                    x0 * y4 + x1 * y3 + x2 * y2 + x3 * y1 + x4 * y0,
+                    x0 * y5 + x1 * y4 + x2 * y3 + x3 * y2 + x4 * y1 + x5 * y0,
+                    x1 * y5 + x2 * y4 + x3 * y3 + x4 * y2 + x5 * y1,
+                    x2 * y5 + x3 * y4 + x4 * y3 + x5 * y2,
+                    x3 * y5 + x4 * y4 + x5 * y3,
+                    x4 * y5 + x5 * y4,
+                    x5 * y5))
 
 
 class Cyc9:
@@ -316,37 +326,37 @@ def matrix_state(rows):
                        for n, d in row) for row in states), den
 
 
+@lru_cache(maxsize=512)
+def _entry_mul(x, y):
+    """`_poly_mul` of two kernel entries, memoized.  The entries of the
+    representations here are roots of unity and a few small multiples of
+    them, so nearly every entry product repeats: a `verify` makes 24,932
+    of them over 153 distinct pairs of entries."""
+    return _poly_mul(x, y)
+
+
 def state_mul(a, b):
-    """The state of the product of two states' matrices.  Only nonzero
-    entries and coefficients are multiplied, and each entry of the product
-    is reduced modulo x^6 + x^3 + 1 once."""
+    """The state of the product of two states' matrices.  Only pairs of
+    nonzero entries are multiplied (`_entry_mul`), and one gcd over the
+    nonzero results brings the product to lowest terms."""
     (a_rows, a_den), (b_rows, b_den) = a, b
-    b_terms = [[(j, [(q, y) for q, y in enumerate(n) if y]) for j, n in enumerate(row)
-                if n is not None] for row in b_rows]
+    g = den = a_den * b_den
     out = []
     for row in a_rows:
         acc = [None] * len(b_rows)
-        for x, terms in zip(row, b_terms):
+        for x, b_row in zip(row, b_rows):
             if x is not None:
-                for j, ys in terms:
-                    c = acc[j]
-                    if c is None:
-                        c = acc[j] = [0] * 11
-                    for p, xp in enumerate(x):
-                        if xp:
-                            for q, y in ys:
-                                c[p + q] += xp * y
+                for j, y in enumerate(b_row):
+                    if y is not None:
+                        c, p = acc[j], _entry_mul(x, y)
+                        acc[j] = p if c is None else tuple(map(operator.add, c, p))
         for j, c in enumerate(acc):
             if c is not None:
-                c = acc[j] = _reduce(c)
                 if not any(c):
                     acc[j] = None
+                elif g != 1:
+                    g = math.gcd(g, *c)
         out.append(tuple(acc))
-    g = den = a_den * b_den
-    for row in out:
-        for n in row:
-            if n is not None and g != 1:
-                g = math.gcd(g, *n)
     if g != 1:
         out = [tuple(n and tuple(map(g.__rfloordiv__, n)) for n in row) for row in out]
     return tuple(out), den // g
@@ -361,20 +371,11 @@ def state_trace(state):
 
 def state_mul_trace(a, b):
     """The trace of the product of two states' matrices, sum a_ij b_ji,
-    as a scalar, without forming the product: the d^2 entry products go
-    into one accumulator, which is reduced once."""
+    as a scalar, without forming the product."""
     (a_rows, a_den), (b_rows, b_den) = a, b
-    acc = [0] * 11
-    for i, row in enumerate(a_rows):
-        for x, b_row in zip(row, b_rows):
-            y = b_row[i]
-            if x is not None and y is not None:
-                for p, xp in enumerate(x):
-                    if xp:
-                        for q, yq in enumerate(y):
-                            if yq:
-                                acc[p + q] += xp * yq
-    return from_lattice(_reduce(acc), a_den * b_den)
+    terms = [_entry_mul(x, b_row[i]) for i, row in enumerate(a_rows)
+             for x, b_row in zip(row, b_rows) if x is not None and b_row[i] is not None]
+    return from_lattice([sum(col) for col in zip(*terms)] if terms else (0,) * 6, a_den * b_den)
 
 
 def state_times_w(state):

@@ -40,6 +40,9 @@ structural algorithm -- inverses, center, derived subgroup, closures (the
 enumeration of elements is the closure of the generators), classes,
 quotients, homomorphism tests, Light's test of every triple's associativity
 -- reads those rows, so building and reporting a group needs no numpy.
+They walk whole rows, not one element at a time: `_compose` sends a row
+of codes through a column or row of the table, one `bytes.translate` on
+byte rows and an element map on 2-byte rows, so each algorithm has one body.
 `Group.table` is the same table as a uint8 or uint16 array over the row
 bytes, made on first use by the one check that needs it, `verify`'s
 associativity spot check of 10^6 random GSHARP triples drawn in blocks of
@@ -145,42 +148,81 @@ def collect(schema, letters):
     return tuple(exps)
 
 
-def _split_last(code, ngens):
-    """(prefix, letter) with code = prefix * g_letter in normal form on ngens
-    letters; the letter is the last one of code's word (code != 0)."""
-    i, w = ngens - 1, 1
-    while code // w % 3 == 0:
-        i, w = i - 1, 3 * w
-    return code - w, i
-
-
-def _extend_to_codes(ngens, rows, image_codes):
-    """phi[g] for every code g on ngens letters: the images of g's letters
-    multiplied left to right in the table `rows`."""
-    phi = [0]
-    for g in range(1, 3 ** ngens):
-        prefix, letter = _split_last(g, ngens)
-        phi.append(rows[phi[prefix]][image_codes[letter]])
-    return phi
-
-
 def _row_type(n):
     """The compact row of codes in range(n): bytes, or 2-byte words above 256."""
     return bytes if n <= 256 else partial(array, "H")
 
 
+def _compose(codes, col):
+    """col[c] for each code c in `codes`, as a row of their type: one
+    `bytes.translate` on byte rows, an element map on 2-byte rows above
+    order 256.  Every walk over a table below goes through it."""
+    if type(codes) is bytes:
+        return codes.translate(col.ljust(256, b"\0"))
+    return array("H", map(col.__getitem__, codes))
+
+
+def _columns(rows, codes):
+    """Column c of the table `rows`, rows[g][c] for every g, for each code
+    c, as rows: strides of the joined rows."""
+    n = len(rows)
+    flat = _row_type(n)(b"".join(rows))  # flat[g * n + h] = g * h
+    return [flat[c::n] for c in codes]
+
+
+def _interleave(parts):
+    """The row whose entry k i + e is parts[e][i], for k rows of one type
+    and length."""
+    k, first = len(parts), parts[0]
+    small = type(first) is bytes
+    out = bytearray(first * k) if small else first * k
+    for e, part in enumerate(parts):
+        out[e::k] = part
+    return bytes(out) if small else out
+
+
+def _orbit(start, maps, n):
+    """The set of codes reached from the code `start` by the maps, rows of
+    codes in range(n), one frontier at a time."""
+    row_type = _row_type(n)
+    found, frontier = {start}, row_type([start])
+    while frontier:
+        new = set(chain.from_iterable(_compose(frontier, m) for m in maps)) - found
+        found |= new
+        frontier = row_type(new)
+    return found
+
+
+def _extend_to_codes(image_cols, n):
+    """phi[g] for every code g on len(image_cols) letters, as a row: the
+    images of g's letters multiplied left to right in a table of order n,
+    given by the images' columns.  Built one letter at a time: the codes
+    q t^e on the first l + 1 letters are 3 q + e, and phi(q t^e) is phi(q)
+    moved e times through the column of t's image, so each letter costs two
+    compositions and an interleave."""
+    phi = _row_type(n)([0])
+    for col in image_cols:
+        once = _compose(phi, col)
+        phi = _interleave((phi, once, _compose(once, col)))
+    return phi
+
+
 def _rows_from_right(right):
     """Cayley rows from the right-multiplication columns right[i][g] = g * g_i:
     column h is column prefix(h) moved by right multiplication with h's last
-    letter.  The columns are joined and freed before the rows are cut from
-    them, so the rows, which live on, do not sit among freed columns."""
+    letter, so the columns on the first l + 1 letters are each column c on
+    the first l, then c composed with right[l] once and twice.  The columns
+    are joined and freed before the rows are cut from them, so the rows,
+    which live on, do not sit among freed columns."""
     n = len(right[0])
-    row_type = _row_type(n)
-    cols = [row_type(range(n))]
-    for h in range(1, n):
-        prefix, letter = _split_last(h, len(right))
-        cols.append(row_type(map(right[letter].__getitem__, cols[prefix])))
-    flat = row_type(chain.from_iterable(cols))  # flat[h * n + g] = g * h
+    cols = [_row_type(n)(range(n))]
+    for move in right:
+        moved = []
+        for col in cols:
+            once = _compose(col, move)
+            moved += (col, once, _compose(once, move))
+        cols = moved
+    flat = _row_type(n)(b"".join(cols))  # flat[h * n + g] = g * h
     del cols
     return [flat[g::n] for g in range(n)]
 
@@ -338,19 +380,20 @@ class Group:
         q t^e t is q t^(e+1), or q u when e = 2: l + 1 collections per step.
         """
         sch, k = self.schema, self.ngens
-        right, rows = [], [[0]]
+        right, rows = [], [b"\0"]
         for l in range(k):
             if l:
                 rows = _rows_from_right(right)
             # phi(g_i) for i < l, then u, as codes in G_l
             words = [sch.conj_word(l, i) for i in range(l)] + [sch.power[l]]
             *images, u = [self.code_of(collect(sch, w)) // 3 ** (k - l) for w in words]
-            phi = _extend_to_codes(l, rows, images)
+            phi = _extend_to_codes(_columns(rows, images), len(rows))
             orbits = [(3 ** (l - 1 - i), a, phi[a]) for i, a in enumerate(images)]
-            right = [[3 * row[x] + e for row in rows for e, x in enumerate(orbit)]
+            row_type = _row_type(3 * len(rows))
+            right = [row_type([3 * row[x] + e for row in rows for e, x in enumerate(orbit)])
                      for orbit in orbits]  # g_i, phi(g_i), phi^2(g_i)
-            right.append([3 * q + e + 1 if e < 2 else 3 * rows[q][u]
-                          for q in range(len(rows)) for e in range(3)])
+            right.append(row_type([3 * q + e + 1 if e < 2 else 3 * rows[q][u]
+                                   for q in range(len(rows)) for e in range(3)]))
         return right
 
     def _build_rows(self):
@@ -411,24 +454,43 @@ class Group:
     # structure ------------------------------------------------------------
 
     def center_codes(self):
+        """The codes whose row equals their column, read as a stride of the
+        joined rows."""
         if "center" not in self._cache:
-            cols = list(zip(*self.rows))
+            rows = self.rows
             self._cache["center"] = frozenset(
-                g for g, row in enumerate(self.rows) if tuple(row) == cols[g])
+                g for g, (row, col) in enumerate(zip(rows, _columns(rows, range(self.order))))
+                if row == col)
         return self._cache["center"]
+
+    def _columns(self, codes):
+        """Column c of the table, rows[g][c] for every g, for each code c,
+        as rows; each is cut once per group and kept."""
+        cols = self._cache.setdefault("columns", {})
+        missing = [c for c in codes if c not in cols]
+        if missing:
+            cols.update(zip(missing, _columns(self.rows, missing)))
+        return [cols[c] for c in codes]
+
+    def _generators(self):
+        """The schema's generators or, for a group given by its table alone,
+        the greedy set: each least code outside the span of those before it."""
+        if self.schema:
+            return self.gen_codes
+        if "gens" not in self._cache:
+            gens, span = [], {0}
+            for g in range(self.order):
+                if g not in span:
+                    gens.append(g)
+                    span = self.closure(gens)
+            self._cache["gens"] = tuple(gens)
+        return self._cache["gens"]
 
     def derived_codes(self):
         """[G, G]: the normal closure of the generators' commutators, closed
         under conjugation by the generators until nothing new appears."""
         if "derived" not in self._cache:
-            if self.schema:
-                gens = self.gen_codes
-            else:  # greedy: each least code outside the span of those before it
-                gens, span = [], {0}
-                for g in range(self.order):
-                    if g not in span:
-                        gens.append(g)
-                        span = self.closure(gens)
+            gens = self._generators()
             new = {self.commutator(g, h) for g in gens for h in gens}
             found, derived = new, self.closure(new)
             while new:  # conjugate what the last round added
@@ -439,34 +501,25 @@ class Group:
         return self._cache["derived"]
 
     def closure(self, codes):
-        """Subgroup generated by the given codes (as a frozenset)."""
-        r = self.rows
-        gens = {int(c) for c in codes}
-        cur = {0}
-        todo = [0]
-        while todo:
-            row = r[todo.pop()]
-            for c in gens:
-                x = row[c]
-                if x not in cur:
-                    cur.add(x)
-                    todo.append(x)
-        return frozenset(cur)
+        """Subgroup generated by the given codes (as a frozenset): the
+        identity closed under right multiplication by each code, a frontier
+        at a time through the codes' columns."""
+        return frozenset(_orbit(0, self._columns({int(c) for c in codes}), self.order))
 
     def conjugacy_classes(self):
-        """List of (least-code representative, sorted tuple of member codes)."""
+        """List of (least-code representative, sorted tuple of member codes):
+        the orbits of conjugation by the generators' inverses, t^-1 x t for
+        every x being column t composed with row t^-1."""
         if "classes" not in self._cache:
-            r, inv = self.rows, self.inv
-            seen = set()
-            classes = []
-            for g in range(self.order):
-                if g in seen:
-                    continue
-                # g is the least code of its class: a smaller member would
-                # have put g in `seen`
-                orbit = tuple(sorted({r[row[g]][ih] for row, ih in zip(r, inv)}))
-                seen.update(orbit)
-                classes.append((g, orbit))
+            rows, inv, n = self.rows, self.inv, self.order
+            gens = self._generators()
+            perms = [_compose(col, rows[inv[t]]) for t, col in zip(gens, self._columns(gens))]
+            seen, classes = set(), []
+            for g in range(n):
+                if g not in seen:  # g is the least code of its class
+                    orbit = _orbit(g, perms, n)
+                    seen |= orbit
+                    classes.append((g, tuple(sorted(orbit))))
             self._cache["classes"] = classes
         return self._cache["classes"]
 
@@ -578,8 +631,8 @@ def exhaustive_associativity(table):
 
     `table` is `Group.rows`, read as it is, or any other n x n table, which is
     compacted to rows first.  For each s, row x s is held against row s
-    composed with row x: a byte translation, or an element map above order
-    256.  The witness is the least x, then the least y, for the first failing s."""
+    composed with row x (`_compose`).  The witness is the least x, then the
+    least y, for the first failing s."""
     n = len(table)
     small = n <= 256
     rows = (table if all(type(row) is (bytes if small else array) for row in table)
@@ -594,11 +647,9 @@ def exhaustive_associativity(table):
                 if not seen[y]:
                     seen[y] = 1
                     todo.append(y)
-    pad = bytes(256 - n) if small else b""
     for s in gens:
         for x, row in enumerate(rows):
-            rhs = (rows[s].translate(row + pad) if small  # x (s y) for every y
-                   else array("H", map(row.__getitem__, rows[s])))
+            rhs = _compose(rows[s], row)  # x (s y) for every y
             if rows[row[s]] != rhs:
                 y = next(y for y, (a, b) in enumerate(zip(rows[row[s]], rhs)) if a != b)
                 return (x, s, y)
@@ -735,9 +786,9 @@ def hom_from_gen_images(big, small, image_codes):
     """Total map big -> small sending each generator to the given code.
 
     Defined on normal forms by multiplying images left to right, as the
-    list phi[g]; whether it is a homomorphism is for the caller to check.
+    row phi[g]; whether it is a homomorphism is for the caller to check.
     """
-    return _extend_to_codes(big.ngens, small.rows, image_codes)
+    return _extend_to_codes(small._columns(image_codes), small.order)
 
 
 def homomorphism_violation(big, small, phi):

@@ -7,9 +7,16 @@ terms, so equal matrices have equal states whichever scalar types (`Cyc`,
 decodes the entries as scalars for what runs entry by entry.  One
 elimination, `_echelon` (an incremental Gauss-Jordan with first-nonzero
 pivoting: there is no rounding, so no pivot-magnitude heuristics), gives
-the determinant, the inverse and the nullspace.  A singular inverse or a
-dimension mismatch raises.
+the determinant, the inverse and the nullspace.  A matrix whose cube is I,
+as every generator image inverted here is, is inverted as its square by
+two kernel products instead.  `intertwiner_space` builds its constraint
+rows as one kernel state, which the elimination decodes once.  A singular
+inverse or a dimension mismatch raises.
 """
+
+from functools import cache
+import math
+from operator import sub
 
 from .cyclo import ONE, ZERO, power
 from .cyclo9 import from_lattice, matrix_state, scalar_str, state_mul, state_trace
@@ -36,7 +43,9 @@ class CycMatrix:
         raise AttributeError("CycMatrix is immutable")
 
     @staticmethod
+    @cache
     def identity(n):
+        """The n x n identity, built once per n."""
         return CycMatrix.scalar(n, ONE)
 
     @staticmethod
@@ -120,9 +129,14 @@ class CycMatrix:
         return det
 
     def inverse(self):
-        """Exact inverse, the right half of [self | I] reduced; raises
-        MatrixError when singular."""
+        """Exact inverse: the square when the cube is I, two kernel products
+        (the generator images of the representations here have order 3),
+        else the right half of [self | I] reduced; raises MatrixError when
+        singular."""
         n = self.n
+        square = state_mul(self.state, self.state)
+        if state_mul(square, self.state) == CycMatrix.identity(n).state:
+            return CycMatrix.from_state(square)
         augmented = [row + e for row, e in zip(self.rows, CycMatrix.identity(n).rows)]
         echelon, pivots, _ = _echelon(augmented, 2 * n)
         if any(col >= n for col in pivots):  # a pivot right of the bar
@@ -138,16 +152,28 @@ class CycMatrix:
 
     def as_scalar(self):
         """The c with self = c*I, or None if not a scalar matrix."""
-        c = self[0, 0]
-        if self != CycMatrix.scalar(self.n, c):
+        rows, den = self.state
+        c = rows[0][0]
+        if any(x != (c if i == j else None)
+               for i, row in enumerate(rows) for j, x in enumerate(row)):
             return None
-        return c
+        return _decode(c, den)
 
     def str_rows(self):
         return [[scalar_str(x) for x in row] for row in self.rows]
 
     def __repr__(self):
         return "CycMatrix(%r)" % (self.str_rows(),)
+
+
+def _numerators(state, den):
+    """The entries of a state's rows as numerators over den, a multiple of
+    the state's denominator."""
+    rows, d = state
+    if d == den:
+        return rows
+    f = den // d
+    return [[x and tuple(f * c for c in x) for x in row] for row in rows]
 
 
 def _decode(n, den):
@@ -192,13 +218,16 @@ def _echelon(rows, ncols):
 
 
 def nullspace(rows, ncols):
-    """Basis of the right nullspace of the given row list, exactly.
+    """Basis of the right nullspace of the given rows, exactly: rows of
+    scalars, or a `cyclo9` kernel state (rows, den).
 
-    The rows are brought over one denominator (`matrix_state`), which is
-    dropped before `_echelon`; the basis has one vector per free column
-    (that column's entry set to 1).
+    Scalar rows are brought over one denominator (`matrix_state`).  The
+    denominator is dropped, so `_echelon` runs on the integral numerators,
+    decoded once; the basis has one vector per free column (that column's
+    entry set to 1).
     """
-    state, _ = matrix_state(rows)
+    is_state = type(rows) is tuple and len(rows) == 2 and type(rows[1]) is int
+    state, _ = rows if is_state else matrix_state(rows)
     if any(len(row) != ncols for row in state):
         raise MatrixError("row length mismatch")
     echelon, pivots, _ = _echelon([[_decode(n, 1) for n in row] for row in state], ncols)
@@ -217,21 +246,29 @@ def intertwiner_space(pairs, n):
     """Basis of {X : A*X = X*B for every (A, B) pair}, as CycMatrix list.
 
     Each matrix equation contributes n^2 homogeneous linear rows in the n^2
-    entries of X (row-major unknown order).
+    entries of X (row-major unknown order), built as one kernel state: the
+    pairs' numerators over their common denominator.
     """
+    pairs = list(pairs)
+    if any(A.n != n or B.n != n for A, B in pairs):
+        raise MatrixError("dimension mismatch in constraint pair")
+    den = math.lcm(*(M.state[1] for pair in pairs for M in pair))
     rows = []
     for A, B in pairs:
-        if A.n != n or B.n != n:
-            raise MatrixError("dimension mismatch in constraint pair")
-        a, b = A.rows, B.rows
+        a, b = _numerators(A.state, den), _numerators(B.state, den)
         for p in range(n):
             for q in range(n):
-                row = [ZERO] * (n * n)
                 # sum_j A[p,j] X[j,q] - sum_j X[p,j] B[j,q] = 0
+                row = [None] * (n * n)
                 for j in range(n):
-                    row[j * n + q] = row[j * n + q] + a[p][j]
-                    row[p * n + j] = row[p * n + j] - b[j][q]
+                    row[j * n + q] = a[p][j]
+                for j, b_row in enumerate(b):
+                    x = b_row[q]
+                    if x is not None:
+                        y = row[p * n + j]
+                        d = tuple(-c for c in x) if y is None else tuple(map(sub, y, x))
+                        row[p * n + j] = d if any(d) else None
                 rows.append(row)
-    basis = nullspace(rows, n * n)
+    basis = nullspace((rows, den), n * n)
     return [CycMatrix([vec[i * n:(i + 1) * n] for i in range(n)])
             for vec in basis]

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spinchar import linalg
 from spinchar.cyclo import Cyc, OMEGA
 from spinchar.cyclo9 import Cyc9, zeta9
 from spinchar.linalg import (CycMatrix, MatrixError, J_SHIFT, K_SHIFT,
@@ -221,3 +222,55 @@ def test_one_inversion_per_pivot(monkeypatch):
     assert len(calls) <= 9 - len(basis)  # one per pivot
     for X in basis:
         assert jw * X == X * jw
+
+
+def _eliminated_inverse(M):
+    """The right half of [M | I] reduced, the elimination path of inverse()."""
+    n = M.n
+    augmented = [row + e for row, e in zip(M.rows, CycMatrix.identity(n).rows)]
+    echelon, pivots, _ = linalg._echelon(augmented, 2 * n)
+    by_col = dict(zip(pivots, echelon))
+    return CycMatrix([by_col[col][n:] for col in range(n)])
+
+
+@st.composite
+def order_three_monomials(draw):
+    """P D with P a permutation of order 1 or 3 and D a diagonal of cube
+    roots of unity, whose product is 1 along each cycle of P, so (P D)^3 = I."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    cycle = draw(st.booleans()) and n == 3
+    perm = draw(st.sampled_from([(1, 2, 0), (2, 0, 1)])) if cycle else tuple(range(n))
+    exps = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    if cycle:
+        exps[-1] = -sum(exps[:-1]) % 3
+    return CycMatrix([[OMEGA ** exps[j] if perm[i] == j else 0 for j in range(n)]
+                      for i in range(n)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(order_three_monomials())
+def test_order_three_inverse_is_the_square(M):
+    n = M.n
+    assert M * M * M == CycMatrix.identity(n)
+    inv = M.inverse()
+    assert inv == M * M == _eliminated_inverse(M)
+    assert inv * M == CycMatrix.identity(n) == M * inv
+
+
+def test_other_matrices_take_the_elimination_path(monkeypatch):
+    calls = []
+    echelon = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon", lambda *a: calls.append(1) or echelon(*a))
+    J_SHIFT.inverse()
+    assert calls == []  # J^3 = I
+    for M in (CycMatrix.scalar(3, zeta9()), CycMatrix.diagonal([2, 1, 1])):
+        assert M ** 3 != I3
+        calls.clear()
+        inv = M.inverse()
+        assert calls == [1]
+        assert inv * M == I3 == M * inv
+    assert CycMatrix.scalar(3, zeta9()).inverse() == CycMatrix.scalar(3, zeta9(-1))
+    assert CycMatrix.diagonal([2, 1, 1]).inverse() == CycMatrix.diagonal([Fraction(1, 2), 1, 1])
+    for singular in (CycMatrix([[1, 2, 0], [2, 4, 0], [0, 0, 1]]), CycMatrix.scalar(3, 0)):
+        with pytest.raises(MatrixError):
+            singular.inverse()

@@ -350,8 +350,8 @@ print(*counts)
 
 
 @pytest.mark.parametrize("run, want", [
-    ("assert all(result.passed for result in verify.run_checks())", (4428, 1060)),
-    ("spinrep.spin_character_table()", (989, 700)),
+    ("assert all(result.passed for result in verify.run_checks())", (4504, 1060)),
+    ("spinrep.spin_character_table()", (1047, 700)),
 ])
 def test_cold_runs_make_the_recorded_products(run, want):
     # full products and trace-only ones of a cold `spinchar verify` and a
