@@ -39,15 +39,10 @@ the same way and refused unless it is n x n over range(n).  Every
 structural algorithm -- inverses, center, derived subgroup, closures (the
 enumeration of elements is the closure of the generators), classes,
 quotients, homomorphism tests, Light's test of every triple's associativity
--- reads those rows, so building and reporting a group needs no numpy.
+and `verify`'s random pass over every pair of GSHARP -- reads those rows.
 They walk whole rows, not one element at a time: `_compose` sends a row
 of codes through a column or row of the table, one `bytes.translate` on
 byte rows and an element map on 2-byte rows, so each algorithm has one body.
-`Group.table` is the same table as a uint8 or uint16 array over the row
-bytes, made on first use by the one check that needs it, `verify`'s
-associativity spot check of 10^6 random GSHARP triples drawn in blocks of
-2^13; numpy serves only that pass, and every other command and check
-computes on Python ints from the rows.
 """
 
 from array import array
@@ -57,8 +52,6 @@ from itertools import chain
 import numbers
 import random
 from typing import NamedTuple
-
-from . import _np as np
 
 
 class SchemaError(ValueError):
@@ -70,7 +63,6 @@ class CollectionError(RuntimeError):
 
 
 _COLLECT_BOUND = 200_000
-_TRIPLE_BLOCK = 1 << 13  # random associativity triples drawn and compared at once
 
 
 class GroupSchema:
@@ -250,10 +242,26 @@ def _compact_rows(table, n, name):
 SCHEMA_NAMES = ("G27", "G81", "G81_param", "GSHARP", "R243", "GBAR")
 
 
+def _catalog_key(name, params):
+    """The catalog's (name, params) key, params as the (a, b) pair mod 3;
+    SchemaError for an unknown name or parameters that do not fit it."""
+    if name != "G81_param":
+        if params is not None:
+            raise SchemaError("%s takes no parameters" % (name,))
+        if name not in SCHEMA_NAMES:
+            raise SchemaError("unknown schema %r (know %s)" % (name, ", ".join(SCHEMA_NAMES)))
+        return name, None
+    if params is None:
+        raise SchemaError("G81_param requires an (a, b) parameter pair")
+    if (not isinstance(params, (tuple, list)) or len(params) != 2
+            or not all(isinstance(x, numbers.Integral) for x in params)):
+        raise SchemaError("G81_param takes a pair of integers, not %r" % (params,))
+    return name, (int(params[0]) % 3, int(params[1]) % 3)
+
+
 def schema(name, params=None):
     """Build a schema from the catalog; params is the (a, b) pair mod 3."""
-    if name != "G81_param" and params is not None:
-        raise SchemaError("%s takes no parameters" % name)
+    name, params = _catalog_key(name, params)
     if name == "G27":
         # x2 is central; phi(x3)x1 = x2^-1 x1 = x1 x2^2
         return GroupSchema("G27", ("x1", "x2", "x3"), central={1},
@@ -262,12 +270,7 @@ def schema(name, params=None):
         return GroupSchema("G81", ("z12", "xi1", "xi2", "xi3"), central={0},
                            conj_rules=_G81_CONJ, multiplier=("z12",))
     if name == "G81_param":
-        if params is None:
-            raise SchemaError("G81_param requires an (a, b) parameter pair")
-        if (not isinstance(params, (tuple, list)) or len(params) != 2
-                or not all(isinstance(x, numbers.Integral) for x in params)):
-            raise SchemaError("G81_param takes a pair of integers, not %r" % (params,))
-        a, b = (int(params[0]) % 3, int(params[1]) % 3)
+        a, b = params
         return GroupSchema("G81_param", ("z12", "xi1", "xi2", "xi3"), central={0},
                            conj_rules=_G81_CONJ,
                            power_rules={1: (0,) * a, 3: (0,) * b},
@@ -291,7 +294,6 @@ def schema(name, params=None):
         return GroupSchema("GBAR", ("z23", "xb1", "xb2", "xb3"), central={0},
                            conj_rules={(3, 1): (1, 2, 2), (3, 2): (0, 0, 2)},
                            multiplier=("z23",))
-    raise SchemaError("unknown schema %r (know %s)" % (name, ", ".join(SCHEMA_NAMES)))
 
 
 # phi(xi2)xi1 = z12^2 xi1,  phi(xi3)xi1 = z12 xi1 xi2^2,  phi(xi3)xi2 = xi2
@@ -312,7 +314,6 @@ class Group:
 
     def __init__(self, sch, table=None):
         self.schema = sch
-        self._table = None
         self._inv = None
         self._cache = {}
         if sch is None:
@@ -356,17 +357,6 @@ class Group:
         if self._rows is None:
             self._rows = self._build_rows()
         return self._rows
-
-    @property
-    def table(self):
-        """The Cayley table as a read-only uint8 (uint16 above order 256)
-        array over the joined row bytes, table[g, h] = g*h, built on first
-        use for batched checks.  Arithmetic on its entries widens them first."""
-        if self._table is None:
-            n = self.order
-            word = np.uint8 if n <= 256 else np.uint16
-            self._table = np.frombuffer(b"".join(self.rows), word).reshape(n, n)
-        return self._table
 
     def _right(self):
         """right[i][g] = g * g_i for every code g, the columns `_build_rows`
@@ -587,13 +577,14 @@ _GROUPS = {}
 def get_group(name, params=None):
     """Shared Group instance per schema (tables built once per process).
 
-    Keyed on the schema's normalized (name, params), so every spelling of
-    a call (params omitted, None, or congruent mod 3) shares one Group.
+    Keyed on the normalized (name, params), so every spelling of a call
+    (params omitted, None, or congruent mod 3) shares one Group, and the
+    schema is built only for a key not seen before.
     """
-    sch = schema(name, params)
-    group = _GROUPS.get(sch.key)
+    key = _catalog_key(name, params)
+    group = _GROUPS.get(key)
     if group is None:
-        group = _GROUPS[sch.key] = Group(sch)
+        group = _GROUPS[key] = Group(schema(*key))
     return group
 
 
@@ -623,6 +614,13 @@ class Subgroup(NamedTuple):
 
 # -- whole-table checks ----------------------------------------------------
 
+def _given_rows(table):
+    """`Group.rows` as they are, or any other n x n table compacted to rows."""
+    kind = bytes if len(table) <= 256 else array
+    return (table if all(type(row) is kind for row in table)
+            else _compact_rows(table, len(table), "given"))
+
+
 def exhaustive_associativity(table):
     """(x s) y == x (s y) over all triples, by Light's test; a violating (x, s, y)
     or None.  The middles s that pass are closed under the product, so n^2
@@ -633,10 +631,8 @@ def exhaustive_associativity(table):
     compacted to rows first.  For each s, row x s is held against row s
     composed with row x (`_compose`).  The witness is the least x, then the
     least y, for the first failing s."""
-    n = len(table)
-    small = n <= 256
-    rows = (table if all(type(row) is (bytes if small else array) for row in table)
-            else _compact_rows(table, n, "given"))
+    rows = _given_rows(table)
+    n = len(rows)
     gens, seen = [], bytearray(n)
     while 0 in seen:
         gens.append(seen.index(0))  # the least code outside the closure
@@ -656,30 +652,57 @@ def exhaustive_associativity(table):
     return None
 
 
-def random_triples_associative(table, count, seed=0):
-    """Spot-check associativity on `count` uniform triples; a violating
-    (g, h, k) or None if all pass.
-
-    Codes come from `random.Random(seed)`, one `randbytes` call per block of
-    at most _TRIPLE_BLOCK triples: 1-byte words when n <= 256, else 2-byte,
-    masked to n's bit length, and words >= n are rejected, so every code is
-    exactly uniform.  The products are gathered from the flat table at flat
-    indices computed in 2-byte words when n^2 <= 2^16, else in 4-byte ones."""
-    n = table.shape[0]
-    flat, rng = table.ravel(), random.Random(seed)
-    word = np.dtype("<u1" if n <= 256 else "<u2")
-    index = np.uint16 if n * n <= 1 << 16 else np.uint32
+def _uniform_codes(rng, n, count):
+    """`count` codes drawn uniformly from range(n) by `rng`, as a row: random
+    words of one byte, or two above order 256, masked to n's bit length,
+    and the words >= n rejected and drawn again."""
     mask = (1 << (n - 1).bit_length()) - 1
-    while count > 0:
-        m = min(_TRIPLE_BLOCK, count)
-        codes = np.frombuffer(rng.randbytes(3 * m * word.itemsize), dtype=word) & mask
-        codes = codes[codes < n].astype(index)
-        g, h, k = codes[:len(codes) // 3 * 3].reshape(3, -1)
-        gh = flat[g * n + h].astype(index)  # a table word times n would wrap
-        bad = np.flatnonzero(flat[gh * n + k] != flat[g * n + flat[h * n + k]])
-        if bad.size:
-            return (int(g[bad[0]]), int(h[bad[0]]), int(k[bad[0]]))
-        count -= len(g)
+    codes = _row_type(n)()
+    while len(codes) < count:
+        need = count - len(codes)
+        if n <= 256:
+            words = rng.randbytes(need).translate(bytes(range(mask + 1)) * (256 // (mask + 1)))
+            codes += words.translate(None, bytes(range(n, mask + 1)))
+        else:
+            words = map(mask.__and__, array("H", rng.randbytes(2 * need)))
+            codes += array("H", [c for c in words if c < n])
+    return codes
+
+
+def random_triples_associative(table, count, seed=0):
+    """Spot-check associativity on at least `count` random triples; a
+    violating (g, h, k) or None if all pass.
+
+    Every pair (g, h) is checked with its own m = ceil(count / n^2) codes k,
+    drawn uniformly by `random.Random(seed)` (`_uniform_codes`, n m codes
+    for each g in turn): the k's composed through row g h are held against
+    them composed through row h, then row g.  That is n^2 m >= `count`
+    triples, and every pair for certain.  It is no weaker than `count`
+    independent uniform triples: if s(g, h) of the n codes k violate at the
+    pair (g, h), and S is the sum of all s, the pass misses every violation
+    with probability prod (1 - s/n)^m.  log(1 - x) is concave, so by Jensen
+    this is at most (1 - S/n^3)^(m n^2), which is at most (1 - S/n^3)^count,
+    the chance that `count` uniform triples miss them all.
+
+    `table` is `Group.rows`, read as it is, or any other n x n table, which
+    is compacted to rows first.  Byte rows are padded to 256 bytes once, so
+    each composition is one `bytes.translate`; 2-byte rows go through
+    `_compose`.  The witness is the least g, then the least h, then the
+    first drawn k."""
+    rows = _given_rows(table)
+    n = len(rows)
+    m = -(-count // (n * n))
+    rng = random.Random(seed)
+    cols = [row.ljust(256, b"\0") for row in rows] if n <= 256 else rows
+    compose = bytes.translate if n <= 256 else _compose
+    for g, row in enumerate(rows):
+        ks, col = _uniform_codes(rng, n, n * m), cols[g]  # pair (g, h) takes ks[h m:h m + m]
+        for h, gh in enumerate(row):
+            k = ks[h * m:h * m + m]
+            left, right = compose(k, cols[gh]), compose(compose(k, cols[h]), col)
+            if left != right:
+                i = next(i for i, (a, b) in enumerate(zip(left, right)) if a != b)
+                return (g, h, k[i])
     return None
 
 

@@ -293,7 +293,7 @@ def check_associativity():
         bad = exhaustive_associativity(group.rows)
         if bad is not None:
             failures.append("%s%s associativity fails at %s" % (name, params or "", bad))
-    bad = random_triples_associative(get_group("GSHARP").table, 10 ** 6, seed=2024)
+    bad = random_triples_associative(get_group("GSHARP").rows, 10 ** 6, seed=2024)
     if bad is not None:
         failures.append("GSHARP random-triple associativity fails at %s" % (bad,))
     return CheckReport("associativity", failures,

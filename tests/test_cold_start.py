@@ -6,22 +6,19 @@ imports `decimal`).  The structural commands (`group` reports) run on the
 Cayley table's Python rows and never load those modules either, nor do
 the table-only `verify` checks (orders, structure, automorphism, orbits).
 The catalog commands (`chartable`, `irreps`, `cocycle`) compute on Python
-ints and load none of numpy, `fractions` or `decimal`, and neither do
-`verify`'s orthogonality and cocycle checks: numpy serves only the GSHARP
-random associativity pass, the one place that makes a numpy table.
-`verify` never loads `numpy.random` or `hashlib`, and one `verify` builds
-each catalog table once.  Light's test reads the rows too.  numpy starts no idle OpenBLAS threads unless the user
-asks for them, and `irreps` refuses a group that does not carry the spin
-type before it builds anything.  These are properties of a whole process,
-so each test runs its code in a child interpreter.
+ints and load none of numpy, `fractions` or `decimal`, and neither does a
+whole `verify`: Light's test and the GSHARP random associativity pass walk
+the byte rows, so no command imports numpy.  `verify` never loads
+`hashlib`, and one `verify` builds each catalog schema and each table
+once.  `irreps` refuses a group that does not carry the spin type before
+it builds anything.  These are properties of a whole process, so each
+test runs its code in a child interpreter.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -122,7 +119,8 @@ for args in (%r, ["verify"]):
 
 
 def test_orthogonality_and_cocycle_import_no_numpy():
-    # numpy serves only the GSHARP random associativity pass
+    # the Gram and column sums run on packed Python ints, the cocycle
+    # comparison on byte rows
     out = _run("""
 import contextlib, io, sys
 from spinchar.cli import main
@@ -131,6 +129,37 @@ with contextlib.redirect_stdout(io.StringIO()):
 print("numpy" in sys.modules)
 """)
     assert out == "False\n"
+
+
+def test_verify_imports_nothing_heavy():
+    # numpy among them: the GSHARP random pass walks the byte rows
+    out = _run("""
+import contextlib, io, sys
+from spinchar.cli import main
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["verify"]) == 0
+print(sorted(m for m in %r if m in sys.modules and m not in before))
+""" % (HEAVY,))
+    assert out == "[]\n"
+
+
+def test_verify_builds_each_schema_once():
+    # get_group normalizes its arguments before it looks a group up, and
+    # builds a schema only for a key it has not seen
+    out = _run("""
+from collections import Counter
+from spinchar import groups, verify
+built = Counter()
+init = groups.GroupSchema.__init__
+def counting(self, *args, **kwargs):
+    init(self, *args, **kwargs)
+    built[self.key] += 1
+groups.GroupSchema.__init__ = counting
+assert all(r.passed for r in verify.run_checks())
+print(len(built), sorted(built) == sorted(groups._GROUPS), max(built.values()))
+""")
+    assert out == "14 True 1\n"
 
 
 def test_verify_builds_each_table_once():
@@ -159,15 +188,6 @@ print("numpy" in sys.modules)
     assert out == "%s\nFalse\n" % ([None] * 14)
 
 
-def test_associativity_check_makes_only_the_gsharp_array():
-    out = _run("""
-from spinchar import groups, verify
-assert verify.check_associativity().passed
-print(sorted(key for key, group in groups._GROUPS.items() if group._table is not None))
-""")
-    assert out == "[('GSHARP', None)]\n"
-
-
 def test_mismatched_irreps_group_is_refused_before_any_build():
     out = _run("""
 import contextlib, io
@@ -185,17 +205,3 @@ print(refused, [name for name in dir(spinrep) if name.endswith("_catalog")
                 and getattr(spinrep, name).cache_info().currsize])
 """)
     assert out == "22 []\n"
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
-                    reason="needs /proc/self/task to count threads")
-def test_numpy_starts_no_openblas_threads_unless_asked():
-    code = """
-import contextlib, io, os, sys
-from spinchar.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["verify", "--only", "associativity"]) == 0
-print("numpy" in sys.modules, len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"])
-"""
-    assert _run(code, OPENBLAS_NUM_THREADS=None) == "True 1 1\n"
-    assert _run(code, OPENBLAS_NUM_THREADS="2").split()[::2] == ["True", "2"]

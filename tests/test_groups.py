@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinchar import groups
+from spinchar import groups, verify
 from spinchar.groups import (CollectionError, GroupSchema, Group, SchemaError, Subgroup,
                              check_schema, covering_data, exhaustive_associativity,
                              get_group, hom_from_gen_images,
@@ -15,13 +15,29 @@ from spinchar.groups import (CollectionError, GroupSchema, Group, SchemaError, S
                              verify_efficient_covering, verify_phi_automorphism)
 
 
+def _table(group):
+    """The Cayley table as a read-only uint8 (uint16 above order 256) array
+    over the joined rows, table[g, h] = g*h, for the array references."""
+    n = group.order
+    return np.frombuffer(b"".join(group.rows), np.uint8 if n <= 256 else np.uint16).reshape(n, n)
+
+
 def test_schema_catalog_guards():
-    with pytest.raises(SchemaError):
-        schema("NOPE")
-    with pytest.raises(SchemaError):
-        schema("G27", params=(1, 1))
-    with pytest.raises(SchemaError):
-        schema("G81_param")
+    # get_group normalizes its arguments itself and keeps schema's texts
+    for args, text in ((("NOPE",), "unknown schema 'NOPE' (know G27, G81, G81_param, "
+                                   "GSHARP, R243, GBAR)"),
+                       (("G27", (1, 1)), "G27 takes no parameters"),
+                       (("G81_param",), "G81_param requires an (a, b) parameter pair"),
+                       (("G81_param", (1,)), "G81_param takes a pair of integers, not (1,)")):
+        for build in (schema, get_group):
+            with pytest.raises(SchemaError) as info:
+                build(*args)
+            assert str(info.value) == text
+    # a name of any type is refused as a SchemaError
+    with pytest.raises(SchemaError, match=r"\('G27', 'x'\) takes no parameters"):
+        get_group(("G27", "x"), (1, 1))
+    with pytest.raises(SchemaError, match=r"unknown schema \['G27'\]"):
+        get_group(["G27"])
     # malformed pairs are refused, not truncated or passed to int()
     for bad in ((1,), ("a", "b"), (1.5, 2), (1, 2, 3), 12):
         with pytest.raises(SchemaError):
@@ -156,7 +172,7 @@ def test_center_and_derived():
         r243.code_of((a, b, 0, c, 0))
         for a in range(3) for b in range(3) for c in range(3))
     # outputs are verified subgroups
-    t = r243.table
+    t = _table(r243)
     for codes in (r243.center_codes(), r243.derived_codes()):
         arr = sorted(codes)
         assert all(int(t[a, b]) in codes for a in arr for b in arr)
@@ -186,17 +202,18 @@ def test_schema_soundness_and_associativity():
                          ("R243", None), ("GSHARP", None), ("G81_param", (1, 2))]:
         group = get_group(name, params)
         assert check_schema(group) == []
-        assert exhaustive_associativity(group.table) is None
-    assert random_triples_associative(get_group("GSHARP").table, 10000, seed=5) is None
+        assert exhaustive_associativity(_table(group)) is None
+    assert random_triples_associative(get_group("GSHARP").rows, 10000, seed=5) is None
 
 
 def test_collection_matches_table():
     rng = np.random.default_rng(99)
     for name in ("G27", "G81", "R243", "GSHARP"):
         group = get_group(name)
+        t = _table(group)
         for _ in range(250):
             a, b = (int(x) for x in rng.integers(0, group.order, 2))
-            assert group.mult_collect(a, b) == group.table[a, b]
+            assert group.mult_collect(a, b) == t[a, b]
 
 
 def test_inconsistent_schema_fails_loudly():
@@ -206,7 +223,7 @@ def test_inconsistent_schema_fails_loudly():
     group = Group(bad)
     try:
         detected = (check_schema(group) != []
-                    or exhaustive_associativity(group.table) is not None)
+                    or exhaustive_associativity(_table(group)) is not None)
     except CollectionError:
         detected = True  # the engine refused the non-group table outright
     assert detected
@@ -222,7 +239,7 @@ def test_inconsistent_power_rule_fails_lights_test():
     # associative
     group = _g27_variant({1}, {2: (0,)})
     assert check_schema(group) == []
-    assert exhaustive_associativity(group.table) == (1, 1, 2)
+    assert exhaustive_associativity(_table(group)) == (1, 1, 2)
 
 
 def test_inconsistent_noncentral_power_rule_is_not_a_group_table():
@@ -437,7 +454,7 @@ def test_quotient_is_a_table_group():
     mult = r243.closure([r243.code("z12"), r243.code("z23")])
     q = r243.quotient(mult)
     assert q.schema is None and q.order == 27
-    assert exhaustive_associativity(q.table) is None
+    assert exhaustive_associativity(_table(q)) is None
     assert q.mult(0, 5) == 5 and q.mult(5, int(q.inv[5])) == 0
     # R243 / multiplier is the base group, structure for structure
     g27 = get_group("G27")
@@ -474,26 +491,21 @@ def test_get_group_keys_on_the_normalized_schema():
 
 def test_rows_and_table_agree():
     for name, params in CATALOG:
-        group = get_group(name, params)
-        assert group.table.dtype == np.uint8
-        assert all(type(r) is bytes for r in group.rows), (name, params)
-        assert group.table.tolist() == [list(r) for r in group.rows]
+        assert all(type(r) is bytes for r in get_group(name, params).rows), (name, params)
     g27 = get_group("G27")
-    from_array = Group(None, g27.table.astype(np.int64))
+    from_array = Group(None, _table(g27).astype(np.int64))
     assert from_array.rows == g27.rows and from_array.inv == g27.inv
     assert all(type(x) is int for row in from_array.rows for x in row)
-    assert from_array.table.tolist() == [list(r) for r in g27.rows]
     r243 = get_group("R243")
     q = r243.quotient(r243.center_codes())
     assert q.order == 27 and all(type(x) is int for row in q.rows for x in row)
-    assert q.table.tolist() == [list(r) for r in q.rows]
 
 
 @pytest.mark.parametrize("name", ["R243", "GSHARP"])
 def test_row_structure_matches_array_reference(name):
     # the array formulations the row algorithms replaced
     group = get_group(name)
-    t = group.table
+    t = _table(group)
     n = group.order
     inv = np.nonzero(t == 0)[1]
     assert group.inv == inv.tolist()
@@ -527,7 +539,7 @@ def test_table_only_group_above_256_elements():
     t = _cyclic(300)
     group = Group(None, t)
     assert all(row.itemsize == 2 for row in group.rows)
-    assert group.table.dtype == np.uint16 and np.array_equal(group.table, t)
+    assert np.array_equal(_table(group), t)
     inv = np.nonzero(t == 0)[1]
     assert group.inv == inv.tolist()
     assert group.center_codes() == frozenset(np.nonzero((t == t.T).all(axis=1))[0].tolist())
@@ -537,7 +549,7 @@ def test_table_only_group_above_256_elements():
     reps, index = np.unique(t[:, arr].min(axis=1), return_inverse=True)
     q = group.quotient(arr.tolist())
     assert q.order == 100 and all(type(row) is bytes for row in q.rows)
-    assert q.table.tolist() == index[t[np.ix_(reps, reps)]].tolist()
+    assert _table(q).tolist() == index[t[np.ix_(reps, reps)]].tolist()
 
 
 def test_malformed_tables_are_refused():
@@ -575,12 +587,12 @@ def _light_verdict(table):
 
 def test_light_test_agrees_with_the_cubic_reference():
     r243 = get_group("R243")
-    tables = [get_group(name, params).table for name, params in CATALOG]
-    tables.append(r243.quotient(r243.closure([r243.code(z) for z in ("z12", "z23")])).table)
+    tables = [_table(get_group(name, params)) for name, params in CATALOG]
+    tables.append(_table(r243.quotient(r243.closure([r243.code(z) for z in ("z12", "z23")]))))
     # relabelled codes: the greedy generating set is a different one
     perm = np.random.default_rng(3).permutation(r243.order)
-    relabelled = np.empty_like(r243.table)
-    relabelled[np.ix_(perm, perm)] = perm[r243.table]
+    relabelled = np.empty_like(_table(r243))
+    relabelled[np.ix_(perm, perm)] = perm[_table(r243)]
     for table in tables + [relabelled]:
         assert _light_verdict(table) is None
 
@@ -590,7 +602,7 @@ def test_light_test_agrees_with_the_cubic_reference_on_planted_swaps():
     caught = 0
     for name in ("G27", "G81", "R243"):
         for _ in range(20):
-            table = get_group(name).table.copy()
+            table = _table(get_group(name)).copy()
             row = rng.integers(len(table))
             a, b = rng.choice(len(table), 2, replace=False)
             table[row, [a, b]] = table[row, [b, a]]
@@ -598,9 +610,9 @@ def test_light_test_agrees_with_the_cubic_reference_on_planted_swaps():
     assert caught == 60
 
 
-def test_light_test_agrees_with_the_cubic_reference_on_order_3_magmas():
-    # off group tables the greedy set and its closure matter: all 113
-    # semigroups of order 3 and a seeded sample of the other 19,570 magmas
+def _order_3_magma_sample():
+    """All 113 semigroups of order 3, then a seeded sample of 1000 of the
+    other 19,570 magmas, as int16 tables."""
     tables = np.array(list(itertools.product(range(3), repeat=9)),
                       dtype=np.int16).reshape(-1, 3, 3)
     i = np.arange(len(tables))[:, None, None, None]
@@ -610,13 +622,29 @@ def test_light_test_agrees_with_the_cubic_reference_on_order_3_magmas():
     assert len(assoc) == 113
     others = np.setdiff1d(np.arange(len(tables)), assoc)
     picked = np.concatenate([assoc, np.random.default_rng(5).choice(others, 1000, replace=False)])
-    verdicts = [_light_verdict(tables[j]) is None for j in picked]
+    return [tables[j] for j in picked]
+
+
+def test_light_test_agrees_with_the_cubic_reference_on_order_3_magmas():
+    # off group tables the greedy set and its closure matter
+    verdicts = [_light_verdict(table) is None for table in _order_3_magma_sample()]
     assert sum(verdicts) == 113
 
 
+def test_random_triples_decide_order_3_magmas_like_the_cubic_reference():
+    # 60 codes k at each of the 9 pairs draw every k at every pair, so on
+    # order 3 the pass is exhaustive, and a pair it skipped would show
+    verdicts = []
+    for table in _order_3_magma_sample():
+        witness = random_triples_associative(table, 9 * 60, seed=0)
+        assert witness is None or _violates(table, witness)
+        verdicts.append(witness is None)
+    assert verdicts == [True] * 113 + [False] * 1000
+
+
 def test_associativity_passes_stay_small_in_memory():
-    gsharp, r243 = get_group("GSHARP").table, get_group("R243").rows
-    random_triples_associative(gsharp, 10, seed=1)  # warm numpy outside the trace
+    gsharp, r243 = get_group("GSHARP").rows, get_group("R243").rows
+    random_triples_associative(gsharp, 10, seed=1)  # warm the code paths outside the trace
     tracemalloc.start()
     try:
         random_triples_associative(gsharp, 10 ** 6, seed=2024)
@@ -626,9 +654,10 @@ def test_associativity_passes_stay_small_in_memory():
         light_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 0.17 MB in 2-byte index words; 0.47 MB in intp, 0.93 MB in blocks of 2^14
+    # 0.08 MB, mostly the rows padded to 256 bytes, with the codes drawn one g
+    # at a time; 1 MB for the codes alone if all were drawn at once
     assert random_peak < 0.25 * 2 ** 20
-    # 1.5 kB on the byte rows; 0.23 MB on the uint8 array, 11.6 MB for the n^3 comparison
+    # 1.5 kB on the byte rows; 0.23 MB on a uint8 array, 11.6 MB for the n^3 comparison
     assert light_peak < 2 ** 16
 
 
@@ -649,7 +678,7 @@ def _planted(table, row, a, b):
 
 
 def test_random_triples_are_reproducible_from_the_seed():
-    planted = _planted(get_group("GSHARP").table, 5, 7, 9)
+    planted = _planted(_table(get_group("GSHARP")), 5, 7, 9)
     witness = random_triples_associative(planted, 10 ** 6, seed=2024)
     assert witness is not None and _violates(planted, witness)
     assert random_triples_associative(planted, 10 ** 6, seed=2024) == witness
@@ -657,30 +686,39 @@ def test_random_triples_are_reproducible_from_the_seed():
                for s in range(3))
 
 
-class _RecordingTable(np.ndarray):
-    """A Cayley table that keeps every flat index it is gathered at."""
+def _recording_draws(monkeypatch):
+    """The rows of codes k that `random_triples_associative` draws, one per
+    g, recorded as it draws them."""
+    real, draws = groups._uniform_codes, []
 
-    gathered = []
+    def recording(rng, n, count):
+        draws.append(real(rng, n, count))
+        return draws[-1]
 
-    def __getitem__(self, index):
-        _RecordingTable.gathered.append(np.asarray(index))
-        return np.asarray(self)[index]
+    monkeypatch.setattr(groups, "_uniform_codes", recording)
+    return draws
 
 
 @pytest.mark.parametrize("n", [3, 243, 300])
-def test_random_triples_draw_every_code_and_nothing_else(n):
-    # every gather is at a*n + b with a, b codes, so the quotients and
-    # remainders of the gathered indices are the codes the draws produced
-    _RecordingTable.gathered = []
-    assert random_triples_associative(_cyclic(n).view(_RecordingTable), 30000, seed=1) is None
-    index = np.concatenate(_RecordingTable.gathered)
-    assert index.min() >= 0 and index.max() < n * n
-    for codes in np.divmod(index, n):
-        assert np.array_equal(np.unique(codes), np.arange(n))
+def test_random_triples_draw_every_code_and_nothing_else(monkeypatch, n):
+    # one row of n m codes for each g, m codes for each pair (g, h)
+    draws = _recording_draws(monkeypatch)
+    assert random_triples_associative(_cyclic(n), 30000, seed=1) is None
+    m = -(-30000 // n ** 2)
+    assert [len(ks) for ks in draws] == [n * m] * n
+    assert set(itertools.chain.from_iterable(draws)) == set(range(n))
+
+
+def test_verify_checks_17_codes_at_every_pair_of_gsharp(monkeypatch):
+    # 17 x 243^2 = 1,003,833 triples, the least multiple of 243^2 >= 10^6
+    draws = _recording_draws(monkeypatch)
+    assert verify.check_associativity().passed
+    assert [len(ks) for ks in draws] == [17 * 243] * 243
+    assert sum(map(len, draws)) == 1_003_833
 
 
 def test_random_triples_on_a_table_of_more_than_256_elements():
-    # Z/300 needs 2-byte words, and its codes times 300 leave int16
+    # Z/300 needs 2-byte rows, which `_compose` walks element by element
     table = _cyclic(300)
     assert random_triples_associative(table, 10 ** 5, seed=3) is None
     planted = _planted(table, 299, 0, 298)

@@ -11,6 +11,7 @@ mutated.  One positive control holds an intertwiner as equal values of the
 other scalar type and shows that its check still passes.
 """
 
+import random
 import re
 
 import pytest
@@ -293,8 +294,8 @@ def test_swapped_relation_entry_fails_the_schema_rules(monkeypatch):
 def test_swapped_table_entry_fails_associativity(monkeypatch):
     real = verify.get_group
     g27 = real("G27")
-    table = g27.table.copy()
-    table[1, [2, 3]] = table[1, [3, 2]]  # row 1 stays a permutation
+    table = [list(row) for row in g27.rows]
+    table[1][2], table[1][3] = table[1][3], table[1][2]  # row 1 stays a permutation
     planted = Group(g27.schema, table)
     monkeypatch.setattr(verify, "get_group", lambda name, params=None:
                         planted if name == "G27" else real(name, params))
@@ -304,7 +305,7 @@ def test_swapped_table_entry_fails_associativity(monkeypatch):
     m = re.search(r"G27 associativity fails at \((\d+), (\d+), (\d+)\)", result.detail)
     assert m is not None, result.detail
     g, h, k = map(int, m.groups())
-    assert table[table[g, h], k] != table[g, table[h, k]]
+    assert table[table[g][h]][k] != table[g][table[h][k]]
     assert "['" not in result.detail
 
 
@@ -312,8 +313,8 @@ def test_swapped_gsharp_entry_fails_both_associativity_passes(monkeypatch):
     # the 10^6 random GSHARP triples hit the swap too, not only Light's test
     real = verify.get_group
     gsharp = real("GSHARP")
-    table = gsharp.table.copy()
-    table[5, [7, 11]] = table[5, [11, 7]]  # row 5 stays a permutation
+    table = [list(row) for row in gsharp.rows]
+    table[5][7], table[5][11] = table[5][11], table[5][7]  # row 5 stays a permutation
     planted = Group(gsharp.schema, table)
     monkeypatch.setattr(verify, "get_group", lambda name, params=None:
                         planted if name == "GSHARP" else real(name, params))
@@ -324,7 +325,24 @@ def test_swapped_gsharp_entry_fails_both_associativity_passes(monkeypatch):
         m = re.search(label + r" fails at \((\d+), (\d+), (\d+)\)", result.detail)
         assert m is not None, (label, result.detail)
         g, h, k = map(int, m.groups())
-        assert table[table[g, h], k] != table[g, table[h, k]]
+        assert table[table[g][h]][k] != table[g][table[h][k]]
+
+
+def test_random_pass_alone_catches_single_entry_changes_of_gsharp():
+    # each changed entry lies on a pair (g, h) that the pass checks with 17
+    # codes k for every seed, where 10^6 independent triples could miss it
+    rows = get_group("GSHARP").rows
+    rng = random.Random(30)
+    for _ in range(12):
+        g, h = rng.randrange(243), rng.randrange(243)
+        value = rng.choice([x for x in range(243) if x != rows[g][h]])
+        planted = list(rows)
+        planted[g] = rows[g][:h] + bytes([value]) + rows[g][h + 1:]
+        for seed in range(5):
+            witness = groups.random_triples_associative(planted, 10 ** 6, seed=seed)
+            assert witness is not None, (g, h, value, seed)
+            a, b, c = witness
+            assert planted[planted[a][b]][c] != planted[a][planted[b][c]]
 
 
 def _rewritten_jw(monkeypatch, convert):

@@ -54,14 +54,16 @@ def test_every_definition_is_referenced_in_the_package():
 
 
 
-def test_only_groups_imports_the_numpy_shim():
-    # numpy serves only the GSHARP random associativity pass, through
-    # Group.table; every other module runs on Python ints
+def test_no_module_imports_numpy():
+    # every command and check runs on Python ints and byte rows; numpy is a
+    # test-only reference
     importers = sorted(
-        path.name for path in PACKAGE.glob("*.py")
+        "%s:%d" % (path.name, node.lineno) for path in PACKAGE.parent.rglob("*.py")
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.ImportFrom) and any(alias.name == "_np" for alias in node.names))
-    assert importers == ["groups.py"]
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "numpy"
+                                                for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy")
+    assert importers == []
 
 
 def test_a_matrix_has_one_form():
