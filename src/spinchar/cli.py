@@ -12,6 +12,7 @@ verification failure, 2 usage error.
 import argparse
 import csv
 import errno
+import gc
 import io
 import json
 import os
@@ -275,6 +276,12 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command and return its exit code.  main() owns its process:
+    it first freezes the heap that exists at entry (the interpreter, the
+    standard library and spinchar's modules) into the permanent generation,
+    so no later collection walks it again, those at interpreter shutdown
+    included."""
+    gc.freeze()
     args = build_parser().parse_args(argv)
     bad = args.out is not None and _unwritable(args.out)
     if bad:  # refused before any work; a race at the write is caught below

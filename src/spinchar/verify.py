@@ -240,14 +240,16 @@ def check_orthogonality():
 
 def check_cocycle():
     failures = []
-    by_type = {}
     verdicts = {}  # the identity is decided once per distinct table
     a, b = table_cocycle()
     n = len(a)
     # byte 3 a + b at g n + h: no byte exceeds 8, so none carries
     pair = (3 * int.from_bytes(b"".join(a), "big")
             + int.from_bytes(b"".join(b), "big")).to_bytes(n * n, "big")
-    expected = {}  # eps a + mu b mod 3, one table per spin type
+    # eps a + mu b mod 3, one table per spin type and all zero for (0,0), so
+    # the comparison below also decides "trivial if non-spin" and "constant
+    # per type"; "nontrivial if spin" guards table_cocycle itself
+    expected = {}
     for rep in full_catalog():
         coc = restrict_to_projective(rep)
         if coc.exps not in verdicts:
@@ -264,17 +266,9 @@ def check_cocycle():
             first = next(i for i, (x, y) in enumerate(zip(got, want)) if x != y)
             failures.append("%s cocycle differs from the table-only derivation at %s"
                             % (rep.name, divmod(first, n)))
-        if rep.spin_type == SpinType(0, 0) and not coc.is_trivial():
-            failures.append("%s is non-spin but has a nontrivial cocycle" % rep.name)
         if rep.spin_type != SpinType(0, 0) and coc.is_trivial():
             failures.append("%s has spin type %s but a trivial cocycle"
                             % (rep.name, rep.spin_type))
-        by_type.setdefault(rep.spin_type, []).append((rep.name, coc.exps))
-    for st, tables in by_type.items():
-        _, first = tables[0]
-        for name, exps in tables[1:]:
-            if exps != first:
-                failures.append("cocycles differ inside spin type %s (%s)" % (st, name))
     return CheckReport("cocycle", failures,
                        "2-cocycle identity holds on all 27^3 triples for each of "
                        "the 35 restrictions; trivial iff non-spin; constant per type")

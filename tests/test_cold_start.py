@@ -11,8 +11,9 @@ whole `verify`: Light's test and the GSHARP random associativity pass walk
 the byte rows, so no command imports numpy.  `verify` never loads
 `hashlib`, and one `verify` builds each catalog schema and each table
 once.  `irreps` refuses a group that does not carry the spin type before
-it builds anything.  These are properties of a whole process, so each
-test runs its code in a child interpreter.
+it builds anything.  `main()` freezes the heap it finds at entry, so no
+collection walks it again.  These are properties of a whole process, so
+each test runs its code in a child interpreter.
 """
 
 import os
@@ -72,6 +73,20 @@ print(sorted(m for m in %r if m in sys.modules and m not in before))
 print(sorted(m for m in %r if "spinchar." + m not in sys.modules))
 """ % (HEAVY, TRACED))
     assert out == "[]\n[]\n"
+
+
+def test_main_freezes_the_heap_it_finds_at_entry():
+    # every object tracked before the call sits in the permanent generation
+    # after it; the list of them is held so that none dies in between
+    out = _run("""
+import contextlib, gc, io
+from spinchar.cli import main
+tracked = gc.get_objects()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["group", "G27", "--format", "json"]) == 0
+print(gc.get_freeze_count() >= len(tracked) > 10000)
+""")
+    assert out == "True\n"
 
 
 def test_group_reports_import_no_numpy():

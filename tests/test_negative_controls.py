@@ -2,17 +2,20 @@
 
 A check that passes on correct data proves little unless it is also shown
 to fail on wrong data.  Each test below corrupts exactly one thing -- a
-generator image, a character value, a class size, a section element, a
-covering kernel, a quotient generator, a cube rule, a table entry, an
-intertwiner, a presentation, an action convention, a subgroup representation's generator
-image, a domain that is not a set of normal forms, a catalog slot -- and asserts that the check responsible for it reports the
-defect.  Planted groups and tables are fresh copies; no cached object is
-mutated.  One positive control holds an intertwiner as equal values of the
-other scalar type and shows that its check still passes.
+generator image, a character value, a class size, a class count, a section
+element, a covering kernel, a quotient generator, a cube rule, a table
+entry, a cocycle table, an intertwiner, a presentation, an action
+convention, a subgroup representation's generator image, a domain that is
+not a set of normal forms, a catalog slot -- and asserts that the check
+responsible for it reports the defect.  Planted groups and tables are
+fresh copies; no cached object is mutated.  One positive control holds an
+intertwiner as equal values of the other scalar type and shows that its
+check still passes.
 """
 
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,9 +25,9 @@ from spinchar.cyclo9 import Cyc9, zeta9
 from spinchar.groups import Group, GroupSchema, Subgroup, get_group
 from spinchar.linalg import J_SHIFT, CycMatrix
 from spinchar.mackey import MackeyError, SubRep, dual_group, induce
-from spinchar.spinrep import (RepError, Representation, canonical_section, full_catalog,
-                              irreps_by_spin_type, r243_pure_catalog, restrict_to_projective,
-                              spin_character_table, verify_rep)
+from spinchar.spinrep import (CocycleTable, RepError, Representation, canonical_section,
+                              full_catalog, irreps_by_spin_type, r243_pure_catalog,
+                              restrict_to_projective, spin_character_table, verify_rep)
 
 
 def _scaled(rep, gen, factor):
@@ -136,6 +139,22 @@ def test_planted_table_cocycle_byte_is_named_where_it_weighs(monkeypatch, which)
     assert set(result.failures) == {
         "%s cocycle differs from the table-only derivation at (%d, %d)" % (rep.name, g, h)
         for rep in full_catalog() if rep.spin_type[which]}
+
+
+def test_all_zero_table_cocycle_fails_only_the_spin_triviality_line(monkeypatch):
+    # a table-only derivation and restrictions that are both all zero agree
+    # with each other and satisfy the identity: only "trivial cocycle on a
+    # spin type" can tell that the derivation lost the multiplier
+    zero = tuple(bytes(27) for _ in range(27))
+    g27 = get_group("G27")
+    monkeypatch.setattr(verify, "table_cocycle", lambda: (zero, zero))
+    monkeypatch.setattr(verify, "restrict_to_projective", lambda rep: CocycleTable(g27, zero))
+    result = verify.check_cocycle()
+    assert not result.passed
+    spin = [rep for rep in full_catalog() if rep.spin_type != (0, 0)]
+    assert len(spin) == 24
+    assert result.failures == ["%s has spin type %s but a trivial cocycle"
+                               % (rep.name, rep.spin_type) for rep in spin]
 
 
 def test_swapped_lift_fails_the_table_cross_check(monkeypatch):
@@ -447,6 +466,24 @@ def test_scaled_central_image_fails_characters(monkeypatch):
     assert result.failures == ["Pi(0,1) at x2^%d is not 3w^%d" % (b, b) for b in (1, 2)]
 
 
+def test_identity_x1_image_fails_only_the_off_center_line(monkeypatch):
+    # Pi(0,1)(x1) = I keeps every central image, so the central values hold;
+    # x1^a x2^b (a != 0) then traces to 3 w^b, six nonzero values off the center
+    real = verify.g27_nonspin_catalog
+
+    def planted():
+        reps = list(real())
+        k = next(i for i, rep in enumerate(reps) if rep.name == "Pi(0,1)")
+        images = dict(reps[k].images, x1=CycMatrix.identity(3))
+        reps[k] = Representation(reps[k].group, images, reps[k].name, reps[k].spin_type)
+        return reps
+
+    monkeypatch.setattr(verify, "g27_nonspin_catalog", planted)
+    result = verify.check_characters()
+    assert not result.passed
+    assert result.failures == ["Pi(0,1) does not vanish off the center"] * 6
+
+
 def test_perturbed_central_entry_fails_characters(monkeypatch):
     # through SubRep.character_values: P(1,0)(z12) = w I gains 1 at (0, 0),
     # so z12 and z12^2 lose their central values, and z12^a xi1^b (a, b
@@ -497,6 +534,19 @@ def test_duplicated_irreducible_fails_census(monkeypatch):
         "spin type (0,0) has dim^2 sum 28",
         "spin type (2,2) has dim^2 sum 18",
     ]
+
+
+def test_merged_classes_fail_only_the_class_count_line(monkeypatch):
+    # R243 reporting its last two classes as one: 34 classes, 35 irreducibles
+    real = verify.get_group
+    classes = real("R243").conjugacy_classes()
+    merged = classes[:-2] + [(classes[-2][0], tuple(sorted(classes[-2][1] + classes[-1][1])))]
+    planted = SimpleNamespace(conjugacy_classes=lambda: merged)
+    monkeypatch.setattr(verify, "get_group", lambda name, params=None:
+                        planted if name == "R243" else real(name, params))
+    result = verify.check_census()
+    assert not result.passed
+    assert result.failures == ["34 conjugacy classes vs 35 irreducibles"]
 
 
 def _first_broken_rule(rho):
