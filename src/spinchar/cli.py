@@ -22,8 +22,8 @@ import sys
 from .groups import (SCHEMA_NAMES, COVERING_MAPS, SchemaError, get_group,
                      verify_efficient_covering, isomorphism_fingerprint)
 from .cyclo9 import scalar_str
-from .spinrep import (SpinType, irreps_by_spin_type, full_catalog, native_irreps,
-                      spin_character_table, restrict_to_projective)
+from .spinrep import (ALL_SPIN_TYPES, SpinType, irreps_by_spin_type, full_catalog,
+                      native_irreps, spin_character_table, restrict_to_projective)
 from .verify import CHECKS, run_checks
 
 
@@ -108,7 +108,7 @@ def cmd_group(args):
     return "\n".join(lines) + "\n", 0
 
 
-_NATIVE_CATALOGS = {"G27", "G81", "GBAR", "R243"}
+_NATIVE_CATALOGS = {native_irreps(spin)[0] for spin in ALL_SPIN_TYPES}
 
 
 def _native_irreps(group_name, spin):

@@ -29,25 +29,24 @@ lexicographic order on exponent vectors, and 0 is the identity.
 generator name included), and refuses anything else with SchemaError, as
 it refuses all text on a group given by its table alone, which has none.
 
-Cayley tables are byte rows over element codes: one `bytes` object per element,
-or a 2-byte `array('H')` above order 256, and `rows[g][h]` is g*h as an
-int.  A table is built up the polycyclic series, one generator at a time,
-from k(k+1)/2 collections of rule words (`Group._right`); collection of
-whole words stays the independent oracle that `check_schema` and the tests
-hold it to.  A given table (a quotient, or a planted defect) is compacted
-the same way and refused unless it is n x n over range(n).  Every
-structural algorithm -- inverses, center, derived subgroup, closures (the
-enumeration of elements is the closure of the generators), classes,
-quotients, homomorphism tests, Light's test of every triple's associativity
-and `verify`'s random pass over every pair of GSHARP -- reads those rows.
-They walk whole rows, not one element at a time: `_compose` sends a row
-of codes through a column or row of the table, one `bytes.translate` on
-byte rows and an element map on 2-byte rows, so each algorithm has one body.
+Cayley tables are byte rows over element codes: one `bytes` object per
+element, and `rows[g][h]` is g*h as an int.  So a table stops at order
+256, above every catalog group's 243 (`_check_order` raises SchemaError
+past it); `collect` still works on a larger schema.  A table is built up
+the polycyclic series, one generator at a time, from k(k+1)/2 collections
+of rule words (`Group._right`); collection of whole words stays the
+independent oracle that `check_schema` and the tests hold it to.  A given
+table (a quotient, or a planted defect) is compacted the same way and
+refused unless it is n x n over range(n).  Every structural algorithm --
+inverses, center, derived subgroup, closures (the enumeration of elements
+is the closure of the generators), classes, quotients, homomorphism
+tests, Light's test of every triple's associativity and `verify`'s random
+pass over every pair of GSHARP -- reads those rows.  They walk whole rows,
+not one element at a time: `_compose` sends a row of codes through a
+column or row of the table in one `bytes.translate`.
 """
 
-from array import array
 from collections import Counter
-from functools import partial
 from itertools import chain
 import numbers
 import random
@@ -140,59 +139,55 @@ def collect(schema, letters):
     return tuple(exps)
 
 
-def _row_type(n):
-    """The compact row of codes in range(n): bytes, or 2-byte words above 256."""
-    return bytes if n <= 256 else partial(array, "H")
+def _check_order(n, name):
+    """SchemaError unless a table of order n fits one `bytes` row per element."""
+    if n > 256:
+        raise SchemaError("%s table has order %d; byte rows hold at most 256 codes"
+                          % (name, n))
 
 
 def _compose(codes, col):
-    """col[c] for each code c in `codes`, as a row of their type: one
-    `bytes.translate` on byte rows, an element map on 2-byte rows above
-    order 256.  Every walk over a table below goes through it."""
-    if type(codes) is bytes:
-        return codes.translate(col.ljust(256, b"\0"))
-    return array("H", map(col.__getitem__, codes))
+    """col[c] for each code c in `codes`, as a row: one `bytes.translate`.
+    Every walk over a table below goes through it."""
+    return codes.translate(col.ljust(256, b"\0"))
 
 
 def _columns(rows, codes):
     """Column c of the table `rows`, rows[g][c] for every g, for each code
     c, as rows: strides of the joined rows."""
     n = len(rows)
-    flat = _row_type(n)(b"".join(rows))  # flat[g * n + h] = g * h
+    flat = b"".join(rows)  # flat[g * n + h] = g * h
     return [flat[c::n] for c in codes]
 
 
 def _interleave(parts):
-    """The row whose entry k i + e is parts[e][i], for k rows of one type
-    and length."""
-    k, first = len(parts), parts[0]
-    small = type(first) is bytes
-    out = bytearray(first * k) if small else first * k
+    """The row whose entry k i + e is parts[e][i], for k rows of one length."""
+    k = len(parts)
+    out = bytearray(k * len(parts[0]))
     for e, part in enumerate(parts):
         out[e::k] = part
-    return bytes(out) if small else out
+    return bytes(out)
 
 
-def _orbit(start, maps, n):
+def _orbit(start, maps):
     """The set of codes reached from the code `start` by the maps, rows of
-    codes in range(n), one frontier at a time."""
-    row_type = _row_type(n)
-    found, frontier = {start}, row_type([start])
+    codes, one frontier at a time."""
+    found, frontier = {start}, bytes([start])
     while frontier:
         new = set(chain.from_iterable(_compose(frontier, m) for m in maps)) - found
         found |= new
-        frontier = row_type(new)
+        frontier = bytes(new)
     return found
 
 
-def _extend_to_codes(image_cols, n):
+def _extend_to_codes(image_cols):
     """phi[g] for every code g on len(image_cols) letters, as a row: the
-    images of g's letters multiplied left to right in a table of order n,
-    given by the images' columns.  Built one letter at a time: the codes
-    q t^e on the first l + 1 letters are 3 q + e, and phi(q t^e) is phi(q)
-    moved e times through the column of t's image, so each letter costs two
-    compositions and an interleave."""
-    phi = _row_type(n)([0])
+    images of g's letters multiplied left to right in a table given by the
+    images' columns.  Built one letter at a time: the codes q t^e on the
+    first l + 1 letters are 3 q + e, and phi(q t^e) is phi(q) moved e times
+    through the column of t's image, so each letter costs two compositions
+    and an interleave."""
+    phi = b"\0"
     for col in image_cols:
         once = _compose(phi, col)
         phi = _interleave((phi, once, _compose(once, col)))
@@ -207,24 +202,26 @@ def _rows_from_right(right):
     are joined and freed before the rows are cut from them, so the rows,
     which live on, do not sit among freed columns."""
     n = len(right[0])
-    cols = [_row_type(n)(range(n))]
+    cols = [bytes(range(n))]
     for move in right:
         moved = []
         for col in cols:
             once = _compose(col, move)
             moved += (col, once, _compose(once, move))
         cols = moved
-    flat = _row_type(n)(b"".join(cols))  # flat[h * n + g] = g * h
+    flat = b"".join(cols)  # flat[h * n + g] = g * h
     del cols
     return [flat[g::n] for g in range(n)]
 
 
 def _compact_rows(table, n, name):
-    """A given table of order n as compact rows; CollectionError unless it
-    has n rows, naming the first row that is not n codes in range(n)."""
+    """A given table of order n as byte rows; SchemaError above order 256,
+    and CollectionError unless it has n rows, naming the first row that is
+    not n codes in range(n)."""
+    _check_order(n, name)
     if len(table) != n:
         raise CollectionError("%s table has %d rows, expected %d" % (name, len(table), n))
-    row_type, out = _row_type(n), []
+    out = []
     for g, row in enumerate(table):
         row = [int(x) for x in row]
         if len(row) != n:
@@ -233,7 +230,7 @@ def _compact_rows(table, n, name):
         if not 0 <= min(row) <= max(row) < n:
             raise CollectionError("%s table row %d has an entry outside range(%d)"
                                   % (name, g, n))
-        out.append(row_type(row))
+        out.append(bytes(row))
     return out
 
 
@@ -308,8 +305,9 @@ class Group:
     Element codes are ints in range(order); code 0 is the identity.  All
     cached structure is built eagerly enough to be shared read-only.  With
     no schema the group is given by its Cayley table alone (a quotient),
-    as an array or as rows; the table-driven structure below works the
+    any n x n table of codes; the table-driven structure below works the
     same, while element words, their text and collection need a schema.
+    Either way the order is at most 256 (SchemaError above).
     """
 
     def __init__(self, sch, table=None):
@@ -322,6 +320,7 @@ class Group:
             k = sch.ngens
             self.ngens = k
             self.order = 3 ** k
+            _check_order(self.order, sch.name)
             self._weights = tuple(3 ** (k - 1 - i) for i in range(k))
             self.gen_codes = tuple(self._weights)  # code of each single generator
         self._rows = None if table is None else _compact_rows(
@@ -352,8 +351,7 @@ class Group:
 
     @property
     def rows(self):
-        """Cayley table as one compact row per element (bytes, or array('H')
-        above order 256); rows[g][h] = g*h, an int."""
+        """Cayley table as one `bytes` row per element; rows[g][h] = g*h, an int."""
         if self._rows is None:
             self._rows = self._build_rows()
         return self._rows
@@ -377,13 +375,12 @@ class Group:
             # phi(g_i) for i < l, then u, as codes in G_l
             words = [sch.conj_word(l, i) for i in range(l)] + [sch.power[l]]
             *images, u = [self.code_of(collect(sch, w)) // 3 ** (k - l) for w in words]
-            phi = _extend_to_codes(_columns(rows, images), len(rows))
+            phi = _extend_to_codes(_columns(rows, images))
             orbits = [(3 ** (l - 1 - i), a, phi[a]) for i, a in enumerate(images)]
-            row_type = _row_type(3 * len(rows))
-            right = [row_type([3 * row[x] + e for row in rows for e, x in enumerate(orbit)])
+            right = [bytes([3 * row[x] + e for row in rows for e, x in enumerate(orbit)])
                      for orbit in orbits]  # g_i, phi(g_i), phi^2(g_i)
-            right.append(row_type([3 * q + e + 1 if e < 2 else 3 * rows[q][u]
-                                   for q in range(len(rows)) for e in range(3)]))
+            right.append(bytes([3 * q + e + 1 if e < 2 else 3 * rows[q][u]
+                                for q in range(len(rows)) for e in range(3)]))
         return right
 
     def _build_rows(self):
@@ -494,7 +491,7 @@ class Group:
         """Subgroup generated by the given codes (as a frozenset): the
         identity closed under right multiplication by each code, a frontier
         at a time through the codes' columns."""
-        return frozenset(_orbit(0, self._columns({int(c) for c in codes}), self.order))
+        return frozenset(_orbit(0, self._columns({int(c) for c in codes})))
 
     def conjugacy_classes(self):
         """List of (least-code representative, sorted tuple of member codes):
@@ -507,7 +504,7 @@ class Group:
             seen, classes = set(), []
             for g in range(n):
                 if g not in seen:  # g is the least code of its class
-                    orbit = _orbit(g, perms, n)
+                    orbit = _orbit(g, perms)
                     seen |= orbit
                     classes.append((g, tuple(sorted(orbit))))
             self._cache["classes"] = classes
@@ -615,9 +612,9 @@ class Subgroup(NamedTuple):
 # -- whole-table checks ----------------------------------------------------
 
 def _given_rows(table):
-    """`Group.rows` as they are, or any other n x n table compacted to rows."""
-    kind = bytes if len(table) <= 256 else array
-    return (table if all(type(row) is kind for row in table)
+    """`Group.rows` as they are, or any other n x n table compacted to byte
+    rows (SchemaError above order 256)."""
+    return (table if len(table) <= 256 and all(type(row) is bytes for row in table)
             else _compact_rows(table, len(table), "given"))
 
 
@@ -654,18 +651,14 @@ def exhaustive_associativity(table):
 
 def _uniform_codes(rng, n, count):
     """`count` codes drawn uniformly from range(n) by `rng`, as a row: random
-    words of one byte, or two above order 256, masked to n's bit length,
-    and the words >= n rejected and drawn again."""
+    bytes masked to n's bit length, and the bytes >= n rejected and drawn
+    again."""
     mask = (1 << (n - 1).bit_length()) - 1
-    codes = _row_type(n)()
+    codes = b""
     while len(codes) < count:
         need = count - len(codes)
-        if n <= 256:
-            words = rng.randbytes(need).translate(bytes(range(mask + 1)) * (256 // (mask + 1)))
-            codes += words.translate(None, bytes(range(n, mask + 1)))
-        else:
-            words = map(mask.__and__, array("H", rng.randbytes(2 * need)))
-            codes += array("H", [c for c in words if c < n])
+        words = rng.randbytes(need).translate(bytes(range(mask + 1)) * (256 // (mask + 1)))
+        codes += words.translate(None, bytes(range(n, mask + 1)))
     return codes
 
 
@@ -685,21 +678,19 @@ def random_triples_associative(table, count, seed=0):
     the chance that `count` uniform triples miss them all.
 
     `table` is `Group.rows`, read as it is, or any other n x n table, which
-    is compacted to rows first.  Byte rows are padded to 256 bytes once, so
-    each composition is one `bytes.translate`; 2-byte rows go through
-    `_compose`.  The witness is the least g, then the least h, then the
-    first drawn k."""
+    is compacted to rows first.  The rows are padded to 256 bytes once, so
+    each composition is one `bytes.translate`.  The witness is the least g,
+    then the least h, then the first drawn k."""
     rows = _given_rows(table)
     n = len(rows)
     m = -(-count // (n * n))
     rng = random.Random(seed)
-    cols = [row.ljust(256, b"\0") for row in rows] if n <= 256 else rows
-    compose = bytes.translate if n <= 256 else _compose
+    cols = [row.ljust(256, b"\0") for row in rows]
     for g, row in enumerate(rows):
         ks, col = _uniform_codes(rng, n, n * m), cols[g]  # pair (g, h) takes ks[h m:h m + m]
         for h, gh in enumerate(row):
             k = ks[h * m:h * m + m]
-            left, right = compose(k, cols[gh]), compose(compose(k, cols[h]), col)
+            left, right = k.translate(cols[gh]), k.translate(cols[h]).translate(col)
             if left != right:
                 i = next(i for i, (a, b) in enumerate(zip(left, right)) if a != b)
                 return (g, h, k[i])
@@ -811,7 +802,7 @@ def hom_from_gen_images(big, small, image_codes):
     Defined on normal forms by multiplying images left to right, as the
     row phi[g]; whether it is a homomorphism is for the caller to check.
     """
-    return _extend_to_codes(small._columns(image_codes), small.order)
+    return _extend_to_codes(small._columns(image_codes))
 
 
 def homomorphism_violation(big, small, phi):

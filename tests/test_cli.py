@@ -121,6 +121,16 @@ def test_each_spin_type_lists_on_r243_and_on_its_one_native_group():
                 assert "group %s does not carry spin type %s" % (group, spin) in err
 
 
+def test_irreps_refuses_a_group_without_a_catalog():
+    # the groups with a catalog are the ones native_irreps names
+    assert cli._NATIVE_CATALOGS == {"G27", "G81", "GBAR", "R243"}
+    for group in ("GSHARP", "G81_param", "NOPE", ""):
+        for spin in ("1,1", "all"):
+            code, out, err = _exit_code(["irreps", "--group", group, "--spin", spin])
+            assert (code, out) == (2, "")
+            assert err == "error: unknown or catalog-free group %r\n" % group
+
+
 def test_negative_spin_needs_the_equals_form(capsys):
     code, want, _ = run_cli(capsys, "irreps", "--spin", "2,0", "--group", "G81")
     assert code == 0 and want

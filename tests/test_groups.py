@@ -16,10 +16,10 @@ from spinchar.groups import (CollectionError, GroupSchema, Group, SchemaError, S
 
 
 def _table(group):
-    """The Cayley table as a read-only uint8 (uint16 above order 256) array
-    over the joined rows, table[g, h] = g*h, for the array references."""
+    """The Cayley table as a read-only uint8 array over the joined rows,
+    table[g, h] = g*h, for the array references."""
     n = group.order
-    return np.frombuffer(b"".join(group.rows), np.uint8 if n <= 256 else np.uint16).reshape(n, n)
+    return np.frombuffer(b"".join(group.rows), np.uint8).reshape(n, n)
 
 
 def test_schema_catalog_guards():
@@ -534,22 +534,47 @@ def test_fresh_r243_rows_stay_small_in_memory():
     assert retained <= 128 * 2 ** 10  # 80 KiB; 491 KiB as lists of Python ints
 
 
-def test_table_only_group_above_256_elements():
-    # Z/300: codes need 2-byte rows, and the structure must match the arrays
-    t = _cyclic(300)
-    group = Group(None, t)
-    assert all(row.itemsize == 2 for row in group.rows)
-    assert np.array_equal(_table(group), t)
-    inv = np.nonzero(t == 0)[1]
-    assert group.inv == inv.tolist()
-    assert group.center_codes() == frozenset(np.nonzero((t == t.T).all(axis=1))[0].tolist())
-    classes = sorted({tuple(np.unique(t[t[:, g], inv]).tolist()) for g in range(300)})
-    assert group.conjugacy_classes() == [(c[0], c) for c in classes]
-    arr = np.array(sorted(group.closure([100])))
-    reps, index = np.unique(t[:, arr].min(axis=1), return_inverse=True)
-    q = group.quotient(arr.tolist())
-    assert q.order == 100 and all(type(row) is bytes for row in q.rows)
-    assert _table(q).tolist() == index[t[np.ix_(reps, reps)]].tolist()
+def _r729():
+    """R243 x Z/3: R243's presentation with a central sixth generator c."""
+    r243 = schema("R243")
+    return GroupSchema("R729", r243.gens + ("c",), central={0, 1, 5}, conj_rules=r243.conj)
+
+
+def test_schema_above_256_elements_collects_but_builds_no_table():
+    sch, r243 = _r729(), schema("R243")
+    for build in (lambda: Group(sch), lambda: Group(sch, [[0] * 729] * 729)):
+        with pytest.raises(SchemaError) as info:
+            build()
+        assert str(info.value) == "R729 table has order 729; byte rows hold at most 256 codes"
+    # collection needs no table: c is central of order 3, and the other
+    # letters collect as they do in R243
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        word = rng.integers(6, size=12).tolist()
+        assert (groups.collect(sch, word)
+                == groups.collect(r243, [l for l in word if l < 5]) + (word.count(5) % 3,))
+
+
+def test_tables_above_256_elements_are_refused():
+    z300 = _cyclic(300)
+    with pytest.raises(SchemaError) as info:
+        Group(None, z300)
+    assert str(info.value) == "quotient table has order 300; byte rows hold at most 256 codes"
+    # 300 byte rows are refused too, not read as `Group.rows`
+    for table in (z300, [bytes(300)] * 300):
+        for check in (exhaustive_associativity, lambda t: random_triples_associative(t, 10 ** 5)):
+            with pytest.raises(SchemaError) as info:
+                check(table)
+            assert str(info.value) == "given table has order 300; byte rows hold at most 256 codes"
+    # order 256 is the largest that fits, and a planted swap is still caught there
+    z256 = _cyclic(256)
+    assert all(type(row) is bytes for row in Group(None, z256).rows)
+    assert exhaustive_associativity(z256) is None
+    assert random_triples_associative(z256, 10 ** 5, seed=3) is None
+    planted = _planted(z256, 255, 0, 254)
+    for check in (exhaustive_associativity, lambda t: random_triples_associative(t, 10 ** 5)):
+        witness = check(planted)
+        assert witness is not None and _violates(planted, witness)
 
 
 def test_malformed_tables_are_refused():
@@ -699,7 +724,7 @@ def _recording_draws(monkeypatch):
     return draws
 
 
-@pytest.mark.parametrize("n", [3, 243, 300])
+@pytest.mark.parametrize("n", [3, 243, 256])
 def test_random_triples_draw_every_code_and_nothing_else(monkeypatch, n):
     # one row of n m codes for each g, m codes for each pair (g, h)
     draws = _recording_draws(monkeypatch)
@@ -715,15 +740,6 @@ def test_verify_checks_17_codes_at_every_pair_of_gsharp(monkeypatch):
     assert verify.check_associativity().passed
     assert [len(ks) for ks in draws] == [17 * 243] * 243
     assert sum(map(len, draws)) == 1_003_833
-
-
-def test_random_triples_on_a_table_of_more_than_256_elements():
-    # Z/300 needs 2-byte rows, which `_compose` walks element by element
-    table = _cyclic(300)
-    assert random_triples_associative(table, 10 ** 5, seed=3) is None
-    planted = _planted(table, 299, 0, 298)
-    witness = random_triples_associative(planted, 10 ** 6, seed=3)
-    assert witness is not None and _violates(planted, witness)
 
 
 def _derived_reference(group):

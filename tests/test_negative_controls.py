@@ -364,12 +364,12 @@ def test_random_pass_alone_catches_single_entry_changes_of_gsharp():
             assert planted[planted[a][b]][c] != planted[a][planted[b][c]]
 
 
-def _rewritten_jw(monkeypatch, convert):
+def _rewritten_jw(monkeypatch, convert=lambda x: x, matrix_type=CycMatrix):
     real = verify.g81_partial_catalog
 
     def planted(eps):
         P, jw, rest = real(eps)
-        return P, CycMatrix([[convert(x) for x in row] for row in jw.rows]), rest
+        return P, matrix_type([[convert(x) for x in row] for row in jw.rows]), rest
 
     monkeypatch.setattr(verify, "g81_partial_catalog", planted)
     return verify.check_intertwiner()
@@ -393,6 +393,23 @@ def test_jw_held_as_the_other_scalar_type_passes_intertwiner(monkeypatch):
     result = _rewritten_jw(monkeypatch, other_type)
     assert result.passed
     assert result.detail == verify.check_intertwiner().detail
+
+
+@pytest.mark.parametrize("methods, line", [
+    # an off-by-one power: jw^3 computed as jw^4 = jw
+    ({"__pow__": lambda self, k: CycMatrix.__pow__(self, k + 1)}, "cube is not the identity"),
+    # the sign of the pivot permutation flipped
+    ({"det": lambda self: -CycMatrix.det(self)}, "determinant is not w^eps"),
+    # the transpose without the conjugation
+    ({"conj_transpose": lambda self: CycMatrix([list(col) for col in zip(*self.rows)])},
+     "intertwiner is not unitary"),
+], ids=["cube", "det", "unitary"])
+def test_planted_matrix_method_fails_only_its_intertwiner_line(monkeypatch, methods, line):
+    # the solved intertwiners keep their entries, so the alpha lines hold,
+    # and only the line that calls the planted method can fail
+    planted_type = type("PlantedMatrix", (CycMatrix,), dict(methods, __slots__=()))
+    result = _rewritten_jw(monkeypatch, matrix_type=planted_type)
+    assert result.failures == ["eps=%d %s" % (eps, line) for eps in (1, 2)]
 
 
 def test_missing_generator_fails_orders(monkeypatch):
