@@ -7,17 +7,20 @@ suite).  Output is deterministic: identical invocations produce identical
 bytes, except for the wall seconds of each check that `verify --timings`
 adds, the one nondeterministic output.  Exit codes: 0 success, 1
 verification failure, 2 usage error.
+
+One table, COMMANDS, declares each command's function, positional argument
+and options; `parse_args` reads argv against it and the help is printed from
+it.  Options are spelled in full.  `csv` and `json` are imported by the code
+that prints them, so a launch loads only what its output needs.
 """
 
-import argparse
-import csv
 import errno
 import gc
 import io
-import json
 import os
 import re
 import sys
+from types import SimpleNamespace
 
 from .groups import (SCHEMA_NAMES, COVERING_MAPS, SchemaError, get_group,
                      verify_efficient_covering, isomorphism_fingerprint)
@@ -62,6 +65,7 @@ def _emit(text, out_path):
 
 
 def _json(obj):
+    import json
     return json.dumps(obj, indent=2) + "\n"
 
 
@@ -160,6 +164,7 @@ def cmd_chartable(args):
     if args.format == "json":
         return _json({"group": "R243", "classes": classes, "irreps": irreps}), 0
     if args.format == "csv":
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["name", "spin", "dim"] + [c["rep"] for c in classes])
@@ -231,71 +236,118 @@ def cmd_verify(args):
     return text, 0 if passed else 1
 
 
-COMMANDS = {"group": cmd_group, "irreps": cmd_irreps, "chartable": cmd_chartable,
-            "cocycle": cmd_cocycle, "verify": cmd_verify}
+# The command line, one entry per command: its function, summary, positional
+# argument as (name, help) or None, and options as (name, default, choices,
+# help).  An option whose default is REQUIRED must be given; one whose default
+# is False is a flag.  No value starts with "-": negative spins need --spin=-1,0.
+REQUIRED = object()
+_SPIN_HELP = "'e,m' (e.g. 1,0; -1 means 2, written --spin=-1,0)"
+_TEXT_OR_JSON = ("--format", "text", ("text", "json"), None)
+_OUT = ("--out", None, None, "write to this file instead of stdout")
+COMMANDS = {
+    "group": (cmd_group, "structure report for a catalog group",
+              ("name", "one of %s" % ", ".join(SCHEMA_NAMES)),
+              [("--params", None, None, "a,b pair for G81_param"), _TEXT_OR_JSON, _OUT]),
+    "irreps": (cmd_irreps, "list irreducibles of a spin type", None,
+               [("--spin", REQUIRED, None, _SPIN_HELP + " or 'all'"),
+                ("--group", "R243", None, None), _TEXT_OR_JSON, _OUT]),
+    "chartable": (cmd_chartable, "emit the 35x35 spin character table", None,
+                  [("--format", "json", ("json", "csv"), None), _OUT]),
+    "cocycle": (cmd_cocycle, "restricted factor set of one irreducible", None,
+                [("--spin", REQUIRED, None, _SPIN_HELP), ("--irrep", None, None, None),
+                 _TEXT_OR_JSON, _OUT]),
+    "verify": (cmd_verify, "run the verification suite", None,
+               [("--only", None, None, "comma-separated check names (%s)" % ", ".join(CHECKS)),
+                _TEXT_OR_JSON, _OUT,
+                ("--timings", False, None,
+                 "add each check's wall seconds (nondeterministic output)")]),
+}
 
 
-def build_parser():
-    spin_help = "'e,m' (e.g. 1,0; -1 means 2, written --spin=-1,0)"
-    parser = argparse.ArgumentParser(
-        prog="spinchar",
-        description="Exact spin representations and characters of the "
-                    "order-27 group of exponent 3 via its order-243 "
-                    "representation group.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def parse_args(argv):
+    """The function and arguments of the command that `argv` names, or its
+    help when -h or --help comes before any error; a bad argv raises
+    UsageError.  A repeated option keeps its last value."""
+    command, tokens = (argv[0] if argv else None), iter(argv[1:])
+    if command in ("-h", "--help"):
+        return _help, SimpleNamespace(command=None, out=None)
+    if command not in COMMANDS:
+        raise UsageError("%s (choose from %s)" % ("unknown command %r" % command if argv
+                                                  else "missing command", ", ".join(COMMANDS)))
+    _, _, positional, options = COMMANDS[command]
+    spec = {opt[0]: opt for opt in options}
+    values = {name: default for name, default, _, _ in options}
+    if positional:
+        values[positional[0]] = REQUIRED
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return _help, SimpleNamespace(command=command, out=None)
+        if not token.startswith("-"):
+            if not positional or values[positional[0]] is not REQUIRED:
+                raise UsageError("unexpected argument %r" % token)
+            values[positional[0]] = token
+            continue
+        name, eq, value = token.partition("=")
+        if name not in spec:
+            raise UsageError("unknown option %r (%s takes %s)" % (name, command, ", ".join(spec)))
+        _, default, choices, _ = spec[name]
+        if default is False:
+            if eq:
+                raise UsageError("argument %s: takes no value, got %r" % (name, token))
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                raise UsageError("argument %s: expected one argument" % name)
+        if choices and value not in choices:
+            raise UsageError("argument %s: invalid choice: %r (choose from %s)"
+                             % (name, value, ", ".join(choices)))
+        values[name] = value
+    missing = [name for name, value in values.items() if value is REQUIRED]
+    if missing:
+        raise UsageError("the following arguments are required: %s" % ", ".join(missing))
+    return COMMANDS[command][0], SimpleNamespace(
+        **{name.lstrip("-"): value for name, value in values.items()})
 
-    p = sub.add_parser("group", help="structure report for a catalog group")
-    p.add_argument("name", help="one of %s" % ", ".join(SCHEMA_NAMES))
-    p.add_argument("--params", help="a,b pair for G81_param")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--out")
 
-    p = sub.add_parser("irreps", help="list irreducibles of a spin type")
-    p.add_argument("--spin", required=True, help=spin_help + " or 'all'")
-    p.add_argument("--group", default="R243")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--out")
-
-    p = sub.add_parser("chartable", help="emit the 35x35 spin character table")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out")
-
-    p = sub.add_parser("cocycle", help="restricted factor set of one irreducible")
-    p.add_argument("--spin", required=True, help=spin_help)
-    p.add_argument("--irrep")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--out")
-
-    p = sub.add_parser("verify", help="run the verification suite")
-    p.add_argument("--only", help="comma-separated check names (%s)" % ", ".join(CHECKS))
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--out", default=None)
-    p.add_argument("--timings", action="store_true",
-                   help="add each check's wall seconds (nondeterministic output)")
-    return parser
+def _help(args):
+    """The help of one command, or of the program when args.command is None."""
+    if args.command is None:
+        head = "spinchar: exact spin characters of the order-27 group of exponent 3"
+        rows = [(name, entry[1]) for name, entry in COMMANDS.items()]
+    else:
+        _, summary, positional, options = COMMANDS[args.command]
+        head, rows = "spinchar %s: %s" % (args.command, summary), [positional] if positional else []
+        for name, default, choices, text in options:
+            form = name if default is False else "%s %s" % (
+                name, "{%s}" % ",".join(choices) if choices else name[2:].upper())
+            note = ("(required)" if default is REQUIRED
+                    else "(default: %s)" % default if default else "")
+            rows.append((form, ("%s %s" % (text or "", note)).strip()))
+    return "\n".join([head] + [("  %-22s %s" % row).rstrip() for row in rows]) + "\n", 0
 
 
 def main(argv=None):
-    """Run one command and return its exit code.  main() owns its process:
-    it first freezes the heap that exists at entry (the interpreter, the
-    standard library and spinchar's modules) into the permanent generation,
-    so no later collection walks it again, those at interpreter shutdown
-    included."""
+    """Run one command and return its exit code, 2 for a bad argv (never a
+    SystemExit).  main() owns its process: it first freezes the heap that
+    exists at entry (the interpreter, the standard library and spinchar's
+    modules) into the permanent generation, so no later collection walks it
+    again, those at interpreter shutdown included."""
     gc.freeze()
-    args = build_parser().parse_args(argv)
-    bad = args.out is not None and _unwritable(args.out)
-    if bad:  # refused before any work; a race at the write is caught below
-        print("error: cannot write %s: %s" % (args.out, os.strerror(bad)), file=sys.stderr)
-        return 2
     try:
-        text, code = COMMANDS[args.command](args)
+        run, args = parse_args(sys.argv[1:] if argv is None else argv)
+        bad = args.out is not None and _unwritable(args.out)
+        if bad:  # refused before any work; a race at the write is caught below
+            raise UsageError("cannot write %s: %s" % (args.out, os.strerror(bad)))
+        text, code = run(args)
     except (UsageError, SchemaError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     try:
         _emit(text, args.out)
     except OSError as exc:
-        print("error: cannot write %s: %s" % (args.out, exc.strerror or exc), file=sys.stderr)
+        print("error: cannot write %s: %s" % ("stdout" if args.out is None else args.out,
+                                              exc.strerror or exc), file=sys.stderr)
         return 2
     return code
 

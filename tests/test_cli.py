@@ -2,11 +2,13 @@
 
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
 import re
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinchar import cli, verify
@@ -81,7 +83,7 @@ def test_irreps_listing(capsys):
 
 
 def test_irreps_spin_alias_and_errors(capsys):
-    # negative components need the --spin=-1,0 form (argparse quirk)
+    # negative components need the --spin=-1,0 form: no value starts with "-"
     code, out, _ = run_cli(capsys, "irreps", "--spin=-1,0", "--format", "json")
     assert code == 0
     assert json.loads(out)["irreps"][0]["spin_type"] == [2, 0]
@@ -92,15 +94,63 @@ def test_irreps_spin_alias_and_errors(capsys):
 
 
 def _exit_code(argv):
-    """main(argv)'s exit code (argparse usage errors and --help included),
-    stdout and stderr."""
+    """main(argv)'s exit code (usage errors and --help included), stdout and
+    stderr; main() returns every exit code, so a SystemExit fails the test."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
-            code = exc.code
+            raise AssertionError("main(%r) raised SystemExit(%r)" % (argv, exc.code)) from exc
     return code, out.getvalue(), err.getvalue()
+
+
+_CHOICES = "(choose from group, irreps, chartable, cocycle, verify)"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "missing command " + _CHOICES),
+    (["bogus"], "unknown command 'bogus' " + _CHOICES),
+    (["group", "G27", "--bogus"], "unknown option '--bogus' (group takes --params, --format, --out)"),
+    (["cocycle", "--irrep"], "argument --irrep: expected one argument"),
+    (["group", "G27", "--format", "xml"],
+     "argument --format: invalid choice: 'xml' (choose from text, json)"),
+    (["irreps"], "the following arguments are required: --spin"),
+    (["group", "R243", "G27"], "unexpected argument 'G27'"),
+    (["verify", "--timings=1"], "argument --timings: takes no value, got '--timings=1'"),
+    # options are spelled in full: no prefix stands for --format
+    (["group", "G27", "--form", "json"],
+     "unknown option '--form' (group takes --params, --format, --out)"),
+])
+def test_malformed_argv_is_a_usage_error(argv, message):
+    # each is refused by the parser, before any command runs
+    assert _exit_code(argv) == (2, "", "error: %s\n" % message)
+
+
+def test_help_lists_what_the_table_declares():
+    code, out, err = _exit_code(["--help"])
+    assert (code, err) == (0, "") and _exit_code(["-h"]) == (code, out, err)
+    assert all("\n  %s " % name in out for name in cli.COMMANDS)
+    for command, (_, summary, positional, options) in cli.COMMANDS.items():
+        code, out, err = _exit_code([command, "--help"])
+        assert (code, err) == (0, "") and _exit_code([command, "-h"]) == (code, out, err)
+        assert summary in out
+        names = [name for name, *_ in options] + ([positional[0]] if positional else [])
+        assert all("\n  %s" % name in out for name in names), command
+        # help counts only when it comes before the first bad token
+        assert _exit_code([command, "--bogus=1", "--help"])[0] == 2
+        assert _exit_code([command, "--help", "--bogus=1"]) == (code, out, err)
+
+
+def test_a_failed_write_to_stdout_names_stdout():
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    err = io.StringIO()
+    with contextlib.redirect_stdout(Full()), contextlib.redirect_stderr(err):
+        code = main(["group", "G27"])
+    assert (code, err.getvalue()) == (2, "error: cannot write stdout: No space left on device\n")
 
 
 def test_each_spin_type_lists_on_r243_and_on_its_one_native_group():

@@ -12,7 +12,9 @@ the byte rows, so no command imports numpy.  `verify` never loads
 `hashlib`, and one `verify` builds each catalog schema and each table
 once.  `irreps` refuses a group that does not carry the spin type before
 it builds anything.  `main()` freezes the heap it finds at entry, so no
-collection walks it again.  These are properties of a whole process, so
+collection walks it again.  The argv parser is spinchar's own, so no launch
+loads `argparse`, `gettext` or `locale`, and `csv` and `json` load only
+with the output that needs them.  These are properties of a whole process, so
 each test runs its code in a child interpreter.
 """
 
@@ -45,6 +47,9 @@ CATALOG_ARGS = [["chartable", "--format", "json"], ["chartable", "--format", "cs
 # modules a cold launch should not pay for unless a command needs them
 HEAVY = ("numpy", "dataclasses", "inspect", "fractions", "decimal")
 
+# argparse and what it loads, and the csv printer: no launch here needs them
+PARSER_AND_PRINTERS = ("argparse", "gettext", "locale", "csv", "_csv")
+
 # the spinchar modules that perfbench/tracer.py looks up right after the import
 TRACED = ("cli", "groups", "cyclo", "cyclo9", "linalg", "mackey", "spinrep", "verify")
 
@@ -73,6 +78,26 @@ print(sorted(m for m in %r if m in sys.modules and m not in before))
 print(sorted(m for m in %r if "spinchar." + m not in sys.modules))
 """ % (HEAVY, TRACED))
     assert out == "[]\n[]\n"
+
+
+def test_launches_load_no_argv_parser_or_unused_printer():
+    # the import, a text verify and the structure workload's 14 json reports
+    out = _run("""
+import contextlib, io, sys
+before = set(sys.modules)
+def new(*extra):
+    return sorted(m for m in %r + extra if m in sys.modules and m not in before)
+from spinchar.cli import main
+print(new("json", "_json"))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["verify", "--only", "orders"]) == 0
+print(new("json", "_json"))
+for args in %r:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(args) == 0, args
+print(new(), "json" in sys.modules)
+""" % (PARSER_AND_PRINTERS, [["group"] + args + ["--format", "json"] for args in GROUP_ARGS]))
+    assert out == "[]\n[]\n[] True\n"
 
 
 def test_main_freezes_the_heap_it_finds_at_entry():
