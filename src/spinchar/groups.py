@@ -36,14 +36,16 @@ past it); `collect` still works on a larger schema.  A table is built up
 the polycyclic series, one generator at a time, from k(k+1)/2 collections
 of rule words (`Group._right`); collection of whole words stays the
 independent oracle that `check_schema` and the tests hold it to.  A given
-table (a quotient, or a planted defect) is compacted the same way and
-refused unless it is n x n over range(n).  Every structural algorithm --
-inverses, center, derived subgroup, closures (the enumeration of elements
-is the closure of the generators), classes, quotients, homomorphism
-tests, Light's test of every triple's associativity and `verify`'s random
-pass over every pair of GSHARP -- reads those rows.  They walk whole rows,
-not one element at a time: `_compose` sends a row of codes through a
-column or row of the table in one `bytes.translate`.
+table (a quotient, or a planted defect) enters only as `Group(None, table)`,
+compacted the same way and refused unless it is a nonempty n x n table over
+range(n).  Every structural algorithm -- inverses, center, derived subgroup,
+closures (the enumeration of elements is the closure of the generators),
+classes, quotients, homomorphism tests, and the whole-table checks that
+take a `Group`, Light's test of every triple's associativity and `verify`'s
+random pass over every pair of GSHARP -- reads those rows; those that need
+a generating set read it from the table too (`Group._generators`).  They
+walk whole rows, not one element at a time: `_compose` sends a row of
+codes through a column or row of the table in one `bytes.translate`.
 """
 
 from collections import Counter
@@ -139,11 +141,11 @@ def collect(schema, letters):
     return tuple(exps)
 
 
-def _check_order(n, name):
-    """SchemaError unless a table of order n fits one `bytes` row per element."""
+def _check_order(n, label):
+    """SchemaError unless a table of order n fits one `bytes` row per
+    element; `label` names the table."""
     if n > 256:
-        raise SchemaError("%s table has order %d; byte rows hold at most 256 codes"
-                          % (name, n))
+        raise SchemaError("%s has order %d; byte rows hold at most 256 codes" % (label, n))
 
 
 def _compose(codes, col):
@@ -214,22 +216,24 @@ def _rows_from_right(right):
     return [flat[g::n] for g in range(n)]
 
 
-def _compact_rows(table, n, name):
+def _compact_rows(table, n, label):
     """A given table of order n as byte rows; SchemaError above order 256,
-    and CollectionError unless it has n rows, naming the first row that is
-    not n codes in range(n)."""
-    _check_order(n, name)
+    and CollectionError unless it has n > 0 rows, naming the first row that
+    is not n codes in range(n).  `label` names the table in the errors."""
+    _check_order(n, label)
+    if not n:
+        raise CollectionError("%s has no rows" % label)
     if len(table) != n:
-        raise CollectionError("%s table has %d rows, expected %d" % (name, len(table), n))
+        raise CollectionError("%s has %d rows, expected %d" % (label, len(table), n))
     out = []
     for g, row in enumerate(table):
         row = [int(x) for x in row]
         if len(row) != n:
-            raise CollectionError("%s table row %d has %d entries, expected %d"
-                                  % (name, g, len(row), n))
+            raise CollectionError("%s row %d has %d entries, expected %d"
+                                  % (label, g, len(row), n))
         if not 0 <= min(row) <= max(row) < n:
-            raise CollectionError("%s table row %d has an entry outside range(%d)"
-                                  % (name, g, n))
+            raise CollectionError("%s row %d has an entry outside range(%d)"
+                                  % (label, g, n))
         out.append(bytes(row))
     return out
 
@@ -304,27 +308,28 @@ class Group:
 
     Element codes are ints in range(order); code 0 is the identity.  All
     cached structure is built eagerly enough to be shared read-only.  With
-    no schema the group is given by its Cayley table alone (a quotient),
-    any n x n table of codes; the table-driven structure below works the
-    same, while element words, their text and collection need a schema.
-    Either way the order is at most 256 (SchemaError above).
+    no schema the group is given by its Cayley table alone (a quotient, or
+    any other nonempty n x n table of codes, validated here); the
+    table-driven structure below works the same, while element words, their
+    text and collection need a schema.  Either way the order is at most 256
+    (SchemaError above).
     """
 
     def __init__(self, sch, table=None):
         self.schema = sch
         self._inv = None
         self._cache = {}
+        self._label = "table" if sch is None else sch.name + " table"  # in errors
         if sch is None:
             self.order = len(table)
         else:
             k = sch.ngens
             self.ngens = k
             self.order = 3 ** k
-            _check_order(self.order, sch.name)
+            _check_order(self.order, self._label)
             self._weights = tuple(3 ** (k - 1 - i) for i in range(k))
             self.gen_codes = tuple(self._weights)  # code of each single generator
-        self._rows = None if table is None else _compact_rows(
-            table, self.order, sch.name if sch else "quotient")
+        self._rows = None if table is None else _compact_rows(table, self.order, self._label)
 
     # element code <-> exponent vector ------------------------------------
 
@@ -391,8 +396,7 @@ class Group:
         """inv[g] is the code of g^-1."""
         if self._inv is None:
             if any(row.count(0) != 1 for row in self.rows):
-                raise CollectionError("%s table is not a group table"
-                                      % (self.schema.name if self.schema else "quotient"))
+                raise CollectionError("%s is not a group table" % self._label)
             self._inv = [row.index(0) for row in self.rows]
         return self._inv
 
@@ -452,18 +456,16 @@ class Group:
 
     def _columns(self, codes):
         """Column c of the table, rows[g][c] for every g, for each code c,
-        as rows; each is cut once per group and kept."""
+        as rows; each is cut from the rows once per group and kept."""
         cols = self._cache.setdefault("columns", {})
-        missing = [c for c in codes if c not in cols]
-        if missing:
-            cols.update(zip(missing, _columns(self.rows, missing)))
+        for c in codes:
+            if c not in cols:
+                cols[c] = bytes([row[c] for row in self.rows])
         return [cols[c] for c in codes]
 
     def _generators(self):
-        """The schema's generators or, for a group given by its table alone,
-        the greedy set: each least code outside the span of those before it."""
-        if self.schema:
-            return self.gen_codes
+        """The generating set read from the table, for every group: each
+        least code outside the closure of those before it."""
         if "gens" not in self._cache:
             gens, span = [], {0}
             for g in range(self.order):
@@ -611,36 +613,21 @@ class Subgroup(NamedTuple):
 
 # -- whole-table checks ----------------------------------------------------
 
-def _given_rows(table):
-    """`Group.rows` as they are, or any other n x n table compacted to byte
-    rows (SchemaError above order 256)."""
-    return (table if len(table) <= 256 and all(type(row) is bytes for row in table)
-            else _compact_rows(table, len(table), "given"))
+def exhaustive_associativity(group):
+    """(x s) y == x (s y) over all triples of the group's table, by Light's
+    test; a violating (x, s, y) or None.  The middles s that pass are closed
+    under the product, so n^2 products for each of 0 and the generating set
+    read from the table (`Group._generators`) decide all n^3 triples: every
+    other code lies in the closure, the orbit of 0 under right multiplication
+    by the generators, so it is a product of middles that pass.  Only the
+    table is read, so a group given by its table alone needs no schema; a
+    raw table enters as `Group(None, table)`, which validates it.
 
-
-def exhaustive_associativity(table):
-    """(x s) y == x (s y) over all triples, by Light's test; a violating (x, s, y)
-    or None.  The middles s that pass are closed under the product, so n^2
-    products for each s of a generating set decide all n^3 triples.  The set is
-    greedy and read from the table alone, so quotients need no schema.
-
-    `table` is `Group.rows`, read as it is, or any other n x n table, which is
-    compacted to rows first.  For each s, row x s is held against row s
-    composed with row x (`_compose`).  The witness is the least x, then the
-    least y, for the first failing s."""
-    rows = _given_rows(table)
-    n = len(rows)
-    gens, seen = [], bytearray(n)
-    while 0 in seen:
-        gens.append(seen.index(0))  # the least code outside the closure
-        seen[gens[-1]] = 1
-        todo = [x for x in range(n) if seen[x]]
-        while todo:  # close under right multiplication by gens
-            for y in map(rows[todo.pop()].__getitem__, gens):
-                if not seen[y]:
-                    seen[y] = 1
-                    todo.append(y)
-    for s in gens:
+    For each s, row x s is held against row s composed with row x
+    (`_compose`).  The witness is the least x, then the least y, for the
+    first failing s."""
+    rows = group.rows
+    for s in (0,) + group._generators():
         for x, row in enumerate(rows):
             rhs = _compose(rows[s], row)  # x (s y) for every y
             if rows[row[s]] != rhs:
@@ -662,7 +649,7 @@ def _uniform_codes(rng, n, count):
     return codes
 
 
-def random_triples_associative(table, count, seed=0):
+def random_triples_associative(group, count, seed=0):
     """Spot-check associativity on at least `count` random triples; a
     violating (g, h, k) or None if all pass.
 
@@ -677,11 +664,11 @@ def random_triples_associative(table, count, seed=0):
     this is at most (1 - S/n^3)^(m n^2), which is at most (1 - S/n^3)^count,
     the chance that `count` uniform triples miss them all.
 
-    `table` is `Group.rows`, read as it is, or any other n x n table, which
-    is compacted to rows first.  The rows are padded to 256 bytes once, so
-    each composition is one `bytes.translate`.  The witness is the least g,
-    then the least h, then the first drawn k."""
-    rows = _given_rows(table)
+    It reads `group.rows`; a raw table enters as `Group(None, table)`, which
+    validates it.  The rows are padded to 256 bytes once, so each
+    composition is one `bytes.translate`.  The witness is the least g, then
+    the least h, then the first drawn k."""
+    rows = group.rows
     n = len(rows)
     m = -(-count // (n * n))
     rng = random.Random(seed)
@@ -796,11 +783,12 @@ class CheckReport:
         self.failures.append(message)
 
 
-def hom_from_gen_images(big, small, image_codes):
-    """Total map big -> small sending each generator to the given code.
+def hom_from_gen_images(small, image_codes):
+    """The row phi[g] of the total map into small that sends generator i of
+    a domain on len(image_codes) generators to image_codes[i].
 
-    Defined on normal forms by multiplying images left to right, as the
-    row phi[g]; whether it is a homomorphism is for the caller to check.
+    Defined on normal forms by multiplying images left to right; whether it
+    is a homomorphism is for the caller to check.
     """
     return _extend_to_codes(small._columns(image_codes))
 
@@ -846,7 +834,7 @@ def verify_efficient_covering(big, kernel_gens, small, gen_map):
             image_codes.append(0)
         else:
             image_codes.append(small.code(target))
-    phi = hom_from_gen_images(big, small, image_codes)
+    phi = hom_from_gen_images(small, image_codes)
 
     bad = homomorphism_violation(big, small, phi)
     if bad is not None:
@@ -901,7 +889,7 @@ def verify_phi_automorphism(a, b):
         elif name == "xi3":
             g = r[g][gs.power(zeta, b)]
         image_codes.append(g)
-    phi = hom_from_gen_images(gs, gs, image_codes)
+    phi = hom_from_gen_images(gs, image_codes)
     if len(set(phi)) != gs.order:
         report.fail("substitution map is not a bijection of GSHARP")
 
@@ -915,7 +903,7 @@ def verify_phi_automorphism(a, b):
 
     # the (a, b)-presented group maps onto the primed subgroup bijectively
     param = get_group("G81_param", (a, b))
-    onto = hom_from_gen_images(param, gs, primed_gens)
+    onto = hom_from_gen_images(gs, primed_gens)
     bad = homomorphism_violation(param, gs, onto)
     if bad is not None:
         g, h = bad

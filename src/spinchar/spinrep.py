@@ -73,18 +73,16 @@ class Representation(SubRep):
     """A SubRep of a whole schema group, with its spin type.
 
     `images` maps every schema generator's name to its CycMatrix; the spin
-    type is read off the multiplier images unless given.  `base` is passed
-    to `SubRep`, whose `verify` then inherits the base's rules.
+    type is read off the multiplier images.  `base` is passed to `SubRep`,
+    whose `verify` then inherits the base's rules.
     """
 
-    def __init__(self, group, images, name, spin_type=None, base=None):
+    def __init__(self, group, images, name, base=None):
         missing = [gen for gen in group.schema.gens if gen not in images]
         if missing:
             raise RepError("%s: generator %s has no image" % (name, missing[0]))
         super().__init__(_whole(group), [images[gen] for gen in group.schema.gens], name, base)
-        if spin_type is None:
-            spin_type = self._infer_spin_type()
-        self.spin_type = spin_type
+        self.spin_type = self._infer_spin_type()
 
     def _infer_spin_type(self):
         vals = {"z12": 0, "z23": 0}

@@ -284,10 +284,10 @@ def check_associativity():
         problems = check_schema(group)
         if problems:
             failures.append("%s%s: %s" % (name, params or "", " | ".join(problems)))
-        bad = exhaustive_associativity(group.rows)
+        bad = exhaustive_associativity(group)
         if bad is not None:
             failures.append("%s%s associativity fails at %s" % (name, params or "", bad))
-    bad = random_triples_associative(get_group("GSHARP").rows, 10 ** 6, seed=2024)
+    bad = random_triples_associative(get_group("GSHARP"), 10 ** 6, seed=2024)
     if bad is not None:
         failures.append("GSHARP random-triple associativity fails at %s" % (bad,))
     return CheckReport("associativity", failures,

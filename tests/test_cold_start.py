@@ -222,7 +222,7 @@ def test_lights_test_on_the_rows_imports_no_numpy():
     out = _run("""
 import sys
 from spinchar.groups import exhaustive_associativity, get_group
-print([exhaustive_associativity(get_group(*args).rows) for args in %r])
+print([exhaustive_associativity(get_group(*args)) for args in %r])
 print("numpy" in sys.modules)
 """ % (CATALOG,))
     assert out == "%s\nFalse\n" % ([None] * 14)

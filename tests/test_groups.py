@@ -202,8 +202,8 @@ def test_schema_soundness_and_associativity():
                          ("R243", None), ("GSHARP", None), ("G81_param", (1, 2))]:
         group = get_group(name, params)
         assert check_schema(group) == []
-        assert exhaustive_associativity(_table(group)) is None
-    assert random_triples_associative(get_group("GSHARP").rows, 10000, seed=5) is None
+        assert exhaustive_associativity(group) is None
+    assert random_triples_associative(get_group("GSHARP"), 10000, seed=5) is None
 
 
 def test_collection_matches_table():
@@ -223,7 +223,7 @@ def test_inconsistent_schema_fails_loudly():
     group = Group(bad)
     try:
         detected = (check_schema(group) != []
-                    or exhaustive_associativity(_table(group)) is not None)
+                    or exhaustive_associativity(group) is not None)
     except CollectionError:
         detected = True  # the engine refused the non-group table outright
     assert detected
@@ -239,7 +239,7 @@ def test_inconsistent_power_rule_fails_lights_test():
     # associative
     group = _g27_variant({1}, {2: (0,)})
     assert check_schema(group) == []
-    assert exhaustive_associativity(_table(group)) == (1, 1, 2)
+    assert exhaustive_associativity(group) == (1, 1, 2)
 
 
 def test_inconsistent_noncentral_power_rule_is_not_a_group_table():
@@ -311,7 +311,7 @@ def _agrees_with_the_scan(big, small, images):
     """homomorphism_violation on the map with these generator images is
     None exactly when the n^2 scan is, and any pair it returns violates
     the product; returns whether the map is a homomorphism."""
-    phi = hom_from_gen_images(big, small, images)
+    phi = hom_from_gen_images(small, images)
     bad = homomorphism_violation(big, small, phi)
     assert (bad is None) == (_scan_violation(big, small, phi) is None), images
     if bad is not None:
@@ -372,8 +372,7 @@ def test_homomorphism_check_reads_only_the_relation_pairs():
 
     r243, g27 = get_group("R243"), get_group("G27")
     gen_map, kernel = covering_data("R243", "G27")
-    phi = CountingList(hom_from_gen_images(r243, g27,
-                                           _covering_images(r243, g27, gen_map, kernel)))
+    phi = CountingList(hom_from_gen_images(g27, _covering_images(r243, g27, gen_map, kernel)))
     assert homomorphism_violation(r243, g27, phi) is None
     # three reads for each of the 5 + 10 relation pairs, not n^2 = 59,049 products
     assert 0 < CountingList.reads <= 3 * 15
@@ -413,7 +412,7 @@ def find_param_isomorphism(a, b):
             if g81.commutator(z, u) != 0 or g81.commutator(z, v) != 0:
                 continue
             images = [z, u, x2, v]
-            psi = hom_from_gen_images(param, g81, images)
+            psi = hom_from_gen_images(g81, images)
             if len(set(psi)) != n:
                 continue
             if homomorphism_violation(param, g81, psi) is None:
@@ -454,7 +453,7 @@ def test_quotient_is_a_table_group():
     mult = r243.closure([r243.code("z12"), r243.code("z23")])
     q = r243.quotient(mult)
     assert q.schema is None and q.order == 27
-    assert exhaustive_associativity(_table(q)) is None
+    assert exhaustive_associativity(q) is None
     assert q.mult(0, 5) == 5 and q.mult(5, int(q.inv[5])) == 0
     # R243 / multiplier is the base group, structure for structure
     g27 = get_group("G27")
@@ -556,24 +555,19 @@ def test_schema_above_256_elements_collects_but_builds_no_table():
 
 
 def test_tables_above_256_elements_are_refused():
-    z300 = _cyclic(300)
-    with pytest.raises(SchemaError) as info:
-        Group(None, z300)
-    assert str(info.value) == "quotient table has order 300; byte rows hold at most 256 codes"
-    # 300 byte rows are refused too, not read as `Group.rows`
-    for table in (z300, [bytes(300)] * 300):
-        for check in (exhaustive_associativity, lambda t: random_triples_associative(t, 10 ** 5)):
-            with pytest.raises(SchemaError) as info:
-                check(table)
-            assert str(info.value) == "given table has order 300; byte rows hold at most 256 codes"
+    # as ints or as byte rows
+    for table in (_cyclic(300), [bytes(300)] * 300):
+        with pytest.raises(SchemaError) as info:
+            Group(None, table)
+        assert str(info.value) == "table has order 300; byte rows hold at most 256 codes"
     # order 256 is the largest that fits, and a planted swap is still caught there
     z256 = _cyclic(256)
     assert all(type(row) is bytes for row in Group(None, z256).rows)
-    assert exhaustive_associativity(z256) is None
-    assert random_triples_associative(z256, 10 ** 5, seed=3) is None
+    assert exhaustive_associativity(Group(None, z256)) is None
+    assert random_triples_associative(Group(None, z256), 10 ** 5, seed=3) is None
     planted = _planted(z256, 255, 0, 254)
     for check in (exhaustive_associativity, lambda t: random_triples_associative(t, 10 ** 5)):
-        witness = check(planted)
+        witness = check(Group(None, planted))
         assert witness is not None and _violates(planted, witness)
 
 
@@ -582,8 +576,13 @@ def test_malformed_tables_are_refused():
                            ([[0, 1, 2], [1, 2, 0], [2, 0, 5]],
                             "row 2 has an entry outside range\\(3\\)"),
                            ([[0, -1], [1, 0]], "row 0 has an entry outside range\\(2\\)"),
-                           ([[0, 1], [1, 0], [0, 1]], "row 0 has 2 entries, expected 3")):
-        with pytest.raises(CollectionError, match="quotient table " + message):
+                           ([[0, 1], [1, 0], [0, 1]], "row 0 has 2 entries, expected 3"),
+                           # byte rows are checked like any other table
+                           ([b"\x00\x05", b"\x01\x00"], "row 0 has an entry outside range\\(2\\)"),
+                           ([b"\x00\x01\x02", b"\x01\x00"], "row 0 has 3 entries, expected 2"),
+                           ([b"\x00\x01", b"\x01"], "row 1 has 1 entries, expected 2"),
+                           ([], "has no rows")):
+        with pytest.raises(CollectionError, match="^table " + message):
             Group(None, table)
     g27 = get_group("G27")
     rows = [list(row) for row in g27.rows]
@@ -600,7 +599,7 @@ def test_malformed_tables_are_refused():
 def _light_verdict(table):
     """Light's test, held to the n^3 reference: for each x, (x y) z against
     x (y z) over all y, z at once."""
-    bad = exhaustive_associativity(table)
+    bad = exhaustive_associativity(Group(None, table))
     n = len(table)
     assert (bad is None) == all(np.array_equal(table[table[x]], table[x][table])
                                 for x in range(n))
@@ -661,14 +660,16 @@ def test_random_triples_decide_order_3_magmas_like_the_cubic_reference():
     # order 3 the pass is exhaustive, and a pair it skipped would show
     verdicts = []
     for table in _order_3_magma_sample():
-        witness = random_triples_associative(table, 9 * 60, seed=0)
+        witness = random_triples_associative(Group(None, table), 9 * 60, seed=0)
         assert witness is None or _violates(table, witness)
         verdicts.append(witness is None)
     assert verdicts == [True] * 113 + [False] * 1000
 
 
 def test_associativity_passes_stay_small_in_memory():
-    gsharp, r243 = get_group("GSHARP").rows, get_group("R243").rows
+    # a fresh R243 with its rows built, so its generating set is read inside the trace
+    gsharp, r243 = get_group("GSHARP"), Group(schema("R243"))
+    r243.rows
     random_triples_associative(gsharp, 10, seed=1)  # warm the code paths outside the trace
     tracemalloc.start()
     try:
@@ -682,7 +683,8 @@ def test_associativity_passes_stay_small_in_memory():
     # 0.08 MB, mostly the rows padded to 256 bytes, with the codes drawn one g
     # at a time; 1 MB for the codes alone if all were drawn at once
     assert random_peak < 0.25 * 2 ** 20
-    # 1.5 kB on the byte rows; 0.23 MB on a uint8 array, 11.6 MB for the n^3 comparison
+    # 30 kB on the byte rows, most of it the generating set read cold; 0.23 MB
+    # on a uint8 array, 11.6 MB for the n^3 comparison
     assert light_peak < 2 ** 16
 
 
@@ -704,10 +706,11 @@ def _planted(table, row, a, b):
 
 def test_random_triples_are_reproducible_from_the_seed():
     planted = _planted(_table(get_group("GSHARP")), 5, 7, 9)
-    witness = random_triples_associative(planted, 10 ** 6, seed=2024)
+    group = Group(None, planted)
+    witness = random_triples_associative(group, 10 ** 6, seed=2024)
     assert witness is not None and _violates(planted, witness)
-    assert random_triples_associative(planted, 10 ** 6, seed=2024) == witness
-    assert all(random_triples_associative(planted, 10 ** 5, seed=s) is not None
+    assert random_triples_associative(group, 10 ** 6, seed=2024) == witness
+    assert all(random_triples_associative(group, 10 ** 5, seed=s) is not None
                for s in range(3))
 
 
@@ -728,7 +731,7 @@ def _recording_draws(monkeypatch):
 def test_random_triples_draw_every_code_and_nothing_else(monkeypatch, n):
     # one row of n m codes for each g, m codes for each pair (g, h)
     draws = _recording_draws(monkeypatch)
-    assert random_triples_associative(_cyclic(n), 30000, seed=1) is None
+    assert random_triples_associative(Group(None, _cyclic(n)), 30000, seed=1) is None
     m = -(-30000 // n ** 2)
     assert [len(ks) for ks in draws] == [n * m] * n
     assert set(itertools.chain.from_iterable(draws)) == set(range(n))

@@ -33,7 +33,7 @@ from spinchar.spinrep import (CocycleTable, RepError, Representation, canonical_
 def _scaled(rep, gen, factor):
     images = dict(rep.images)
     images[gen] = images[gen].scale(factor)
-    return Representation(rep.group, images, rep.name, rep.spin_type)
+    return Representation(rep.group, images, rep.name)
 
 
 def test_scaled_generator_is_not_projective():
@@ -267,7 +267,7 @@ def test_perturbed_catalog_image_fails_representations(monkeypatch):
     rows = [list(row) for row in rep.images["n2"].rows]
     rows[0][1] = rows[0][1] + 1
     images = dict(rep.images, n2=CycMatrix(rows))
-    planted = catalog[:k] + (Representation(rep.group, images, rep.name, rep.spin_type),) \
+    planted = catalog[:k] + (Representation(rep.group, images, rep.name),) \
         + catalog[k + 1:]
 
     monkeypatch.setattr(verify, "full_catalog", lambda: planted)
@@ -358,7 +358,8 @@ def test_random_pass_alone_catches_single_entry_changes_of_gsharp():
         planted = list(rows)
         planted[g] = rows[g][:h] + bytes([value]) + rows[g][h + 1:]
         for seed in range(5):
-            witness = groups.random_triples_associative(planted, 10 ** 6, seed=seed)
+            witness = groups.random_triples_associative(Group(None, planted), 10 ** 6,
+                                                       seed=seed)
             assert witness is not None, (g, h, value, seed)
             a, b, c = witness
             assert planted[planted[a][b]][c] != planted[a][planted[b][c]]
@@ -492,7 +493,7 @@ def test_identity_x1_image_fails_only_the_off_center_line(monkeypatch):
         reps = list(real())
         k = next(i for i, rep in enumerate(reps) if rep.name == "Pi(0,1)")
         images = dict(reps[k].images, x1=CycMatrix.identity(3))
-        reps[k] = Representation(reps[k].group, images, reps[k].name, reps[k].spin_type)
+        reps[k] = Representation(reps[k].group, images, reps[k].name)
         return reps
 
     monkeypatch.setattr(verify, "g27_nonspin_catalog", planted)
@@ -693,7 +694,7 @@ def test_reordered_diagonal_fails_only_a_conjugation_rule():
     rows[0][0], rows[1][1] = rows[1][1], rows[0][0]
     images = dict(rep.images, n1=CycMatrix(rows))
     assert rep.verify() is None  # the untouched images are inverted first
-    planted = Representation(rep.group, images, rep.name, rep.spin_type)
+    planted = Representation(rep.group, images, rep.name)
     bad = planted.verify()
     assert bad == _first_broken_rule(planted)
     desc, lhs, rhs = bad

@@ -477,7 +477,7 @@ def _moved_lift_section():
 
 def _edited_images(rep, edit):
     """A fresh copy of rep whose images pass through edit(codes, images)."""
-    copy = Representation(rep.group, dict(rep.images), rep.name, rep.spin_type)
+    copy = Representation(rep.group, dict(rep.images), rep.name)
 
     def images_at(codes):
         return edit(list(codes), rep.images_at(codes))

@@ -4,9 +4,9 @@ perfbench/layers.py names the functions a traced benchmark run wraps.  A
 renamed or removed site, or one that no command reaches any more, only shows
 in that run, which takes minutes.  The first test resolves every site the
 same way the tracer does; layers.py is only read, never imported.  The
-second runs perfbench/tracer.py on two short commands and checks that the
-sites of the representation layer record calls.  Its child writes no
-bytecode, so nothing is written under perfbench/.
+others run perfbench/tracer.py on short commands and check that the sites
+of the representation layer, and of the structural checks, record calls.
+Their children write no bytecode, so nothing is written under perfbench/.
 """
 
 import importlib
@@ -24,6 +24,10 @@ LAYERS = ROOT / "perfbench" / "layers.py"
 LIVE_SITES = ("mackey.SubRep.verify", "mackey.induce", "spinrep.Representation.eval",
               "linalg.CycMatrix.inverse", "linalg.CycMatrix.__mul__", "linalg.nullspace",
               "linalg.intertwiner_space", "cyclo.Cyc.__mul__", "cyclo9.Cyc9.__mul__")
+STRUCTURE_SITES = ("groups.exhaustive_associativity", "groups.random_triples_associative",
+                   "groups.verify_efficient_covering", "groups.verify_phi_automorphism",
+                   "groups.isomorphism_fingerprint", "groups.Group.conjugacy_classes",
+                   "groups.Group.enumerate_elements", "groups.collect")
 
 
 def _sites():
@@ -72,3 +76,9 @@ def test_representation_sites_record_calls(argv):
     calls = _traced_calls(argv)
     assert {site: calls.get(site, 0) > 0 for site in LIVE_SITES} == \
         {site: True for site in LIVE_SITES}
+
+
+def test_structure_sites_record_calls():
+    calls = _traced_calls(["verify", "--only", "structure,automorphism,associativity"])
+    assert {site: calls.get(site, 0) > 0 for site in STRUCTURE_SITES} == \
+        {site: True for site in STRUCTURE_SITES}
