@@ -16,7 +16,7 @@ from .groups import (CheckReport, CollectionError, Group, GroupSchema,
                      verify_efficient_covering, verify_phi_automorphism)
 from .mackey import (DualCharacter, MackeyError, SubRep, act_on_dual, dual_group,
                      induce, orbit_decomposition)
-from .spinrep import (ClassFunction, CocycleTable, RepError, Representation, SpinType,
+from .spinrep import (CocycleTable, RepError, Representation, SpinType,
                       extend_and_tensor, full_catalog, g27_nonspin_catalog,
                       intertwiner_solutions, irreps_by_spin_type, intertwiner_alpha, restrict_to_projective, solve_intertwiner,
                       spin_character_table, verify_rep)

@@ -4,10 +4,10 @@ An element (p + q*w)/d is stored as three Python ints on the basis {1, w},
 reduced so that d > 0 and gcd(p, q, d) = 1 (zero is 0/1), with the relation
 w^2 + w + 1 = 0 folded into multiplication.  Everything is arbitrary
 precision, each operation costs integer products and one gcd, and the
-state is canonical, so equality compares the three ints.  The coordinates
-a = p/d and b = q/d are read-only `fractions.Fraction` views, used by
-hashing; `fractions` is imported on first use.  The cube-root search runs
-on the integer state alone.
+state is canonical, so equality compares the three ints.  Only ints, other
+rationals (`numbers.Rational`) and the field's own values are coerced;
+anything else, a float or a string included, raises CycError.  Hashing
+and the cube-root search run on the integer state alone.
 
 The canonical text form is "p/q+r/s*w" with zero terms omitted, printed by
 `terms_str` like the Q(zeta9) form and read by `cyclo9.parse_scalar`.
@@ -16,6 +16,7 @@ The canonical text form is "p/q+r/s*w" with zero terms omitted, printed by
 
 import math
 import numbers
+import sys
 
 
 class CycError(ArithmeticError):
@@ -34,16 +35,6 @@ class Cyc:
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyc is immutable")
-
-    @property
-    def a(self):
-        from fractions import Fraction
-        return Fraction(self.p, self.d)
-
-    @property
-    def b(self):
-        from fractions import Fraction
-        return Fraction(self.q, self.d)
 
     # -- ring structure -------------------------------------------------
     # binary ops return NotImplemented for foreign types so that a larger
@@ -104,12 +95,6 @@ class Cyc:
         """Complex conjugate; sends w to w^2 = -1-w."""
         return _cyc(self.p - self.q, -self.q, self.d)
 
-    def norm(self):
-        """z * conj(z) as a Fraction; nonnegative, zero iff z = 0."""
-        from fractions import Fraction
-        p, q = self.p, self.q
-        return Fraction(p * p - p * q + q * q, self.d * self.d)
-
     def is_zero(self):
         return not self.p and not self.q
 
@@ -122,8 +107,9 @@ class Cyc:
         return (self.p, self.q, self.d) == o
 
     def __hash__(self):
-        # equal values hash equally: a rational hashes as its int or Fraction
-        return hash(self.a) if not self.q else hash((self.a, self.b))
+        # a rational hashes as the equal int or Fraction, any other as its coordinates
+        h = _hash_ratio(self.p, self.d)
+        return h if not self.q else hash((h, _hash_ratio(self.q, self.d)))
 
     def __bool__(self):
         return not self.is_zero()
@@ -160,13 +146,27 @@ def _state(x):
 
 
 def _ratio(x):
-    """(numerator, denominator) in lowest terms of an int or a rational."""
+    """(numerator, denominator) in lowest terms of an int or a rational;
+    CycError for any other value, floats and strings included."""
     if isinstance(x, int):
         return int(x), 1
-    if not isinstance(x, numbers.Rational):
-        from fractions import Fraction
-        x = Fraction(x)
-    return int(x.numerator), int(x.denominator)
+    if isinstance(x, numbers.Rational):
+        return int(x.numerator), int(x.denominator)
+    raise CycError("cannot coerce %r into an exact rational" % (x,))
+
+
+_M, _INF = sys.hash_info.modulus, sys.hash_info.inf
+
+
+def _hash_ratio(p, d):
+    """hash(p/d), d > 0, as the equal int or Fraction hashes: |p| d^-1 mod
+    the prime M, or inf when M divides d, on p/d in lowest terms; signed
+    as p, with -1 read as -2."""
+    g = math.gcd(p, d)
+    p, d = p // g, d // g
+    h = _INF if d % _M == 0 else abs(p) * pow(d, -1, _M) % _M
+    h = h if p >= 0 else -h
+    return -2 if h == -1 else h
 
 
 def _sum(p, q, d, r, s, e):

@@ -10,11 +10,11 @@ Elements are polynomials in zeta9 of degree < 6 over Q, reduced modulo the
 ninth cyclotomic polynomial x^6 + x^3 + 1.  One is stored as six Python int
 numerators over one denominator, n / d with d > 0 and the gcd of all seven
 ints 1 (zero is 0/1), so arithmetic runs on ints with one gcd per result
-and equal values have equal state; the coefficients n_k / d are read-only
-`fractions.Fraction` views (`c`, importing `fractions` on first use).
+and equal values have equal state.  Like `Cyc`, it coerces only ints,
+other rationals and the two fields' values, and it hashes from its ints.
 Q(w) embeds via w = zeta9^3; values lying in the subfield print in the Q(w)
-grammar, a sublanguage of this one, and `parse_scalar` (ASCII digits only)
-is the one reader of both.
+grammar, a sublanguage of this one, and `parse_scalar` (ASCII digits only,
+each numeral read as an int pair) is the one reader of both.
 
 Representations compute on the exact matrix kernel near the end of the
 module, on Python ints: a matrix is a state, rows of entries that are None
@@ -38,7 +38,8 @@ import operator
 import re
 from typing import NamedTuple
 
-from .cyclo import Cyc, CycError, _cyc, _ratio, cyc_cbrt, cyc_str, power, root_of_unity, terms_str
+from .cyclo import (Cyc, CycError, _cyc, _hash_ratio, _ratio, cyc_cbrt, cyc_str, power,
+                    root_of_unity, terms_str)
 
 
 def _reduce(coeffs):
@@ -85,11 +86,6 @@ class Cyc9:
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyc9 is immutable")
-
-    @property
-    def c(self):
-        from fractions import Fraction
-        return tuple(Fraction(x, self.d) for x in self.n)
 
     @classmethod
     def from_scalar(cls, x):
@@ -163,9 +159,9 @@ class Cyc9:
         return (self.n, self.d) == _state9(other)
 
     def __hash__(self):
-        # a value in Q(w) hashes as the equal Cyc (and so as an equal rational)
+        # a value in Q(w) hashes as the equal Cyc, any other as its coefficients
         sub = self.to_cyc()
-        return hash(self.c) if sub is None else hash(sub)
+        return hash(tuple(_hash_ratio(a, self.d) for a in self.n) if sub is None else sub)
 
     def __bool__(self):
         return not self.is_zero()
@@ -272,36 +268,45 @@ _TERM_RE = re.compile(
 def parse_scalar(text):
     """Parse the canonical scalar grammar of `scalar_str`, spaces ignored:
     signed terms "p/q", "p/q*w" or "w", and "p/q*z^k" or "z^k" for zeta9^k
-    with 1 <= k <= 5 (a bare "z" is "z^1").  Returns a Cyc when there is no
-    z term, a Cyc9 otherwise; anything else raises CycError."""
+    with 1 <= k <= 5 (a bare "z" is "z^1").  Each numeral is an int pair,
+    and the terms are summed over their least common denominator.  Returns a
+    Cyc when there is no z term, a Cyc9 otherwise; anything else, text or
+    not, raises CycError."""
+    if not isinstance(text, str):
+        raise CycError("a scalar literal is text, not %r" % (text,))
     s = text.strip().replace(" ", "")
     terms = re.findall(r"[+-]?[^+-]+", s)
     if not s or "".join(terms) != s:
         raise CycError("malformed scalar literal: %r" % text)
-    coeffs, has_z = [0] * 6, False
+    coeffs, d, has_z = [0] * 6, 1, False  # the sum so far, coeffs / d
     for term in terms:
         m = _TERM_RE.fullmatch(term)
         if m is None:
             raise CycError("malformed term %r in %r" % (term, text))
-        c = _rational(m["num"], text) if m["num"] else 1
+        p, q = _numeral(m["num"], text) if m["num"] else (1, 1)
         sym = m["sym"] or m["bare"]
         k = {None: 0, "w": 3}.get(sym)
         if k is None:  # "z" or "z^e"
-            k, has_z = int(_rational(sym[2:] or "1", text)), True
+            k, has_z = _numeral(sym[2:] or "1", text)[0], True
             if not 1 <= k <= 5:
                 raise CycError("zeta9 exponent %d outside 1..5 in %r" % (k, text))
-        coeffs[k] += -c if m["sign"] == "-" else c
-    return Cyc9(coeffs) if has_z else Cyc(coeffs[0], coeffs[3])
+        f = q // math.gcd(d, q)  # the sum moves to the denominator lcm(d, q)
+        coeffs, d = [c * f for c in coeffs], d * f
+        coeffs[k] += (-p if m["sign"] == "-" else p) * (d // q)
+    return _cyc9(tuple(coeffs), d) if has_z else _cyc(coeffs[0], coeffs[3], d)
 
 
-def _rational(numeral, text):
-    """Fraction of a numeral matched inside the literal `text`; a zero
-    denominator or a numeral too long for int() raises CycError."""
-    from fractions import Fraction
+def _numeral(numeral, text):
+    """(p, q) of a numeral "p" or "p/q" matched inside the literal `text`;
+    a zero denominator or a numeral too long for int() raises CycError."""
+    p, _, q = numeral.partition("/")
     try:
-        return Fraction(numeral)
-    except (ValueError, ZeroDivisionError):
+        p, q = int(p), int(q or 1)
+    except ValueError:  # more digits than int() reads
+        q = 0
+    if not q:
         raise CycError("bad number %r in %r" % (numeral, text))
+    return p, q
 
 
 # -- exact matrix kernel on Python ints ----------------------------------------

@@ -436,10 +436,12 @@ class Group:
     # enumeration ----------------------------------------------------------
 
     def enumerate_elements(self):
-        """The closure of the generators, in code order, computed once; its
-        length is the group order as actually realized by the table."""
+        """The closure of the schema's generators, or of those read from the
+        table alone, in code order, computed once; its length is the group
+        order as actually realized by the table."""
         if "elements" not in self._cache:
-            self._cache["elements"] = tuple(sorted(self.closure(self.gen_codes)))
+            gens = self._generators() if self.schema is None else self.gen_codes
+            self._cache["elements"] = tuple(sorted(self.closure(gens)))
         return list(self._cache["elements"])
 
     # structure ------------------------------------------------------------
@@ -613,6 +615,14 @@ class Subgroup(NamedTuple):
 
 # -- whole-table checks ----------------------------------------------------
 
+def _table_rows(group):
+    """The rows of a Group; SchemaError for anything else, a raw table too."""
+    if not isinstance(group, Group):
+        raise SchemaError("a whole-table check takes a Group, not %s; "
+                          "wrap a raw table as Group(None, table)" % type(group).__name__)
+    return group.rows
+
+
 def exhaustive_associativity(group):
     """(x s) y == x (s y) over all triples of the group's table, by Light's
     test; a violating (x, s, y) or None.  The middles s that pass are closed
@@ -626,7 +636,7 @@ def exhaustive_associativity(group):
     For each s, row x s is held against row s composed with row x
     (`_compose`).  The witness is the least x, then the least y, for the
     first failing s."""
-    rows = group.rows
+    rows = _table_rows(group)
     for s in (0,) + group._generators():
         for x, row in enumerate(rows):
             rhs = _compose(rows[s], row)  # x (s y) for every y
@@ -668,7 +678,7 @@ def random_triples_associative(group, count, seed=0):
     validates it.  The rows are padded to 256 bytes once, so each
     composition is one `bytes.translate`.  The witness is the least g, then
     the least h, then the first drawn k."""
-    rows = group.rows
+    rows = _table_rows(group)
     n = len(rows)
     m = -(-count // (n * n))
     rng = random.Random(seed)

@@ -3,11 +3,11 @@
 Everything is exact.  A matrix is a `cyclo9` kernel state: rows of entries
 that are None (zero) or six int numerators, over one denominator in lowest
 terms, so equal matrices have equal states whichever scalar types (`Cyc`,
-`Cyc9`, int, `Fraction`) built them.  A product runs on the kernel; `rows`
-decodes the entries as scalars for what runs entry by entry.  One
-elimination, `_echelon` (an incremental Gauss-Jordan with first-nonzero
-pivoting: there is no rounding, so no pivot-magnitude heuristics), gives
-the determinant, the inverse and the nullspace.  A matrix whose cube is I,
+`Cyc9`, int or another rational) built them.  A product runs on the
+kernel; `rows` decodes the entries as scalars for what runs entry by
+entry.  One elimination, `_echelon` (an incremental Gauss-Jordan with
+first-nonzero pivoting: there is no rounding, so no pivot-magnitude
+heuristics), gives the determinant, the inverse and the nullspace.  A matrix whose cube is I,
 as every generator image inverted here is, is inverted as its square by
 two kernel products instead.  `intertwiner_space` builds its constraint
 rows as one kernel state, which the elimination decodes once.  A singular

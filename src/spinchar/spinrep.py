@@ -11,6 +11,8 @@ group itself are one recipe, `_stairway`: a base character induced one step
 `native_irreps` alone says which group carries a spin type, and
 `irreps_by_spin_type` inflates along the covering maps.  Each is a
 `Representation`: a `mackey.SubRep` of a whole group plus its spin type.
+A character is one tuple of values at the representatives of
+`Group.conjugacy_classes()`, in that order, the form of a `CharTable` row.
 """
 
 from functools import lru_cache
@@ -18,7 +20,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .cyclo import ONE, OMEGA, OMEGA2, ZERO, root_of_unity, root_exponent
-from .cyclo9 import cyc9_cbrt, pack_table, scalar_str, state_mul, state_times_w
+from .cyclo9 import cyc9_cbrt, pack_table, state_mul, state_times_w
 from .linalg import CycMatrix, intertwiner_space
 from .groups import CheckReport, Subgroup, get_group, covering_data
 from .mackey import DualCharacter, SubRep, dual_group, orbit_decomposition, induce
@@ -96,8 +98,9 @@ class Representation(SubRep):
         return SpinType(vals["z12"], vals["z23"])
 
     def character(self):
+        """The values at the class representatives, in class order."""
         reps = [rep for rep, _ in self.group.conjugacy_classes()]
-        return ClassFunction(self.group, self.character_values(reps), name=self.name)
+        return tuple(map(self.character_values(reps).__getitem__, reps))
 
     def __repr__(self):
         return "Representation(%s, dim=%d, spin=%s)" % (self.name, self.dim, self.spin_type)
@@ -121,26 +124,6 @@ def verify_rep(rep):
         desc, lhs, rhs = bad
         report.fail("%s: lhs=%s rhs=%s" % (desc, lhs.str_rows(), rhs.str_rows()))
     return report
-
-
-class ClassFunction(NamedTuple):
-    """Exact class function, stored by class representative code."""
-
-    group: object
-    values: dict
-    name: str = ""
-
-    def __eq__(self, other):
-        return (isinstance(other, ClassFunction)
-                and self.group.schema.key == other.group.schema.key
-                and self.values == other.values)
-
-    def __ne__(self, other):  # tuple's own != would compare the name too
-        return not self == other
-
-    def key(self):
-        return tuple(scalar_str(self.values[rep])
-                     for rep, _ in self.group.conjugacy_classes())
 
 
 # -- the intertwiner step ---------------------------------------------------
@@ -406,9 +389,7 @@ def spin_character_table():
     classes = [(rep, len(members)) for rep, members in r243.conjugacy_classes()]
     rows = []
     for rep in full_catalog():
-        chi = rep.character()
-        values = [chi.values[c] for c, _ in classes]
-        rows.append((rep.name, rep.spin_type, rep.dim, values))
+        rows.append((rep.name, rep.spin_type, rep.dim, list(rep.character())))
     return CharTable(r243, classes, rows)
 
 
@@ -454,12 +435,14 @@ class CocycleTable(NamedTuple):
 _NONZERO_MOD3 = bytes(v % 3 != 0 for v in range(256))
 
 
+@lru_cache(maxsize=None)
 def canonical_section():
     """The exponent-preserving lift of the base group into the
-    representation group (zero multiplier exponents)."""
-    g27 = get_group("G27")
-    r243 = get_group("R243")
-    return {g: r243.code_of((0, 0) + g27.exps_of(g)) for g in range(g27.order)}
+    representation group (zero multiplier exponents), as R243 codes by G27
+    code, checked by `_lifting_section`."""
+    g27, r243 = get_group("G27"), get_group("R243")
+    return _lifting_section(tuple(r243.code_of((0, 0) + g27.exps_of(g))
+                                  for g in range(g27.order)))
 
 
 def table_cocycle():
@@ -472,8 +455,7 @@ def table_cocycle():
     restricts with cocycle exponents (eps a + mu b) mod 3.
     """
     g27, r243 = get_group("G27"), get_group("R243")
-    section = canonical_section()
-    s = [section[g] for g in range(g27.order)]
+    s = canonical_section()
     rows, inv = r243.rows, r243.inv
     # z12^a z23^b has code 81 a + 27 b: byte 3 a + b, and 255 off the multiplier
     pair = bytes(code // 27 if code % 27 == 0 else 255 for code in range(256))
@@ -521,13 +503,12 @@ def restrict_to_projective(rep, section=None):
     canonical section that leaves 34 of the 54 products T(g) T(x).
     """
     g27 = get_group("G27")
-    if rep.group.schema.name != "R243":
+    if not isinstance(rep, SubRep) or rep.group.schema.name != "R243":
         raise RepError("projective restriction expects a representation of R243")
-    if section is None:
-        section = canonical_section()
     n, rows = g27.order, g27.rows
     gens, tree = _spanning_tree(g27)
-    lift = _lifting_section(tuple(section[g] for g in range(n)))
+    lift = (canonical_section() if section is None
+            else _lifting_section(tuple(section[g] for g in range(n))))
     T = rep.images_at(lift)
     if T[0] != CycMatrix.identity(rep.dim).state:
         raise RepError("restriction of %s is not projective at (0, 0)" % rep.name)

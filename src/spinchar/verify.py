@@ -312,7 +312,7 @@ def check_stairways():
     failures = []
     table = spin_character_table()  # its (0, mu) rows are the stairway builds
     for mu in (1, 2):
-        direct = sorted(r.character().key() for r in mu_route_direct(mu))
+        direct = sorted(tuple(map(scalar_str, r.character())) for r in mu_route_direct(mu))
         stair = sorted(tuple(map(scalar_str, values))
                        for _, spin, _, values in table.rows if spin == (0, mu))
         if direct != stair:

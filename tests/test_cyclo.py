@@ -3,11 +3,12 @@
 import math
 import operator
 import random
+import sys
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spinchar.cyclo import (Cyc, CycError, OMEGA, OMEGA2, ZERO, ONE, _icbrt, _monotone_root,
                             _rational_roots, as_cyc, cyc_cbrt, cyc_str, root_exponent,
@@ -21,6 +22,7 @@ from spinchar.spinrep import CharTable, g27_nonspin_catalog
 
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+HASH_M = sys.hash_info.modulus
 cycs = st.builds(Cyc, fractions, fractions)
 
 
@@ -97,8 +99,8 @@ def test_field_laws_on_random_triples():
         assert x * (y + z) == x * y + x * z
         assert x * y == y * x
         assert (x * y).conj() == x.conj() * y.conj()
-        n = x.norm()
-        assert n >= 0 and (n == 0) == x.is_zero()
+        n = x * x.conj()  # the norm: a nonnegative rational, zero iff x is
+        assert n.q == 0 and n.p >= 0 and (n == 0) == x.is_zero()
 
 
 @given(cycs)
@@ -166,6 +168,12 @@ def test_results_keep_the_canonical_state(x, y):
             assert zero == 0 and hash(zero) == hash(0)
 
 
+# denominators that the hash modulus M divides, where a Fraction hashes as inf
+# (1/2 + 1/M w has the state (M + 2w) / 2M, whose p/d is not in lowest terms)
+@example(Fraction(1, HASH_M), Fraction(0))
+@example(Fraction(-3, 2 * HASH_M), Fraction(1, 2))
+@example(Fraction(1, 2), Fraction(1, HASH_M))
+@example(Fraction(7, HASH_M ** 2), Fraction(-1, HASH_M))
 @given(fractions, fractions)
 def test_equal_values_in_every_type_compare_and_hash_equal(a, b):
     z = Cyc(a, b)
@@ -175,8 +183,12 @@ def test_equal_values_in_every_type_compare_and_hash_equal(a, b):
     for u in forms:
         assert all(u == v and v == u for v in forms)
         assert len({hash(v) for v in forms}) == 1
-    # the Fraction views read back the stored state
-    assert (z.a, z.b) == (a, b) and Cyc9.from_scalar(z).c == (a, 0, 0, b, 0, 0)
+    # the state reads back the coordinates, and each value hashes as the
+    # equal Fraction, or as the tuple of its Fraction coefficients
+    assert (Fraction(z.p, z.d), Fraction(z.q, z.d)) == (a, b)
+    assert hash(z) == (hash((a, b)) if b else hash(a))
+    u = Cyc9([a, b])  # a + b zeta9, outside Q(w) when b != 0
+    assert hash(u) == (hash((a, b, 0, 0, 0, 0)) if b else hash(a))
 
 
 def test_values_reducing_to_zero_are_zero():
@@ -256,6 +268,18 @@ def test_arbitrary_text_raises_only_cyc_error(text):
         parse_scalar(text)
     except CycError:
         pass
+
+
+@pytest.mark.parametrize("make", [lambda: Cyc(0.1), lambda: Cyc("1/3"), lambda: Cyc9(["x"]),
+                                  lambda: Cyc9([0.5]), lambda: parse_scalar(3),
+                                  lambda: parse_scalar(None)],
+                         ids=["Cyc(0.1)", "Cyc('1/3')", "Cyc9(['x'])", "Cyc9([0.5])",
+                              "parse_scalar(3)", "parse_scalar(None)"])
+def test_inexact_or_non_text_input_raises_only_cyc_error(make):
+    # only ints, rationals and the fields' own values are coerced, and only
+    # text is parsed: a float is never stored as its binary fraction
+    with pytest.raises(CycError):
+        make()
 
 
 def test_canonical_strings():
@@ -358,10 +382,11 @@ def _ref_cyc_cbrt(v, order=lambda roots: sorted(roots, reverse=True)):
     v = as_cyc(v)
     if v.is_zero():
         return ZERO
-    s = _ref_frac_cbrt(v.norm())
+    a, b = Fraction(v.p, v.d), Fraction(v.q, v.d)
+    s = _ref_frac_cbrt(a * a - a * b + b * b)  # the norm
     if s is None:
         return None
-    trace_v = 2 * v.a - v.b
+    trace_v = 2 * a - b
     for tau in order(_ref_rational_roots(-trace_v, -3 * s)):
         r = _ref_frac_sqrt(3 * (4 * s - tau * tau))
         if r is None:
@@ -508,7 +533,7 @@ class TestPackedKernel:
         classes = [(rep, len(members)) for rep, members in g27.conjugacy_classes()]
         c = Cyc9([2 ** 70 + 1, 1])
         rows = [(rep.name, rep.spin_type, rep.dim,
-                 [c * rep.character().values[code] for code, _ in classes])
+                 [c * value for value in rep.character()])
                 for rep in g27_nonspin_catalog()]
         table = CharTable(g27, classes, rows)
         norm = c * c.conj()
@@ -617,7 +642,7 @@ def _coefficients(x):
     six Fractions; w = z^3."""
     if isinstance(x, Cyc):
         return [Fraction(x.p, x.d), 0, 0, Fraction(x.q, x.d), 0, 0]
-    return list(x.c)
+    return [Fraction(a, x.d) for a in x.n]
 
 
 def _fraction_product(A, B):

@@ -461,6 +461,9 @@ def test_quotient_is_a_table_group():
     assert len(q.center_codes()) == 3 and len(q.derived_codes()) == 3
     assert len(q.conjugacy_classes()) == 11
     assert isomorphism_fingerprint(q) == isomorphism_fingerprint(g27)
+    # a table-only group enumerates the closure of the generators read from its table
+    assert mult == r243.center_codes() and q.enumerate_elements() == list(range(27))
+    assert Group(None, [[0, 1], [1, 0]]).enumerate_elements() == [0, 1]
     with pytest.raises(SchemaError, match="not normal"):
         r243.quotient(r243.closure([r243.code("n1")]))
 
@@ -594,6 +597,12 @@ def test_malformed_tables_are_refused():
     rows[4] = rows[4][:-1]
     with pytest.raises(CollectionError, match="G27 table row 4 has 26 entries"):
         Group(g27.schema, rows)
+    # the whole-table checks take a Group, never a raw table
+    for table in ([[0, 1], [1, 0]], [b"\x00\x01", b"\x01\x00"], None):
+        for check in (exhaustive_associativity,
+                      lambda t: random_triples_associative(t, 100)):
+            with pytest.raises(SchemaError, match=r"wrap a raw table as Group\(None, table\)"):
+                check(table)
 
 
 def _light_verdict(table):

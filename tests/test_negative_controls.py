@@ -159,7 +159,7 @@ def test_all_zero_table_cocycle_fails_only_the_spin_triviality_line(monkeypatch)
 
 def test_swapped_lift_fails_the_table_cross_check(monkeypatch):
     r243 = get_group("R243")
-    section = canonical_section()
+    section = list(canonical_section())
     z12 = r243.code("z12")
     g0 = 5
     section[g0] = r243.mult(z12, section[g0])  # another lift of the same element
@@ -184,7 +184,7 @@ def test_moved_generator_lift_is_multiplied_in_full(monkeypatch):
     # the canonical section, where images_at already formed the other 18
     r243, g27 = get_group("R243"), get_group("G27")
     x1, x3 = g27.code("x1"), g27.code("x3")
-    moved = canonical_section()
+    moved = list(canonical_section())
     moved[x3] = r243.mult(r243.code("z12"), moved[x3])
     rep = irreps_by_spin_type((1, 1))[0]
     right = []  # the right factor of each generator-rule product

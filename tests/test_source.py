@@ -55,14 +55,16 @@ def test_every_definition_is_referenced_in_the_package():
 
 
 def test_no_module_imports_numpy():
-    # every command and check runs on Python ints and byte rows; numpy is a
-    # test-only reference
+    # every command and check runs on Python ints and byte rows, and every
+    # exact value has one form, its int state; numpy and fractions are
+    # test-only references
+    refused = {"numpy", "fractions"}
     importers = sorted(
         "%s:%d" % (path.name, node.lineno) for path in PACKAGE.parent.rglob("*.py")
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "numpy"
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] in refused
                                                 for alias in node.names)
-        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy")
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in refused)
     assert importers == []
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from spinchar import mackey, spinrep
 from spinchar.cyclo import OMEGA, ZERO, root_of_unity
-from spinchar.cyclo9 import Cyc9, matrix_state, state_mul, state_times_w
+from spinchar.cyclo9 import Cyc9, matrix_state, scalar_str, state_mul, state_times_w
 from spinchar.linalg import CycMatrix, J_SHIFT, K_SHIFT
 from spinchar.groups import get_group, covering_data
 from spinchar.spinrep import (CocycleTable, RepError, Representation, SpinType,
@@ -25,14 +25,21 @@ from spinchar.spinrep import (CocycleTable, RepError, Representation, SpinType,
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def inner_product(c1, c2):
-    """(1/|G|) sum_g c1(g) conj(c2(g)), exactly, class by class."""
-    if c1.group.schema.key != c2.group.schema.key:
-        raise RepError("class functions live on different schemas")
+def inner_product(group, c1, c2):
+    """(1/|G|) sum_g c1(g) conj(c2(g)), exactly, class by class, for two
+    characters of `group` in class order."""
+    classes = group.conjugacy_classes()
+    if not len(c1) == len(c2) == len(classes):
+        raise RepError("class functions live on different groups")
     total = ZERO
-    for rep, members in c1.group.conjugacy_classes():
-        total = total + c1.values[rep] * c2.values[rep].conj() * len(members)
-    return total / c1.group.order
+    for (_, members), x, y in zip(classes, c1, c2):
+        total = total + x * y.conj() * len(members)
+    return total / group.order
+
+
+def character_key(rep):
+    """The character's values as canonical strings, in class order."""
+    return tuple(map(scalar_str, rep.character()))
 
 
 def test_spin_type_classification():
@@ -214,7 +221,7 @@ def test_catalog_splits_each_induction_base_once(monkeypatch):
 def test_complex_conjugates_close_the_catalog():
     """Entrywise conjugation sends each irreducible of spin type (e, m) to a
     representation of type (-e, -m) whose character is a catalog row."""
-    by_character = {rep.character().key(): rep.name for rep in full_catalog()}
+    by_character = {character_key(rep): rep.name for rep in full_catalog()}
     partner = {}
     for rep in full_catalog():
         images = {gen: CycMatrix([[x.conj() for x in row] for row in M.rows])
@@ -222,7 +229,7 @@ def test_complex_conjugates_close_the_catalog():
         bar = Representation(rep.group, images, "conj " + rep.name)
         assert verify_rep(bar).passed
         assert bar.spin_type == SpinType(-rep.spin_type.eps % 3, -rep.spin_type.mu % 3)
-        partner[rep.name] = by_character[bar.character().key()]
+        partner[rep.name] = by_character[character_key(bar)]
     assert sorted(partner.values()) == sorted(partner)
     assert all(partner[partner[name]] == name for name in partner)
     assert partner["Pi(1,1;0)"] == "Pi(2,2;2)" and partner["Pi(0,1)"] == "Pi(0,2)"
@@ -397,10 +404,11 @@ class TestCharacters:
         c1 = reps["Pi(0,1)"].character()
         c2 = reps["Pi(0,2)"].character()
         triv = reps["Pi(0,0,0)"].character()
-        assert inner_product(c1, c1) == 1
-        assert inner_product(c1, c2) == 0
-        assert inner_product(triv, triv) == 1
-        assert c1.values[0] == 3
+        g27 = get_group("G27")
+        assert inner_product(g27, c1, c1) == 1
+        assert inner_product(g27, c1, c2) == 0
+        assert inner_product(g27, triv, triv) == 1
+        assert c1[0] == 3
 
     def test_base_group_completeness(self):
         # Mackey completeness at the base: 11 pairwise-orthogonal characters
@@ -410,13 +418,13 @@ class TestCharacters:
         chars = [r.character() for r in reps]
         for i, ci in enumerate(chars):
             for j, cj in enumerate(chars):
-                assert inner_product(ci, cj) == (1 if i == j else 0)
+                assert inner_product(get_group("G27"), ci, cj) == (1 if i == j else 0)
 
     def test_purely_spin_characters_leave_base_field(self):
         reps = irreps_by_spin_type((1, 1))
         seen_ninth = False
         for rep in reps:
-            for value in rep.character().values.values():
+            for value in rep.character():
                 if isinstance(value, Cyc9) and value.to_cyc() is None:
                     seen_ninth = True
         assert seen_ninth
@@ -425,23 +433,23 @@ class TestCharacters:
         c1 = g27_nonspin_catalog()[0].character()
         c2 = irreps_by_spin_type((1, 0))[0].character()
         with pytest.raises(RepError):
-            inner_product(c1, c2)
+            inner_product(get_group("G27"), c1, c2)
 
 
 class TestTwistInvariance:
     def test_catalog_independent_of_cube_root_choice(self):
         for eps in (1, 2):
             P, _, reps = g81_partial_catalog(eps)
-            base = sorted(r.character().key() for r in reps)
+            base = sorted(map(character_key, reps))
             for sol in intertwiner_solutions(P, "xi3"):
                 alt = [extend_and_tensor(P, sol, r, "xi3", "alt(%d)" % r)
                        for r in range(3)]
-                assert sorted(r.character().key() for r in alt) == base
+                assert sorted(map(character_key, alt)) == base
 
     def test_stairway_equals_direct_route(self):
         for mu in (1, 2):
-            stair = sorted(r.character().key() for r in irreps_by_spin_type((0, mu)))
-            direct = sorted(r.character().key() for r in mu_route_direct(mu))
+            stair = sorted(map(character_key, irreps_by_spin_type((0, mu))))
+            direct = sorted(map(character_key, mu_route_direct(mu)))
             assert stair == direct
 
 
@@ -470,7 +478,7 @@ def _all_pairs_exps(rep, section=None):
 def _moved_lift_section():
     """The canonical section with the lift of element 5 moved by z12."""
     r243 = get_group("R243")
-    section = canonical_section()
+    section = list(canonical_section())
     section[5] = r243.mult(r243.code("z12"), section[5])
     return section
 
@@ -587,7 +595,7 @@ class TestProjectiveRestriction:
         section = {g: r243.code_of((0, 0) + get_group("G27").exps_of(g))
                    for g in range(27)}
         section[3] = r243.code_of((0, 0, 0, 0, 0))  # no longer a lift
-        moved_one = canonical_section()
+        moved_one = list(canonical_section())
         moved_one[0] = r243.code("z12")
         for _ in range(2):
             restrict_to_projective(rep)
@@ -595,6 +603,9 @@ class TestProjectiveRestriction:
                 restrict_to_projective(rep, section)
             with pytest.raises(RepError, match="must send the identity to the identity"):
                 restrict_to_projective(rep, moved_one)
+        for not_a_rep in (None, "Pi(1,0;0)", get_group("R243")):
+            with pytest.raises(RepError, match="expects a representation of R243"):
+                restrict_to_projective(not_a_rep)
 
     def test_recursion_matches_per_column_reference(self):
         # reference: each column h on its own, from the generator columns
