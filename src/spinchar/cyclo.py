@@ -207,7 +207,7 @@ def as_cyc(x):
         return x
     if isinstance(x, (int, numbers.Rational)):
         return Cyc(x)
-    raise TypeError("cannot coerce %r into Q(w)" % (x,))
+    raise CycError("cannot coerce %r into Q(w)" % (x,))
 
 
 ZERO = Cyc(0)

@@ -38,8 +38,8 @@ import operator
 import re
 from typing import NamedTuple
 
-from .cyclo import (Cyc, CycError, _cyc, _hash_ratio, _ratio, cyc_cbrt, cyc_str, power,
-                    root_of_unity, terms_str)
+from .cyclo import (Cyc, CycError, _cyc, _hash_ratio, _ratio, as_cyc, cyc_cbrt, cyc_str,
+                    power, root_of_unity, terms_str)
 
 
 def _reduce(coeffs):
@@ -77,7 +77,10 @@ class Cyc9:
     __slots__ = ("n", "d")
 
     def __new__(cls, coeffs=()):
-        ratios = [_ratio(x) for x in coeffs]
+        try:
+            ratios = [_ratio(x) for x in coeffs]
+        except TypeError:  # not iterable
+            raise CycError("Cyc9 takes a sequence of coefficients, not %r" % (coeffs,)) from None
         d = math.lcm(*(e for _, e in ratios))
         folded = [0] * 11  # z^9 = 1
         for k, (p, e) in enumerate(ratios):
@@ -193,7 +196,7 @@ def _combine(op, n, d, m, e):
 
 
 def _state9(x):
-    """(n, d) of a Cyc9, Cyc or rational (int, Fraction); TypeError for other types."""
+    """(n, d) of a Cyc9, Cyc or rational (int, Fraction); CycError for other types."""
     if type(x) is Cyc9:
         return x.n, x.d
     if isinstance(x, Cyc):
@@ -201,7 +204,7 @@ def _state9(x):
     if isinstance(x, (int, numbers.Rational)):
         p, d = _ratio(x)
         return (p, 0, 0, 0, 0, 0), d
-    raise TypeError("cannot coerce %r into Q(zeta9)" % (x,))
+    raise CycError("cannot coerce %r into Q(zeta9)" % (x,))
 
 
 def _basis_row(k):
@@ -233,10 +236,9 @@ def cyc9_cbrt(v):
     the three twists and reuse the Q(w) cube-root search.  A root lying in
     Q(w) (j = 0) is returned as the Cyc s itself.
     """
-    if isinstance(v, Cyc9):
-        v = v.to_cyc()
-        if v is None:
-            raise CycError("cube roots only implemented for Q(w) radicands")
+    v = v.to_cyc() if type(v) is Cyc9 else as_cyc(v)
+    if v is None:
+        raise CycError("cube roots only implemented for Q(w) radicands")
     for j in range(3):
         s = cyc_cbrt(v * root_of_unity(-j))
         if s is not None:
@@ -250,8 +252,9 @@ _Z_SYMS = ("", "z", "z^2", "z^3", "z^4", "z^5")
 
 
 def scalar_str(x):
-    """Canonical string for a Cyc or Cyc9; Q(w) values use the w grammar."""
-    sub = x if isinstance(x, Cyc) else x.to_cyc()
+    """Canonical string for a Cyc, Cyc9 or rational; Q(w) values use the w
+    grammar, and anything else is a CycError."""
+    sub = x.to_cyc() if type(x) is Cyc9 else as_cyc(x)
     return terms_str(x.n, x.d, _Z_SYMS) if sub is None else cyc_str(sub)
 
 

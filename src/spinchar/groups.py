@@ -35,7 +35,10 @@ element, and `rows[g][h]` is g*h as an int.  So a table stops at order
 past it); `collect` still works on a larger schema.  A table is built up
 the polycyclic series, one generator at a time, from k(k+1)/2 collections
 of rule words (`Group._right`); collection of whole words stays the
-independent oracle that `check_schema` and the tests hold it to.  A given
+independent oracle that `check_schema` and the tests hold it to.  One walk
+up the series, `_extend_to_codes`, gives each level's table and the whole
+table from the right-multiplication columns, and every conjugation map and
+homomorphism from generator images; only its start row differs.  A given
 table (a quotient, or a planted defect) enters only as `Group(None, table)`,
 compacted the same way and refused unless it is a nonempty n x n table over
 range(n).  Every structural algorithm -- inverses, center, derived subgroup,
@@ -46,6 +49,8 @@ random pass over every pair of GSHARP -- reads those rows; those that need
 a generating set read it from the table too (`Group._generators`).  They
 walk whole rows, not one element at a time: `_compose` sends a row of
 codes through a column or row of the table in one `bytes.translate`.
+Codes given to a closure, a quotient or a homomorphism are read as
+`Group.code` reads an int.
 """
 
 from collections import Counter
@@ -154,23 +159,6 @@ def _compose(codes, col):
     return codes.translate(col.ljust(256, b"\0"))
 
 
-def _columns(rows, codes):
-    """Column c of the table `rows`, rows[g][c] for every g, for each code
-    c, as rows: strides of the joined rows."""
-    n = len(rows)
-    flat = b"".join(rows)  # flat[g * n + h] = g * h
-    return [flat[c::n] for c in codes]
-
-
-def _interleave(parts):
-    """The row whose entry k i + e is parts[e][i], for k rows of one length."""
-    k = len(parts)
-    out = bytearray(k * len(parts[0]))
-    for e, part in enumerate(parts):
-        out[e::k] = part
-    return bytes(out)
-
-
 def _orbit(start, maps):
     """The set of codes reached from the code `start` by the maps, rows of
     codes, one frontier at a time."""
@@ -182,38 +170,24 @@ def _orbit(start, maps):
     return found
 
 
-def _extend_to_codes(image_cols):
-    """phi[g] for every code g on len(image_cols) letters, as a row: the
-    images of g's letters multiplied left to right in a table given by the
-    images' columns.  Built one letter at a time: the codes q t^e on the
-    first l + 1 letters are 3 q + e, and phi(q t^e) is phi(q) moved e times
-    through the column of t's image, so each letter costs two compositions
-    and an interleave."""
-    phi = b"\0"
+def _extend_to_codes(image_cols, start=b"\0"):
+    """The row whose entry i 3^k + g is start[i] phi(g), for each i < len(start)
+    and code g on k = len(image_cols) letters, phi(g) being the images of g's
+    letters multiplied left to right in the table with the images' columns.
+    Built one letter at a time: the codes q t^e on the first l + 1 letters
+    are 3 q + e, and s phi(q t^e) is s phi(q) moved e times through the
+    column of t's image, so each letter costs two compositions.
+
+    From b"\0" it is the row of phi (a homomorphism or a conjugation map);
+    from bytes(range(n)) through a group's right columns it is the table,
+    row-major, since g (q t^e) = (g q) t^e."""
+    phi = start
     for col in image_cols:
         once = _compose(phi, col)
-        phi = _interleave((phi, once, _compose(once, col)))
-    return phi
-
-
-def _rows_from_right(right):
-    """Cayley rows from the right-multiplication columns right[i][g] = g * g_i:
-    column h is column prefix(h) moved by right multiplication with h's last
-    letter, so the columns on the first l + 1 letters are each column c on
-    the first l, then c composed with right[l] once and twice.  The columns
-    are joined and freed before the rows are cut from them, so the rows,
-    which live on, do not sit among freed columns."""
-    n = len(right[0])
-    cols = [bytes(range(n))]
-    for move in right:
-        moved = []
-        for col in cols:
-            once = _compose(col, move)
-            moved += (col, once, _compose(once, move))
-        cols = moved
-    flat = b"".join(cols)  # flat[h * n + g] = g * h
-    del cols
-    return [flat[g::n] for g in range(n)]
+        out = bytearray(3 * len(phi))
+        out[0::3], out[1::3], out[2::3] = phi, once, _compose(once, col)
+        phi = out
+    return bytes(phi)
 
 
 def _compact_rows(table, n, label):
@@ -327,24 +301,20 @@ class Group:
             self.ngens = k
             self.order = 3 ** k
             _check_order(self.order, self._label)
-            self._weights = tuple(3 ** (k - 1 - i) for i in range(k))
-            self.gen_codes = tuple(self._weights)  # code of each single generator
+            self.gen_codes = tuple(3 ** (k - 1 - i) for i in range(k))  # code of each generator
         self._rows = None if table is None else _compact_rows(table, self.order, self._label)
 
     # element code <-> exponent vector ------------------------------------
 
     def exps_of(self, code):
-        out = []
-        for wgt in self._weights:
-            out.append(code // wgt % 3)
-        return tuple(out)
+        return tuple(code // wgt % 3 for wgt in self.gen_codes)
 
     def code_of(self, exps):
-        return sum(e % 3 * w for e, w in zip(exps, self._weights))
+        return sum(e % 3 * w for e, w in zip(exps, self.gen_codes))
 
     def letters_of(self, code):
         word = []
-        for i, wgt in enumerate(self._weights):
+        for i, wgt in enumerate(self.gen_codes):
             word.extend([i] * (code // wgt % 3))
         return word
 
@@ -363,7 +333,7 @@ class Group:
 
     def _right(self):
         """right[i][g] = g * g_i for every code g, the columns `_build_rows`
-        composes into the table.
+        walks into the table.
 
         Built up the series G_1 < ... < G_k, G_l on the first l generators:
         g_l's rule words lie in G_l, so each element of G_{l+1} is q t^e with
@@ -371,25 +341,31 @@ class Group:
         on G_l (its generator images collected, then extended in code order)
         and u = t^3 collected, q t^e g_i = (q phi^e(g_i)) t^e for i < l, and
         q t^e t is q t^(e+1), or q u when e = 2: l + 1 collections per step.
+        G_l's table is the walk of the columns so far (`_extend_to_codes`),
+        row-major, and the columns phi is extended through are its strides.
         """
         sch, k = self.schema, self.ngens
-        right, rows = [], [b"\0"]
+        right = []
         for l in range(k):
-            if l:
-                rows = _rows_from_right(right)
+            m = 3 ** l
+            flat = _extend_to_codes(right, bytes(range(m)))  # flat[q m + x] = q x in G_l
             # phi(g_i) for i < l, then u, as codes in G_l
             words = [sch.conj_word(l, i) for i in range(l)] + [sch.power[l]]
             *images, u = [self.code_of(collect(sch, w)) // 3 ** (k - l) for w in words]
-            phi = _extend_to_codes(_columns(rows, images))
+            phi = _extend_to_codes([flat[a::m] for a in images])
             orbits = [(3 ** (l - 1 - i), a, phi[a]) for i, a in enumerate(images)]
-            right = [bytes([3 * row[x] + e for row in rows for e, x in enumerate(orbit)])
+            right = [bytes([3 * flat[q * m + x] + e for q in range(m)
+                            for e, x in enumerate(orbit)])
                      for orbit in orbits]  # g_i, phi(g_i), phi^2(g_i)
-            right.append(bytes([3 * q + e + 1 if e < 2 else 3 * rows[q][u]
-                                for q in range(len(rows)) for e in range(3)]))
+            right.append(bytes([3 * q + e + 1 if e < 2 else 3 * flat[q * m + u]
+                                for q in range(m) for e in range(3)]))
         return right
 
     def _build_rows(self):
-        return _rows_from_right(self._right())
+        """The table's rows, cut from the one walk of the right columns."""
+        n = self.order
+        flat = _extend_to_codes(self._right(), bytes(range(n)))
+        return [flat[g:g + n] for g in range(0, n * n, n)]
 
     @property
     def inv(self):
@@ -450,20 +426,23 @@ class Group:
         """The codes whose row equals their column, read as a stride of the
         joined rows."""
         if "center" not in self._cache:
-            rows = self.rows
+            n, flat = self.order, b"".join(self.rows)
             self._cache["center"] = frozenset(
-                g for g, (row, col) in enumerate(zip(rows, _columns(rows, range(self.order))))
-                if row == col)
+                g for g, row in enumerate(self.rows) if row == flat[g::n])
         return self._cache["center"]
 
     def _columns(self, codes):
         """Column c of the table, rows[g][c] for every g, for each code c,
-        as rows; each is cut from the rows once per group and kept."""
-        cols = self._cache.setdefault("columns", {})
+        as rows; each is cut from the rows once per group and kept.  A code
+        is read as `code` reads an int, so anything else is a SchemaError."""
+        cols, out = self._cache.setdefault("columns", {}), []
         for c in codes:
-            if c not in cols:
-                cols[c] = bytes([row[c] for row in self.rows])
-        return [cols[c] for c in codes]
+            if type(c) is not int or c not in cols:
+                c = self._code_int(c)
+                if c not in cols:
+                    cols[c] = bytes([row[c] for row in self.rows])
+            out.append(cols[c])
+        return out
 
     def _generators(self):
         """The generating set read from the table, for every group: each
@@ -494,8 +473,8 @@ class Group:
     def closure(self, codes):
         """Subgroup generated by the given codes (as a frozenset): the
         identity closed under right multiplication by each code, a frontier
-        at a time through the codes' columns."""
-        return frozenset(_orbit(0, self._columns({int(c) for c in codes})))
+        at a time through the codes' columns (SchemaError for a non-code)."""
+        return frozenset(_orbit(0, set(self._columns(codes))))
 
     def conjugacy_classes(self):
         """List of (least-code representative, sorted tuple of member codes):
@@ -521,9 +500,13 @@ class Group:
 
     def quotient(self, normal_codes):
         """The quotient by a normal subgroup (given as a code set), as a
-        table-only Group; coset i is the i-th least coset minimum."""
+        table-only Group; coset i is the i-th least coset minimum.
+        SchemaError for a non-code, or a set that is empty, not closed
+        under the product or not normal."""
         r, inv = self.rows, self.inv
-        normal = frozenset(normal_codes)
+        normal = frozenset(map(self._code_int, normal_codes))
+        if not normal or any(r[a][b] not in normal for a in normal for b in normal):
+            raise SchemaError("the code set %s is not a subgroup" % sorted(normal))
         if any(r[row[m]][inv[g]] not in normal for g, row in enumerate(r) for m in normal):
             raise SchemaError("subgroup is not normal")
         coset_min = [min(row[m] for m in normal) for row in r]
@@ -564,8 +547,11 @@ class Group:
     def code(self, spec):
         """The code of an element given as a code or, when the group has a
         schema, in its text form; SchemaError for anything else."""
-        if isinstance(spec, str):
-            return self.parse_element(spec)
+        return self.parse_element(spec) if isinstance(spec, str) else self._code_int(spec)
+
+    def _code_int(self, spec):
+        """An int code (any `numbers.Integral`) in range(order) as an int;
+        SchemaError for anything else."""
         if isinstance(spec, numbers.Integral) and 0 <= spec < self.order:
             return int(spec)
         raise SchemaError("%r is not an element code of a group of order %d"

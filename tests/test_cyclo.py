@@ -272,9 +272,16 @@ def test_arbitrary_text_raises_only_cyc_error(text):
 
 @pytest.mark.parametrize("make", [lambda: Cyc(0.1), lambda: Cyc("1/3"), lambda: Cyc9(["x"]),
                                   lambda: Cyc9([0.5]), lambda: parse_scalar(3),
-                                  lambda: parse_scalar(None)],
+                                  lambda: parse_scalar(None), lambda: Cyc9.from_scalar("x"),
+                                  lambda: CycMatrix([[0.5]]), lambda: Cyc9([1]) + 0.5,
+                                  lambda: cyc_str(0.5), lambda: cyc_cbrt(0.5),
+                                  lambda: cyc9_cbrt(0.5), lambda: Cyc9(3),
+                                  lambda: scalar_str(0.5), lambda: scalar_str(None)],
                          ids=["Cyc(0.1)", "Cyc('1/3')", "Cyc9(['x'])", "Cyc9([0.5])",
-                              "parse_scalar(3)", "parse_scalar(None)"])
+                              "parse_scalar(3)", "parse_scalar(None)", "Cyc9.from_scalar('x')",
+                              "CycMatrix([[0.5]])", "Cyc9([1])+0.5", "cyc_str(0.5)",
+                              "cyc_cbrt(0.5)", "cyc9_cbrt(0.5)", "Cyc9(3)", "scalar_str(0.5)",
+                              "scalar_str(None)"])
 def test_inexact_or_non_text_input_raises_only_cyc_error(make):
     # only ints, rationals and the fields' own values are coerced, and only
     # text is parsed: a float is never stored as its binary fraction
@@ -289,6 +296,8 @@ def test_canonical_strings():
     assert cyc_str(Cyc(-1, -1)) == "-1-1*w"
     assert cyc_str(Cyc(0, 3)) == "3*w"
     assert cyc_str(Cyc(Fraction(-1, 3), Fraction(-2, 3))) == "-1/3-2/3*w"
+    # ints and rationals print as the constructors read them
+    assert [scalar_str(3), scalar_str(Fraction(-5, 3))] == ["3", "-5/3"]
     with pytest.raises(CycError):
         parse_scalar("nonsense")
 

@@ -603,6 +603,17 @@ def test_malformed_tables_are_refused():
                       lambda t: random_triples_associative(t, 100)):
             with pytest.raises(SchemaError, match=r"wrap a raw table as Group\(None, table\)"):
                 check(table)
+    # codes are read as `Group.code` reads an int, and a quotient is by a subgroup
+    z3 = Group(None, [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    for group, codes in ((z3, [0, 1]), (g27, [0, 3]), (g27, [])):
+        with pytest.raises(SchemaError, match="is not a subgroup"):
+            group.quotient(codes)
+    g27.closure([1])  # a column already cut refuses a non-int all the same
+    for call in (lambda: Group(None, [[0]]).quotient([5]), lambda: g27.quotient(["x"]),
+                 lambda: g27.closure([999]), lambda: g27.closure([1.5]),
+                 lambda: g27.closure([1.0]), lambda: hom_from_gen_images(g27, [9, 3, 27])):
+        with pytest.raises(SchemaError, match="is not an element code"):
+            call()
 
 
 def _light_verdict(table):

@@ -69,16 +69,16 @@ def ref_classes(rows, inv):
     return classes
 
 
-def ref_extend(ngens, rows, image_codes):
+def ref_extend(ngens, rows, image_codes, start=(0,)):
     phi = [0]
     for g in range(1, 3 ** ngens):
         prefix, letter = _split_last(g, ngens)
         phi.append(rows[phi[prefix]][image_codes[letter]])
-    return phi
+    return [rows[s][x] for s in start for x in phi]
 
 
-def _extend(rows, images):
-    return groups._extend_to_codes(groups._columns(rows, images))
+def _extend(rows, images, start=b"\0"):
+    return groups._extend_to_codes([bytes(row[a] for row in rows) for a in images], start)
 
 
 def _outcome(f, *args):
@@ -116,12 +116,15 @@ def _quotients():
 @pytest.mark.parametrize("name, params", CATALOG)
 def test_catalog_walks_match_the_references(name, params):
     group = get_group(name, params)
-    right = group._right()
-    assert [list(row) for row in groups._rows_from_right(right)] == ref_rows_from_right(right)
+    assert [list(row) for row in group._build_rows()] == ref_rows_from_right(group._right())
     _assert_walks_match(group)
     rows, k = group.rows, group.ngens
     for images in (group.gen_codes, [0] * k, [group.order - 1 - g for g in group.gen_codes]):
         assert list(_extend(rows, images)) == ref_extend(k, rows, images)
+    # from a start row other than the identity: every entry start[i] phi(g)
+    backwards = bytes(reversed(range(group.order)))
+    assert list(_extend(rows, group.gen_codes, backwards)) \
+        == ref_extend(k, rows, group.gen_codes, backwards)
 
 
 def test_quotient_walks_match_the_references():
