@@ -6,7 +6,7 @@ computes the exact spin character table over cyclotomic fields, and
 extracts the projective factor sets on the base group.
 """
 
-from .cyclo import Cyc, CycError, OMEGA, cyc_cbrt, cyc_str, root_of_unity
+from .cyclo import Cyc, CycError, OMEGA, cyc_cbrt, root_of_unity
 from .cyclo9 import Cyc9, cyc9_cbrt, parse_scalar, scalar_str, zeta9
 from .linalg import CycMatrix, MatrixError, J_SHIFT, K_SHIFT, intertwiner_space, nullspace
 from .groups import (CheckReport, CollectionError, Group, GroupSchema,

@@ -9,8 +9,8 @@ rationals (`numbers.Rational`) and the field's own values are coerced;
 anything else, a float or a string included, raises CycError.  Hashing
 and the cube-root search run on the integer state alone.
 
-The canonical text form is "p/q+r/s*w" with zero terms omitted, printed by
-`terms_str` like the Q(zeta9) form and read by `cyclo9.parse_scalar`.
+The canonical text form is "p/q+r/s*w" with zero terms omitted, written by
+`terms_str` over `W_SYMS` (`cyclo9.scalar_str`) and read by `cyclo9.parse_scalar`.
 `power` is the square-and-multiply loop of both scalar types and matrices.
 """
 
@@ -115,7 +115,7 @@ class Cyc:
         return not self.is_zero()
 
     def __repr__(self):
-        return "Cyc(%r)" % cyc_str(self)
+        return "Cyc(%r)" % terms_str((self.p, self.q), self.d, W_SYMS)
 
 
 _new = object.__new__
@@ -203,17 +203,15 @@ def power(x, k, one):
 
 
 def as_cyc(x):
-    if isinstance(x, Cyc):
-        return x
-    if isinstance(x, (int, numbers.Rational)):
-        return Cyc(x)
-    raise CycError("cannot coerce %r into Q(w)" % (x,))
+    """x as a Cyc; the constructor refuses a non-rational with CycError."""
+    return x if isinstance(x, Cyc) else Cyc(x)
 
 
 ZERO = Cyc(0)
 ONE = Cyc(1)
 OMEGA = Cyc(0, 1)
 OMEGA2 = Cyc(-1, -1)
+W_SYMS = ("", "w")  # the basis 1, w as `terms_str` prints it
 
 _ROOTS = (ONE, OMEGA, OMEGA2)
 
@@ -248,12 +246,6 @@ def terms_str(coeffs, d, syms):
             coef = "" if sym and n == d else _ratio_str(n, d) + ("*" if sym else "")
             parts.append(("+" if parts and n > 0 else "") + coef + sym)
     return "".join(parts) or "0"
-
-
-def cyc_str(z):
-    """Canonical serialization: "0", "1", "w", "-1-1*w", "5/3+2*w", ..."""
-    z = as_cyc(z)
-    return terms_str((z.p, z.q), z.d, ("", "w"))
 
 
 # -- exact cube roots ----------------------------------------------------

@@ -38,8 +38,8 @@ import operator
 import re
 from typing import NamedTuple
 
-from .cyclo import (Cyc, CycError, _cyc, _hash_ratio, _ratio, as_cyc, cyc_cbrt, cyc_str,
-                    power, root_of_unity, terms_str)
+from .cyclo import (W_SYMS, Cyc, CycError, _cyc, _hash_ratio, _ratio, as_cyc, cyc_cbrt, power,
+                    root_of_unity, terms_str)
 
 
 def _reduce(coeffs):
@@ -252,10 +252,13 @@ _Z_SYMS = ("", "z", "z^2", "z^3", "z^4", "z^5")
 
 
 def scalar_str(x):
-    """Canonical string for a Cyc, Cyc9 or rational; Q(w) values use the w
+    """Canonical string for a Cyc, Cyc9 or rational, the one printer of both
+    fields: "0", "w", "-1-1*w", "5/3+2*w", "z^2"; Q(w) values use the w
     grammar, and anything else is a CycError."""
     sub = x.to_cyc() if type(x) is Cyc9 else as_cyc(x)
-    return terms_str(x.n, x.d, _Z_SYMS) if sub is None else cyc_str(sub)
+    if sub is None:
+        return terms_str(x.n, x.d, _Z_SYMS)
+    return terms_str((sub.p, sub.q), sub.d, W_SYMS)
 
 
 # One signed term: a numeral, a numeral times a symbol, or a bare symbol.

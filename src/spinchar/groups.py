@@ -3,9 +3,10 @@
 Each group is a `GroupSchema`: an ordered list of generators, every normal
 form being g_0^{e_0} ... g_{k-1}^{e_{k-1}} with exponents mod 3, together
 with conjugation rules phi(g_j)g_i = g_j g_i g_j^{-1} (given as a normal-form
-word, only for j > i) and power rules for the cubes.  A single product is
-defined by left-to-right collection of the concatenated words; higher-ordered
-generators move rightward past lower-ordered ones.
+word, only for j > i; a generator with none commutes) and power rules for
+the cubes.  A single product is defined by left-to-right collection of the
+concatenated words; higher-ordered generators move rightward past
+lower-ordered ones.
 
 The catalog:
 
@@ -74,13 +75,11 @@ _COLLECT_BOUND = 200_000
 class GroupSchema:
     """A power-commutator presentation with exponent-3 normal forms."""
 
-    def __init__(self, name, gens, central, conj_rules, power_rules=None,
-                 multiplier=(), params=None):
+    def __init__(self, name, gens, conj_rules, power_rules=None, multiplier=(), params=None):
         self.name = name
         self.gens = tuple(gens)
         k = len(self.gens)
         self.ngens = k
-        self.central = frozenset(central)
         self.params = params
         self.multiplier = tuple(multiplier)
         self.conj = dict(conj_rules)
@@ -89,15 +88,9 @@ class GroupSchema:
         self._validate()
 
     def _validate(self):
-        k = self.ngens
-        for i in self.central:
-            if not 0 <= i < k:
-                raise SchemaError("central index out of range")
         for (j, i), word in self.conj.items():
             if not j > i:
                 raise SchemaError("conjugation rules must have j > i")
-            if i in self.central or j in self.central:
-                raise SchemaError("central generators take no explicit rules")
             if any(l >= j for l in word):
                 raise SchemaError("rule word for phi(g_%d)g_%d not below g_%d" % (j, i, j))
             if list(word) != sorted(word):
@@ -239,36 +232,29 @@ def schema(name, params=None):
     name, params = _catalog_key(name, params)
     if name == "G27":
         # x2 is central; phi(x3)x1 = x2^-1 x1 = x1 x2^2
-        return GroupSchema("G27", ("x1", "x2", "x3"), central={1},
-                           conj_rules={(2, 0): (0, 1, 1)})
+        return GroupSchema("G27", ("x1", "x2", "x3"), conj_rules={(2, 0): (0, 1, 1)})
     if name == "G81":
-        return GroupSchema("G81", ("z12", "xi1", "xi2", "xi3"), central={0},
-                           conj_rules=_G81_CONJ, multiplier=("z12",))
+        return GroupSchema("G81", ("z12", "xi1", "xi2", "xi3"), conj_rules=_G81_CONJ,
+                           multiplier=("z12",))
     if name == "G81_param":
         a, b = params
-        return GroupSchema("G81_param", ("z12", "xi1", "xi2", "xi3"), central={0},
-                           conj_rules=_G81_CONJ,
+        return GroupSchema("G81_param", ("z12", "xi1", "xi2", "xi3"), conj_rules=_G81_CONJ,
                            power_rules={1: (0,) * a, 3: (0,) * b},
                            multiplier=("z12",), params=(a, b))
     if name == "GSHARP":
         # G81 with an extra central zeta, zeta^3 = z12
         return GroupSchema("GSHARP", ("z12", "zeta", "xi1", "xi2", "xi3"),
-                           central={0, 1},
                            conj_rules={(3, 2): (0, 0, 2), (4, 2): (0, 2, 3, 3)},
                            power_rules={1: (0,)})
     if name == "R243":
         # phi(n2)n1 = z12^-1 n1, phi(n3)n1 = z12 n1 n2^2, phi(n3)n2 = z23^-1 n2
         return GroupSchema("R243", ("z12", "z23", "n1", "n2", "n3"),
-                           central={0, 1},
-                           conj_rules={(3, 2): (0, 0, 2),
-                                       (4, 2): (0, 2, 3, 3),
-                                       (4, 3): (1, 1, 3)},
+                           conj_rules={(3, 2): (0, 0, 2), (4, 2): (0, 2, 3, 3), (4, 3): (1, 1, 3)},
                            multiplier=("z12", "z23"))
     if name == "GBAR":
         # z23 = [xb2, xb3] adjoined first; [xb1, xb2] stays trivial
-        return GroupSchema("GBAR", ("z23", "xb1", "xb2", "xb3"), central={0},
-                           conj_rules={(3, 1): (1, 2, 2), (3, 2): (0, 0, 2)},
-                           multiplier=("z23",))
+        return GroupSchema("GBAR", ("z23", "xb1", "xb2", "xb3"),
+                           conj_rules={(3, 1): (1, 2, 2), (3, 2): (0, 0, 2)}, multiplier=("z23",))
 
 
 # phi(xi2)xi1 = z12^2 xi1,  phi(xi3)xi1 = z12 xi1 xi2^2,  phi(xi3)xi2 = xi2
@@ -523,8 +509,9 @@ class Group:
         return self.schema.gens
 
     def element_str(self, code):
+        """The normal form of a code, read as `code` reads an int, as text."""
         gens = self._gen_names()
-        parts = ["%s^%d" % (g, e) for g, e in zip(gens, self.exps_of(code)) if e]
+        parts = ["%s^%d" % (g, e) for g, e in zip(gens, self.exps_of(self._code_int(code))) if e]
         return " ".join(parts) if parts else "1"
 
     def parse_element(self, text):
@@ -596,7 +583,7 @@ class Subgroup(NamedTuple):
         return all(r[a][b] == r[b][a] for a in self.codes for b in self.codes)
 
     def __contains__(self, code):
-        return int(code) in self.codes
+        return code in self.codes
 
 
 # -- whole-table checks ----------------------------------------------------
@@ -694,6 +681,8 @@ def _relation_pairs(group):
 def check_schema(group):
     """Sound-engine checks: closure order, identity, every defining relation."""
     sch = group.schema
+    if sch is None:
+        raise SchemaError("a group given by its table alone has no relations to check")
     n = group.order
     problems = []
     elements = group.enumerate_elements()
@@ -760,12 +749,6 @@ class CheckReport:
         self.failures = [] if failures is None else failures
         self.ok_text = ok_text
         self.seconds = None
-
-    def __eq__(self, other):
-        if type(other) is not CheckReport:
-            return NotImplemented
-        return (self.name, self.failures, self.ok_text) == (other.name, other.failures,
-                                                             other.ok_text)
 
     @property
     def passed(self):

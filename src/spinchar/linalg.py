@@ -7,19 +7,20 @@ terms, so equal matrices have equal states whichever scalar types (`Cyc`,
 kernel; `rows` decodes the entries as scalars for what runs entry by
 entry.  One elimination, `_echelon` (an incremental Gauss-Jordan with
 first-nonzero pivoting: there is no rounding, so no pivot-magnitude
-heuristics), gives the determinant, the inverse and the nullspace.  A matrix whose cube is I,
-as every generator image inverted here is, is inverted as its square by
-two kernel products instead.  `intertwiner_space` builds its constraint
-rows as one kernel state, which the elimination decodes once.  A singular
-inverse or a dimension mismatch raises.
+heuristics), gives the determinant, the inverse and the nullspace, which
+takes its rows as one kernel state (`intertwiner_space` builds them so) and
+decodes them once.  A matrix whose cube is I, as every generator image
+inverted here is, is inverted as its square by two kernel products
+instead.  `*` multiplies matrices, `scale` scales one.  A singular inverse
+or a dimension mismatch raises.
 """
 
 from functools import cache
 import math
 from operator import sub
 
-from .cyclo import ONE, ZERO, power
-from .cyclo9 import from_lattice, matrix_state, scalar_str, state_mul, state_trace
+from .cyclo import ONE, ZERO, as_cyc, power
+from .cyclo9 import Cyc9, from_lattice, matrix_state, scalar_str, state_mul, state_trace
 
 
 class MatrixError(ArithmeticError):
@@ -77,11 +78,6 @@ class CycMatrix:
         if not isinstance(other, CycMatrix) or other.n != self.n:
             raise MatrixError("dimension mismatch")
 
-    def __getitem__(self, ij):
-        i, j = ij
-        rows, den = self.state
-        return _decode(rows[i][j], den)
-
     def __eq__(self, other):
         if not isinstance(other, CycMatrix):
             return NotImplemented
@@ -96,15 +92,12 @@ class CycMatrix:
                           for r1, r2 in zip(self.rows, other.rows)])
 
     def __mul__(self, other):
-        if isinstance(other, CycMatrix):
-            self._check_dim(other)
-            return CycMatrix.from_state(state_mul(self.state, other.state))
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+        self._check_dim(other)
+        return CycMatrix.from_state(state_mul(self.state, other.state))
 
     def scale(self, c):
+        """c times the matrix; CycError unless c is a scalar."""
+        c = c if isinstance(c, Cyc9) else as_cyc(c)
         return CycMatrix([[c * x for x in row] for row in self.rows])
 
     def __pow__(self, k):
@@ -217,20 +210,18 @@ def _echelon(rows, ncols):
     return echelon, pivots, leads
 
 
-def nullspace(rows, ncols):
-    """Basis of the right nullspace of the given rows, exactly: rows of
-    scalars, or a `cyclo9` kernel state (rows, den).
+def nullspace(state, ncols):
+    """Basis of the right nullspace of the rows of a `cyclo9` kernel state
+    (rows, den), exactly; rows of scalars enter as `matrix_state(rows)`.
 
-    Scalar rows are brought over one denominator (`matrix_state`).  The
-    denominator is dropped, so `_echelon` runs on the integral numerators,
-    decoded once; the basis has one vector per free column (that column's
-    entry set to 1).
+    The denominator is dropped, so `_echelon` runs on the integral
+    numerators, decoded once; the basis has one vector per free column
+    (that column's entry set to 1).
     """
-    is_state = type(rows) is tuple and len(rows) == 2 and type(rows[1]) is int
-    state, _ = rows if is_state else matrix_state(rows)
-    if any(len(row) != ncols for row in state):
+    rows, _ = state
+    if any(len(row) != ncols for row in rows):
         raise MatrixError("row length mismatch")
-    echelon, pivots, _ = _echelon([[_decode(n, 1) for n in row] for row in state], ncols)
+    echelon, pivots, _ = _echelon([[_decode(n, 1) for n in row] for row in rows], ncols)
     basis = []
     for fc in range(ncols):
         if fc not in pivots:

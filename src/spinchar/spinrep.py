@@ -16,6 +16,7 @@ A character is one tuple of values at the representatives of
 """
 
 from functools import lru_cache
+import numbers
 from operator import mul
 from typing import NamedTuple
 
@@ -49,20 +50,19 @@ class SpinType(NamedTuple):
 ALL_SPIN_TYPES = tuple(SpinType(e, m) for e in range(3) for m in range(3))
 
 
-def _sign_exp(e):
-    # spin exponents are customarily written 1, -1; exponent 2 means -1
-    return 1 if e % 3 == 1 else -1
-
-
-def trace_anchor(e):
-    """Canonical intertwiner trace -sgn(e)*(w - w^2) from the alpha formula."""
-    return (OMEGA - OMEGA2) * (-_sign_exp(e))
+def _spin_type(spin):
+    """SpinType(eps % 3, mu % 3) of a pair of integers; RepError for anything else."""
+    if (not isinstance(spin, (tuple, list)) or len(spin) != 2
+            or not all(isinstance(e, numbers.Integral) for e in spin)):
+        raise RepError("a spin type is a pair of integers, not %r" % (spin,))
+    return SpinType(int(spin[0]) % 3, int(spin[1]) % 3)
 
 
 def intertwiner_alpha(e):
     """alpha = -sgn(e) (w - w^2)/3, the normalizing scalar of the solved
-    partially-spin intertwiner (equals -i sgn(e)/sqrt(3))."""
-    return trace_anchor(e) / 3
+    partially-spin intertwiner (equals -i sgn(e)/sqrt(3)), sgn(e) = 1 for
+    e = 1 mod 3, else -1; its trace, 3 alpha, anchors the solve."""
+    return (OMEGA2 - OMEGA) / 3 if e % 3 == 1 else (OMEGA - OMEGA2) / 3
 
 
 @lru_cache(maxsize=None)
@@ -265,7 +265,7 @@ def g81_partial_catalog(eps):
     covering group, via intertwiner extension of the induced P(eps, 0)."""
     if eps % 3 == 0:
         raise RepError("partially-spin type needs eps != 0")
-    return _stairway((eps % 3, 0), "G81", ["z12", "xi1"], "xi2", "xi3", trace_anchor(eps))
+    return _stairway((eps % 3, 0), "G81", ["z12", "xi1"], "xi2", "xi3", 3 * intertwiner_alpha(eps))
 
 
 @lru_cache(maxsize=None)
@@ -274,7 +274,7 @@ def gbar_partial_catalog(mu):
     other stairway's covering group (z23 adjoined first)."""
     if mu % 3 == 0:
         raise RepError("partially-spin type needs mu != 0")
-    return _stairway((0, mu % 3), "GBAR", ["z23", "xb2"], "xb3", "xb1", trace_anchor(mu))
+    return _stairway((0, mu % 3), "GBAR", ["z23", "xb2"], "xb3", "xb1", 3 * intertwiner_alpha(mu))
 
 
 @lru_cache(maxsize=None)
@@ -303,8 +303,9 @@ def native_irreps(spin):
     function that builds its irreducibles of that type: G27 for non-spin,
     the covering adjoining the one nonzero multiplier for partially-spin,
     R243 for purely-spin.  The name comes before any building, so a caller
-    can refuse a group at no cost."""
-    spin = SpinType(spin[0] % 3, spin[1] % 3)
+    can refuse a group at no cost.  RepError unless `spin` is a pair of
+    integers."""
+    spin = _spin_type(spin)
     if spin.kind == "non-spin":
         return "G27", g27_nonspin_catalog
     if spin.kind == "purely-spin":
@@ -317,7 +318,7 @@ def native_irreps(spin):
 def irreps_by_spin_type(spin):
     """Complete inequivalent list for one spin type, as representations of
     the representation group (quotient constructions inflated)."""
-    spin = SpinType(spin[0] % 3, spin[1] % 3)
+    spin = _spin_type(spin)
     group, build = native_irreps(spin)
     reps = build()
     if group != "R243":
@@ -449,10 +450,10 @@ def table_cocycle():
     """The factor set of the canonical section from the R243 Cayley table
     alone, sharing no code with the matrix path of restrict_to_projective.
 
-    s(g) s(h) s(gh)^-1 = z12^a z23^b for every pair; returns the exponents
-    (a, b) as 27 bytes rows each, a[g][h] and b[g][h], from 729 lookups in
-    R243's rows and inverses.  An irreducible of spin type (eps, mu) then
-    restricts with cocycle exponents (eps a + mu b) mod 3.
+    s(g) s(h) s(gh)^-1 = z12^a z23^b for every pair; returns 27 bytes rows
+    whose byte h of row g is 3 a + b, from 729 lookups in R243's rows and
+    inverses.  An irreducible of spin type (eps, mu) then restricts with
+    cocycle exponents (eps a + mu b) mod 3.
     """
     g27, r243 = get_group("G27"), get_group("R243")
     s = canonical_section()
@@ -463,8 +464,7 @@ def table_cocycle():
          for g, row in enumerate(g27.rows)]
     if any(255 in row for row in c):
         raise RepError("section cocycle leaves the multiplier subgroup")
-    a_of, b_of = bytes(v // 3 for v in range(256)), bytes(v % 3 for v in range(256))
-    return tuple(row.translate(a_of) for row in c), tuple(row.translate(b_of) for row in c)
+    return tuple(c)
 
 
 def restrict_to_projective(rep, section=None):

@@ -241,11 +241,8 @@ def check_orthogonality():
 def check_cocycle():
     failures = []
     verdicts = {}  # the identity is decided once per distinct table
-    a, b = table_cocycle()
-    n = len(a)
-    # byte 3 a + b at g n + h: no byte exceeds 8, so none carries
-    pair = (3 * int.from_bytes(b"".join(a), "big")
-            + int.from_bytes(b"".join(b), "big")).to_bytes(n * n, "big")
+    rows = table_cocycle()
+    n, pair = len(rows), b"".join(rows)  # byte 3 a + b at g n + h
     # eps a + mu b mod 3, one table per spin type and all zero for (0,0), so
     # the comparison below also decides "trivial if non-spin" and "constant
     # per type"; "nontrivial if spin" guards table_cocycle itself

@@ -218,8 +218,7 @@ def test_collection_matches_table():
 
 def test_inconsistent_schema_fails_loudly():
     # phi(x3)x1 = x2 does not extend to order 3 on x3: phi^3(x1) != x1
-    bad = GroupSchema("BAD", ("x1", "x2", "x3"), central={1},
-                      conj_rules={(2, 0): (1,)})
+    bad = GroupSchema("BAD", ("x1", "x2", "x3"), conj_rules={(2, 0): (1,)})
     group = Group(bad)
     try:
         detected = (check_schema(group) != []
@@ -229,22 +228,22 @@ def test_inconsistent_schema_fails_loudly():
     assert detected
 
 
-def _g27_variant(central, power_rules):
+def _g27_variant(power_rules):
     sch = schema("G27")
-    return Group(GroupSchema("G27", sch.gens, central, sch.conj, power_rules))
+    return Group(GroupSchema("G27", sch.gens, sch.conj, power_rules))
 
 
 def test_inconsistent_power_rule_fails_lights_test():
     # x3^3 = x1 on top of G27: every rule checks out, but the table is not
     # associative
-    group = _g27_variant({1}, {2: (0,)})
+    group = _g27_variant({2: (0,)})
     assert check_schema(group) == []
     assert exhaustive_associativity(group) == (1, 1, 2)
 
 
 def test_inconsistent_noncentral_power_rule_is_not_a_group_table():
     # x2 not central and x2^3 = x1: some row misses the identity
-    group = _g27_variant((), {1: (0,)})
+    group = _g27_variant({1: (0,)})
     with pytest.raises(CollectionError, match="table is not a group table"):
         group.inv
 
@@ -475,6 +474,8 @@ def test_subgroup_helper():
     assert not U.is_abelian()
     U0 = Subgroup.generated(g81, ["z12", "xi1"])
     assert U0.order == 9 and U0.is_abelian()
+    # membership is of the code as it is: no truncation, no parsing
+    assert 27 in U0 and 27.9 not in U0 and "27" not in U0 and None not in U0
 
 
 CATALOG = ([(name, None) for name in ("G27", "G81", "GBAR", "R243", "GSHARP")]
@@ -539,7 +540,7 @@ def test_fresh_r243_rows_stay_small_in_memory():
 def _r729():
     """R243 x Z/3: R243's presentation with a central sixth generator c."""
     r243 = schema("R243")
-    return GroupSchema("R729", r243.gens + ("c",), central={0, 1, 5}, conj_rules=r243.conj)
+    return GroupSchema("R729", r243.gens + ("c",), conj_rules=r243.conj)
 
 
 def test_schema_above_256_elements_collects_but_builds_no_table():
@@ -603,6 +604,9 @@ def test_malformed_tables_are_refused():
                       lambda t: random_triples_associative(t, 100)):
             with pytest.raises(SchemaError, match=r"wrap a raw table as Group\(None, table\)"):
                 check(table)
+    # a table alone has no relations for check_schema to check
+    with pytest.raises(SchemaError, match="has no relations"):
+        check_schema(Group(None, [[0]]))
     # codes are read as `Group.code` reads an int, and a quotient is by a subgroup
     z3 = Group(None, [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     for group, codes in ((z3, [0, 1]), (g27, [0, 3]), (g27, [])):
@@ -611,7 +615,9 @@ def test_malformed_tables_are_refused():
     g27.closure([1])  # a column already cut refuses a non-int all the same
     for call in (lambda: Group(None, [[0]]).quotient([5]), lambda: g27.quotient(["x"]),
                  lambda: g27.closure([999]), lambda: g27.closure([1.5]),
-                 lambda: g27.closure([1.0]), lambda: hom_from_gen_images(g27, [9, 3, 27])):
+                 lambda: g27.closure([1.0]), lambda: hom_from_gen_images(g27, [9, 3, 27]),
+                 lambda: g27.element_str(999), lambda: g27.element_str(1.5),
+                 lambda: g27.element_str(-1), lambda: g27.element_str("x")):
         with pytest.raises(SchemaError, match="is not an element code"):
             call()
 

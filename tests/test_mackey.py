@@ -206,7 +206,7 @@ def test_images_as_the_other_scalar_type_are_the_same_representation():
     # evaluate, verify, trace and induce identically
     g27, U, duals = g27_dual()
     chi = duals[5].as_subrep()
-    as_cyc9 = SubRep(chi.subgroup, [CycMatrix([[Cyc9.from_scalar(M[0, 0])]])
+    as_cyc9 = SubRep(chi.subgroup, [CycMatrix([[Cyc9.from_scalar(M.rows[0][0])]])
                                     for M in chi.images.values()], chi.name)
     assert all(as_cyc9.eval(c) == chi.eval(c) for c in U.codes)
     assert as_cyc9.character_values() == chi.character_values()

@@ -129,11 +129,13 @@ def test_planted_table_cocycle_byte_is_named_where_it_weighs(monkeypatch, which)
     # one exponent of a (which = 0) or b (which = 1) moved at (g, h): exactly
     # the irreducibles whose eps (or mu) is nonzero differ there, and only there
     g, h = 5, 17
-    tables = [list(rows) for rows in spinrep.table_cocycle()]
-    planted = bytearray(tables[which][g])
-    planted[h] = (planted[h] + 1) % 3
-    tables[which][g] = bytes(planted)
-    monkeypatch.setattr(verify, "table_cocycle", lambda: tuple(map(tuple, tables)))
+    rows = list(spinrep.table_cocycle())
+    planted = bytearray(rows[g])
+    a_b = list(divmod(planted[h], 3))  # the byte is 3 a + b
+    a_b[which] = (a_b[which] + 1) % 3
+    planted[h] = 3 * a_b[0] + a_b[1]
+    rows[g] = bytes(planted)
+    monkeypatch.setattr(verify, "table_cocycle", lambda: tuple(rows))
     result = verify.check_cocycle()
     assert not result.passed
     assert set(result.failures) == {
@@ -147,7 +149,7 @@ def test_all_zero_table_cocycle_fails_only_the_spin_triviality_line(monkeypatch)
     # spin type" can tell that the derivation lost the multiplier
     zero = tuple(bytes(27) for _ in range(27))
     g27 = get_group("G27")
-    monkeypatch.setattr(verify, "table_cocycle", lambda: (zero, zero))
+    monkeypatch.setattr(verify, "table_cocycle", lambda: zero)
     monkeypatch.setattr(verify, "restrict_to_projective", lambda rep: CocycleTable(g27, zero))
     result = verify.check_cocycle()
     assert not result.passed
@@ -282,7 +284,7 @@ def test_off_by_one_cube_rule_fails_automorphism(monkeypatch):
     real = groups.get_group
     sch = groups.schema("G81_param", (1, 0))
     # xi1^3 = z12^2 where the (1, 0) presentation says xi1^3 = z12
-    planted = Group(GroupSchema(sch.name, sch.gens, sch.central, sch.conj,
+    planted = Group(GroupSchema(sch.name, sch.gens, sch.conj,
                                 {1: (0, 0)}, sch.multiplier, sch.params))
     monkeypatch.setattr(groups, "get_group", lambda name, params=None:
                         planted if (name, params) == ("G81_param", (1, 0))
@@ -417,7 +419,7 @@ def test_missing_generator_fails_orders(monkeypatch):
     real = verify.get_group
     sch = groups.schema("G27")
     # x3 dropped from the presentation: collection closes on <x1, x2>
-    planted = Group(GroupSchema(sch.name, sch.gens[:2], sch.central, {}))
+    planted = Group(GroupSchema(sch.name, sch.gens[:2], {}))
     monkeypatch.setattr(verify, "get_group", lambda name, params=None:
                         planted if name == "G27" else real(name, params))
     result = verify.check_orders()

@@ -159,6 +159,14 @@ class TestCatalog:
                 assert rep.spin_type == SpinType(*spin)
                 assert rep.group.schema.name == "R243"
 
+    @pytest.mark.parametrize("spin", ["ab", (1,), None, (1, 0.5), (1, 2, 3)])
+    def test_spin_type_is_a_pair_of_integers(self, spin):
+        # one reader for both entry points, and a pair of integers is read mod 3
+        for read in (irreps_by_spin_type, spinrep.native_irreps):
+            with pytest.raises(RepError, match="a spin type is a pair of integers"):
+                read(spin)
+        assert spinrep.native_irreps([4, -3])[0] == "G81"
+
     def test_extension_requires_coverage(self):
         P, jw, _ = g81_partial_catalog(1)
         with pytest.raises(RepError, match="bad: generator xi3 has no image"):
