@@ -267,44 +267,6 @@ def _icbrt(n):
     return x if x * x * x == n else None
 
 
-def _sqrt_pair(n, d):
-    """(numerator, denominator) of the rational square root of n/d, d > 0,
-    in lowest terms, or None."""
-    g = math.gcd(n, d)
-    n, d = n // g, d // g
-    rn, rd = math.isqrt(max(n, 0)), math.isqrt(d)
-    return (rn, rd) if rn * rn == n and rd * rd == d else None
-
-
-def _rational_roots(c0, c1):
-    """All rational roots of T^3 + c1*T + c0, in decreasing order, as
-    (numerator, denominator) pairs in lowest terms; c0 and c1 are such
-    pairs with positive denominators.
-
-    With m the common denominator, S = m*T turns the cubic into the monic
-    integer cubic f(S) = S^3 + p*S + q, whose rational roots are integers
-    of absolute value at most the Cauchy bound 1 + max(|p|, |q|).  f is
-    monotone on each piece between its turning points +-sqrt(-p/3), so a
-    bisection per piece finds every root.
-    """
-    (n0, d0), (n1, d1) = c0, c1
-    m = math.lcm(d0 // math.gcd(n0, d0), d1 // math.gcd(n1, d1))
-    p, q = n1 * m * m // d1, n0 * m ** 3 // d0
-    bound = 1 + max(abs(p), abs(q))
-    if p >= 0:
-        pieces = [(-bound, bound)]
-    else:
-        r = math.isqrt(-p // 3)  # -r..r lie between the turning points, r + 1 beyond
-        pieces = [(r + 1, bound), (-r, r), (-bound, -r - 1)]
-    roots = []
-    for lo, hi in pieces:
-        s = _monotone_root(lambda x: x ** 3 + p * x + q, lo, hi)
-        if s is not None:
-            g = math.gcd(s, m)
-            roots.append((s // g, m // g))
-    return roots
-
-
 def _monotone_root(f, lo, hi):
     """The integer root of f in [lo, hi], f strictly monotone there, or None."""
     if lo > hi:
@@ -322,30 +284,28 @@ def _monotone_root(f, lo, hi):
 def cyc_cbrt(v):
     """One exact cube root of v in Q(w), or None if none exists there.
 
-    The other roots are w and w^2 times the returned one.  Works by reducing
-    to rational data, held as integer pairs: norm(t) and trace(t) of a root
-    t satisfy rational equations determined by v.  The largest trace is
-    tried first, so a positive rational gets its rational root.
+    The other roots are w and w^2 times the returned one.  For v = (p + q*w)/d,
+    a = (p + q*w) d^2 = a0 + a1*w is an algebraic integer and Z[w] is integrally
+    closed, so a root is b/d, b = x + y*w with int x, y and b^3 = a.  Then
+    norm(b) = m = cbrt(a0^2 - a0 a1 + a1^2), and the traces 2x - y of b, w b and
+    w^2 b are the three roots, all ints, of S^3 - 3 m S - T, T = 2 a0 - a1.
+    |T| <= 2 m^(3/2), so the largest, s, lies in [sqrt(m), 2 sqrt(m)], where the
+    cubic increases: one bisection finds it.  4m = s^2 + 3y^2 gives y, tried
+    positive first, and x = (s + y)/2; cubing each candidate decides, so a
+    positive rational gets its rational root and 0 gets 0.
     """
     v = as_cyc(v)
-    if v.is_zero():
-        return ZERO
-    p, q, d = v.p, v.q, v.d
-    n = p * p - p * q + q * q  # norm(v) = n / d^2
-    g = math.gcd(n, d * d)
-    sn, sd = _icbrt(n // g), _icbrt(d * d // g)  # norm(t) = sn/sd
-    if sn is None or sd is None:
+    a0, a1 = v.p * v.d ** 2, v.q * v.d ** 2
+    m = _icbrt(a0 * a0 - a0 * a1 + a1 * a1)
+    if m is None:
         return None
-    # (t + conj t)^3 - 3 norm(t) (t + conj t) - (v + conj v) = 0
-    for tn, td in _rational_roots((q - 2 * p, d), (-3 * sn, sd)):  # tau = tn/td
-        # r = sqrt(3 (4 norm(t) - tau^2))
-        r = _sqrt_pair(3 * (4 * sn * td * td - tn * tn * sd), sd * td * td)
-        if r is None:
-            continue
-        rn, rd = r
-        for sign in (1, -1):
-            # x = (3 tau + sign r) / 6 and y = 2x - tau = sign r / 3
-            t = _cyc(3 * tn * rd + sign * rn * td, 2 * sign * rn * td, 6 * td * rd)
-            if t * t * t == v:
-                return t
+    r, T = math.isqrt(m), 2 * a0 - a1
+    s = _monotone_root(lambda S: S ** 3 - 3 * m * S - T, r if r * r == m else r + 1, 2 * r + 2)
+    if s is None:
+        return None
+    y = math.isqrt((4 * m - s * s) // 3)
+    for y in (y, -y):
+        t = _cyc((s + y) // 2, y, v.d)
+        if t * t * t == v:
+            return t
     return None

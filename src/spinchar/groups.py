@@ -84,7 +84,6 @@ class GroupSchema:
         self.multiplier = tuple(multiplier)
         self.conj = dict(conj_rules)
         self.power = tuple((power_rules or {}).get(i, ()) for i in range(k))
-        self.key = (name, params)
         self._validate()
 
     def _validate(self):
@@ -363,19 +362,22 @@ class Group:
         return self._inv
 
     def mult(self, g, h):
+        """g h for validated codes, ints in range(order), read unchecked like
+        the four methods below: a negative code wraps, a larger one is an IndexError."""
         return self.rows[g][h]
 
     def conjugate(self, g, h):
-        """h g h^-1, i.e. phi(h) applied to g."""
+        """h g h^-1, i.e. phi(h) applied to g; validated codes, as for `mult`."""
         r = self.rows
         return r[r[h][g]][self.inv[h]]
 
     def commutator(self, g, h):
-        """[g, h] = g h g^-1 h^-1."""
+        """[g, h] = g h g^-1 h^-1; validated codes, as for `mult`."""
         r = self.rows
         return r[r[r[g][h]][self.inv[g]]][self.inv[h]]
 
     def power(self, g, e):
+        """g^e for an int e; a validated code g, as for `mult`."""
         if e < 0:
             return self.power(self.inv[g], -e)
         r = self.rows
@@ -385,6 +387,7 @@ class Group:
         return out
 
     def element_order(self, g):
+        """The order of g; a validated code, as for `mult`."""
         r = self.rows
         x = g
         o = 1

@@ -75,7 +75,9 @@ class CycMatrix:
         return tuple(tuple(_decode(x, den) for x in row) for row in rows)
 
     def _check_dim(self, other):
-        if not isinstance(other, CycMatrix) or other.n != self.n:
+        if not isinstance(other, CycMatrix):
+            raise MatrixError("the other operand must be a CycMatrix; a scalar goes through scale")
+        if other.n != self.n:
             raise MatrixError("dimension mismatch")
 
     def __eq__(self, other):
@@ -218,6 +220,8 @@ def nullspace(state, ncols):
     numerators, decoded once; the basis has one vector per free column
     (that column's entry set to 1).
     """
+    if type(state) is not tuple or len(state) != 2 or not isinstance(state[1], int):
+        raise MatrixError("nullspace takes a kernel state; pass matrix_state(rows)")
     rows, _ = state
     if any(len(row) != ncols for row in rows):
         raise MatrixError("row length mismatch")

@@ -45,9 +45,9 @@ class DualCharacter(NamedTuple):
             raise MackeyError("element %d lies outside the domain" % code)
         return sum(l * (code // g % 3) for l, g in zip(self.label, self.subgroup.gen_codes)) % 3
 
-    def as_subrep(self, name=None):
+    def as_subrep(self):
         images = [CycMatrix([[root_of_unity(l)]]) for l in self.label]
-        return SubRep(self.subgroup, images, name or ("chi%s" % (self.label,)))
+        return SubRep(self.subgroup, images, "chi%s" % (self.label,))
 
 
 def dual_group(subgroup):
@@ -91,9 +91,10 @@ def orbit_decomposition(duals, w_gens):
     """Partition of the dual under the subgroup generated by w_gens, as
     the list of its `Orbit`s in the order of their representatives.
 
-    Orbit representatives are the lexicographically least labels; each
-    stabilizer is returned as an explicit subgroup of <w_gens> and the
-    orbit-stabilizer count is checked.
+    One sweep per orbit: the least label not yet seen is acted on by every
+    code of <w_gens>, in sorted order; the images are the members, the codes
+    that fix it the stabilizer.  Conjugation is an action, so each smaller
+    label lies in an orbit already swept.  The orbit-stabilizer count is checked.
     """
     if not duals:
         return []
@@ -101,32 +102,21 @@ def orbit_decomposition(duals, w_gens):
     by_label = {chi.label: chi for chi in duals}
     if len(by_label) != len(duals):
         raise MackeyError("duplicate labels in the dual list")
-    w_sub = Subgroup.generated(group, w_gens)
-
-    seen = set()
-    orbits = []
+    w_codes = sorted(Subgroup.generated(group, w_gens).codes)
+    seen, orbits = set(), []
     for label in sorted(by_label):
         if label in seen:
             continue
-        frontier = [label]
-        members = {label}
-        while frontier:
-            cur = frontier.pop()
-            for w in w_sub.gen_codes:
-                moved = act_on_dual(w, by_label[cur])
-                nxt = moved.label
-                if by_label.get(nxt) != moved:
-                    raise MackeyError("action leaves the listed dual")
-                if nxt not in members:
-                    members.add(nxt)
-                    frontier.append(nxt)
-        seen |= members
-        rep = by_label[min(members)]
-        stab_codes = frozenset(w for w in w_sub.codes if act_on_dual(w, rep) == rep)
-        stabilizer = Subgroup(group, stab_codes, tuple(sorted(stab_codes)))
-        if len(members) * len(stab_codes) != w_sub.order:
+        rep = by_label[label]
+        images = [act_on_dual(w, rep) for w in w_codes]
+        if any(by_label.get(chi.label) != chi for chi in images):
+            raise MackeyError("action leaves the listed dual")
+        members = {chi.label for chi in images}
+        stab = tuple(w for w, chi in zip(w_codes, images) if chi == rep)
+        if len(members) * len(stab) != len(w_codes):
             raise MackeyError("orbit-stabilizer count violated")
-        orbits.append(Orbit(rep, tuple(sorted(members)), stabilizer))
+        seen |= members
+        orbits.append(Orbit(rep, tuple(sorted(members)), Subgroup(group, frozenset(stab), stab)))
     return orbits
 
 

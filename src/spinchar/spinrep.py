@@ -507,8 +507,16 @@ def restrict_to_projective(rep, section=None):
         raise RepError("projective restriction expects a representation of R243")
     n, rows = g27.order, g27.rows
     gens, tree = _spanning_tree(g27)
-    lift = (canonical_section() if section is None
-            else _lifting_section(tuple(section[g] for g in range(n))))
+    if section is None:
+        lift = canonical_section()
+    else:  # its n entries, read once: an unhashable one would fail at the cache
+        try:
+            codes = tuple(section[g] for g in range(n))
+        except (LookupError, TypeError):
+            raise RepError("a section needs an entry for each of the 27 base elements") from None
+        if not all(isinstance(c, numbers.Integral) and 0 <= c < rep.group.order for c in codes):
+            raise RepError("section entries must be R243 element codes")
+        lift = _lifting_section(tuple(map(int, codes)))
     T = rep.images_at(lift)
     if T[0] != CycMatrix.identity(rep.dim).state:
         raise RepError("restriction of %s is not projective at (0, 0)" % rep.name)

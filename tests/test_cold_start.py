@@ -194,7 +194,7 @@ built = Counter()
 init = groups.GroupSchema.__init__
 def counting(self, *args, **kwargs):
     init(self, *args, **kwargs)
-    built[self.key] += 1
+    built[self.name, self.params] += 1
 groups.GroupSchema.__init__ = counting
 assert all(r.passed for r in verify.run_checks())
 print(len(built), sorted(built) == sorted(groups._GROUPS), max(built.values()))
@@ -209,7 +209,7 @@ from spinchar import groups, verify
 built = Counter()
 build = groups.Group._build_rows
 def counting(self):
-    built[self.schema.key] += 1
+    built[self.schema.name, self.schema.params] += 1
     return build(self)
 groups.Group._build_rows = counting
 assert all(r.passed for r in verify.run_checks())

@@ -11,8 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spinchar.cyclo import (Cyc, CycError, OMEGA, OMEGA2, ZERO, ONE, _icbrt, _monotone_root,
-                            _rational_roots, as_cyc, cyc_cbrt, root_exponent,
-                            root_of_unity)
+                            as_cyc, cyc_cbrt, root_exponent, root_of_unity)
 from spinchar.cyclo9 import (Cyc9, Packing, cyc9_cbrt, matrix_state, pack_table, packing_bits,
                              parse_scalar, scalar_str, state_mul, state_mul_trace, state_times_w,
                              state_trace, zeta9)
@@ -320,38 +319,8 @@ def test_integer_cube_root_beyond_float_precision():
     assert [_icbrt(k) for k in range(9)] == [0, 1, None, None, None, None, None, None, 2]
 
 
-def _pair(f):
-    return f.numerator, f.denominator
-
-
-def _roots_of(c0, c1):
-    """_rational_roots on Fraction coefficients, roots back as Fractions."""
-    return [Fraction(*r) for r in _rational_roots(_pair(c0), _pair(c1))]
-
-
-def test_rational_roots_of_depressed_cubics():
-    # (T - r)(T - s)(T + r + s) = T^3 + c1 T + c0, every root pattern:
-    # three distinct, double, triple at 0, roots on either side of a turning point;
-    # each root once, largest first
-    for d in (1, 2, 3, 6):
-        for a in range(-7, 8):
-            for b in range(a, 8):
-                r, s = Fraction(a, d), Fraction(b, d)
-                t = -(r + s)
-                c1, c0 = r * s + r * t + s * t, -r * s * t
-                assert _roots_of(c0, c1) == sorted({r, s, t}, reverse=True)
-    n = 10 ** 20
-    r, s, t = Fraction(n), Fraction(n + 1), Fraction(-(2 * n + 1))
-    assert _roots_of(-r * s * t, r * s + r * t + s * t) == [s, r, t]
-    assert _roots_of(Fraction(-2), Fraction(0)) == []  # T^3 - 2
-    assert _roots_of(Fraction(1), Fraction(1)) == []   # T^3 + T + 1
-    # pairs in lowest terms, whatever the coefficients' common factors
-    assert _rational_roots((-16, 2), (0, 5)) == [(2, 1)]  # T^3 - 8
-    assert _rational_roots((1, 8), (0, 1)) == [(-1, 2)]   # T^3 + 1/8
-
-
 # The cube-root search as it was on Fraction values, kept as a reference for
-# the search on integer pairs.  Its candidate traces came out of a set, in the
+# the integral search.  Its candidate traces came out of a set, in the
 # order of their hashes (which made 6w the cube root of 216); the reference
 # tries them largest first, the order cyc_cbrt now fixes.
 
@@ -410,13 +379,15 @@ def _ref_cyc_cbrt(v, order=lambda roots: sorted(roots, reverse=True)):
 
 
 def test_cube_roots_match_the_fraction_reference():
-    # cubes of small (p + q w)/d, their w-twists, and non-cubes
+    # cubes of small (p + q w)/d, their w-twists and negatives (a double
+    # trace at sqrt(norm) when x is rational), and non-cubes; the catalog's
+    # radicands have denominator 9
     checked = 0
-    for d in (1, 2, 3, 6, 7):
+    for d in (1, 2, 3, 6, 7, 9, 27):
         for p in range(-6, 7):
             for q in range(-6, 7):
                 x = Cyc(Fraction(p, d), Fraction(q, d))
-                for v in (x ** 3, x ** 3 * OMEGA, x ** 3 * OMEGA2, 3 * x ** 3, x, x + 1):
+                for v in (x ** 3, x ** 3 * OMEGA, x ** 3 * OMEGA2, -x ** 3, 3 * x ** 3, x, x + 1):
                     t = cyc_cbrt(v)
                     assert t == _ref_cyc_cbrt(v), v
                     if t is not None:

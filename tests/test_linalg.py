@@ -85,6 +85,9 @@ def test_singular_and_mismatch_errors():
         I3 * CycMatrix.identity(2)
     with pytest.raises(MatrixError):
         CycMatrix([[1, 2, 3], [4, 5, 6]])
+    for scalar_operand in (lambda M: M * 2, lambda M: M + 2):
+        with pytest.raises(MatrixError, match="a scalar goes through scale"):
+            scalar_operand(CycMatrix.identity(2))
 
 
 def test_unitary_and_scalar_detection():
@@ -192,6 +195,9 @@ def test_nullspace_solutions_satisfy_constraints():
                 for a, x in zip(row, vec):
                     acc = acc + a * x
                 assert acc.is_zero()
+    # scalar rows enter as a kernel state only
+    with pytest.raises(MatrixError, match=r"matrix_state\(rows\)"):
+        nullspace([[1]], 1)
 
 
 def test_one_inversion_per_pivot(monkeypatch):

@@ -11,8 +11,8 @@ from spinchar.cyclo import ONE, root_of_unity
 from spinchar.cyclo9 import Cyc9
 from spinchar.linalg import CycMatrix, J_SHIFT
 from spinchar.groups import Group, Subgroup, get_group
-from spinchar.mackey import (MackeyError, SubRep, act_on_dual, dual_group, induce,
-                             orbit_decomposition)
+from spinchar.mackey import (DualCharacter, MackeyError, SubRep, act_on_dual, dual_group,
+                             induce, orbit_decomposition)
 
 
 def g27_dual():
@@ -160,6 +160,51 @@ def test_orbit_decomposition_refuses_an_unlisted_image():
     g27, U, duals = g27_dual()
     with pytest.raises(MackeyError, match="leaves the listed dual"):
         orbit_decomposition([chi for chi in duals if chi.label != (1, 1)], ["x3"])
+
+
+def _frontier_orbits(duals, w_gens):
+    """The orbit search as a frontier walk over the generators of <w_gens>,
+    then a second sweep of <w_gens> for the stabilizer: (representative,
+    members, stabilizer codes) per orbit, representatives in label order."""
+    group = duals[0].subgroup.group
+    by_label = {chi.label: chi for chi in duals}
+    w_sub = Subgroup.generated(group, w_gens)
+    seen, out = set(), []
+    for label in sorted(by_label):
+        if label in seen:
+            continue
+        frontier, members = [label], {label}
+        while frontier:
+            cur = frontier.pop()
+            for w in w_sub.gen_codes:
+                nxt = act_on_dual(w, by_label[cur]).label
+                if nxt not in members:
+                    members.add(nxt)
+                    frontier.append(nxt)
+        seen |= members
+        rep = by_label[min(members)]
+        stab = tuple(sorted(w for w in w_sub.codes if act_on_dual(w, rep) == rep))
+        out.append((rep, tuple(sorted(members)), stab))
+    return out
+
+
+def test_orbits_match_the_frontier_reference():
+    cases = [(dual_group(Subgroup.generated(get_group(name), base)), [section])
+             for name, base, section in [("G27", ["x1", "x2"], "x3"),
+                                         ("G81", ["z12", "xi1"], "xi2"),
+                                         ("GBAR", ["z23", "xb2"], "xb3"),
+                                         ("R243", ["z12", "z23", "n1"], "n2")]]
+    # mu_route_direct's linear characters of the non-abelian <z12, z23, n1, n2>
+    U = Subgroup.generated(get_group("R243"), ["z12", "z23", "n1", "n2"])
+    cases += [([DualCharacter(U, (0, mu, a, b)) for a in range(3) for b in range(3)], ["n3"])
+              for mu in (1, 2)]
+    cases.append((g27_dual()[2], []))
+    for duals, w_gens in cases:
+        got = [(o.representative, o.members, o.stabilizer.gen_codes, o.stabilizer.codes)
+               for o in orbit_decomposition(duals, w_gens)]
+        want = [(rep, members, stab, frozenset(stab))
+                for rep, members, stab in _frontier_orbits(duals, w_gens)]
+        assert got == want, w_gens
 
 
 def test_spin_orbits_on_covering():

@@ -53,6 +53,21 @@ def test_every_definition_is_referenced_in_the_package():
     assert dead == []
 
 
+_FLOAT_CALLS = {"float", "math.sqrt", "math.cbrt", "math.pow", "math.isclose"}
+
+
+def test_no_float_arithmetic():
+    # every comparison is exact equality, with no tolerance: no float literal
+    # and no float-valued root, power or closeness test appears in the package
+    found = sorted(
+        "%s:%d" % (path.name, node.lineno) for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+        or isinstance(node, ast.Call) and ast.unparse(node.func) in _FLOAT_CALLS
+        or isinstance(node, ast.ImportFrom) and node.module == "math"
+        and any("math." + alias.name in _FLOAT_CALLS for alias in node.names))
+    assert found == []
+
 
 def test_no_module_imports_numpy():
     # every command and check runs on Python ints and byte rows, and every

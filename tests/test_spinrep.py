@@ -614,6 +614,13 @@ class TestProjectiveRestriction:
         for not_a_rep in (None, "Pi(1,0;0)", get_group("R243")):
             with pytest.raises(RepError, match="expects a representation of R243"):
                 restrict_to_projective(not_a_rep)
+        # a missing entry or a non-code is refused before the lift is checked
+        for short in ([0, 1], range(26)):
+            with pytest.raises(RepError, match="needs an entry for each of the 27"):
+                restrict_to_projective(rep, short)
+        for junk in ([None] * 27, [1.5] * 27):
+            with pytest.raises(RepError, match="must be R243 element codes"):
+                restrict_to_projective(rep, junk)
 
     def test_recursion_matches_per_column_reference(self):
         # reference: each column h on its own, from the generator columns
